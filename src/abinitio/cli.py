@@ -17,7 +17,7 @@ import sys
 from .amalgam import AmalgamSpec, free_amalgam, verify_strong_pair
 from .approximation import (
     add_generic_point, build_approximation, extend_partial_iso, realize_extension)
-from .errors import AbinitioError
+from .errors import AbinitioError, ConstructionFailed
 from .extension import EPCertificate, EPProblem, ep_extend
 from .graph import (
     Embedding, Graph, PartialIso, canonical_json, export_dot)
@@ -493,10 +493,10 @@ def main(argv: list | None = None) -> int:
     try:
         return args.handler(args)
     except AbinitioError as exc:
-        sys.stdout.write(canonical_json({
-            "schema": 1,
-            "error": {"type": exc.__class__.__name__, "message": str(exc)},
-        }))
+        error = {"type": exc.__class__.__name__, "message": str(exc)}
+        if isinstance(exc, ConstructionFailed):
+            error["stage_log"] = exc.stage_log
+        sys.stdout.write(canonical_json({"schema": 1, "error": error}))
         return 1
     except (ValueError, KeyError, TypeError, OSError) as exc:
         sys.stdout.write(canonical_json({

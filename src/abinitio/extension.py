@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, Graph, PartialIso, components, fresh_name
-from .graph import enumerate_embeddings
-from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient, strong_embeddings
+from .graph import (
+    Embedding, EmbeddingPlan, Graph, PartialIso, components, enumerate_embeddings, fresh_name)
+from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
 from .zero_decomposition import (
     ZeroDecomposition,
     count_strong_extensions,
@@ -222,7 +222,8 @@ def build_base_stage(
         pattern = a.induced(bl)
         mu.append({
             "block": sorted(bl),
-            "count": len(strong_embeddings(pattern, a, max_target=_UNBOUNDED)),
+            "count": EmbeddingPlan(pattern).count(
+                a, is_strong=is_self_sufficient, max_target=_UNBOUNDED),
         })
 
     plans = []  # (map_index, kind, original blocks, chain vertex maps)
@@ -340,9 +341,8 @@ def _pattern_multiplicity(b: Graph, base: frozenset, gen: frozenset,
     """Self-matchings of the attachment fixing the generator pointwise; the
     amount one fresh copy adds to a placement's extension count."""
     pattern = b.induced(gen | attachment)
-    autos = enumerate_embeddings(
-        pattern, pattern, fixed={x: x for x in gen}, max_target=_UNBOUNDED)
-    return len(autos)
+    return EmbeddingPlan(pattern, pinned=gen).count(
+        pattern, fixed={x: x for x in gen}, max_target=_UNBOUNDED)
 
 
 def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
@@ -354,13 +354,17 @@ def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
     t = _pattern_multiplicity(b, base, gen, att)
     assert t >= 1
     added = 0
+    # copies only add edges at fresh vertices, so both patterns stay induced
+    # subgraphs of every later b and are built and compiled once per row
+    base_pattern = b.induced(base)
+    plan = EmbeddingPlan(b.induced(base | att), pinned=base)
     for _ in range(_MAX_SWEEP_PASSES):
-        base_pattern = b.induced(base)
         alphas = enumerate_embeddings(
             base_pattern, b, strong_only=True, is_strong=is_self_sufficient,
             max_target=_UNBOUNDED)
         counts = [
-            count_strong_extensions(b, base, att, al.as_dict(), max_target=_UNBOUNDED)
+            count_strong_extensions(
+                b, base, att, al.as_dict(), max_target=_UNBOUNDED, plan=plan)
             for al in alphas
         ]
         nu = max(counts)

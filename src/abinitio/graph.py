@@ -8,6 +8,7 @@ values.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -126,11 +127,16 @@ class Graph:
             if key not in d:
                 raise ValueError(f"graph document missing {key!r}")
         m = m_override if m_override is not None else d["m"]
-        edges = [tuple(e) for e in d["edges"]]
-        for e in edges:
-            if len(e) != 2:
+        for key in ("vertices", "edges"):
+            if not isinstance(d[key], list):
+                raise ValueError(f"{key!r} must be a JSON array, got {d[key]!r}")
+        for e in d["edges"]:
+            if not isinstance(e, list) or len(e) != 2:
                 raise ValueError(f"malformed edge {e!r}")
-        return cls(m, d["vertices"], edges)
+        for v in itertools.chain(d["vertices"], *d["edges"]):
+            if not isinstance(v, str):
+                raise ValueError(f"vertex names must be strings, got {v!r}")
+        return cls(m, d["vertices"], [tuple(e) for e in d["edges"]])
 
     @classmethod
     def from_json(cls, text: str, m_override: int | None = None) -> "Graph":
@@ -286,6 +292,144 @@ class PartialIso:
 # -- embedding enumeration ----------------------------------------------
 
 
+def _check_target(a: Graph, c: Graph, max_target: int | None) -> None:
+    ceiling = limits.max_target(max_target)
+    if len(c.vertices) > ceiling:
+        raise SizeCeilingExceeded(
+            f"target has {len(c.vertices)} vertices, ceiling is {ceiling}")
+    if a.m != c.m:
+        raise CoefficientMismatch(f"coefficients differ: {a.m} vs {c.m}")
+
+
+class EmbeddingPlan:
+    """A search for induced embeddings of one pattern, compiled once and run
+    against any number of targets.
+
+    The search order puts the pinned vertices first, then at each step the
+    vertex with the most already-placed neighbours (ties: higher degree,
+    then smaller name).  Each position records its earlier adjacent and
+    non-adjacent positions and its degree, so a run draws candidates from
+    the intersection of the target neighbourhoods of the adjacent positions'
+    images and checks only degree and non-adjacency.
+    """
+
+    __slots__ = ("pattern", "pinned", "order", "adjacent", "apart", "degrees", "_by_name")
+
+    def __init__(self, a: Graph, pinned: Iterable[str] = ()):
+        pins = a.check_subset(pinned)
+        adj = a._adj
+        order: list[str] = []
+        placed: set[str] = set()
+        for pool in (set(pins), set(a.vertices - pins)):
+            while pool:
+                v = min(pool, key=lambda u: (-len(adj[u] & placed), -len(adj[u]), u))
+                pool.discard(v)
+                placed.add(v)
+                order.append(v)
+        self.pattern = a
+        self.pinned = pins
+        self.order = tuple(order)
+        self.adjacent = tuple(
+            tuple(j for j in range(i) if order[j] in adj[v]) for i, v in enumerate(order))
+        self.apart = tuple(
+            tuple(j for j in range(i) if order[j] not in adj[v]) for i, v in enumerate(order))
+        self.degrees = tuple(len(adj[v]) for v in order)
+        self._by_name = tuple(sorted(range(len(order)), key=order.__getitem__))
+
+    def _search(self, c: Graph, fixed: dict | None, emit: Callable) -> None:
+        """Call emit once per induced embedding of the pattern into c that
+        agrees with fixed, passing the images in plan order as a list that
+        the search goes on to overwrite."""
+        fixed = fixed or {}
+        if fixed.keys() != self.pinned:
+            raise InvalidMap(
+                f"pins {sorted(fixed)} differ from the plan's {sorted(self.pinned)}")
+        for v in fixed.values():
+            c.check_subset([v])
+        cadj = c._adj
+        everything = c.vertices
+        pins = [fixed.get(p) for p in self.order]
+        adjacent, apart, degrees = self.adjacent, self.apart, self.degrees
+        n = len(pins)
+        img: list = [None] * n
+        used: set = set()
+
+        def extend(i: int) -> None:
+            if i == n:
+                emit(img)
+                return
+            near = adjacent[i]
+            pin = pins[i]
+            if pin is not None:
+                if pin in used or any(img[j] not in cadj[pin] for j in near):
+                    return
+                cands = (pin,)
+            elif near:
+                cands = cadj[img[near[0]]]
+                for j in near[1:]:
+                    cands = cands & cadj[img[j]]
+            else:
+                cands = everything
+            d, far = degrees[i], apart[i]
+            for t in cands:
+                if t in used:
+                    continue
+                nt = cadj[t]
+                if len(nt) < d:
+                    continue
+                for j in far:
+                    if img[j] in nt:
+                        break
+                else:
+                    img[i] = t
+                    used.add(t)
+                    extend(i + 1)
+                    used.discard(t)
+
+        extend(0)
+
+    def embeddings(self, c: Graph, fixed: dict | None = None,
+                   is_strong: Callable | None = None,
+                   max_target: int | None = None) -> list:
+        """Every embedding as an Embedding, in canonical (sorted pairs)
+        order; with is_strong, only those whose image passes it."""
+        _check_target(self.pattern, c, max_target)
+        names, by_name = sorted(self.order), self._by_name
+        found: list = []
+        strong: dict = {}
+
+        def emit(img):
+            if is_strong is not None:
+                key = frozenset(img)
+                ok = strong.get(key)
+                if ok is None:
+                    ok = strong[key] = is_strong(c, key)
+                if not ok:
+                    return
+            found.append(tuple(zip(names, [img[k] for k in by_name])))
+
+        self._search(c, fixed, emit)
+        found.sort()
+        return [Embedding(self.pattern, c, pairs) for pairs in found]
+
+    def count(self, c: Graph, fixed: dict | None = None,
+              is_strong: Callable | None = None,
+              max_target: int | None = None) -> int:
+        """The number of embeddings() without building them; strength is
+        tested once per image set."""
+        _check_target(self.pattern, c, max_target)
+        per_image: dict = {}
+
+        def emit(img):
+            key = frozenset(img)
+            per_image[key] = per_image.get(key, 0) + 1
+
+        self._search(c, fixed, emit)
+        if is_strong is None:
+            return sum(per_image.values())
+        return sum(k for image, k in per_image.items() if is_strong(c, image))
+
+
 def enumerate_embeddings(
     a: Graph,
     c: Graph,
@@ -298,59 +442,22 @@ def enumerate_embeddings(
 
     With strong_only, keep only embeddings whose image passes is_strong
     (default: self-sufficiency of the image in c).  fixed pins part of the
-    map in advance.  Backtracking over sorted vertices with degree pruning;
-    targets above the size ceiling are rejected.
+    map in advance.  Targets above the size ceiling are rejected.
+
+    The search runs an EmbeddingPlan compiled for a with the keys of fixed
+    pinned: connectivity-first order, candidates from the intersection of
+    the neighbourhoods of already-placed neighbours' images, degree and
+    non-adjacency filters.  Its visiting order follows the plan rather than
+    vertex names, so the results are re-sorted by their pairs; that sorted
+    order is the canonical order every certificate relies on.
     """
-    ceiling = limits.max_target(max_target)
-    if len(c.vertices) > ceiling:
-        raise SizeCeilingExceeded(
-            f"target has {len(c.vertices)} vertices, ceiling is {ceiling}")
-    if a.m != c.m:
-        raise CoefficientMismatch(f"coefficients differ: {a.m} vs {c.m}")
     if strong_only and is_strong is None:
         from .predimension import is_self_sufficient
 
         is_strong = is_self_sufficient
-
-    pattern = a.sorted_vertices()
     fixed = dict(fixed or {})
-    for k, v in fixed.items():
-        a.check_subset([k])
-        c.check_subset([v])
-
-    out: list[Embedding] = []
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(p: str, t: str) -> bool:
-        if a.degree(p) > c.degree(t):
-            return False
-        for q, u in assignment.items():
-            if a.has_edge(p, q) != c.has_edge(t, u):
-                return False
-        return True
-
-    def extend(i: int):
-        if i == len(pattern):
-            emb = Embedding.build(a, c, dict(assignment))
-            if not strong_only or is_strong(c, emb.image):
-                out.append(emb)
-            return
-        p = pattern[i]
-        if p in fixed:
-            candidates = [fixed[p]] if fixed[p] not in used else []
-        else:
-            candidates = [t for t in c.sorted_vertices() if t not in used]
-        for t in candidates:
-            if consistent(p, t):
-                assignment[p] = t
-                used.add(t)
-                extend(i + 1)
-                del assignment[p]
-                used.discard(t)
-
-    extend(0)
-    return out
+    plan = EmbeddingPlan(a, pinned=fixed)
+    return plan.embeddings(c, fixed, is_strong if strong_only else None, max_target)
 
 
 # -- fresh names and disjoint unions -------------------------------------

@@ -20,13 +20,17 @@ _ENV_PREFIX = "ABINITIO_"
 
 
 def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name)
+    var = _ENV_PREFIX + name
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return fallback
+        value = -1
+    if value < 0:
+        raise ValueError(f"{var} must be a nonnegative integer, got {raw!r}")
+    return value
 
 
 def max_target(override: "int | None" = None) -> int:

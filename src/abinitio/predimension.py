@@ -52,10 +52,9 @@ def _bounded_orientation(g: Graph, verts: frozenset, load: dict, cap: int):
     for e in internal:
         u, v = e
         parent: dict = {u: None, v: None}
-        queue = [u, v]
+        queue = [u, v]  # breadth-first: the loop also visits what it appends
         goal = None
-        while queue:
-            w = queue.pop(0)
+        for w in queue:
             if used[w] < cap:
                 goal = w
                 break

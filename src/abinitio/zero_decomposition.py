@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, Graph, connected_subsets, enumerate_embeddings
+from .graph import Embedding, EmbeddingPlan, Graph, connected_subsets, enumerate_embeddings
 from .predimension import closure, delta, delta_rel, is_in_k0, is_self_sufficient
 
 
@@ -320,17 +320,15 @@ def count_strong_extensions(
     attach: frozenset,
     fixed: dict,
     max_target: int | None = None,
+    plan: EmbeddingPlan | None = None,
 ) -> int:
-    pattern = c.induced(base | attach)
-    embs = enumerate_embeddings(
-        pattern,
-        c,
-        strong_only=True,
-        is_strong=is_self_sufficient,
-        fixed=fixed,
-        max_target=max_target,
-    )
-    return len(embs)
+    """How many strong embeddings of the pattern c.induced(base | attach)
+    agree with fixed on base.  Callers counting over many placements pass
+    the plan compiled for that pattern with base pinned, so the pattern is
+    built and compiled once rather than per placement."""
+    if plan is None:
+        plan = EmbeddingPlan(c.induced(base | attach), pinned=base)
+    return plan.count(c, fixed, is_strong=is_self_sufficient, max_target=max_target)
 
 
 # -- uniformity report ------------------------------------------------------
@@ -432,9 +430,11 @@ def uniform_algebraicity_report(
             alphas = enumerate_embeddings(
                 base_pattern, g, strong_only=True, is_strong=is_self_sufficient,
                 max_target=max_target)
+            plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
             counts = [
                 count_strong_extensions(
-                    g, w.base, w.zero_minimal_set, a.as_dict(), max_target=max_target)
+                    g, w.base, w.zero_minimal_set, a.as_dict(), max_target=max_target,
+                    plan=plan)
                 for a in alphas
             ]
             rows.append((w, counts, len(set(counts)) <= 1))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from abinitio import Graph, canonical_json, cli
+from abinitio import ConstructionFailed, Graph, canonical_json, cli
 
 
 def k5_dict(prefix="a"):
@@ -251,6 +251,45 @@ def test_error_exit_codes(tmp_path, capsys):
     garbled.write_text("not json at all {")
     rc, doc, _ = run(capsys, ["delta", str(garbled)])
     assert rc == 2 and doc["error"]["type"] == "JSONDecodeError"
+
+
+def test_malformed_graph_documents_are_input_errors(tmp_path, capsys):
+    bad_docs = [
+        {"m": 2, "vertices": "ab", "edges": []},
+        {"m": 2, "vertices": ["a", "b"], "edges": "ab"},
+        {"m": 2, "vertices": {"a": 1}, "edges": []},
+        {"m": 2, "vertices": ["a", "b"], "edges": ["ab"]},
+        {"m": 2, "vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+        {"m": 2, "vertices": [1, 2], "edges": [[1, 2]]},
+        {"m": 2, "vertices": ["a", "b"], "edges": [["a", 2]]},
+    ]
+    for k, bad in enumerate(bad_docs):
+        path = write(tmp_path, f"bad{k}.json", bad)
+        rc, doc, _ = run(capsys, ["delta", path])
+        assert rc == 2 and doc["error"]["type"] == "ValueError", bad
+        with pytest.raises(ValueError):
+            Graph.from_json_dict(bad)
+
+
+def test_construction_failure_reports_its_stage_log(tmp_path, capsys, monkeypatch):
+    log = [{"stage": 1, "kind": "level", "rows": []}]
+
+    def failing(p, max_set=None):
+        raise ConstructionFailed("pass budget exhausted", stage_log=log)
+
+    path = write(tmp_path, "p.json", {"graph": k5_dict(), "maps": []})
+    rc, ok_doc, _ = run(capsys, ["ep-extend", path])
+    assert rc == 0 and "error" not in ok_doc
+    monkeypatch.setattr(cli, "ep_extend", failing)
+    rc, doc, _ = run(capsys, ["ep-extend", path])
+    assert rc == 1
+    assert doc["error"] == {"type": "ConstructionFailed",
+                            "message": "pass budget exhausted", "stage_log": log}
+
+    # other domain failures keep their two-key error document
+    path = write(tmp_path, "bad.json", {"m": 2, "vertices": ["a"], "edges": [["a", "b"]]})
+    rc, doc, _ = run(capsys, ["delta", path])
+    assert rc == 1 and set(doc["error"]) == {"type", "message"}
 
 
 def test_graph_roundtrip_through_cli(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from abinitio import (
     CoefficientMismatch,
     Embedding,
+    EmbeddingPlan,
     Graph,
     InvalidMap,
     PartialIso,
@@ -19,8 +21,10 @@ from abinitio import (
     enumerate_embeddings,
     export_dot,
     fresh_name,
+    is_self_sufficient,
+    limits,
 )
-from oracles import adjacent
+from oracles import adjacent, brute_closed
 
 
 def k_complete(n, prefix="v", m=2):
@@ -148,6 +152,96 @@ def test_enumerate_embeddings_fixed_and_ceiling():
         enumerate_embeddings(a, c, max_target=3)
     with pytest.raises(CoefficientMismatch):
         enumerate_embeddings(k_complete(2, m=3), c)
+
+
+def test_size_ceiling_env_values_are_checked(monkeypatch):
+    a = k_complete(2, prefix="p")
+    c = k_complete(4)
+    monkeypatch.setenv("ABINITIO_MAX_TARGET", "3")
+    with pytest.raises(SizeCeilingExceeded):
+        enumerate_embeddings(a, c)
+    for raw in ("-3", "junk", "2.5", ""):
+        monkeypatch.setenv("ABINITIO_MAX_TARGET", raw)
+        with pytest.raises(ValueError, match="ABINITIO_MAX_TARGET"):
+            enumerate_embeddings(a, c)
+    monkeypatch.setenv("ABINITIO_MAX_SET_SIZE", "-1")
+    with pytest.raises(ValueError, match="ABINITIO_MAX_SET_SIZE"):
+        limits.max_set_size()
+    assert limits.max_set_size(5) == 5
+    monkeypatch.setenv("ABINITIO_MAX_AMBIENT", "0")
+    assert limits.max_ambient() == 0
+
+
+def _random_graph(rng, prefix, n, m):
+    names = [f"{prefix}{i}" for i in range(n)]
+    p = rng.choice([0.2, 0.5, 0.8])
+    return Graph(m, names, [e for e in itertools.combinations(names, 2) if rng.random() < p])
+
+
+def _vf2_embeddings(a, c):
+    """Every induced embedding of a into c as a sorted pairs tuple, from
+    networkx's VF2 matcher (Cordella et al., TPAMI 2004)."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        return h
+
+    matcher = GraphMatcher(to_nx(c), to_nx(a))
+    return {tuple(sorted((p, t) for t, p in f.items()))
+            for f in matcher.subgraph_isomorphisms_iter()}
+
+
+def test_matcher_against_vf2():
+    rng = random.Random(1510)
+    closed = functools.cache(brute_closed)
+    for trial in range(80):
+        m = rng.choice([2, 3])
+        a = _random_graph(rng, "p", rng.randint(1, 5), m)
+        c = _random_graph(rng, "t", rng.randint(1, 9), m)
+        reference = _vf2_embeddings(a, c)
+        fixed = {}
+        if trial % 3:
+            pins = rng.sample(a.sorted_vertices(), rng.randint(1, min(2, len(a.vertices))))
+            if reference and trial % 2:
+                f = dict(rng.choice(sorted(reference)))
+                fixed = {p: f[p] for p in pins}
+            else:
+                fixed = {p: rng.choice(c.sorted_vertices()) for p in pins}
+        for strong_only in (False, True):
+            expect = {pairs for pairs in reference
+                      if all(dict(pairs)[p] == t for p, t in fixed.items())}
+            if strong_only:
+                expect = {pairs for pairs in expect
+                          if closed(c, frozenset(t for _, t in pairs))}
+            got = enumerate_embeddings(a, c, strong_only=strong_only, fixed=fixed)
+            got_pairs = [e.pairs for e in got]
+            assert set(got_pairs) == expect
+            assert got_pairs == sorted(got_pairs)
+            plan = EmbeddingPlan(a, pinned=fixed)
+            is_strong = is_self_sufficient if strong_only else None
+            assert plan.count(c, fixed, is_strong=is_strong) == len(got)
+
+
+def test_plan_order_and_pins():
+    # path p0 - p1 - p2 plus an isolated p3: pins first, then the vertex
+    # with most placed neighbours, ties to higher degree, then name
+    a = Graph(2, ["p0", "p1", "p2", "p3"], [("p0", "p1"), ("p1", "p2")])
+    assert EmbeddingPlan(a).order == ("p1", "p0", "p2", "p3")
+    plan = EmbeddingPlan(a, pinned=["p2"])
+    assert plan.order == ("p2", "p1", "p0", "p3")
+    assert plan.adjacent == ((), (0,), (1,), ())
+    assert plan.apart == ((), (), (0,), (0, 1, 2))
+    c = k_complete(4)
+    with pytest.raises(InvalidMap):
+        plan.count(c, {"p0": "v0"})
+    with pytest.raises(UnknownVertex):
+        plan.count(c, {"p2": "nowhere"})
+    with pytest.raises(UnknownVertex):
+        EmbeddingPlan(a, pinned=["nowhere"])
 
 
 def test_fresh_name_and_disjoint_union():
