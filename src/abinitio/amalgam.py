@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmalgamError, CoefficientMismatch
-from .graph import Embedding, Graph, fresh_name
+from .graph import Embedding, Graph, adjoin_copy
 from .predimension import is_in_k0, is_self_sufficient
 
 
@@ -69,21 +69,12 @@ def free_amalgam(spec: AmalgamSpec) -> AmalgamResult:
     into_right = spec.base_in_right.as_dict()
     right_base_to_left = {into_right[b]: into_left[b] for b in into_left}
 
-    taken = set(spec.left.vertices)
-    right_map: dict[str, str] = {}
-    for v in sorted(spec.right.vertices):
-        if v in right_base_to_left:
-            right_map[v] = right_base_to_left[v]
-        else:
-            nv = fresh_name(v, taken)
-            right_map[v] = nv
-            taken.add(nv)
-
-    vertices = set(spec.left.vertices) | set(right_map.values())
-    edges = list(spec.left.edges) + [
-        (right_map[u], right_map[v]) for (u, v) in spec.right.edges
-    ]
-    result = Graph(spec.left.m, vertices, edges)
+    # the left factor already has the base's edges: both base embeddings
+    # are induced, so only the right factor's private part is copied in
+    result, fresh = adjoin_copy(
+        spec.left, spec.right, spec.right.vertices - set(right_base_to_left),
+        right_base_to_left)
+    right_map = {**right_base_to_left, **fresh}
 
     left_emb = Embedding.build(spec.left, result, {v: v for v in spec.left.vertices})
     right_emb = Embedding.build(spec.right, result, right_map)

@@ -14,56 +14,11 @@ from dataclasses import dataclass
 from . import limits
 from .amalgam import AmalgamSpec, free_amalgam
 from .errors import ConstructionFailed, InvalidMap, OutsideK0, SizeCeilingExceeded
-from .graph import Embedding, Graph, PartialIso, fresh_name
-from .graph import enumerate_embeddings
+from .graph import (
+    Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, enumerate_embeddings, fresh_name)
 from .predimension import closure, delta_rel, is_in_k0, is_self_sufficient
 
 _UNBOUNDED = 10**9
-
-
-def _first_induced_map(
-    pattern: Graph,
-    target: Graph,
-    fixed: dict | None = None,
-    require_strong: bool = False,
-) -> dict | None:
-    """First (canonical) induced embedding of pattern into target extending
-    the fixed pairs, or None.  Early-exit backtracking."""
-    fixed = dict(fixed or {})
-    order = [v for v in pattern.sorted_vertices() if v not in fixed]
-    assignment = dict(fixed)
-
-    def fits(p, t):
-        if t in assignment.values():
-            return False
-        for q, u in assignment.items():
-            if pattern.has_edge(p, q) != target.has_edge(t, u):
-                return False
-        return True
-
-    for p, t in fixed.items():
-        if p not in pattern.vertices or t not in target.vertices:
-            return None
-
-    def walk(i):
-        if i == len(order):
-            if require_strong and not is_self_sufficient(
-                    target, frozenset(assignment.values())):
-                return False
-            return True
-        p = order[i]
-        for t in target.sorted_vertices():
-            if pattern.degree(p) <= target.degree(t) and fits(p, t):
-                assignment[p] = t
-                if walk(i + 1):
-                    return True
-                del assignment[p]
-        return False
-
-    for u, v in itertools.combinations(sorted(fixed), 2):
-        if pattern.has_edge(u, v) != target.has_edge(fixed[u], fixed[v]):
-            return None
-    return dict(assignment) if walk(0) else None
 
 
 # -- realizing pattern extensions --------------------------------------------
@@ -107,12 +62,6 @@ class ApproximationChain:
         }
 
 
-def _isomorphic(g: Graph, h: Graph) -> bool:
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return False
-    return _first_induced_map(g, h) is not None
-
-
 def pattern_catalog(m: int, size_budget: int) -> list:
     """All member graphs of the class up to the size budget, one per
     isomorphism type, on canonical vertex names, smallest edge sets first."""
@@ -120,16 +69,17 @@ def pattern_catalog(m: int, size_budget: int) -> list:
     for n in range(size_budget + 1):
         names = [f"p{i + 1}" for i in range(n)]
         slots = list(itertools.combinations(sorted(names), 2))
-        found = []
+        found = []  # (graph, its plan); an embedding between equal sizes is an isomorphism
         for bits in range(2 ** len(slots)):
             edges = [slots[i] for i in range(len(slots)) if bits >> i & 1]
             g = Graph(m, names, edges)
             if not is_in_k0(g):
                 continue
-            if any(_isomorphic(g, h) for h in found):
+            if any(len(h.edges) == len(g.edges) and plan.first(g, max_target=_UNBOUNDED)
+                   is not None for h, plan in found):
                 continue
-            found.append(g)
-        out.extend(found)
+            found.append((g, EmbeddingPlan(g)))
+        out.extend(g for g, _ in found)
     return out
 
 
@@ -166,7 +116,7 @@ def build_approximation(
     pairs = []
     for ext in pattern_catalog(seed.m, size_budget):
         for base_set in _base_choices(ext):
-            pairs.append((ext, base_set))
+            pairs.append((ext, ext.induced(base_set), EmbeddingPlan(ext, pinned=base_set)))
 
     stages = [seed]
     task_log = []
@@ -175,18 +125,18 @@ def build_approximation(
     for rnd in range(rounds):
         snapshot = current
         queue = []
-        for ext, base_set in pairs:
-            base_pattern = ext.induced(base_set)
+        for ext, base_pattern, plan in pairs:
             placements = enumerate_embeddings(
                 base_pattern, snapshot, strong_only=True,
                 is_strong=is_self_sufficient, max_target=_UNBOUNDED)
             for at in placements:
-                queue.append((ext, base_set, at.as_dict()))
-        for ext, base_set, at_map in queue:
-            base_pattern = ext.induced(base_set)
-            if _first_induced_map(ext, current, fixed=at_map, require_strong=True):
+                queue.append((ext, base_pattern, plan, at.as_dict()))
+        for ext, base_pattern, plan, at_map in queue:
+            # an empty map counts as no placement, so the empty pattern is
+            # realized (as a no-op) every round
+            if plan.first(current, at_map, is_self_sufficient, _UNBOUNDED):
                 continue
-            if len(current.vertices) + len(ext.vertices) - len(base_set) > ceiling:
+            if len(current.vertices) + len(ext.vertices) - len(at_map) > ceiling:
                 truncated = True
                 break
             at = Embedding.build(base_pattern, current, at_map)
@@ -194,7 +144,7 @@ def build_approximation(
             task_log.append({
                 "round": rnd,
                 "extension": ext.to_json_dict(),
-                "base": sorted(base_set),
+                "base": sorted(base_pattern.vertices),
                 "at": sorted(at_map.items()),
             })
         stages.append(current)
@@ -206,42 +156,31 @@ def build_approximation(
 # -- back-and-forth automorphism extension ------------------------------------
 
 
-def _grow_copy(ambient: Graph, new_part: frozenset, boundary_map: dict) -> tuple:
-    """Adjoin a relabeled copy of new_part whose cross edges land on the
-    boundary-map images; returns (graph, relabeling)."""
-    taken = set(ambient.vertices)
-    relabel = {}
-    for v in sorted(new_part):
-        nv = fresh_name(v, taken)
-        relabel[v] = nv
-        taken.add(nv)
-    edges = list(ambient.sorted_edges())
-    for (u, w) in ambient.sorted_edges():
-        if u in new_part and w in new_part:
-            edges.append((relabel[u], relabel[w]))
-        elif u in new_part and w in boundary_map:
-            edges.append((relabel[u], boundary_map[w]))
-        elif w in new_part and u in boundary_map:
-            edges.append((relabel[w], boundary_map[u]))
-    grown = Graph(ambient.m, taken, edges)
-    assert is_in_k0(grown)
-    assert is_self_sufficient(grown, ambient.vertices)
-    return grown, relabel
-
-
 def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
     """One forth step: bring v into the domain of phi, growing the ambient by
     a fresh copy of the closure increment when no internal image fits."""
     n = closure(ambient, frozenset(phi) | {v}, max_ambient=_UNBOUNDED).closure
-    pattern = ambient.induced(n)
-    hit = _first_induced_map(pattern, ambient, fixed=dict(phi), require_strong=True)
+    plan = EmbeddingPlan(ambient.induced(n), pinned=phi)
+    hit = plan.first(ambient, phi, is_self_sufficient, _UNBOUNDED)
     if hit is not None:
         return ambient, hit
     new_part = n - frozenset(phi)
-    grown, relabel = _grow_copy(ambient, new_part, dict(phi))
+    grown, relabel = adjoin_copy(ambient, ambient, new_part, phi)
+    assert is_in_k0(grown)
+    assert is_self_sufficient(grown, ambient.vertices)
     out = dict(phi)
     out.update({w: relabel[w] for w in new_part})
     return grown, out
+
+
+def _total_extension(ambient: Graph, phi: dict) -> Embedding | None:
+    """The first automorphism of the ambient extending phi, or None."""
+    total = EmbeddingPlan(ambient, pinned=phi).first(ambient, phi, max_target=_UNBOUNDED)
+    if total is None:
+        return None
+    gamma = Embedding.build(ambient, ambient, total)
+    assert gamma.is_induced()
+    return gamma
 
 
 def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
@@ -257,10 +196,8 @@ def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
     phi = g.as_dict()
     current = ambient
     for _ in range(steps):
-        total = _first_induced_map(current, current, fixed=phi, require_strong=False)
-        if total is not None and set(total.values()) == set(current.vertices):
-            gamma = Embedding.build(current, current, total)
-            assert gamma.is_induced()
+        gamma = _total_extension(current, phi)
+        if gamma is not None:
             return current, gamma
         missing_dom = sorted(set(current.vertices) - set(phi))
         if missing_dom:
@@ -272,10 +209,8 @@ def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
             phi = {r: d for d, r in inverse.items()}
         if not missing_dom and not missing_rng:
             break
-    total = _first_induced_map(current, current, fixed=phi, require_strong=False)
-    if total is not None and set(total.values()) == set(current.vertices):
-        gamma = Embedding.build(current, current, total)
-        assert gamma.is_induced()
+    gamma = _total_extension(current, phi)
+    if gamma is not None:
         return current, gamma
     raise ConstructionFailed(f"no total extension within {steps} rounds")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
-    Embedding, EmbeddingPlan, Graph, PartialIso, components, enumerate_embeddings, fresh_name)
+    Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, components, enumerate_embeddings)
 from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
 from .zero_decomposition import (
     ZeroDecomposition,
@@ -214,8 +214,7 @@ def build_base_stage(
         decomp = decompose(a, max_ambient=_UNBOUNDED)
     blocks = list(decomp.minimally_closed)
     core = frozenset().union(*blocks) if blocks else frozenset()
-    verts = set(core)
-    edges = [eg for eg in a.sorted_edges() if eg[0] in core and eg[1] in core]
+    b0 = a.induced(core)
 
     mu = []
     for bl in blocks:
@@ -268,14 +267,7 @@ def build_base_stage(
                 composite = {v: e[composite[v]] for v in start}
             betas = []
             for _ in range((order - 1) * s):
-                beta = {}
-                for v in sorted(start):
-                    nv = fresh_name(v, verts)
-                    beta[v] = nv
-                    verts.add(nv)
-                for (u, w) in a.sorted_edges():
-                    if u in start and w in start:
-                        edges.append((beta[u], beta[w]))
+                b0, beta = adjoin_copy(b0, a, start, {})
                 betas.append(beta)
                 entry["copies"].append(sorted(beta.values()))
             for bl in chain[:-1]:
@@ -296,7 +288,6 @@ def build_base_stage(
             entry["cycle_length"] = order * s
         log_closures.append(entry)
 
-    b0 = Graph(a.m, verts, edges)
     # copies belonging to one map are untouched blocks for every other map
     for k in range(len(p.maps)):
         for v in sorted(b0.vertices):
@@ -314,26 +305,6 @@ def build_base_stage(
 
 
 # -- level stages -------------------------------------------------------------
-
-
-def _attach_copy(b: Graph, base: frozenset, gen: frozenset, attachment: frozenset,
-                 alpha: Embedding) -> tuple:
-    """One fresh copy of the attachment, wired to the alpha-image of the
-    generator with the original cross pattern."""
-    taken = set(b.vertices)
-    relabel = {}
-    for d in sorted(attachment):
-        nv = fresh_name(d, taken)
-        relabel[d] = nv
-        taken.add(nv)
-    edges = list(b.sorted_edges())
-    for (u, w) in b.sorted_edges():
-        if u in attachment and w in attachment:
-            edges.append((relabel[u], relabel[w]))
-    for d in sorted(attachment):
-        for x in sorted(b.neighbors(d) & gen):
-            edges.append((relabel[d], alpha(x)))
-    return Graph(b.m, taken, edges), sorted(relabel.values())
 
 
 def _pattern_multiplicity(b: Graph, base: frozenset, gen: frozenset,
@@ -384,19 +355,22 @@ def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
             # twisted placements over the same image set can disagree; then
             # only one copy goes in before the next recount
             copies = (nu - cnt) // t if len(seen) == 1 else 1
+            glue = {x: al(x) for x in gen}
             for _ in range(copies):
                 if added >= _MAX_COPIES_PER_ROW:
                     raise ConstructionFailed(
                         "copy budget exhausted while evening out counts",
                         stage_log=added_log)
-                b, fresh = _attach_copy(b, base, gen, att, al)
+                # a fresh copy of the attachment, wired to the alpha-image of
+                # the generator with the original cross pattern
+                b, fresh = adjoin_copy(b, b, att, glue)
                 added += 1
                 added_log.append({
                     "base": sorted(base),
                     "generator": sorted(gen),
                     "attachment": sorted(att),
                     "alpha": [[v, al(v)] for v in sorted(base)],
-                    "fresh": fresh,
+                    "fresh": sorted(fresh.values()),
                 })
     raise ConstructionFailed("pass budget exhausted while evening out counts",
                              stage_log=added_log)

@@ -104,8 +104,8 @@ class Graph:
 
     def induced(self, s: Iterable[str]) -> "Graph":
         sub = self.check_subset(s)
-        es = [(u, v) for (u, v) in self.edges if u in sub and v in sub]
-        return Graph(self.m, sub, es)
+        adj = self._adj
+        return Graph(self.m, sub, [(u, v) for u in sub for v in adj[u] if u < v and v in sub])
 
     # -- serialization ---------------------------------------------------
 
@@ -301,9 +301,30 @@ def _check_target(a: Graph, c: Graph, max_target: int | None) -> None:
         raise CoefficientMismatch(f"coefficients differ: {a.m} vs {c.m}")
 
 
+def _positions(adj: dict, order: list) -> tuple:
+    """A search order with each position's earlier adjacent and non-adjacent
+    positions and its degree."""
+    adjacent, apart = [], []
+    for i, v in enumerate(order):
+        near = adj[v]
+        adjacent.append(tuple([j for j in range(i) if order[j] in near]))
+        apart.append(tuple([j for j in range(i) if order[j] not in near]))
+    return tuple(order), tuple(adjacent), tuple(apart), tuple([len(adj[v]) for v in order])
+
+
+class _Found(Exception):
+    """Carries the first hit out of a search run by EmbeddingPlan.first."""
+
+
+# marks the free positions of a name-order search where a pin would sit, so
+# the search tests its mode only where it already tests for a pin
+_IN_NAME_ORDER = object()
+
+
 class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
-    against any number of targets.
+    against any number of targets, in one of three modes: embeddings() lists
+    them, count() counts them and first() returns the least one.
 
     The search order puts the pinned vertices first, then at each step the
     vertex with the most already-placed neighbours (ties: higher degree,
@@ -311,45 +332,62 @@ class EmbeddingPlan:
     non-adjacent positions and its degree, so a run draws candidates from
     the intersection of the target neighbourhoods of the adjacent positions'
     images and checks only degree and non-adjacency.
+
+    first() searches in another order: the pins, then the free vertices in
+    name order, each trying its candidates sorted.  The canonical order of
+    embeddings compares the images of the pattern vertices in name order, so
+    that depth-first search meets the least embedding first and can stop
+    there; in the connectivity-first order the least one may come last.
     """
 
-    __slots__ = ("pattern", "pinned", "order", "adjacent", "apart", "degrees", "_by_name")
+    __slots__ = ("pattern", "pinned", "order", "adjacent", "apart", "degrees", "_by_name",
+                 "_name_layout")
 
     def __init__(self, a: Graph, pinned: Iterable[str] = ()):
         pins = a.check_subset(pinned)
         adj = a._adj
         order: list[str] = []
-        placed: set[str] = set()
+        # (-placed neighbours, -degree, name), kept current as vertices are placed
+        rank = {u: (0, -len(adj[u]), u) for u in a.vertices}
         for pool in (set(pins), set(a.vertices - pins)):
             while pool:
-                v = min(pool, key=lambda u: (-len(adj[u] & placed), -len(adj[u]), u))
+                v = min(pool, key=rank.__getitem__)
                 pool.discard(v)
-                placed.add(v)
                 order.append(v)
+                for u in adj[v]:
+                    k = rank[u]
+                    rank[u] = (k[0] - 1, k[1], u)
         self.pattern = a
         self.pinned = pins
-        self.order = tuple(order)
-        self.adjacent = tuple(
-            tuple(j for j in range(i) if order[j] in adj[v]) for i, v in enumerate(order))
-        self.apart = tuple(
-            tuple(j for j in range(i) if order[j] not in adj[v]) for i, v in enumerate(order))
-        self.degrees = tuple(len(adj[v]) for v in order)
+        self.order, self.adjacent, self.apart, self.degrees = _positions(adj, order)
         self._by_name = tuple(sorted(range(len(order)), key=order.__getitem__))
+        self._name_layout = None
 
-    def _search(self, c: Graph, fixed: dict | None, emit: Callable) -> None:
+    def _search(self, c: Graph, fixed: dict | None, emit: Callable,
+                in_name_order: bool = False) -> None:
         """Call emit once per induced embedding of the pattern into c that
-        agrees with fixed, passing the images in plan order as a list that
-        the search goes on to overwrite."""
+        agrees with fixed, passing the images in search order as a list that
+        the search goes on to overwrite.  in_name_order runs the layout of
+        first(), compiled on its first use, with candidates sorted."""
         fixed = fixed or {}
         if fixed.keys() != self.pinned:
             raise InvalidMap(
                 f"pins {sorted(fixed)} differ from the plan's {sorted(self.pinned)}")
         for v in fixed.values():
             c.check_subset([v])
+        if in_name_order:
+            if self._name_layout is None:
+                self._name_layout = _positions(
+                    self.pattern._adj,
+                    sorted(self.pinned) + sorted(self.pattern.vertices - self.pinned))
+            order, adjacent, apart, degrees = self._name_layout
+            free = _IN_NAME_ORDER
+        else:
+            order, adjacent, apart, degrees = self.order, self.adjacent, self.apart, self.degrees
+            free = None
         cadj = c._adj
         everything = c.vertices
-        pins = [fixed.get(p) for p in self.order]
-        adjacent, apart, degrees = self.adjacent, self.apart, self.degrees
+        pins = [fixed.get(p, free) for p in order]
         n = len(pins)
         img: list = [None] * n
         used: set = set()
@@ -359,17 +397,20 @@ class EmbeddingPlan:
                 emit(img)
                 return
             near = adjacent[i]
-            pin = pins[i]
-            if pin is not None:
-                if pin in used or any(img[j] not in cadj[pin] for j in near):
-                    return
-                cands = (pin,)
-            elif near:
+            if near:
                 cands = cadj[img[near[0]]]
                 for j in near[1:]:
                     cands = cands & cadj[img[j]]
             else:
                 cands = everything
+            pin = pins[i]
+            if pin is not None:
+                if pin is _IN_NAME_ORDER:
+                    cands = sorted(cands)
+                elif pin in cands:
+                    cands = (pin,)
+                else:
+                    return
             d, far = degrees[i], apart[i]
             for t in cands:
                 if t in used:
@@ -429,6 +470,23 @@ class EmbeddingPlan:
             return sum(per_image.values())
         return sum(k for image, k in per_image.items() if is_strong(c, image))
 
+    def first(self, c: Graph, fixed: dict | None = None,
+              is_strong: Callable | None = None,
+              max_target: int | None = None) -> dict | None:
+        """The map of embeddings(c, fixed, is_strong)[0], or None when there
+        is none; the search stops at its first hit, testing strength there."""
+        _check_target(self.pattern, c, max_target)
+
+        def emit(img):
+            if is_strong is None or is_strong(c, frozenset(img)):
+                raise _Found(dict(sorted(zip(self._name_layout[0], img))))
+
+        try:
+            self._search(c, fixed, emit, in_name_order=True)
+        except _Found as hit:
+            return hit.args[0]
+        return None
+
 
 def enumerate_embeddings(
     a: Graph,
@@ -460,7 +518,7 @@ def enumerate_embeddings(
     return plan.embeddings(c, fixed, is_strong if strong_only else None, max_target)
 
 
-# -- fresh names and disjoint unions -------------------------------------
+# -- fresh names and adjoined copies -------------------------------------
 
 
 def fresh_name(base: str, taken: set) -> str:
@@ -473,23 +531,41 @@ def fresh_name(base: str, taken: set) -> str:
     return f"{base}~{k}"
 
 
+def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
+                glue: dict) -> tuple[Graph, dict]:
+    """Adjoin to ambient a copy of part, a vertex set of source, named by
+    fresh_name over sorted(part) away from ambient's names.  The copy gets
+    source's edges inside part and, for each source edge from part to a key
+    of glue, an edge to that key's image in ambient; nothing else is added.
+
+    Returns the grown graph and the naming of part.
+    """
+    if ambient.m != source.m:
+        raise CoefficientMismatch(f"coefficients differ: {ambient.m} vs {source.m}")
+    part = source.check_subset(part)
+    taken = set(ambient.vertices)
+    relabel: dict[str, str] = {}
+    for v in sorted(part):
+        relabel[v] = fresh_name(v, taken)
+        taken.add(relabel[v])
+    edges = list(ambient.edges)
+    for v, nv in relabel.items():
+        for w in source._adj[v]:
+            if w in relabel:
+                if v < w:
+                    edges.append((nv, relabel[w]))
+            elif w in glue:
+                edges.append((nv, glue[w]))
+    return Graph(ambient.m, taken, edges), relabel
+
+
 def disjoint_union(g: Graph, h: Graph) -> tuple[Graph, dict]:
     """Disjoint union keeping g's names; h is relabeled away from collisions.
 
     Returns the union and the relabeling applied to h (identity entries
     included so callers can always look names up).
     """
-    if g.m != h.m:
-        raise CoefficientMismatch(f"coefficients differ: {g.m} vs {h.m}")
-    taken = set(g.vertices)
-    relabel: dict[str, str] = {}
-    for v in sorted(h.vertices):
-        nv = fresh_name(v, taken)
-        relabel[v] = nv
-        taken.add(nv)
-    vertices = set(g.vertices) | set(relabel.values())
-    edges = list(g.edges) + [(relabel[u], relabel[v]) for (u, v) in h.edges]
-    return Graph(g.m, vertices, edges), relabel
+    return adjoin_copy(g, h, h.vertices, {})
 
 
 # -- connected subset enumeration ----------------------------------------

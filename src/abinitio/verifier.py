@@ -19,8 +19,7 @@ def _admits_bounded_orientation(g: Graph) -> bool:
     Depth-first charge flipping; fails exactly when some subset holds more
     than m times its size in edges."""
     cap = g.m
-    charge = {v: 0 for v in g.vertices}
-    owner: dict = {}
+    owned = {v: set() for v in g.vertices}  # the edges charged to each vertex
 
     def other(e, x):
         return e[0] if e[1] == x else e[1]
@@ -30,40 +29,33 @@ def _admits_bounded_orientation(g: Graph) -> bool:
         stack = [root]
         while stack:
             x = stack.pop()
-            if charge[x] < cap:
+            if len(owned[x]) < cap:
                 cur = x
                 while parent_edge[cur] is not None:
                     e = parent_edge[cur]
                     prev = other(e, cur)
-                    owner[e] = cur
-                    charge[cur] += 1
-                    charge[prev] -= 1
+                    owned[prev].remove(e)
+                    owned[cur].add(e)
                     cur = prev
                 return True
-            for e, own in sorted(owner.items()):
-                if own == x and other(e, x) not in parent_edge:
-                    parent_edge[other(e, x)] = e
-                    stack.append(other(e, x))
+            for e in sorted(owned[x]):
+                y = other(e, x)
+                if y not in parent_edge:
+                    parent_edge[y] = e
+                    stack.append(y)
         return False
 
     for e in g.sorted_edges():
         u, v = e
-        placed = False
-        for cand in sorted((u, v), key=lambda w: (charge[w], w)):
-            if charge[cand] < cap:
-                owner[e] = cand
-                charge[cand] += 1
-                placed = True
-                break
-        if not placed:
-            if relieve(u):
-                owner[e] = u
-                charge[u] += 1
-            elif relieve(v):
-                owner[e] = v
-                charge[v] += 1
-            else:
-                return False
+        cand = min((u, v), key=lambda w: (len(owned[w]), w))
+        if len(owned[cand]) < cap:
+            owned[cand].add(e)
+        elif relieve(u):
+            owned[u].add(e)
+        elif relieve(v):
+            owned[v].add(e)
+        else:
+            return False
     return True
 
 

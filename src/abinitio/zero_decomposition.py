@@ -256,7 +256,14 @@ def find_pattern_iso(
 ) -> dict | None:
     """A bijection d_src -> d_dst matching internal edges and, through the
     given anchor correspondence, all cross edges.  Pairs in forced are fixed
-    in advance.  None when no such bijection exists."""
+    in advance.  None when no such bijection exists.
+
+    This stays a direct search rather than an EmbeddingPlan run: it matches
+    two given vertex sets and has no target graph, so a plan would need two
+    induced graphs and a compile per call.  Over one ep_extend pass of the
+    51-problem acceptance corpus (2,735 calls, same answers) that cost
+    0.33 s against 0.03 s here (Python 3.11, 2 vCPUs).
+    """
     if len(d_src) != len(d_dst):
         return None
     assignment: dict = {}

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -314,8 +316,11 @@ def test_selftest(capsys):
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "g.json", k5_dict())
+    # the child imports the package this process imported
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "abinitio.cli", "k0", path],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["in_k0"] is True

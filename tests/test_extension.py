@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from abinitio import (
     validate_problem,
     verify_certificate,
 )
+from abinitio.verifier import _admits_bounded_orientation
+from oracles import brute_in_k0
 
 
 def k5(prefix):
@@ -306,6 +309,20 @@ def test_verifier_rejects_tampering():
     rep = verify_certificate(p, tampered(good, cross_inclusion))
     assert not rep.ok
     assert any("not induced" in x for x in rep.diagnostics)
+
+
+def test_verifier_orientation_matches_brute_force():
+    rng = random.Random(2008)
+    seen = set()
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(0, 7))]
+        p = rng.choice([0.4, 0.7, 0.95])
+        g = Graph(rng.choice([2, 3]), names,
+                  [e for e in itertools.combinations(names, 2) if rng.random() < p])
+        expect = brute_in_k0(g)
+        assert _admits_bounded_orientation(g) == expect
+        seen.add(expect)
+    assert seen == {True, False}
 
 
 def test_stage_log_replays_uniformity():

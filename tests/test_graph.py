@@ -24,7 +24,8 @@ from abinitio import (
     is_self_sufficient,
     limits,
 )
-from oracles import adjacent, brute_closed
+from abinitio.graph import adjoin_copy
+from oracles import adjacent, brute_automorphisms, brute_closed
 
 
 def k_complete(n, prefix="v", m=2):
@@ -224,6 +225,24 @@ def test_matcher_against_vf2():
             plan = EmbeddingPlan(a, pinned=fixed)
             is_strong = is_self_sufficient if strong_only else None
             assert plan.count(c, fixed, is_strong=is_strong) == len(got)
+            assert plan.first(c, fixed, is_strong) == (dict(got[0].pairs) if got else None)
+
+
+def test_first_self_map_is_lex_first_automorphism():
+    rng = random.Random(2004)
+    for trial in range(60):
+        g = _random_graph(rng, "v", rng.randint(1, 7), rng.choice([2, 3]))
+        fixed = {}
+        if trial % 2:
+            pins = rng.sample(g.sorted_vertices(), rng.randint(1, min(3, len(g.vertices))))
+            if trial % 4 == 1:
+                auto = rng.choice(brute_automorphisms(g))
+                fixed = {p: auto[p] for p in pins}
+            else:
+                fixed = {p: rng.choice(g.sorted_vertices()) for p in pins}
+        expect = brute_automorphisms(g, fixed, stop_after=1)
+        got = EmbeddingPlan(g, pinned=fixed).first(g, fixed)
+        assert got == (expect[0] if expect else None)
 
 
 def test_plan_order_and_pins():
@@ -252,6 +271,24 @@ def test_fresh_name_and_disjoint_union():
     u, relabel = disjoint_union(g, h)
     assert len(u.vertices) == 3
     assert relabel["a"] != "a" and u.has_edge(relabel["a"], relabel["b"])
+
+
+def test_adjoin_copy_names_and_wiring():
+    # source: path x - y - z with y also joined to the glue keys a and b
+    source = Graph(2, ["a", "b", "x", "y", "z"],
+                   [("a", "b"), ("x", "y"), ("y", "z"), ("y", "a"), ("y", "b"), ("z", "b")])
+    ambient = Graph(2, ["x", "y", "y~1", "p", "q"], [("x", "y")])
+    grown, relabel = adjoin_copy(ambient, source, ["z", "y", "x"], {"a": "p", "b": "q"})
+    # fresh names are taken in sorted order of the part
+    assert list(relabel.items()) == [("x", "x~1"), ("y", "y~2"), ("z", "z")]
+    assert grown.vertices == ambient.vertices | {"x~1", "y~2", "z"}
+    new_edges = grown.edges - ambient.edges
+    assert new_edges == {("x~1", "y~2"), ("y~2", "z"), ("p", "y~2"), ("q", "y~2"),
+                         ("q", "z")}
+    # the glue keys' own edge (a, b) is not copied onto their images
+    assert not grown.has_edge("p", "q")
+    with pytest.raises(CoefficientMismatch):
+        adjoin_copy(ambient, Graph(3, ["x"], []), ["x"], {})
 
 
 def test_connected_subsets_matches_brute_force():
