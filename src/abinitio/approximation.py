@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import limits
 from .amalgam import AmalgamSpec, free_amalgam
-from .errors import ConstructionFailed, InvalidMap, OutsideK0, SizeCeilingExceeded
+from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
     Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, enumerate_embeddings, fresh_name)
 from .predimension import closure, delta_rel, is_in_k0, is_self_sufficient
@@ -62,9 +62,17 @@ class ApproximationChain:
         }
 
 
-def pattern_catalog(m: int, size_budget: int) -> list:
+_CATALOGS: dict = {}
+
+
+def pattern_catalog(m: int, size_budget: int) -> tuple:
     """All member graphs of the class up to the size budget, one per
-    isomorphism type, on canonical vertex names, smallest edge sets first."""
+    isomorphism type, on canonical vertex names, smallest edge sets first.
+    Memoized per argument pair in a plain dict, so that this stays a
+    function that tracers can wrap."""
+    key = (m, size_budget)
+    if key in _CATALOGS:
+        return _CATALOGS[key]
     out = []
     for n in range(size_budget + 1):
         names = [f"p{i + 1}" for i in range(n)]
@@ -80,7 +88,8 @@ def pattern_catalog(m: int, size_budget: int) -> list:
                 continue
             found.append((g, EmbeddingPlan(g)))
         out.extend(g for g, _ in found)
-    return out
+    _CATALOGS[key] = tuple(out)
+    return _CATALOGS[key]
 
 
 def _base_choices(ext: Graph) -> list:
@@ -106,13 +115,14 @@ def build_approximation(
     seed: Graph,
     rounds: int,
     size_budget: int,
-    max_ambient: int | None = None,
+    max_ambient: int = limits.DEFAULT_MAX_AMBIENT,
 ) -> ApproximationChain:
     """Round-robin realization of every (base <= extension) pattern pair over
-    every strong placement of the base present when the round starts."""
+    every strong placement of the base present when the round starts.  The
+    chain stops, marked truncated, before a task would grow the stage past
+    max_ambient vertices."""
     if not is_in_k0(seed):
         raise OutsideK0("seed is not hereditarily nonnegative")
-    ceiling = limits.max_ambient(max_ambient)
     pairs = []
     for ext in pattern_catalog(seed.m, size_budget):
         for base_set in _base_choices(ext):
@@ -136,7 +146,7 @@ def build_approximation(
             # realized (as a no-op) every round
             if plan.first(current, at_map, is_self_sufficient, _UNBOUNDED):
                 continue
-            if len(current.vertices) + len(ext.vertices) - len(at_map) > ceiling:
+            if len(current.vertices) + len(ext.vertices) - len(at_map) > max_ambient:
                 truncated = True
                 break
             at = Embedding.build(base_pattern, current, at_map)
@@ -159,7 +169,7 @@ def build_approximation(
 def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
     """One forth step: bring v into the domain of phi, growing the ambient by
     a fresh copy of the closure increment when no internal image fits."""
-    n = closure(ambient, frozenset(phi) | {v}, max_ambient=_UNBOUNDED).closure
+    n = closure(ambient, frozenset(phi) | {v}).closure
     plan = EmbeddingPlan(ambient.induced(n), pinned=phi)
     hit = plan.first(ambient, phi, is_self_sufficient, _UNBOUNDED)
     if hit is not None:

@@ -15,12 +15,12 @@ import random
 import sys
 
 from .amalgam import AmalgamSpec, free_amalgam, verify_strong_pair
-from .approximation import (
-    add_generic_point, build_approximation, extend_partial_iso, realize_extension)
+from .approximation import add_generic_point, build_approximation, extend_partial_iso
 from .errors import AbinitioError, ConstructionFailed
 from .extension import EPCertificate, EPProblem, ep_extend
 from .graph import (
     Embedding, Graph, PartialIso, canonical_json, export_dot)
+from .limits import DEFAULT_MAX_AMBIENT
 from .predimension import (
     closure, delta, delta_rel, dimension, geometric_closure_bounded,
     is_in_k0, is_self_sufficient, orientation_witness)
@@ -89,22 +89,20 @@ def _cmd_closed(args) -> int:
 
 def _cmd_closure(args) -> int:
     g = _load_graph(args)
-    res = closure(g, _parse_set(args.set), max_ambient=args.max_ambient)
+    res = closure(g, _parse_set(args.set))
     _emit(args, res.to_json_dict(), [args.file])
     return 0
 
 
 def _cmd_dim(args) -> int:
     g = _load_graph(args)
-    _emit(args, {"dim": dimension(g, _parse_set(args.set),
-                                  max_ambient=args.max_ambient)}, [args.file])
+    _emit(args, {"dim": dimension(g, _parse_set(args.set))}, [args.file])
     return 0
 
 
 def _cmd_gcl(args) -> int:
     g = _load_graph(args)
-    out = geometric_closure_bounded(g, _parse_set(args.set),
-                                    max_ambient=args.max_ambient)
+    out = geometric_closure_bounded(g, _parse_set(args.set))
     _emit(args, {"gcl": sorted(out)}, [args.file])
     return 0
 
@@ -144,8 +142,7 @@ def _cmd_amalgamate(args) -> int:
 
 def _cmd_decompose(args) -> int:
     g = _load_graph(args)
-    _emit(args, decompose(g, max_ambient=args.max_ambient,
-                          max_set=args.max_set).to_json_dict(), [args.file])
+    _emit(args, decompose(g, max_set=args.max_set).to_json_dict(), [args.file])
     return 0
 
 
@@ -420,12 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = with_graph(verb("delta", _cmd_delta, help="predimension of a set"))
     p.add_argument("--over", default=None, help="relative count over this set")
     with_graph(verb("closed", _cmd_closed, help="self-sufficiency test"))
-    p = with_graph(verb("closure", _cmd_closure, help="self-sufficient closure"))
-    p.add_argument("--max-ambient", type=int, default=None)
-    p = with_graph(verb("dim", _cmd_dim, help="dimension of a set"))
-    p.add_argument("--max-ambient", type=int, default=None)
-    p = with_graph(verb("gcl", _cmd_gcl, help="geometric closure"))
-    p.add_argument("--max-ambient", type=int, default=None)
+    with_graph(verb("closure", _cmd_closure, help="self-sufficient closure"))
+    with_graph(verb("dim", _cmd_dim, help="dimension of a set"))
+    with_graph(verb("gcl", _cmd_gcl, help="geometric closure"))
     with_graph(verb("k0", _cmd_k0, help="membership and orientation witness"),
                set_flag=False)
 
@@ -435,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_graph(verb("decompose", _cmd_decompose,
                         help="blocks, carriers, and level chains"), set_flag=False)
-    p.add_argument("--max-ambient", type=int, default=None)
     p.add_argument("--max-set", type=int, default=None)
 
     p = with_graph(verb("hull", _cmd_hull, help="tight-extension hull of a set"))
@@ -464,7 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--budget", type=int, required=True,
                    help="largest extension pattern size")
-    p.add_argument("--max-ambient", type=int, default=None)
+    p.add_argument("--max-ambient", type=int, default=DEFAULT_MAX_AMBIENT,
+                   help="largest stage the chain may grow to")
 
     p = with_graph(verb("extend-iso", _cmd_extend_iso,
                         help="extend a partial isomorphism to an automorphism"),

@@ -211,7 +211,7 @@ def build_base_stage(
     log entry)."""
     a = p.a
     if decomp is None:
-        decomp = decompose(a, max_ambient=_UNBOUNDED)
+        decomp = decompose(a)
     blocks = list(decomp.minimally_closed)
     core = frozenset().union(*blocks) if blocks else frozenset()
     b0 = a.induced(core)
@@ -466,7 +466,7 @@ def build_level_stage(
     map across the new components."""
     a = p.a
     if decomp is None:
-        decomp = decompose(a, max_set=max_set, max_ambient=_UNBOUNDED)
+        decomp = decompose(a, max_set=max_set)
     new_verts = []
     for comp in decomp.components:
         hi = comp.layers[min(q + 1, comp.level)]
@@ -485,7 +485,7 @@ def build_level_stage(
     rows_log: list = []
     for _ in range(_MAX_SWEEP_PASSES):
         report = uniform_algebraicity_report(
-            b, q + 1, max_set=max_set, max_ambient=_UNBOUNDED, max_target=_UNBOUNDED)
+            b, q + 1, max_set=max_set, max_target=_UNBOUNDED)
         bad = [row for row in report if not row[2]]
         if not bad:
             rows_log = [{
@@ -567,7 +567,7 @@ class EPCertificate:
 def ep_extend(p: EPProblem, max_set: int | None = None) -> EPCertificate:
     """Run every stage and package the result."""
     validate_problem(p)
-    decomp = decompose(p.a, max_set=max_set, max_ambient=_UNBOUNDED)
+    decomp = decompose(p.a, max_set=max_set)
     _validate_levels(p, decomp)
     orders = orbit_orders(p)
     b, fmaps, log0 = build_base_stage(p, orders, decomp)

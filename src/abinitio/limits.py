@@ -1,8 +1,10 @@
-"""Size ceilings that keep exponential searches finite.
+"""Size ceilings that keep exponential searches finite: the target size of
+embedding enumeration and the candidate size of connected-subset scans.
 
 Every ceiling can be overridden per call; the module defaults can in turn
-be overridden through environment variables so command-line runs can relax
-them without code changes.
+be overridden through ``ABINITIO_MAX_TARGET`` and ``ABINITIO_MAX_SET_SIZE``
+so command-line runs can relax them without code changes.  Closure,
+dimension and decomposition are polynomial and have no ceiling.
 """
 
 import os
@@ -10,7 +12,7 @@ import os
 # Largest target graph accepted by embedding enumeration by default.
 DEFAULT_MAX_TARGET = 24
 
-# Largest ambient accepted by closure / dimension searches by default.
+# Default number of vertices an approximation chain may grow to.
 DEFAULT_MAX_AMBIENT = 24
 
 # Largest candidate set considered when searching for relatively-tight sets.
@@ -37,12 +39,6 @@ def max_target(override: "int | None" = None) -> int:
     if override is not None:
         return override
     return _env_int("MAX_TARGET", DEFAULT_MAX_TARGET)
-
-
-def max_ambient(override: "int | None" = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("MAX_AMBIENT", DEFAULT_MAX_AMBIENT)
 
 
 def max_set_size(override: "int | None" = None) -> int:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from . import limits
-from .errors import OutsideK0, SizeCeilingExceeded
+from .errors import OutsideK0
 from .graph import Graph, count_cross_edges, enumerate_embeddings
 
 
@@ -166,7 +165,7 @@ def _minimize_violator(g: Graph, base: frozenset, region: frozenset) -> frozense
     return current
 
 
-def closure(g: Graph, a: Iterable[str], max_ambient: int | None = None) -> ClosureResult:
+def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
     """The smallest self-sufficient superset, with the absorption chain that
     produced it.  The ambient must be hereditarily nonnegative.
 
@@ -176,10 +175,6 @@ def closure(g: Graph, a: Iterable[str], max_ambient: int | None = None) -> Closu
     submodularity keeps the intersection violating, minimality forces
     containment), so absorbing it never overshoots.
     """
-    ceiling = limits.max_ambient(max_ambient)
-    if len(g.vertices) > ceiling:
-        raise SizeCeilingExceeded(
-            f"ambient has {len(g.vertices)} vertices, ceiling is {ceiling}")
     if not is_in_k0(g):
         raise OutsideK0("closure requires a hereditarily nonnegative ambient")
     current = g.check_subset(a)
@@ -196,20 +191,18 @@ def closure(g: Graph, a: Iterable[str], max_ambient: int | None = None) -> Closu
         chain.append(current)
 
 
-def dimension(g: Graph, a: Iterable[str], max_ambient: int | None = None) -> int:
+def dimension(g: Graph, a: Iterable[str]) -> int:
     """The count of the closure; monotone and submodular."""
-    return delta(g, closure(g, a, max_ambient=max_ambient).closure)
+    return delta(g, closure(g, a).closure)
 
 
-def geometric_closure_bounded(
-    g: Graph, a: Iterable[str], max_ambient: int | None = None
-) -> frozenset:
+def geometric_closure_bounded(g: Graph, a: Iterable[str]) -> frozenset:
     """All points whose addition leaves the dimension over a unchanged."""
     aa = g.check_subset(a)
-    base = dimension(g, aa, max_ambient=max_ambient)
+    base = dimension(g, aa)
     out = set()
     for v in g.sorted_vertices():
-        if dimension(g, aa | {v}, max_ambient=max_ambient) == base:
+        if dimension(g, aa | {v}) == base:
             out.add(v)
     return frozenset(out)
 

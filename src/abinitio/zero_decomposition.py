@@ -60,18 +60,18 @@ def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) ->
 # -- blocks and carriers ---------------------------------------------------
 
 
-def _vertex_closures(g: Graph, max_ambient: int | None) -> dict:
-    return {
-        v: closure(g, frozenset([v]), max_ambient=max_ambient).closure
-        for v in g.sorted_vertices()
-    }
+def _vertex_closures(g: Graph) -> dict:
+    return {v: closure(g, frozenset([v])).closure for v in g.sorted_vertices()}
 
 
-def minimally_closed_sets(g: Graph, max_ambient: int | None = None) -> list:
+def minimally_closed_sets(g: Graph) -> list:
     """The minimal nonempty self-sufficient subsets.  They are exactly the
     per-vertex closures that are closures of each of their own points."""
     _require_zero_ambient(g)
-    blobs = _vertex_closures(g, max_ambient)
+    return _blocks(g, _vertex_closures(g))
+
+
+def _blocks(g: Graph, blobs: dict) -> list:
     out = []
     for v in g.sorted_vertices():
         c = blobs[v]
@@ -85,11 +85,14 @@ def minimally_closed_sets(g: Graph, max_ambient: int | None = None) -> list:
     return sorted(out, key=lambda s: sorted(s))
 
 
-def connected_zero_sets(g: Graph, max_ambient: int | None = None) -> list:
+def connected_zero_sets(g: Graph) -> list:
     """Maximal zero-count subsets not splittable into two self-sufficient
     halves: the unions of overlap components of the per-vertex closures."""
     _require_zero_ambient(g)
-    blobs = _vertex_closures(g, max_ambient)
+    return _carriers(g, _vertex_closures(g))
+
+
+def _carriers(g: Graph, blobs: dict) -> list:
     parent = {v: v for v in g.vertices}
 
     def find(x):
@@ -164,18 +167,17 @@ def level_chain(
     blocks: list | None = None,
     carriers: list | None = None,
     max_set: int | None = None,
-    max_ambient: int | None = None,
 ) -> ComponentLevels:
     """Accretion layers of one carrier: layer 0 is the union of its blocks,
     each next layer absorbs everything relatively tight over the previous."""
     car = g.check_subset(carrier)
     if carriers is None:
-        carriers = connected_zero_sets(g, max_ambient=max_ambient)
+        carriers = connected_zero_sets(g)
     if car not in carriers:
         raise InvalidMap(f"{sorted(car)} is not a maximal connected zero set")
     cap = limits.max_set_size(max_set)
     if blocks is None:
-        blocks = minimally_closed_sets(g, max_ambient=max_ambient)
+        blocks = minimally_closed_sets(g)
     seed = frozenset().union(*(b for b in blocks if b <= car)) if blocks else frozenset()
     if not (seed and seed <= car):
         raise InvalidMap(f"carrier {sorted(car)} contains no block")
@@ -193,16 +195,17 @@ def level_chain(
     return ComponentLevels(car, len(layers) - 1, tuple(layers), ceiling_hit)
 
 
-def decompose(
-    g: Graph, max_set: int | None = None, max_ambient: int | None = None
-) -> ZeroDecomposition:
-    blocks = minimally_closed_sets(g, max_ambient=max_ambient)
-    carriers = connected_zero_sets(g, max_ambient=max_ambient)
+def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
+    """Blocks, carriers and the level chain of every carrier, all derived
+    from one pass of per-vertex closures."""
+    _require_zero_ambient(g)
+    blobs = _vertex_closures(g)
+    blocks = _blocks(g, blobs)
+    carriers = _carriers(g, blobs)
     for b in blocks:
         assert sum(1 for c in carriers if b <= c) == 1
     components = tuple(
-        level_chain(g, c, blocks=blocks, carriers=carriers,
-                    max_set=max_set, max_ambient=max_ambient)
+        level_chain(g, c, blocks=blocks, carriers=carriers, max_set=max_set)
         for c in carriers
     )
     return ZeroDecomposition(g, tuple(blocks), components)
@@ -364,7 +367,6 @@ def base_attachment_pairs(
     base_layer: frozenset,
     level_index: int,
     max_set: int | None = None,
-    max_ambient: int | None = None,
 ) -> list:
     """All (witness) triples for one carrier: a generator inside the given
     layer, its ambient closure as base, and a set minimally tight over the
@@ -382,7 +384,7 @@ def base_attachment_pairs(
                 gen = frozenset(xs)
                 if not is_zero_minimally_algebraic(g, d, gen):
                     continue
-                base = closure(g, gen, max_ambient=max_ambient).closure
+                base = closure(g, gen).closure
                 if not base <= base_layer:
                     continue
                 if d & base:
@@ -413,25 +415,18 @@ def uniform_algebraicity_report(
     g: Graph,
     i: int,
     max_set: int | None = None,
-    max_ambient: int | None = None,
     max_target: int | None = None,
 ) -> list:
     """Per (base, attachment type): the extension count over every strong
     placement of the base pattern, and whether all counts agree."""
     if i < 1:
         raise InvalidMap(f"level index must be >= 1, got {i}")
-    _require_zero_ambient(g)
-    blocks = minimally_closed_sets(g, max_ambient=max_ambient)
-    carriers = connected_zero_sets(g, max_ambient=max_ambient)
     rows = []
-    for carrier in carriers:
-        comp = level_chain(
-            g, carrier, blocks=blocks, carriers=carriers,
-            max_set=max_set, max_ambient=max_ambient)
+    for comp in decompose(g, max_set=max_set).components:
         if comp.level < i:
             continue
         witnesses = base_attachment_pairs(
-            g, carrier, comp.layers[i - 1], i, max_set=max_set, max_ambient=max_ambient)
+            g, comp.carrier, comp.layers[i - 1], i, max_set=max_set)
         for w in _dedupe_witnesses(g, witnesses):
             base_pattern = g.induced(w.base)
             alphas = enumerate_embeddings(

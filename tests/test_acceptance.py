@@ -372,7 +372,7 @@ def test_criterion_07_extension_property_corpus():
         for lg in cert.stage_log[1:]:
             bq = Graph.from_json_dict(lg["graph"])
             rows = uniform_algebraicity_report(
-                bq, lg["stage"], max_ambient=10 ** 9, max_target=10 ** 9)
+                bq, lg["stage"], max_target=10 ** 9)
             if not all(r[2] for r in rows):
                 failures.append((label, "non-uniform", lg["stage"]))
             for mc in lg["map_cycles"]:

@@ -45,6 +45,12 @@ def test_pattern_catalog_sizes():
     assert len(pattern_catalog(3, 2)) == 4
 
 
+def test_pattern_catalog_is_built_once():
+    cat = pattern_catalog(2, 3)
+    assert isinstance(cat, tuple)
+    assert pattern_catalog(2, 3) is cat
+
+
 def test_base_choices_one_per_orbit():
     tri = Graph(2, ["p1", "p2", "p3"],
                 [("p1", "p2"), ("p1", "p3"), ("p2", "p3")])

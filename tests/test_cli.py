@@ -77,6 +77,17 @@ def test_closed_and_closure(tmp_path, capsys):
     assert doc["witness_chain"][-1] == doc["closure"]
 
 
+def test_closure_has_no_size_ceiling(tmp_path, capsys):
+    names = [f"p{i:02d}" for i in range(30)]
+    path = write(tmp_path, "path.json", {
+        "m": 2, "vertices": names, "edges": [list(e) for e in zip(names, names[1:])]})
+    rc, doc, _ = run(capsys, ["closure", path, "--set", "p00"])
+    assert rc == 0 and doc["closure"] == ["p00"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["closure", path, "--set", "p00", "--max-ambient", "3"])
+    assert exc.value.code == 2
+
+
 def test_dim_and_gcl(tmp_path, capsys):
     path = write(tmp_path, "g.json", w_dict())
     rc, doc, _ = run(capsys, ["dim", path, "--set", "a0,a1"])
@@ -189,6 +200,16 @@ def test_build(tmp_path, capsys):
     assert doc["truncated"] is False
     assert len(doc["stages"]) == 2
     assert len(doc["stages"][-1]["vertices"]) == 5
+
+
+def test_build_stops_at_max_ambient(tmp_path, capsys):
+    path = write(tmp_path, "k5.json", k5_dict())
+    argv = ["build", path, "--rounds", "1", "--budget", "3"]
+    rc, doc, _ = run(capsys, argv + ["--max-ambient", "6"])
+    assert rc == 0 and doc["truncated"] is True
+    assert len(doc["stages"][-1]["vertices"]) <= 6
+    rc, doc, _ = run(capsys, argv)
+    assert rc == 0 and doc["truncated"] is False
 
 
 def test_extend_iso(tmp_path, capsys):

@@ -169,8 +169,6 @@ def test_size_ceiling_env_values_are_checked(monkeypatch):
     with pytest.raises(ValueError, match="ABINITIO_MAX_SET_SIZE"):
         limits.max_set_size()
     assert limits.max_set_size(5) == 5
-    monkeypatch.setenv("ABINITIO_MAX_AMBIENT", "0")
-    assert limits.max_ambient() == 0
 
 
 def _random_graph(rng, prefix, n, m):

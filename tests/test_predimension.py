@@ -6,7 +6,6 @@ import pytest
 from abinitio import (
     Graph,
     OutsideK0,
-    SizeCeilingExceeded,
     closure,
     delta,
     delta_rel,
@@ -168,8 +167,38 @@ def test_closure_absorbs_a_whole_block():
 def test_closure_preconditions():
     with pytest.raises(OutsideK0):
         closure(k_complete(6), ["v0"])
-    with pytest.raises(SizeCeilingExceeded):
-        closure(k_complete(5), ["v0"], max_ambient=3)
+    names = [f"p{i:02d}" for i in range(30)]
+    path = Graph(2, names, zip(names, names[1:]))
+    assert closure(path, ["p00"]).closure == {"p00"}
+
+
+def test_closure_and_dimension_above_24_vertices():
+    """Disjoint unions of five small random members: closure and dimension
+    split over the parts, so the brute-force answers per part add up."""
+    rng = random.Random(29)
+
+    def member(k, m):
+        while True:
+            h = random_graph(rng, rng.randint(1, 6), m=m, p=rng.uniform(0.3, 0.9),
+                             prefix=f"c{k}_")
+            if is_in_k0(h):
+                return h
+
+    checked = grew = 0
+    while checked < 12:
+        m = rng.choice([2, 3])
+        parts = [member(k, m) for k in range(5)]
+        if sum(len(h.vertices) for h in parts) < 25:
+            continue
+        union = Graph(m, [v for h in parts for v in h.vertices],
+                      [e for h in parts for e in h.edges])
+        a = frozenset(v for v in union.vertices if rng.random() < 0.3)
+        expected = frozenset().union(*(brute_closure(h, a & h.vertices) for h in parts))
+        assert closure(union, a).closure == expected
+        assert dimension(union, a) == sum(brute_dimension(h, a & h.vertices) for h in parts)
+        checked += 1
+        grew += expected != a
+    assert grew >= 3
 
 
 def test_dimension_examples_and_brute_agreement():

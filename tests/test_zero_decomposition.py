@@ -313,6 +313,16 @@ def test_report_full_pair_coverage_uniform():
         assert uniform and counts == [1] * 120
 
 
+def test_decompose_above_24_vertices():
+    blocks = [frozenset(k5(f"b{k}")[0]) for k in range(6)]
+    g = Graph(2, [v for b in blocks for v in b],
+              [e for k in range(6) for e in k5(f"b{k}")[1]])
+    d = decompose(g)
+    assert list(d.minimally_closed) == blocks
+    assert [(c.carrier, c.level, c.layers) for c in d.components] == [
+        (b, 0, (b,)) for b in blocks]
+
+
 def test_report_rejects_level_zero():
     with pytest.raises(InvalidMap, match=">= 1"):
         uniform_algebraicity_report(k5_graph(), 0)
