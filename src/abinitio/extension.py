@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
-    Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, components, enumerate_embeddings)
+    Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, components)
 from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
 from .zero_decomposition import (
     ZeroDecomposition,
-    count_strong_extensions,
+    _placement_counts,
     decompose,
     find_pattern_iso,
     uniform_algebraicity_report,
@@ -322,28 +322,25 @@ def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
     placements with distinct generator image sets never share supply and can
     be topped up in one batch between recounts."""
     base, gen, att = witness.base, witness.generator, witness.zero_minimal_set
+    row = f"row with base {sorted(base)} and attachment {sorted(att)}"
     t = _pattern_multiplicity(b, base, gen, att)
-    assert t >= 1
+    if t < 1:
+        raise ConstructionFailed(f"{row}: no self-matching over the generator", stage_log=added_log)
     added = 0
     # copies only add edges at fresh vertices, so both patterns stay induced
     # subgraphs of every later b and are built and compiled once per row
-    base_pattern = b.induced(base)
+    base_plan = EmbeddingPlan(b.induced(base))
     plan = EmbeddingPlan(b.induced(base | att), pinned=base)
     for _ in range(_MAX_SWEEP_PASSES):
-        alphas = enumerate_embeddings(
-            base_pattern, b, strong_only=True, is_strong=is_self_sufficient,
-            max_target=_UNBOUNDED)
-        counts = [
-            count_strong_extensions(
-                b, base, att, al.as_dict(), max_target=_UNBOUNDED, plan=plan)
-            for al in alphas
-        ]
+        alphas = [dict(p) for p in base_plan.pairs(
+            b, is_strong=is_self_sufficient, max_target=_UNBOUNDED)]
+        counts = _placement_counts(b, base, att, alphas, plan, _UNBOUNDED)
         nu = max(counts)
         if min(counts) == nu:
             return b, nu
         by_image = {}
         for al, cnt in zip(alphas, counts):
-            key = frozenset(al(x) for x in gen)
+            key = frozenset(al[x] for x in gen)
             by_image.setdefault(key, []).append((al, cnt))
         for key in sorted(by_image, key=sorted):
             members = by_image[key]
@@ -351,11 +348,13 @@ def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
             if seen == {nu}:
                 continue
             al, cnt = min(members, key=lambda mc: mc[1])
-            assert (nu - cnt) % t == 0, "copy contributions must divide the deficit"
+            if (nu - cnt) % t:
+                raise ConstructionFailed(
+                    f"{row}: deficit {nu - cnt} not a multiple of {t}", stage_log=added_log)
             # twisted placements over the same image set can disagree; then
             # only one copy goes in before the next recount
             copies = (nu - cnt) // t if len(seen) == 1 else 1
-            glue = {x: al(x) for x in gen}
+            glue = {x: al[x] for x in gen}
             for _ in range(copies):
                 if added >= _MAX_COPIES_PER_ROW:
                     raise ConstructionFailed(
@@ -369,7 +368,7 @@ def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
                     "base": sorted(base),
                     "generator": sorted(gen),
                     "attachment": sorted(att),
-                    "alpha": [[v, al(v)] for v in sorted(base)],
+                    "alpha": [[v, al[v]] for v in sorted(base)],
                     "fresh": sorted(fresh.values()),
                 })
     raise ConstructionFailed("pass budget exhausted while evening out counts",

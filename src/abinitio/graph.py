@@ -323,8 +323,9 @@ _IN_NAME_ORDER = object()
 
 class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
-    against any number of targets, in one of three modes: embeddings() lists
-    them, count() counts them and first() returns the least one.
+    against any number of targets, in one of three modes: pairs() lists
+    them as sorted (vertex, image) pairs and embeddings() as Embeddings,
+    count() counts them and first() returns the least one.
 
     The search order puts the pinned vertices first, then at each step the
     vertex with the most already-placed neighbours (ties: higher degree,
@@ -429,11 +430,11 @@ class EmbeddingPlan:
 
         extend(0)
 
-    def embeddings(self, c: Graph, fixed: dict | None = None,
-                   is_strong: Callable | None = None,
-                   max_target: int | None = None) -> list:
-        """Every embedding as an Embedding, in canonical (sorted pairs)
-        order; with is_strong, only those whose image passes it."""
+    def pairs(self, c: Graph, fixed: dict | None = None,
+              is_strong: Callable | None = None,
+              max_target: int | None = None) -> list:
+        """Every embedding as its sorted (vertex, image) pairs, in canonical
+        (sorted) order; with is_strong, only those whose image passes it."""
         _check_target(self.pattern, c, max_target)
         names, by_name = sorted(self.order), self._by_name
         found: list = []
@@ -451,7 +452,13 @@ class EmbeddingPlan:
 
         self._search(c, fixed, emit)
         found.sort()
-        return [Embedding(self.pattern, c, pairs) for pairs in found]
+        return found
+
+    def embeddings(self, c: Graph, fixed: dict | None = None,
+                   is_strong: Callable | None = None,
+                   max_target: int | None = None) -> list:
+        """pairs() as Embeddings."""
+        return [Embedding(self.pattern, c, p) for p in self.pairs(c, fixed, is_strong, max_target)]
 
     def count(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None,
@@ -503,11 +510,8 @@ def enumerate_embeddings(
     map in advance.  Targets above the size ceiling are rejected.
 
     The search runs an EmbeddingPlan compiled for a with the keys of fixed
-    pinned: connectivity-first order, candidates from the intersection of
-    the neighbourhoods of already-placed neighbours' images, degree and
-    non-adjacency filters.  Its visiting order follows the plan rather than
-    vertex names, so the results are re-sorted by their pairs; that sorted
-    order is the canonical order every certificate relies on.
+    pinned, whose pairs() re-sorts its hits into the canonical order every
+    certificate relies on.
     """
     if strong_only and is_strong is None:
         from .predimension import is_self_sufficient

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, EmbeddingPlan, Graph, connected_subsets, enumerate_embeddings
+from .graph import Embedding, EmbeddingPlan, Graph, connected_subsets
 from .predimension import closure, delta, delta_rel, is_in_k0, is_self_sufficient
 
 
@@ -341,6 +341,24 @@ def count_strong_extensions(
     return plan.count(c, fixed, is_strong=is_self_sufficient, max_target=max_target)
 
 
+def _placement_counts(c: Graph, base: frozenset, att: frozenset, placements: list,
+                      plan: EmbeddingPlan, max_target: int | None) -> list:
+    """count_strong_extensions for each placement f (a dict on base), once per
+    key: f's image set and the images of the contacts, the base vertices with
+    a neighbour in att, in name order.  The pattern constrains att only by
+    adjacency to f(contacts), non-adjacency to the rest of f's image,
+    injectivity and strength of the whole image: equal keys, equal counts."""
+    contacts = tuple(sorted(x for x in base if c.neighbors(x) & att))
+    memo: dict = {}
+    counts = []
+    for f in placements:
+        key = (frozenset(f.values()), tuple([f[x] for x in contacts]))
+        if key not in memo:
+            memo[key] = count_strong_extensions(c, base, att, f, max_target=max_target, plan=plan)
+        counts.append(memo[key])
+    return counts
+
+
 # -- uniformity report ------------------------------------------------------
 
 
@@ -398,15 +416,9 @@ def _dedupe_witnesses(g: Graph, witnesses: list) -> list:
     """One witness per (base, attachment type over the base)."""
     kept: list = []
     for w in witnesses:
-        duplicate = False
-        for k in kept:
-            if k.base != w.base:
-                continue
-            anchor_pairs = [(v, v) for v in sorted(w.base)]
-            if find_pattern_iso(g, w.zero_minimal_set, anchor_pairs, g, k.zero_minimal_set):
-                duplicate = True
-                break
-        if not duplicate:
+        anchor_pairs = [(v, v) for v in sorted(w.base)]
+        if not any(k.base == w.base and find_pattern_iso(
+                g, w.zero_minimal_set, anchor_pairs, g, k.zero_minimal_set) for k in kept):
             kept.append(w)
     return kept
 
@@ -418,26 +430,25 @@ def uniform_algebraicity_report(
     max_target: int | None = None,
 ) -> list:
     """Per (base, attachment type): the extension count over every strong
-    placement of the base pattern, and whether all counts agree."""
+    placement of the base pattern, and whether all counts agree.  Each base's
+    placements are enumerated once, and placements agreeing on their image
+    set and on the images of the contacts (the base vertices next to the
+    attachment) share one count: nothing else constrains the attachment."""
     if i < 1:
         raise InvalidMap(f"level index must be >= 1, got {i}")
     rows = []
+    placements: dict = {}
     for comp in decompose(g, max_set=max_set).components:
         if comp.level < i:
             continue
         witnesses = base_attachment_pairs(
             g, comp.carrier, comp.layers[i - 1], i, max_set=max_set)
         for w in _dedupe_witnesses(g, witnesses):
-            base_pattern = g.induced(w.base)
-            alphas = enumerate_embeddings(
-                base_pattern, g, strong_only=True, is_strong=is_self_sufficient,
-                max_target=max_target)
+            if w.base not in placements:
+                placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
+                    g, is_strong=is_self_sufficient, max_target=max_target)]
             plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
-            counts = [
-                count_strong_extensions(
-                    g, w.base, w.zero_minimal_set, a.as_dict(), max_target=max_target,
-                    plan=plan)
-                for a in alphas
-            ]
+            counts = _placement_counts(
+                g, w.base, w.zero_minimal_set, placements[w.base], plan, max_target)
             rows.append((w, counts, len(set(counts)) <= 1))
     return rows

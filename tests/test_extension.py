@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+import abinitio.extension
+import abinitio.zero_decomposition
 from abinitio import (
+    ConstructionFailed,
     EPCertificate,
     EPProblem,
     Graph,
@@ -343,3 +346,32 @@ def test_decomposition_reused_by_stages():
     b0, _, log0 = build_base_stage(p, orbit_orders(p), d)
     assert frozenset(b0.vertices) == d.components[0].layers[0]
     assert log0["stage"] == 0 and log0["kind"] == "base"
+
+
+def test_two_maps_at_level_two_count_each_class_once(monkeypatch):
+    # K5 with w on a0, a1 and z on w, a2: the corpus problem level2/two-maps
+    base = w_graph()
+    g = Graph(2, sorted(base.vertices) + ["z"], list(base.edges) + [("z", "w"), ("z", "a2")])
+    ident = {v: v for v in g.vertices}
+    p = EPProblem(g, (PartialIso.build(g, {**ident, "a3": "a4", "a4": "a3"}),
+                      PartialIso.build(g, ident)))
+    calls = []
+    direct = abinitio.zero_decomposition.count_strong_extensions
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(abinitio.zero_decomposition, "count_strong_extensions", counted)
+    assert verify_certificate(p, ep_extend(p)).ok
+    assert len(calls) <= 1250
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_row_invariants_survive_without_asserts(monkeypatch, t):
+    # the true multiplicity is 1 and the deficit 1: 0 copies per row, or a
+    # contribution that does not divide the deficit, must fail by name
+    monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity", lambda *args: t)
+    g = w_graph()
+    with pytest.raises(ConstructionFailed, match=r"row with base \['a0'"):
+        ep_extend(EPProblem(g, (PartialIso.build(g, ROT),)))

@@ -223,6 +223,8 @@ def test_matcher_against_vf2():
             plan = EmbeddingPlan(a, pinned=fixed)
             is_strong = is_self_sufficient if strong_only else None
             assert plan.count(c, fixed, is_strong=is_strong) == len(got)
+            assert plan.pairs(c, fixed, is_strong=is_strong) == [
+                e.pairs for e in plan.embeddings(c, fixed, is_strong=is_strong)]
             assert plan.first(c, fixed, is_strong) == (dict(got[0].pairs) if got else None)
 
 

@@ -6,6 +6,7 @@ from abinitio import (
     count_cross_edges,
     BaseWitness,
     Embedding,
+    EmbeddingPlan,
     Graph,
     InvalidMap,
     OutsideK0,
@@ -24,7 +25,8 @@ from abinitio import (
     mu_count,
     uniform_algebraicity_report,
 )
-from builders import random_zero_graph
+from abinitio.zero_decomposition import _placement_counts
+from builders import random_k0_graph, random_zero_graph
 from oracles import brute_strong_extension_count
 
 
@@ -375,3 +377,46 @@ def test_count_strong_extensions_matches_oracle():
         want = brute_strong_extension_count(
             g, sorted(base), sorted(attach), fixed)
         assert got == want
+
+
+def _contacts(g, base, att):
+    return tuple(sorted(x for x in base if g.neighbors(x) & att))
+
+
+def test_keyed_counts_match_direct_counts():
+    # keying by the image set alone, or by the image set and the contact
+    # images as a set, fails here: such placements can differ in count
+    rng = random.Random(7)
+    rows = partial = 0
+    for k in range(80):
+        g = random_zero_graph(rng, 12) if k % 2 == 0 else random_k0_graph(rng, 9)
+        vs = g.sorted_vertices()
+        if len(vs) < 2:
+            continue
+        for _ in range(4):
+            base = frozenset(rng.sample(vs, rng.randint(1, min(4, len(vs) - 1))))
+            rest = sorted(g.vertices - base)
+            att = frozenset(rng.sample(rest, rng.randint(1, min(3, len(rest)))))
+            plan = EmbeddingPlan(g.induced(base | att), pinned=base)
+            placements = [dict(p) for p in EmbeddingPlan(g.induced(base)).pairs(
+                g, is_strong=is_self_sufficient)]
+            direct = [count_strong_extensions(g, base, att, f, plan=plan) for f in placements]
+            assert _placement_counts(g, base, att, placements, plan, None) == direct
+            rows += 1
+            partial += len(_contacts(g, base, att)) < len(base)
+    assert rows >= 300 and partial >= 150
+
+
+def test_report_contacts_are_the_generator():
+    # the base is self-sufficient, so an edge from the attachment to
+    # base minus generator would make the attachment's count over it negative
+    rng = random.Random(2)
+    rows = 0
+    for _ in range(120):
+        g = random_zero_graph(rng, 10)
+        level = max((c.level for c in decompose(g).components), default=0)
+        for i in range(1, level + 1):
+            for w, _, _ in uniform_algebraicity_report(g, i):
+                assert _contacts(g, w.base, w.zero_minimal_set) == tuple(sorted(w.generator))
+                rows += 1
+    assert rows >= 60
