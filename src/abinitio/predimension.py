@@ -8,11 +8,12 @@ strictly-decreasing extensions extracted from orientation failure regions.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import OutsideK0
+from .errors import ConstructionFailed, OutsideK0
 from .graph import Graph, count_cross_edges, enumerate_embeddings
 
 
@@ -40,41 +41,54 @@ def _bounded_orientation(g: Graph, verts: frozenset, load: dict, cap: int):
 
     Returns (assignment, None) on success or (None, violating_set) where the
     violating set certifies that no assignment exists.
+
+    Edges are placed in sorted order: an edge with a free endpoint goes to
+    it directly, otherwise a breadth-first search reassigns edges along a
+    path to a free vertex.  Each origin keeps its edges (never more than
+    cap) in a sorted list, so the search visits them in name order without
+    sorting at every step.
     """
-    internal = sorted(e for e in g.edges if e[0] in verts and e[1] in verts)
+    if verts == g.vertices:
+        internal = sorted(g.edges)
+    else:
+        internal = sorted(e for e in g.edges if e[0] in verts and e[1] in verts)
     used = {v: load.get(v, 0) for v in verts}
     for v in verts:
         if used[v] > cap:
             return None, frozenset([v])
     assignment: dict = {}
-    out_edges: dict = {v: set() for v in verts}
+    out_edges: dict = {v: [] for v in verts}
     for e in internal:
         u, v = e
-        parent: dict = {u: None, v: None}
-        queue = [u, v]  # breadth-first: the loop also visits what it appends
-        goal = None
-        for w in queue:
-            if used[w] < cap:
-                goal = w
-                break
-            for e2 in sorted(out_edges[w]):
-                x = e2[0] if e2[1] == w else e2[1]
-                if x not in parent:
-                    parent[x] = (w, e2)
-                    queue.append(x)
-        if goal is None:
-            return None, frozenset(parent)
-        w = goal
-        while parent[w] is not None:
-            pw, e2 = parent[w]
-            out_edges[pw].discard(e2)
-            out_edges[w].add(e2)
-            used[pw] -= 1
-            used[w] += 1
-            assignment[e2] = w
-            w = pw
+        if used[u] < cap:
+            w = u
+        elif used[v] < cap:
+            w = v
+        else:
+            parent: dict = {u: None, v: None}
+            queue = [u, v]  # breadth-first: the loop also visits what it appends
+            w = None
+            for x in queue:
+                if used[x] < cap:
+                    w = x
+                    break
+                for e2 in out_edges[x]:
+                    y = e2[0] if e2[1] == x else e2[1]
+                    if y not in parent:
+                        parent[y] = (x, e2)
+                        queue.append(y)
+            if w is None:
+                return None, frozenset(parent)
+            while parent[w] is not None:
+                pw, e2 = parent[w]
+                out_edges[pw].remove(e2)
+                bisect.insort(out_edges[w], e2)
+                used[pw] -= 1
+                used[w] += 1
+                assignment[e2] = w
+                w = pw
         assignment[e] = w
-        out_edges[w].add(e)
+        out_edges[w].append(e)  # edges arrive sorted: e sorts after all placed ones
         used[w] += 1
     return assignment, None
 
@@ -148,26 +162,50 @@ class ClosureResult:
         }
 
 
-def _minimize_violator(g: Graph, base: frozenset, region: frozenset) -> frozenset:
+def _minimize_violator(g: Graph, base: frozenset, region: frozenset) -> tuple:
     """Inclusion-minimal subset of the region whose absorption still strictly
-    drops the count over base.  Restarting the sorted scan after each removal
-    makes the result deterministic and genuinely minimal."""
-    current = frozenset(region)
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for v in sorted(current):
-            trial = current - {v}
-            if trial and delta_rel(g, trial, base) < 0:
-                current = trial
-                shrunk = True
+    drops the count over base, returned with its relative count over base.
+
+    The scan restarts from the smallest name after each removal.  That makes
+    the result deterministic and genuinely minimal, and the order must stay:
+    the chosen subsets are output as closure witness chains.  Each vertex
+    keeps its number of neighbours in the current set plus in the base;
+    dropping v changes the relative count by that number minus m, so a trial
+    costs O(1) and a removal O(degree), to update the neighbours.
+    """
+    m = g.m
+    inner = {v: len(g.neighbors(v) & region) for v in region}
+    cross = {v: len(g.neighbors(v) & base) for v in region}
+    rel = m * len(region) - sum(inner.values()) // 2 - sum(cross.values())
+    ties = {v: inner[v] + cross[v] for v in region}
+    order = sorted(region)
+    while len(order) > 1:
+        for i, v in enumerate(order):
+            if rel + ties[v] - m < 0:
                 break
-    return current
+        else:
+            break
+        rel += ties.pop(v) - m
+        del order[i]
+        for u in g.neighbors(v):
+            if u in ties:
+                ties[u] -= 1
+    return frozenset(order), rel
 
 
 def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
     """The smallest self-sufficient superset, with the absorption chain that
-    produced it.  The ambient must be hereditarily nonnegative.
+    produced it.  The ambient must be hereditarily nonnegative; that is
+    checked once here, and the callers that close many sets over one
+    ambient check it once and call _closure.
+    """
+    if not is_in_k0(g):
+        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
+    return _closure(g, g.check_subset(a))
+
+
+def _closure(g: Graph, current: frozenset) -> ClosureResult:
+    """closure over an ambient already known to be in K0.
 
     Each round runs the rooted orientation; on failure the saturated region
     it returns has strictly negative relative count, and any inclusion-minimal
@@ -175,9 +213,6 @@ def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
     submodularity keeps the intersection violating, minimality forces
     containment), so absorbing it never overshoots.
     """
-    if not is_in_k0(g):
-        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
-    current = g.check_subset(a)
     chain = [current]
     while True:
         rest = g.vertices - current
@@ -185,8 +220,11 @@ def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
         assignment, violating = _bounded_orientation(g, rest, load, g.m)
         if assignment is not None:
             return ClosureResult(current, tuple(chain))
-        step = _minimize_violator(g, current, violating)
-        assert delta(g, current | step) < delta(g, current)
+        step, rel = _minimize_violator(g, current, violating)
+        if rel >= 0:
+            raise ConstructionFailed(
+                f"closure round {len(chain)}: absorbing {sorted(step)} changes the count "
+                f"by {rel}, not below 0", stage_log=[sorted(s) for s in chain])
         current = current | step
         chain.append(current)
 
@@ -197,14 +235,14 @@ def dimension(g: Graph, a: Iterable[str]) -> int:
 
 
 def geometric_closure_bounded(g: Graph, a: Iterable[str]) -> frozenset:
-    """All points whose addition leaves the dimension over a unchanged."""
+    """All points whose addition leaves the dimension over a unchanged.
+    Membership of the ambient is checked once, not once per point."""
     aa = g.check_subset(a)
-    base = dimension(g, aa)
-    out = set()
-    for v in g.sorted_vertices():
-        if dimension(g, aa | {v}) == base:
-            out.add(v)
-    return frozenset(out)
+    if not is_in_k0(g):
+        raise OutsideK0("geometric closure requires a hereditarily nonnegative ambient")
+    base = delta(g, _closure(g, aa).closure)
+    return frozenset(
+        v for v in g.sorted_vertices() if delta(g, _closure(g, aa | {v}).closure) == base)
 
 
 def strong_embeddings(a: Graph, c: Graph, max_target: int | None = None) -> list:

@@ -16,7 +16,7 @@ from typing import Iterable
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import Embedding, EmbeddingPlan, Graph, connected_subsets
-from .predimension import closure, delta, delta_rel, is_in_k0, is_self_sufficient
+from .predimension import _closure, closure, delta, delta_rel, is_in_k0, is_self_sufficient
 
 
 def _require_zero_ambient(g: Graph):
@@ -61,7 +61,7 @@ def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) ->
 
 
 def _vertex_closures(g: Graph) -> dict:
-    return {v: closure(g, frozenset([v])).closure for v in g.sorted_vertices()}
+    return {v: _closure(g, frozenset([v])).closure for v in g.sorted_vertices()}
 
 
 def minimally_closed_sets(g: Graph) -> list:

@@ -1,5 +1,7 @@
 """Random graph builders shared by the test modules."""
 
+import itertools
+
 from abinitio import Graph, delta, is_in_k0
 
 
@@ -59,3 +61,26 @@ def random_zero_graph(rng, max_verts=20):
     g = Graph(2, verts, edges)
     assert delta(g, g.vertices) == 0 and is_in_k0(g)
     return g
+
+
+def tight_graph(rng, n, m=2, window=16, prefix="t"):
+    """Each new vertex sends min(i, m) edges to distinct vertices among the
+    previous window, so every subset keeps a nonnegative count.  Names are
+    shuffled, so name order is not construction order."""
+    names = [f"{prefix}{i:04d}" for i in range(n)]
+    rng.shuffle(names)
+    edges = []
+    for i in range(1, n):
+        lo = max(0, i - window)
+        edges += [(names[i], names[j]) for j in rng.sample(range(lo, i), min(m, i - lo))]
+    return Graph(m, names, edges)
+
+
+def plant_clique(rng, g, k=6, prefix="x"):
+    """g plus a complete graph on k new vertices, each tied to one old vertex.
+    At m=2, k=6 gives a subset of count 2*6 - 15 < 0: a non-member."""
+    clique = [f"{prefix}{j}" for j in range(k)]
+    anchors = rng.sample(sorted(g.vertices), k)
+    return Graph(g.m, list(g.vertices) + clique,
+                 list(g.edges) + list(itertools.combinations(clique, 2))
+                 + list(zip(clique, anchors)))

@@ -127,3 +127,95 @@ def brute_strong_extension_count(c, base_image, attach, fixed) -> int:
         if ok and brute_closed(c, set(assign.values())):
             count += 1
     return count
+
+
+# -- reference copies of replaced fast paths ----------------------------------
+# The closure's orientation search and violator minimizer as they were before
+# their incremental versions: the search sorts an origin's edges at every
+# breadth-first step, the minimizer recounts each trial from scratch.  They
+# are copied unchanged except that the relative count comes from the edge
+# list here.  Their outputs are observable (closure witness chains,
+# orientation witnesses, violating sets), so the fast paths must match them
+# exactly, not just agree on the closure.
+
+
+def ref_delta_rel(g, b, a) -> int:
+    return brute_delta(g, set(a) | set(b)) - brute_delta(g, a)
+
+
+def ref_bounded_orientation(g, verts, load, cap):
+    internal = sorted(e for e in g.edges if e[0] in verts and e[1] in verts)
+    used = {v: load.get(v, 0) for v in verts}
+    for v in verts:
+        if used[v] > cap:
+            return None, frozenset([v])
+    assignment: dict = {}
+    out_edges: dict = {v: set() for v in verts}
+    for e in internal:
+        u, v = e
+        parent: dict = {u: None, v: None}
+        queue = [u, v]  # breadth-first: the loop also visits what it appends
+        goal = None
+        for w in queue:
+            if used[w] < cap:
+                goal = w
+                break
+            for e2 in sorted(out_edges[w]):
+                x = e2[0] if e2[1] == w else e2[1]
+                if x not in parent:
+                    parent[x] = (w, e2)
+                    queue.append(x)
+        if goal is None:
+            return None, frozenset(parent)
+        w = goal
+        while parent[w] is not None:
+            pw, e2 = parent[w]
+            out_edges[pw].discard(e2)
+            out_edges[w].add(e2)
+            used[pw] -= 1
+            used[w] += 1
+            assignment[e2] = w
+            w = pw
+        assignment[e] = w
+        out_edges[w].add(e)
+        used[w] += 1
+    return assignment, None
+
+
+def ref_minimize_violator(g, base, region):
+    current = frozenset(region)
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for v in sorted(current):
+            trial = current - {v}
+            if trial and ref_delta_rel(g, trial, base) < 0:
+                current = trial
+                shrunk = True
+                break
+    return current
+
+
+def ref_rooted_load(g, rest, current) -> dict:
+    return {v: sum(1 for u in current if adjacent(g.edges, u, v)) for v in rest}
+
+
+def ref_closure_chain(g, a) -> tuple:
+    """The closure's absorption chain, round by round, from the copies above."""
+    current = frozenset(a)
+    chain = [current]
+    while True:
+        rest = frozenset(g.vertices) - current
+        assignment, violating = ref_bounded_orientation(
+            g, rest, ref_rooted_load(g, rest, current), g.m)
+        if assignment is not None:
+            return tuple(chain)
+        current = current | ref_minimize_violator(g, current, violating)
+        chain.append(current)
+
+
+def ref_orientation(g) -> tuple:
+    """The sorted (origin, other) pairs of the whole-graph orientation."""
+    assignment, _ = ref_bounded_orientation(g, frozenset(g.vertices), {}, g.m)
+    return tuple(sorted((origin, e[0] if e[1] == origin else e[1])
+                        for e, origin in assignment.items()))

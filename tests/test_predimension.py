@@ -1,12 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import abinitio
 from abinitio import (
+    ConstructionFailed,
     Graph,
     OutsideK0,
     closure,
+    decompose,
     delta,
     delta_rel,
     dimension,
@@ -16,12 +23,18 @@ from abinitio import (
     orientation_witness,
     strong_embeddings,
 )
+from abinitio.predimension import _bounded_orientation
+from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
     brute_closed,
     brute_closure,
     brute_delta,
     brute_dimension,
     brute_in_k0,
+    ref_bounded_orientation,
+    ref_closure_chain,
+    ref_orientation,
+    ref_rooted_load,
 )
 
 
@@ -167,6 +180,10 @@ def test_closure_absorbs_a_whole_block():
 def test_closure_preconditions():
     with pytest.raises(OutsideK0):
         closure(k_complete(6), ["v0"])
+    with pytest.raises(OutsideK0):
+        dimension(k_complete(6), ["v0"])
+    with pytest.raises(OutsideK0):
+        geometric_closure_bounded(k_complete(6), ["v0"])
     names = [f"p{i:02d}" for i in range(30)]
     path = Graph(2, names, zip(names, names[1:]))
     assert closure(path, ["p00"]).closure == {"p00"}
@@ -247,3 +264,81 @@ def test_submodularity_of_the_count():
         a = frozenset(v for v in verts if rng.random() < 0.5)
         b = frozenset(v for v in verts if rng.random() < 0.5)
         assert delta(g, a | b) <= delta(g, a) + delta(g, b) - delta(g, a & b)
+
+
+def test_fast_paths_match_the_reference_copies():
+    """Witness chains, orientation witnesses and violating sets are output,
+    so the incremental minimizer and the sorted-list orientation search must
+    reproduce the reference copies exactly, on members and non-members."""
+    rng = random.Random(31)
+    graphs = [random_graph(rng, rng.randint(1, 9), m=m, p=rng.random())
+              for m in (2, 3) for _ in range(60)]
+    for n in (50, 120, 250, 400):
+        g = tight_graph(rng, n, m=2, window=rng.randint(6, 24), prefix=f"t{n}_")
+        graphs += [g, plant_clique(rng, g, prefix=f"t{n}_x")]
+    grew = violated = 0
+    for g in graphs:
+        verts = g.sorted_vertices()
+        assert (_bounded_orientation(g, g.vertices, {}, g.m)
+                == ref_bounded_orientation(g, g.vertices, {}, g.m))
+        for _ in range(3):
+            a = frozenset(rng.sample(verts, min(len(verts), rng.randint(1, 3))))
+            rest = g.vertices - a
+            load = ref_rooted_load(g, rest, a)
+            got = _bounded_orientation(g, rest, load, g.m)
+            assert got == ref_bounded_orientation(g, rest, load, g.m)
+            violated += got[0] is None
+        if not is_in_k0(g):
+            continue
+        assert orientation_witness(g).orientation == ref_orientation(g)
+        for _ in range(4):
+            a = frozenset(rng.sample(verts, min(len(verts), rng.randint(1, 3))))
+            chain = closure(g, a).witness_chain
+            assert chain == ref_closure_chain(g, a)
+            grew += len(chain) > 2
+    assert grew >= 10 and violated >= 20
+
+
+def test_a_closure_round_that_does_not_lower_the_count_fails_by_name(monkeypatch):
+    # survives python -O: the check is a raise, not an assert
+    g = k_complete(5)
+    h = Graph(2, list(g.vertices) + ["w"], list(g.edges) + [("w", "v0"), ("w", "v1")])
+
+    def one_vertex(g, base, region):
+        step = frozenset([max(region)])
+        return step, delta_rel(g, step, base)
+
+    monkeypatch.setattr(abinitio.predimension, "_minimize_violator", one_vertex)
+    with pytest.raises(ConstructionFailed, match=r"closure round 1: absorbing \['v4'\]") as info:
+        closure(h, ["w"])
+    assert info.value.stage_log == [["w"]]
+
+
+def test_membership_is_checked_once_per_call(monkeypatch):
+    rng = random.Random(32)
+    zero = random_zero_graph(rng, 16)
+    member = tight_graph(rng, 60, m=2, window=8)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_in_k0(g)
+
+    for module in (abinitio.predimension, abinitio.zero_decomposition):
+        monkeypatch.setattr(module, "is_in_k0", counted)
+    geometric_closure_bounded(member, member.sorted_vertices()[:2])
+    assert calls == [member]
+    calls.clear()
+    decompose(zero)
+    assert calls == [zero]
+
+
+@pytest.mark.skipif(sys.flags.optimize > 0, reason="already running with asserts stripped")
+def test_this_module_passes_with_asserts_stripped():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_predimension.py"],
+        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
