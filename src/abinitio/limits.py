@@ -43,5 +43,7 @@ def max_target(override: "int | None" = None) -> int:
 
 def max_set_size(override: "int | None" = None) -> int:
     if override is not None:
+        if override < 0:
+            raise ValueError(f"max_set must be a nonnegative integer, got {override!r}")
         return override
     return _env_int("MAX_SET_SIZE", DEFAULT_MAX_SET_SIZE)

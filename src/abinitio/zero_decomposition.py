@@ -15,7 +15,8 @@ from typing import Iterable
 
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, EmbeddingPlan, Graph, connected_subsets
+from .graph import (Embedding, EmbeddingPlan, Graph, _connected_expansion, components,
+                    connected_subsets)
 from .predimension import _closure, closure, delta, delta_rel, is_in_k0, is_self_sufficient
 
 
@@ -45,16 +46,15 @@ def is_zero_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
 
 
 def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
-    """Tight over a but over no proper subset of a."""
+    """Tight over a but over no proper subset of a.
+
+    That is: tight over a, and every point of a has a neighbour in b.
+    Dropping from a the points with no neighbour in b changes the count over
+    a of no part of b, so b stays tight; dropping a nonempty set of points
+    with neighbours in b raises b's count above 0."""
     bb = g.check_subset(b)
     aa = g.check_subset(a)
-    if not is_zero_algebraic(g, bb, aa):
-        return False
-    for size in range(len(aa)):
-        for part in itertools.combinations(sorted(aa), size):
-            if delta_rel(g, bb, frozenset(part)) == 0 and is_zero_algebraic(g, bb, frozenset(part)):
-                return False
-    return True
+    return is_zero_algebraic(g, bb, aa) and all(g.neighbors(x) & bb for x in aa)
 
 
 # -- blocks and carriers ---------------------------------------------------
@@ -80,8 +80,8 @@ def _blocks(g: Graph, blobs: dict) -> list:
     # blocks never touch: shared points or cross edges would merge them
     for i, a in enumerate(out):
         for b in out[i + 1:]:
-            assert not (a & b)
-            assert not any(g.neighbors(v) & b for v in a)
+            if a & b or any(g.neighbors(v) & b for v in a):
+                raise ConstructionFailed(f"blocks {sorted(a)} and {sorted(b)} touch")
     return sorted(out, key=lambda s: sorted(s))
 
 
@@ -115,21 +115,24 @@ def _carriers(g: Graph, blobs: dict) -> list:
     carriers = sorted((frozenset(s) for s in groups.values()), key=lambda s: sorted(s))
     for i, a in enumerate(carriers):
         for b in carriers[i + 1:]:
-            assert not any(g.neighbors(v) & b for v in a)
+            if any(g.neighbors(v) & b for v in a):
+                raise ConstructionFailed(
+                    f"carriers {sorted(a)} and {sorted(b)} are joined by an edge")
     return carriers
 
 
 def _tight_sets_over(g: Graph, pool: frozenset, base: frozenset, cap: int):
     """Connected candidates inside pool that are relatively tight over base,
-    plus a flag telling whether the size ceiling was reached while scanning."""
-    hit = False
-    found = []
-    for cand in connected_subsets(g, pool, cap):
-        if len(cand) == cap:
-            hit = True
-        if delta_rel(g, cand, base) == 0 and is_zero_algebraic(g, cand, base):
-            found.append(cand)
-    return found, hit
+    plus a flag telling whether the size ceiling was reached: whether pool
+    has a connected subset of cap points, that is a component of at least
+    cap points.
+
+    Every proper nonempty part of a tight set counts > 0 over base, so the
+    scan grows no candidate counting <= 0 (see _connected_expansion) and
+    tests tightness only where the count it carries is 0."""
+    found = [cand for cand, rel in _connected_expansion(g, pool, cap, over=base)
+             if rel == 0 and is_zero_algebraic(g, cand, base)]
+    return found, cap > 0 and any(len(c) >= cap for c in components(g, pool))
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,9 @@ def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
     blocks = _blocks(g, blobs)
     carriers = _carriers(g, blobs)
     for b in blocks:
-        assert sum(1 for c in carriers if b <= c) == 1
+        inside = sum(1 for c in carriers if b <= c)
+        if inside != 1:
+            raise ConstructionFailed(f"block {sorted(b)} lies in {inside} carriers, not 1")
     components = tuple(
         level_chain(g, c, blocks=blocks, carriers=carriers, max_set=max_set)
         for c in carriers
@@ -216,15 +221,24 @@ def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
 
 def _absorbable_over(g: Graph, d: frozenset, anchor_pool: frozenset) -> bool:
     """Whether d is tight over some subset of anchor_pool."""
+    return any(is_zero_algebraic(g, d, xs) for xs in _count_matched(g, d, anchor_pool))
+
+
+def _contacts(g: Graph, d: frozenset, pool: frozenset) -> frozenset:
+    return (frozenset().union(*(g.neighbors(v) for v in d)) & pool) - d
+
+
+def _count_matched(g: Graph, d: frozenset, pool: frozenset):
+    """Each set xs of d's contacts in pool with e(d, xs) = m*|d| - e(d): d
+    counts 0 over xs, which tightness over xs needs.  A contact carries at
+    least one of those edges, so xs has at most that many points."""
     need = g.m * len(d) - g.edges_within(d)
-    contacts = sorted(frozenset().union(*(g.neighbors(v) for v in d)) & anchor_pool)
-    if need == 0:
-        return is_zero_algebraic(g, d, frozenset())
-    for size in range(1, min(need, len(contacts)) + 1):
+    ties = {x: len(g.neighbors(x) & d) for x in _contacts(g, d, pool)}
+    contacts = sorted(ties)
+    for size in range(min(need, len(contacts)) + 1):
         for xs in itertools.combinations(contacts, size):
-            if is_zero_algebraic(g, d, frozenset(xs)):
-                return True
-    return False
+            if sum(ties[x] for x in xs) == need:
+                yield frozenset(xs)
 
 
 def hull(
@@ -388,26 +402,32 @@ def base_attachment_pairs(
 ) -> list:
     """All (witness) triples for one carrier: a generator inside the given
     layer, its ambient closure as base, and a set minimally tight over the
-    generator, disjoint from the base and living above the layer."""
+    generator, disjoint from the base and living above the layer.
+
+    Tightness over a generator gen asks e(d, gen) = m*|d| - e(d), and
+    minimality asks every point of gen to touch d.  Over a self-sufficient
+    layer L every d outside it has e(d, L) <= m*|d| - e(d), so gen must be
+    all of d's contacts in L; as d has no other edges into L, d is tight
+    over its contacts exactly when it is tight over L.  The witnesses are
+    then read off the sets tight over L.  Over any other layer each set of
+    contacts with exactly that many edges into d is tried.  Membership of g
+    is checked once, at the first closure taken."""
     cap = limits.max_set_size(max_set)
+    pool = carrier - base_layer
+    if base_layer <= g.vertices and is_self_sufficient(g, base_layer):
+        pairs = [(d, _contacts(g, d, base_layer))
+                 for d in _tight_sets_over(g, pool, base_layer, cap)[0]]
+    else:
+        pairs = [(d, gen) for d in connected_subsets(g, pool, cap)
+                 for gen in _count_matched(g, d, base_layer)
+                 if is_zero_minimally_algebraic(g, d, gen)]
     out = []
-    for d in connected_subsets(g, carrier - base_layer, cap):
-        # a generator vertex can carry several cross edges, so its size
-        # ranges anywhere up to the cross-edge deficit
-        need = g.m * len(d) - g.edges_within(d)
-        contacts = sorted(
-            (frozenset().union(*(g.neighbors(v) for v in d)) & base_layer) - d)
-        for size in range(min(need, len(contacts)) + 1):
-            for xs in itertools.combinations(contacts, size):
-                gen = frozenset(xs)
-                if not is_zero_minimally_algebraic(g, d, gen):
-                    continue
-                base = closure(g, gen).closure
-                if not base <= base_layer:
-                    continue
-                if d & base:
-                    continue
-                out.append(BaseWitness(base, gen, d, level_index))
+    close = closure  # checks membership, then hands over to _closure
+    for d, gen in pairs:
+        base = close(g, gen).closure
+        close = _closure
+        if base <= base_layer and not d & base:
+            out.append(BaseWitness(base, gen, d, level_index))
     return sorted(
         out, key=lambda w: (sorted(w.base), sorted(w.zero_minimal_set), sorted(w.generator)))
 

@@ -1,11 +1,16 @@
 """Brute-force reference implementations.
 
-Everything here works from raw (m, vertices, edges) data by subset or
+The brute-force oracles work from raw (m, vertices, edges) data by subset or
 permutation enumeration, sharing no algorithmic machinery with the package.
-Intended for graphs small enough that exponential scans stay instant.
+The reference copies of replaced fast paths, at the end, call the package
+only for the primitives they were written over.  Intended for graphs small
+enough that exponential scans stay instant.
 """
 
 import itertools
+
+from abinitio import BaseWitness, closure, delta_rel, is_zero_algebraic
+from abinitio import limits
 
 
 def edge_count(edges, s) -> int:
@@ -219,3 +224,110 @@ def ref_orientation(g) -> tuple:
     assignment, _ = ref_bounded_orientation(g, frozenset(g.vertices), {}, g.m)
     return tuple(sorted((origin, e[0] if e[1] == origin else e[1])
                         for e, origin in assignment.items()))
+
+
+# -- reference copies of the subset scans of zero_decomposition ---------------
+# connected_subsets, is_zero_minimally_algebraic, _tight_sets_over,
+# base_attachment_pairs and hull's _absorbable_over as they were before the
+# closed forms and the pruned expansion: a recursive expansion, minimality
+# tested over every proper subset of the generator, every connected
+# candidate tested up to the ceiling, every contact subset tried as a
+# generator.  Copied unchanged but for the names; the package's fast paths
+# must give exactly their results, exceptions included.
+
+
+def ref_connected_subsets(g, pool, max_size):
+    """All subsets of pool that induce a connected subgraph, up to max_size.
+
+    Connectivity is within the subset itself.  Classic expansion with an
+    exclusion frontier, so each subset is produced exactly once.
+    """
+    pool = g.check_subset(pool)
+    order = {v: i for i, v in enumerate(sorted(pool))}
+
+    def grow(current: set, frontier: list, banned: set):
+        yield frozenset(current)
+        if len(current) >= max_size:
+            return
+        local_banned = set(banned)
+        for i, v in enumerate(frontier):
+            new_frontier = [w for w in frontier[i + 1:]]
+            extra = sorted(
+                (g.neighbors(v) & pool) - current - local_banned - set(new_frontier),
+                key=order.get,
+            )
+            current.add(v)
+            yield from grow(current, new_frontier + extra, local_banned)
+            current.discard(v)
+            local_banned.add(v)
+
+    for root in sorted(pool, key=order.get):
+        banned = {v for v in pool if order[v] < order[root]}
+        seeds = sorted((g.neighbors(root) & pool) - banned - {root}, key=order.get)
+        yield from grow({root}, seeds, banned)
+
+
+def ref_is_zero_minimally_algebraic(g, b, a) -> bool:
+    """Tight over a but over no proper subset of a."""
+    bb = g.check_subset(b)
+    aa = g.check_subset(a)
+    if not is_zero_algebraic(g, bb, aa):
+        return False
+    for size in range(len(aa)):
+        for part in itertools.combinations(sorted(aa), size):
+            if delta_rel(g, bb, frozenset(part)) == 0 and is_zero_algebraic(g, bb, frozenset(part)):
+                return False
+    return True
+
+
+def ref_tight_sets_over(g, pool, base, cap):
+    """Connected candidates inside pool that are relatively tight over base,
+    plus a flag telling whether the size ceiling was reached while scanning."""
+    hit = False
+    found = []
+    for cand in ref_connected_subsets(g, pool, cap):
+        if len(cand) == cap:
+            hit = True
+        if delta_rel(g, cand, base) == 0 and is_zero_algebraic(g, cand, base):
+            found.append(cand)
+    return found, hit
+
+
+def ref_absorbable_over(g, d, anchor_pool) -> bool:
+    """Whether d is tight over some subset of anchor_pool."""
+    need = g.m * len(d) - g.edges_within(d)
+    contacts = sorted(frozenset().union(*(g.neighbors(v) for v in d)) & anchor_pool)
+    if need == 0:
+        return is_zero_algebraic(g, d, frozenset())
+    for size in range(1, min(need, len(contacts)) + 1):
+        for xs in itertools.combinations(contacts, size):
+            if is_zero_algebraic(g, d, frozenset(xs)):
+                return True
+    return False
+
+
+def ref_base_attachment_pairs(g, carrier, base_layer, level_index, max_set=None) -> list:
+    """All (witness) triples for one carrier: a generator inside the given
+    layer, its ambient closure as base, and a set minimally tight over the
+    generator, disjoint from the base and living above the layer."""
+    cap = limits.max_set_size(max_set)
+    out = []
+    for d in ref_connected_subsets(g, carrier - base_layer, cap):
+        # a generator vertex can carry several cross edges, so its size
+        # ranges anywhere up to the cross-edge deficit
+        need = g.m * len(d) - g.edges_within(d)
+        contacts = sorted(
+            (frozenset().union(*(g.neighbors(v) for v in d)) & base_layer) - d)
+        for size in range(min(need, len(contacts)) + 1):
+            for xs in itertools.combinations(contacts, size):
+                gen = frozenset(xs)
+                if not ref_is_zero_minimally_algebraic(g, d, gen):
+                    continue
+                base = closure(g, gen).closure
+                if not base <= base_layer:
+                    continue
+                if d & base:
+                    continue
+                out.append(BaseWitness(base, gen, d, level_index))
+    return sorted(
+        out, key=lambda w: (sorted(w.base), sorted(w.zero_minimal_set), sorted(w.generator)))

@@ -154,6 +154,14 @@ def test_decompose_and_hull(tmp_path, capsys):
     assert doc["hull"] == sorted(["a0", "a1", "a2", "a3", "a4", "w", "z"])
 
 
+def test_negative_max_set_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "g.json", chain_dict())
+    for argv in (["decompose", path], ["hull", path, "--set", "a0,a1"]):
+        rc, doc, _ = run(capsys, argv + ["--max-set", "-3"])
+        assert rc == 2 and doc["error"]["type"] == "ValueError", argv
+        assert "max_set" in doc["error"]["message"] and "-3" in doc["error"]["message"]
+
+
 def test_mu(tmp_path, capsys):
     base = [f"a{i}" for i in range(5)]
     spec = {

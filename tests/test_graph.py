@@ -25,7 +25,7 @@ from abinitio import (
     limits,
 )
 from abinitio.graph import adjoin_copy
-from oracles import adjacent, brute_automorphisms, brute_closed
+from oracles import adjacent, brute_automorphisms, brute_closed, ref_connected_subsets
 
 
 def k_complete(n, prefix="v", m=2):
@@ -169,6 +169,8 @@ def test_size_ceiling_env_values_are_checked(monkeypatch):
     with pytest.raises(ValueError, match="ABINITIO_MAX_SET_SIZE"):
         limits.max_set_size()
     assert limits.max_set_size(5) == 5
+    with pytest.raises(ValueError, match="max_set .* got -3"):
+        limits.max_set_size(-3)
 
 
 def _random_graph(rng, prefix, n, m):
@@ -319,6 +321,26 @@ def test_connected_subsets_matches_brute_force():
                 if seen == s:
                     expect.add(s)
         assert got == expect
+
+
+def test_connected_subsets_keep_their_order_past_the_recursion_limit():
+    # the order is observable: scans that stop early depend on it
+    rng = random.Random(78)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        names = [f"v{i}" for i in range(n)]
+        g = Graph(2, names,
+                  [e for e in itertools.combinations(names, 2) if rng.random() < 0.4])
+        pool = frozenset(v for v in names if rng.random() < 0.8)
+        for cap in range(7):
+            assert list(connected_subsets(g, pool, cap)) == \
+                list(ref_connected_subsets(g, pool, cap))
+    # the first root grows one point at a time along a path longer than
+    # the interpreter's recursion limit
+    names = [f"p{i:04d}" for i in range(1500)]
+    path = Graph(2, names, list(zip(names, names[1:])))
+    first = list(itertools.islice(connected_subsets(path, path.vertices, 1500), 1500))
+    assert first == [frozenset(names[:k]) for k in range(1, 1501)]
 
 
 def test_components_ordering():

@@ -12,6 +12,7 @@ from abinitio import (
     ConstructionFailed,
     Graph,
     OutsideK0,
+    base_attachment_pairs,
     closure,
     decompose,
     delta,
@@ -331,6 +332,21 @@ def test_membership_is_checked_once_per_call(monkeypatch):
     calls.clear()
     decompose(zero)
     assert calls == [zero]
+    # ten witnesses, one check: the first closure checks, the rest skip it
+    block = [f"a{i}" for i in range(5)]
+    spokes = [f"w{i}{j}" for i, j in itertools.combinations(range(5), 2)]
+    fan = Graph(2, block + spokes, list(itertools.combinations(block, 2))
+                + [(f"w{i}{j}", f"a{k}") for i, j in itertools.combinations(range(5), 2)
+                   for k in (i, j)])
+    calls.clear()
+    assert len(base_attachment_pairs(fan, fan.vertices, frozenset(block), 1)) == 10
+    assert calls == [fan]
+    # a call that closes nothing checks nothing, so raises nothing outside K0
+    k6 = Graph(2, [f"c{i}" for i in range(6)] + ["x"],
+               itertools.combinations([f"c{i}" for i in range(6)], 2))
+    calls.clear()
+    assert base_attachment_pairs(k6, frozenset(["x"]), frozenset(), 1) == []
+    assert calls == []
 
 
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="already running with asserts stripped")
@@ -339,6 +355,6 @@ def test_this_module_passes_with_asserts_stripped():
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_predimension.py"],
+         "tests/test_predimension.py", "tests/test_zero_decomposition.py"],
         cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -1,22 +1,27 @@
+import itertools
 import random
 
 import pytest
 
+import abinitio
 from abinitio import (
     count_cross_edges,
     BaseWitness,
+    ConstructionFailed,
     Embedding,
     EmbeddingPlan,
     Graph,
     InvalidMap,
     OutsideK0,
     base_attachment_pairs,
+    closure,
     connected_zero_sets,
     count_strong_extensions,
     decompose,
     delta_rel,
     find_pattern_iso,
     hull,
+    is_in_k0,
     is_self_sufficient,
     is_zero_algebraic,
     is_zero_minimally_algebraic,
@@ -25,9 +30,17 @@ from abinitio import (
     mu_count,
     uniform_algebraicity_report,
 )
-from abinitio.zero_decomposition import _placement_counts
-from builders import random_k0_graph, random_zero_graph
-from oracles import brute_strong_extension_count
+from abinitio.graph import _connected_expansion
+from abinitio.zero_decomposition import _blocks, _carriers, _placement_counts, _tight_sets_over
+from builders import random_graph, random_k0_graph, random_zero_graph
+from oracles import (
+    brute_strong_extension_count,
+    ref_absorbable_over,
+    ref_base_attachment_pairs,
+    ref_connected_subsets,
+    ref_is_zero_minimally_algebraic,
+    ref_tight_sets_over,
+)
 
 
 def k5(prefix="a"):
@@ -420,3 +433,192 @@ def test_report_contacts_are_the_generator():
                 assert _contacts(g, w.base, w.zero_minimal_set) == tuple(sorted(w.generator))
                 rows += 1
     assert rows >= 60
+
+
+def path_graph(n, prefix="p"):
+    names = [f"{prefix}{i}" for i in range(n)]
+    return Graph(2, names, list(zip(names, names[1:])))
+
+
+def test_ceiling_flag_tells_whether_a_component_reaches_the_cap():
+    # the flag says a connected candidate of exactly cap points exists
+    for n, hit in [(2, False), (3, True), (4, True)]:
+        g = path_graph(n)
+        assert _tight_sets_over(g, g.vertices, frozenset(), 3) == ([], hit)
+    # many small components never reach the cap, one large enough does
+    pairs = Graph(2, [f"x{i}" for i in range(12)],
+                  [(f"x{i}", f"x{i + 1}") for i in range(0, 12, 2)])
+    assert _tight_sets_over(pairs, pairs.vertices, frozenset(), 3) == ([], False)
+    assert _tight_sets_over(pairs, pairs.vertices, frozenset(), 2) == ([], True)
+    mixed = Graph(2, pairs.vertices | path_graph(3).vertices,
+                  pairs.edges | path_graph(3).edges)
+    assert _tight_sets_over(mixed, mixed.vertices, frozenset(), 3) == ([], True)
+    # cap 0 still scans singletons and never raises the flag
+    g = chain_graph()
+    assert _tight_sets_over(g, frozenset(["w", "z"]), BLOCK, 0) == ([{"w"}], False)
+    assert _tight_sets_over(g, frozenset(["w", "z"]), BLOCK, 1) == ([{"w"}], True)
+    # through decompose: the first step's pool {w, z} is the largest
+    flags = [decompose(g, max_set=cap).components[0].ceiling_hit for cap in range(5)]
+    assert flags == [False, True, True, False, False]
+    assert decompose(g, max_set=0).components[0].layers == (
+        BLOCK, BLOCK | {"w"}, g.vertices)
+
+
+def test_decomposition_invariants_raise(monkeypatch):
+    # raises, not asserts: they hold under python -O too
+    g = Graph(2, ["x", "y"], [("x", "y")])
+    apart = {"x": frozenset(["x"]), "y": frozenset(["y"])}
+    with pytest.raises(ConstructionFailed, match="touch"):
+        _blocks(g, apart)
+    with pytest.raises(ConstructionFailed, match="joined by an edge"):
+        _carriers(g, apart)
+    monkeypatch.setattr(abinitio.zero_decomposition, "_carriers", lambda g, blobs: [])
+    with pytest.raises(ConstructionFailed, match="lies in 0 carriers"):
+        decompose(k5_graph())
+
+
+def test_pruned_expansion_grows_only_positive_sets():
+    # each yielded set carries its count; in preorder the latest earlier
+    # set one point smaller is its parent, which must count > 0; no point
+    # counting <= 0 alone joins a larger set; and every set all of whose
+    # proper connected parts count > 0 is still yielded
+    rng = random.Random(91)
+    grown = skipped = 0
+    for _ in range(300):
+        g = random_graph(rng, 11)
+        vs = g.sorted_vertices()
+        base = frozenset(v for v in vs if rng.random() < 0.3)
+        pool = g.vertices - base
+        cap = rng.randint(0, 5)
+        got = list(_connected_expansion(g, pool, cap, over=base))
+        full = list(ref_connected_subsets(g, pool, cap))
+        sets = [s for s, _ in got]
+        assert sets == [s for s in full if s in set(sets)]
+        latest = {}
+        for s, rel in got:
+            assert rel == delta_rel(g, s, base)
+            if len(s) > 1:
+                parent, parent_rel = latest[len(s) - 1]
+                assert parent < s and parent_rel > 0
+                assert all(delta_rel(g, [v], base) > 0 for v in s)
+                grown += 1
+            latest[len(s)] = (s, rel)
+        for s in full:
+            parts = [p for p in full if p < s]
+            if all(delta_rel(g, p, base) > 0 for p in parts):
+                assert s in sets
+            elif any(delta_rel(g, p, base) == 0 for p in parts):
+                skipped += s not in sets
+    assert grown >= 1500 and skipped >= 500
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return ("ok", f(*args, **kwargs))
+    except Exception as exc:  # the comparison covers the error raised, too
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _pick(rng, items, p):
+    return frozenset(v for v in items if rng.random() < p)
+
+
+def test_subset_scans_match_reference_copies():
+    # closed forms and pruned scans against the enumerating versions they
+    # replace, on random graphs at m = 2 and 3, in K0 and not
+    rng = random.Random(2027)
+    seen = dict.fromkeys(["outside_k0", "minimal", "tight, not minimal", "found", "hit", "closed",
+                          "open", "closed witnesses", "open witnesses", "raised"], 0)
+    for k in range(240):
+        m = 2 + k % 2
+        if k % 4 == 1:
+            g = random_zero_graph(rng, 10)
+        elif k % 4:
+            g = random_k0_graph(rng, 8, m=m)
+        else:
+            names = [f"v{i}" for i in range(rng.randint(6, 9))]
+            p = rng.uniform(0.5, 0.95)
+            g = Graph(m, names, [e for e in itertools.combinations(names, 2) if rng.random() < p])
+        seen["outside_k0"] += not is_in_k0(g)
+        vs = g.sorted_vertices()
+        for _ in range(6):
+            b = _pick(rng, vs, 0.35) or frozenset(vs[:1])
+            # mostly contacts of b, so that tight and minimal cases occur
+            near = frozenset().union(*(g.neighbors(v) for v in b)) - b
+            a = _pick(rng, sorted(near), 0.8) | _pick(rng, sorted(g.vertices - b - near), 0.2)
+            assert is_zero_minimally_algebraic(g, b, a) == \
+                ref_is_zero_minimally_algebraic(g, b, a)
+        for cap in range(6):
+            base = _pick(rng, vs, 0.4)
+            pool = _pick(rng, sorted(g.vertices - base), 0.8)
+            want = ref_tight_sets_over(g, pool, base, cap)
+            assert _tight_sets_over(g, pool, base, cap) == want
+            seen["found"] += len(want[0])
+            seen["hit"] += want[1]
+            for d in want[0]:
+                near = frozenset().union(*(g.neighbors(v) for v in d)) & base
+                for a in (base, near, frozenset(sorted(near)[1:])):
+                    want_min = ref_is_zero_minimally_algebraic(g, d, a)
+                    assert is_zero_minimally_algebraic(g, d, a) == want_min
+                    seen["minimal"] += want_min
+                    seen["tight, not minimal"] += is_zero_algebraic(g, d, a) and not want_min
+            # layers of the level chain, closures, and arbitrary sets
+            levels = decompose(g).components if k % 4 == 1 else ()
+            r = rng.random()
+            if levels and r < 0.6:
+                comp = rng.choice(levels)
+                carrier, layer = comp.carrier, rng.choice(comp.layers[:-1] or comp.layers)
+                if r < 0.3:
+                    # mostly not self-sufficient any more
+                    layer = layer | _pick(rng, sorted(carrier - layer), 0.3)
+            else:
+                seed = _pick(rng, vs, 0.3)
+                layer = closure(g, seed).closure if r < 0.7 and is_in_k0(g) else seed
+                carrier = layer | _pick(rng, vs, 0.7)
+            kind = "closed" if is_self_sufficient(g, layer) else "open"
+            want = _outcome(ref_base_attachment_pairs, g, carrier, layer, 1, max_set=cap)
+            assert _outcome(base_attachment_pairs, g, carrier, layer, 1, max_set=cap) == want
+            seen[kind] += 1
+            seen[f"{kind} witnesses"] += len(want[1]) if want[0] == "ok" else 0
+            seen["raised"] += want[0] == "raised"
+    assert seen["outside_k0"] >= 20 and seen["raised"] >= 50
+    assert seen["minimal"] >= 500 and seen["tight, not minimal"] >= 300
+    assert seen["found"] >= 400 and seen["hit"] >= 150
+    assert seen["closed"] >= 400 and seen["open"] >= 100
+    assert seen["closed witnesses"] >= 80 and seen["open witnesses"] >= 15
+
+
+def test_decompositions_reports_and_hulls_match_reference_copies(monkeypatch):
+    zd = abinitio.zero_decomposition
+    rng = random.Random(1201)
+    cases = []
+    for _ in range(25):
+        g = random_zero_graph(rng, 14)
+        cap = rng.randint(0, 5)
+        e = _pick(rng, g.sorted_vertices(), 0.3)
+        cases.append((g, cap, e))
+
+    def run_all():
+        out = []
+        for g, cap, e in cases:
+            dec = _outcome(decompose, g, max_set=cap)
+            out.append(dec)
+            level = max((c.level for c in dec[1].components), default=0) if dec[0] == "ok" else 1
+            for i in range(1, level + 1):
+                out.append(_outcome(uniform_algebraicity_report, g, i, max_set=cap))
+            for iterate in (False, True):
+                out.append(_outcome(hull, g, e, iterate=iterate, max_set=cap))
+        return out
+
+    with monkeypatch.context() as patched:
+        for name, ref in [("_tight_sets_over", ref_tight_sets_over),
+                          ("base_attachment_pairs", ref_base_attachment_pairs),
+                          ("is_zero_minimally_algebraic", ref_is_zero_minimally_algebraic),
+                          ("_absorbable_over", ref_absorbable_over),
+                          ("connected_subsets", ref_connected_subsets)]:
+            patched.setattr(zd, name, ref)
+        want = run_all()
+    got = run_all()
+    assert got == want
+    rows = sum(len(o[1]) for o in want if o[0] == "ok" and isinstance(o[1], list))
+    assert rows >= 20 and any(o[0] == "raised" for o in want)
