@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmalgamError, CoefficientMismatch
+from .errors import AmalgamError, CoefficientMismatch, ConstructionFailed
 from .graph import Embedding, Graph, adjoin_copy
 from .predimension import is_in_k0, is_self_sufficient
 
@@ -79,9 +79,12 @@ def free_amalgam(spec: AmalgamSpec) -> AmalgamResult:
     left_emb = Embedding.build(spec.left, result, {v: v for v in spec.left.vertices})
     right_emb = Embedding.build(spec.right, result, right_map)
 
-    # postconditions of the construction; cheap enough to check every time
-    assert is_in_k0(result)
-    assert left_emb.is_induced() and right_emb.is_induced()
-    assert is_self_sufficient(result, left_emb.image)
-    assert is_self_sufficient(result, right_emb.image)
+    # postconditions, cheap enough to check every time; raised so python -O keeps them
+    if not is_in_k0(result):
+        raise ConstructionFailed("free amalgam: the amalgam is not hereditarily nonnegative")
+    if not (left_emb.is_induced() and right_emb.is_induced()):
+        raise ConstructionFailed("free amalgam: a factor does not embed induced")
+    for side, emb in (("left", left_emb), ("right", right_emb)):
+        if not is_self_sufficient(result, emb.image):
+            raise ConstructionFailed(f"free amalgam: the {side} factor is not self-sufficient")
     return AmalgamResult(result, left_emb, right_emb)

@@ -2,7 +2,8 @@
 
 A subset is self-sufficient when no superset has a strictly smaller count.
 Membership questions reduce to bounded-outdegree edge orientations, found by
-augmenting-path reassignment; the closure absorbs inclusion-minimal
+augmenting-path reassignment on vertex ids in name order (one index per public
+call, shared by all its searches); the closure absorbs inclusion-minimal
 strictly-decreasing extensions extracted from orientation failure regions.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 from .errors import ConstructionFailed, OutsideK0
@@ -35,69 +37,108 @@ def delta_rel(g: Graph, b: Iterable[str], a: Iterable[str]) -> int:
 # -- bounded orientations -------------------------------------------------
 
 
-def _bounded_orientation(g: Graph, verts: frozenset, load: dict, cap: int):
-    """Assign each edge inside verts an origin endpoint, origins carrying at
-    most cap edges each on top of their preset load.
+class _Index:
+    """The vertices numbered in name order, and per vertex the ascending ids
+    of its neighbours above it: walking ids up, then each list, visits the
+    edges in sorted order.  Searches only read it."""
 
-    Returns (assignment, None) on success or (None, violating_set) where the
-    violating set certifies that no assignment exists.
+    __slots__ = ("g", "names", "ids", "higher")
 
-    Edges are placed in sorted order: an edge with a free endpoint goes to
-    it directly, otherwise a breadth-first search reassigns edges along a
-    path to a free vertex.  Each origin keeps its edges (never more than
-    cap) in a sorted list, so the search visits them in name order without
-    sorting at every step.
+    def __init__(self, g: Graph):
+        self.g, self.names = g, sorted(g.vertices)
+        self.ids = ids = dict(zip(self.names, range(len(self.names))))
+        self.higher = [[] for _ in self.names]
+        for u, v in g.edges:  # u < v by name, so by id
+            self.higher[ids[u]].append(ids[v])
+        for h in self.higher:
+            h.sort()
+
+
+def _rooted(ix: _Index, points: Iterable[str]) -> tuple:
+    """Inside flags and loads for a search outside points."""
+    n = len(ix.names)
+    inside, load = [True] * n, [0] * n
+    _absorb(ix, inside, load, points)
+    return inside, load
+
+
+def _absorb(ix: _Index, inside: list, load: list, points: Iterable[str]):
+    """Move points outside; each neighbour's load rises by one per point."""
+    ids = ix.ids
+    for v in points:
+        inside[ids[v]] = False
+        for u in ix.g.neighbors(v):
+            load[ids[u]] += 1
+
+
+def _orient(ix: _Index, inside: list, load: list):
+    """Give each edge between inside vertices an origin, each origin carrying
+    at most m edges on top of its load.  Returns (out, None), out[x] the
+    sorted ids of the far ends of x's edges, or (None, violating names).
+
+    Edges are placed in sorted order, on a free endpoint or else by a
+    breadth-first search that shifts edges along a path to a free vertex; the
+    points a failed search reached violate, as does the smallest-named point
+    over m by its load.  Ids follow name order, so the search does too.
     """
-    if verts == g.vertices:
-        internal = sorted(g.edges)
-    else:
-        internal = sorted(e for e in g.edges if e[0] in verts and e[1] in verts)
-    used = {v: load.get(v, 0) for v in verts}
-    for v in verts:
-        if used[v] > cap:
-            return None, frozenset([v])
-    assignment: dict = {}
-    out_edges: dict = {v: [] for v in verts}
-    for e in internal:
-        u, v = e
-        if used[u] < cap:
-            w = u
-        elif used[v] < cap:
-            w = v
-        else:
-            parent: dict = {u: None, v: None}
-            queue = [u, v]  # breadth-first: the loop also visits what it appends
-            w = None
-            for x in queue:
-                if used[x] < cap:
-                    w = x
-                    break
-                for e2 in out_edges[x]:
-                    y = e2[0] if e2[1] == x else e2[1]
-                    if y not in parent:
-                        parent[y] = (x, e2)
-                        queue.append(y)
-            if w is None:
-                return None, frozenset(parent)
-            while parent[w] is not None:
-                pw, e2 = parent[w]
-                out_edges[pw].remove(e2)
-                bisect.insort(out_edges[w], e2)
-                used[pw] -= 1
-                used[w] += 1
-                assignment[e2] = w
-                w = pw
-        assignment[e] = w
-        out_edges[w].append(e)  # edges arrive sorted: e sorts after all placed ones
-        used[w] += 1
-    return assignment, None
+    cap, names, higher, n = ix.g.m, ix.names, ix.higher, len(ix.names)
+    used = list(load)
+    if max(compress(used, inside), default=0) > cap:
+        x = next(x for x in compress(range(n), inside) if used[x] > cap)
+        return None, frozenset([names[x]])
+    out: list = [[] for _ in range(n)]
+    mark, parent, stamp = [0] * n, [0] * n, 0
+    for u in compress(range(n), inside):
+        for v in higher[u]:
+            if not inside[v]:
+                continue
+            if used[u] < cap:
+                w = u
+            elif used[v] < cap:
+                w = v
+            else:
+                stamp += 1
+                mark[u] = mark[v] = stamp
+                parent[u] = parent[v] = -1
+                queue = [u, v]  # breadth-first: the loop also visits what it appends
+                for w in queue:
+                    if used[w] < cap:
+                        break
+                    for y in out[w]:
+                        if mark[y] != stamp:
+                            mark[y] = stamp
+                            parent[y] = w
+                            queue.append(y)
+                else:
+                    return None, frozenset([names[x] for x in queue])
+                while parent[w] >= 0:
+                    pw = parent[w]
+                    out[pw].remove(w)
+                    bisect.insort(out[w], pw)
+                    used[pw] -= 1
+                    used[w] += 1
+                    w = pw
+            out[w].append(v if w == u else u)  # edges arrive sorted: it sorts last
+            used[w] += 1
+    return out, None
+
+
+def _in_k0(ix: _Index) -> bool:
+    return _orient(ix, *_rooted(ix, ()))[0] is not None
+
+
+def _member_index(g: Graph, error: str) -> _Index:
+    """g's index, once the search on it has found g in K0."""
+    ix = _Index(g)
+    if not _in_k0(ix):
+        raise OutsideK0(error)
+    return ix
 
 
 def is_in_k0(g: Graph) -> bool:
     """Whether every subset has a nonnegative count; decided by orientability
     with outdegree at most m rather than by subset enumeration."""
-    assignment, _ = _bounded_orientation(g, g.vertices, {}, g.m)
-    return assignment is not None
+    return _in_k0(_Index(g))
 
 
 @dataclass(frozen=True)
@@ -115,25 +156,23 @@ class OrientationWitness:
 def orientation_witness(g: Graph) -> OrientationWitness:
     """An explicit orientation with outdegree <= m, or an error naming a
     violating subgraph."""
-    assignment, violating = _bounded_orientation(g, g.vertices, {}, g.m)
-    if assignment is None:
+    ix = _Index(g)
+    out, violating = _orient(ix, *_rooted(ix, ()))
+    if out is None:
         raise OutsideK0(
             f"no orientation with outdegree <= {g.m}; violating set {sorted(violating)}")
-    directed = []
-    outdeg: dict = {}
-    for e, origin in assignment.items():
-        other = e[0] if e[1] == origin else e[1]
-        directed.append((origin, other))
-        outdeg[origin] = outdeg.get(origin, 0) + 1
-    return OrientationWitness(tuple(sorted(directed)), max(outdeg.values(), default=0))
+    return OrientationWitness(
+        tuple((ix.names[x], ix.names[y]) for x, ys in enumerate(out) for y in ys),
+        max(map(len, out), default=0))
+
+
+_last_index = lru_cache(maxsize=1)(_Index)  # questions come in runs over one ambient
 
 
 @lru_cache(maxsize=262144)
 def _self_sufficient_cached(g: Graph, aa: frozenset) -> bool:
-    rest = g.vertices - aa
-    load = {v: len(g.neighbors(v) & aa) for v in rest}
-    assignment, _ = _bounded_orientation(g, rest, load, g.m)
-    return assignment is not None
+    ix = _last_index(g)
+    return _orient(ix, *_rooted(ix, aa))[0] is not None
 
 
 def is_self_sufficient(g: Graph, a: Iterable[str]) -> bool:
@@ -196,15 +235,14 @@ def _minimize_violator(g: Graph, base: frozenset, region: frozenset) -> tuple:
 def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
     """The smallest self-sufficient superset, with the absorption chain that
     produced it.  The ambient must be hereditarily nonnegative; that is
-    checked once here, and the callers that close many sets over one
-    ambient check it once and call _closure.
+    checked once here; the callers that close many sets over one ambient
+    check it once and call _closure on the same index.
     """
-    if not is_in_k0(g):
-        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
-    return _closure(g, g.check_subset(a))
+    ix = _member_index(g, "closure requires a hereditarily nonnegative ambient")
+    return _closure(ix, g.check_subset(a))
 
 
-def _closure(g: Graph, current: frozenset) -> ClosureResult:
+def _closure(ix: _Index, current: frozenset) -> ClosureResult:
     """closure over an ambient already known to be in K0.
 
     Each round runs the rooted orientation; on failure the saturated region
@@ -213,18 +251,19 @@ def _closure(g: Graph, current: frozenset) -> ClosureResult:
     submodularity keeps the intersection violating, minimality forces
     containment), so absorbing it never overshoots.
     """
+    g = ix.g
+    inside, load = _rooted(ix, current)
     chain = [current]
     while True:
-        rest = g.vertices - current
-        load = {v: len(g.neighbors(v) & current) for v in rest}
-        assignment, violating = _bounded_orientation(g, rest, load, g.m)
-        if assignment is not None:
+        out, violating = _orient(ix, inside, load)
+        if out is not None:
             return ClosureResult(current, tuple(chain))
         step, rel = _minimize_violator(g, current, violating)
         if rel >= 0:
             raise ConstructionFailed(
                 f"closure round {len(chain)}: absorbing {sorted(step)} changes the count "
                 f"by {rel}, not below 0", stage_log=[sorted(s) for s in chain])
+        _absorb(ix, inside, load, step)
         current = current | step
         chain.append(current)
 
@@ -238,11 +277,10 @@ def geometric_closure_bounded(g: Graph, a: Iterable[str]) -> frozenset:
     """All points whose addition leaves the dimension over a unchanged.
     Membership of the ambient is checked once, not once per point."""
     aa = g.check_subset(a)
-    if not is_in_k0(g):
-        raise OutsideK0("geometric closure requires a hereditarily nonnegative ambient")
-    base = delta(g, _closure(g, aa).closure)
+    ix = _member_index(g, "geometric closure requires a hereditarily nonnegative ambient")
+    base = delta(g, _closure(ix, aa).closure)
     return frozenset(
-        v for v in g.sorted_vertices() if delta(g, _closure(g, aa | {v}).closure) == base)
+        v for v in ix.names if delta(g, _closure(ix, aa | {v}).closure) == base)
 
 
 def strong_embeddings(a: Graph, c: Graph, max_target: int | None = None) -> list:

@@ -17,14 +17,16 @@ from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (Embedding, EmbeddingPlan, Graph, _connected_expansion, components,
                     connected_subsets)
-from .predimension import _closure, closure, delta, delta_rel, is_in_k0, is_self_sufficient
+from .predimension import (_Index, _closure, _member_index, delta, delta_rel,
+                           is_self_sufficient)
 
 
-def _require_zero_ambient(g: Graph):
-    if not is_in_k0(g):
-        raise OutsideK0("ambient is not hereditarily nonnegative")
+def _require_zero_ambient(g: Graph) -> _Index:
+    """The ambient's orientation index, once it is checked in K0 with count 0."""
+    ix = _member_index(g, "ambient is not hereditarily nonnegative")
     if delta(g, g.vertices) != 0:
         raise OutsideK0(f"ambient count is {delta(g, g.vertices)}, expected 0")
+    return ix
 
 
 def is_zero_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
@@ -60,15 +62,14 @@ def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) ->
 # -- blocks and carriers ---------------------------------------------------
 
 
-def _vertex_closures(g: Graph) -> dict:
-    return {v: _closure(g, frozenset([v])).closure for v in g.sorted_vertices()}
+def _vertex_closures(ix: _Index) -> dict:
+    return {v: _closure(ix, frozenset([v])).closure for v in ix.names}
 
 
 def minimally_closed_sets(g: Graph) -> list:
     """The minimal nonempty self-sufficient subsets.  They are exactly the
     per-vertex closures that are closures of each of their own points."""
-    _require_zero_ambient(g)
-    return _blocks(g, _vertex_closures(g))
+    return _blocks(g, _vertex_closures(_require_zero_ambient(g)))
 
 
 def _blocks(g: Graph, blobs: dict) -> list:
@@ -88,8 +89,7 @@ def _blocks(g: Graph, blobs: dict) -> list:
 def connected_zero_sets(g: Graph) -> list:
     """Maximal zero-count subsets not splittable into two self-sufficient
     halves: the unions of overlap components of the per-vertex closures."""
-    _require_zero_ambient(g)
-    return _carriers(g, _vertex_closures(g))
+    return _carriers(g, _vertex_closures(_require_zero_ambient(g)))
 
 
 def _carriers(g: Graph, blobs: dict) -> list:
@@ -201,8 +201,7 @@ def level_chain(
 def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
     """Blocks, carriers and the level chain of every carrier, all derived
     from one pass of per-vertex closures."""
-    _require_zero_ambient(g)
-    blobs = _vertex_closures(g)
+    blobs = _vertex_closures(_require_zero_ambient(g))
     blocks = _blocks(g, blobs)
     carriers = _carriers(g, blobs)
     for b in blocks:
@@ -411,7 +410,7 @@ def base_attachment_pairs(
     over its contacts exactly when it is tight over L.  The witnesses are
     then read off the sets tight over L.  Over any other layer each set of
     contacts with exactly that many edges into d is tried.  Membership of g
-    is checked once, at the first closure taken."""
+    is checked once, if there is a closure to take."""
     cap = limits.max_set_size(max_set)
     pool = carrier - base_layer
     if base_layer <= g.vertices and is_self_sufficient(g, base_layer):
@@ -422,10 +421,9 @@ def base_attachment_pairs(
                  for gen in _count_matched(g, d, base_layer)
                  if is_zero_minimally_algebraic(g, d, gen)]
     out = []
-    close = closure  # checks membership, then hands over to _closure
+    ix = _member_index(g, "closure requires a hereditarily nonnegative ambient") if pairs else None
     for d, gen in pairs:
-        base = close(g, gen).closure
-        close = _closure
+        base = _closure(ix, gen).closure
         if base <= base_layer and not d & base:
             out.append(BaseWitness(base, gen, d, level_index))
     return sorted(

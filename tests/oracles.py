@@ -139,7 +139,8 @@ def brute_strong_extension_count(c, base_image, attach, fixed) -> int:
 # their incremental versions: the search sorts an origin's edges at every
 # breadth-first step, the minimizer recounts each trial from scratch.  They
 # are copied unchanged except that the relative count comes from the edge
-# list here.  Their outputs are observable (closure witness chains,
+# list here, and that the search reports the overloaded point with the
+# smallest name, not the first one in set order.  Their outputs are observable (closure witness chains,
 # orientation witnesses, violating sets), so the fast paths must match them
 # exactly, not just agree on the closure.
 
@@ -151,7 +152,7 @@ def ref_delta_rel(g, b, a) -> int:
 def ref_bounded_orientation(g, verts, load, cap):
     internal = sorted(e for e in g.edges if e[0] in verts and e[1] in verts)
     used = {v: load.get(v, 0) for v in verts}
-    for v in verts:
+    for v in sorted(verts):
         if used[v] > cap:
             return None, frozenset([v])
     assignment: dict = {}

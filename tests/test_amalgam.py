@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+import abinitio
 from abinitio import (
     AmalgamError,
     AmalgamSpec,
     CoefficientMismatch,
+    ConstructionFailed,
     Embedding,
     Graph,
     delta,
@@ -137,3 +139,18 @@ def test_rejects_mismatched_base_or_coefficient():
             left=left, right=three,
             base_in_left=identity_embedding(base, left),
             base_in_right=identity_embedding(base, three)))
+
+
+def test_a_failed_postcondition_raises_by_name(monkeypatch):
+    # survives python -O: the postconditions are raises, not asserts
+    base = Graph(2, [], [])
+    left, right = k_complete(5, prefix="a"), k_complete(5, prefix="b")
+    factors = (left, right)
+    monkeypatch.setattr(abinitio.amalgam, "is_in_k0", lambda g: g in factors)
+    with pytest.raises(ConstructionFailed, match="the amalgam is not hereditarily nonnegative"):
+        free_amalgam(spec_over_shared_base(base, left, right))
+    monkeypatch.undo()
+    monkeypatch.setattr(abinitio.amalgam, "is_self_sufficient",
+                        lambda g, s: g in factors or s != right.vertices)
+    with pytest.raises(ConstructionFailed, match="the right factor is not self-sufficient"):
+        free_amalgam(spec_over_shared_base(base, left, right))

@@ -24,7 +24,8 @@ from abinitio import (
     orientation_witness,
     strong_embeddings,
 )
-from abinitio.predimension import _bounded_orientation
+from abinitio.graph import normalize_edge
+from abinitio.predimension import _Index, _orient
 from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
     brute_closed,
@@ -37,6 +38,15 @@ from oracles import (
     ref_orientation,
     ref_rooted_load,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env(**extra) -> dict:
+    """This environment with the package sources first on the path."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def random_graph(rng, n, m=2, p=0.5, prefix="v"):
@@ -267,6 +277,19 @@ def test_submodularity_of_the_count():
         assert delta(g, a | b) <= delta(g, a) + delta(g, b) - delta(g, a & b)
 
 
+def kernel_orientation(g, verts, load):
+    """The id-indexed search read back into the reference copy's terms:
+    ({edge: origin}, None) or (None, violating set)."""
+    ix = _Index(g)
+    out, violating = _orient(ix, [v in verts for v in ix.names],
+                             [load.get(v, 0) for v in ix.names])
+    if out is None:
+        return None, violating
+    names = ix.names
+    return {normalize_edge(names[x], names[y]): names[x]
+            for x, ys in enumerate(out) for y in ys}, None
+
+
 def test_fast_paths_match_the_reference_copies():
     """Witness chains, orientation witnesses and violating sets are output,
     so the incremental minimizer and the sorted-list orientation search must
@@ -280,13 +303,13 @@ def test_fast_paths_match_the_reference_copies():
     grew = violated = 0
     for g in graphs:
         verts = g.sorted_vertices()
-        assert (_bounded_orientation(g, g.vertices, {}, g.m)
+        assert (kernel_orientation(g, g.vertices, {})
                 == ref_bounded_orientation(g, g.vertices, {}, g.m))
         for _ in range(3):
             a = frozenset(rng.sample(verts, min(len(verts), rng.randint(1, 3))))
             rest = g.vertices - a
             load = ref_rooted_load(g, rest, a)
-            got = _bounded_orientation(g, rest, load, g.m)
+            got = kernel_orientation(g, rest, load)
             assert got == ref_bounded_orientation(g, rest, load, g.m)
             violated += got[0] is None
         if not is_in_k0(g):
@@ -298,6 +321,48 @@ def test_fast_paths_match_the_reference_copies():
             assert chain == ref_closure_chain(g, a)
             grew += len(chain) > 2
     assert grew >= 10 and violated >= 20
+
+
+def test_kernel_matches_the_reference_copies_at_scale():
+    """Tight graphs of 600 to 1,000 shuffled names, with and without a planted
+    clique: whole-graph and rooted searches, the orientation witness and the
+    closure chains all match the reference copies."""
+    rng = random.Random(33)
+    grew = violated = 0
+    for n in (600, 1000):
+        g = tight_graph(rng, n, m=2, window=rng.randint(8, 24), prefix=f"s{n}_")
+        assert orientation_witness(g).orientation == ref_orientation(g)
+        for h in (g, plant_clique(rng, g, prefix=f"s{n}_x")):
+            assert (kernel_orientation(h, h.vertices, {})
+                    == ref_bounded_orientation(h, h.vertices, {}, h.m))
+            for k in (1, 2, 3):
+                a = frozenset(rng.sample(sorted(h.vertices), k))
+                rest = h.vertices - a
+                load = ref_rooted_load(h, rest, a)
+                got = kernel_orientation(h, rest, load)
+                assert got == ref_bounded_orientation(h, rest, load, h.m)
+                violated += got[0] is None
+                if h is g:
+                    chain = closure(g, a).witness_chain
+                    assert chain == ref_closure_chain(g, a)
+                    grew += len(chain) > 2
+    assert grew >= 2 and violated >= 4
+
+
+def test_closure_chains_do_not_depend_on_the_hash_seed():
+    """Six outside points each carry three edges into {a, b, c} at m = 2, so
+    every round finds several overloaded points: it absorbs the one with the
+    smallest name, under any hash seed."""
+    script = (
+        "from abinitio import Graph, closure\n"
+        "xs = [f'x{i}' for i in range(6)]\n"
+        "g = Graph(2, ['a', 'b', 'c'] + xs, [(x, c) for x in xs for c in 'abc'])\n"
+        "print([sorted(s) for s in closure(g, 'abc').witness_chain])\n")
+    chains = [subprocess.run([sys.executable, "-c", script], env=_env(PYTHONHASHSEED=seed),
+                             capture_output=True, text=True, check=True).stdout
+              for seed in ("0", "1")]
+    xs = [f"x{i}" for i in range(6)]
+    assert chains[0] == chains[1] == f"{[['a', 'b', 'c'] + xs[:k] for k in range(7)]}\n"
 
 
 def test_a_closure_round_that_does_not_lower_the_count_fails_by_name(monkeypatch):
@@ -320,13 +385,14 @@ def test_membership_is_checked_once_per_call(monkeypatch):
     zero = random_zero_graph(rng, 16)
     member = tight_graph(rng, 60, m=2, window=8)
     calls = []
+    in_k0 = abinitio.predimension._in_k0
 
-    def counted(g):
-        calls.append(g)
-        return is_in_k0(g)
+    def counted(ix):
+        calls.append(ix.g)
+        return in_k0(ix)
 
-    for module in (abinitio.predimension, abinitio.zero_decomposition):
-        monkeypatch.setattr(module, "is_in_k0", counted)
+    # every membership check, public or behind closure and decompose, runs here
+    monkeypatch.setattr(abinitio.predimension, "_in_k0", counted)
     geometric_closure_bounded(member, member.sorted_vertices()[:2])
     assert calls == [member]
     calls.clear()
@@ -351,10 +417,9 @@ def test_membership_is_checked_once_per_call(monkeypatch):
 
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="already running with asserts stripped")
 def test_this_module_passes_with_asserts_stripped():
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_predimension.py", "tests/test_zero_decomposition.py"],
-        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+         "tests/test_predimension.py", "tests/test_zero_decomposition.py",
+         "tests/test_amalgam.py"],
+        cwd=ROOT, env=_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
