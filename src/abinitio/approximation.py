@@ -18,8 +18,6 @@ from .graph import (
     Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, enumerate_embeddings, fresh_name)
 from .predimension import closure, delta_rel, is_in_k0, is_self_sufficient
 
-_UNBOUNDED = 10**9
-
 
 # -- realizing pattern extensions --------------------------------------------
 
@@ -83,8 +81,8 @@ def pattern_catalog(m: int, size_budget: int) -> tuple:
             g = Graph(m, names, edges)
             if not is_in_k0(g):
                 continue
-            if any(len(h.edges) == len(g.edges) and plan.first(g, max_target=_UNBOUNDED)
-                   is not None for h, plan in found):
+            if any(len(h.edges) == len(g.edges) and plan.first(g) is not None
+                   for h, plan in found):
                 continue
             found.append((g, EmbeddingPlan(g)))
         out.extend(g for g, _ in found)
@@ -95,7 +93,7 @@ def pattern_catalog(m: int, size_budget: int) -> tuple:
 def _base_choices(ext: Graph) -> list:
     """Self-sufficient subsets of the extension pattern, one per orbit of its
     automorphism group."""
-    autos = [e.as_dict() for e in enumerate_embeddings(ext, ext, max_target=_UNBOUNDED)]
+    autos = [e.as_dict() for e in enumerate_embeddings(ext, ext)]
     chosen = []
     emitted = set()
     for size in range(len(ext.vertices) + 1):
@@ -137,14 +135,13 @@ def build_approximation(
         queue = []
         for ext, base_pattern, plan in pairs:
             placements = enumerate_embeddings(
-                base_pattern, snapshot, strong_only=True,
-                is_strong=is_self_sufficient, max_target=_UNBOUNDED)
+                base_pattern, snapshot, strong_only=True, is_strong=is_self_sufficient)
             for at in placements:
                 queue.append((ext, base_pattern, plan, at.as_dict()))
         for ext, base_pattern, plan, at_map in queue:
             # an empty map counts as no placement, so the empty pattern is
             # realized (as a no-op) every round
-            if plan.first(current, at_map, is_self_sufficient, _UNBOUNDED):
+            if plan.first(current, at_map, is_self_sufficient):
                 continue
             if len(current.vertices) + len(ext.vertices) - len(at_map) > max_ambient:
                 truncated = True
@@ -171,7 +168,7 @@ def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
     a fresh copy of the closure increment when no internal image fits."""
     n = closure(ambient, frozenset(phi) | {v}).closure
     plan = EmbeddingPlan(ambient.induced(n), pinned=phi)
-    hit = plan.first(ambient, phi, is_self_sufficient, _UNBOUNDED)
+    hit = plan.first(ambient, phi, is_self_sufficient)
     if hit is not None:
         return ambient, hit
     new_part = n - frozenset(phi)
@@ -185,7 +182,7 @@ def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
 
 def _total_extension(ambient: Graph, phi: dict) -> Embedding | None:
     """The first automorphism of the ambient extending phi, or None."""
-    total = EmbeddingPlan(ambient, pinned=phi).first(ambient, phi, max_target=_UNBOUNDED)
+    total = EmbeddingPlan(ambient, pinned=phi).first(ambient, phi)
     if total is None:
         return None
     gamma = Embedding.build(ambient, ambient, total)

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Every verb reads canonical JSON files, writes one JSON document to standard
-output carrying a schema tag and the sha256 of each input, and signals
-precondition failures with exit 1 and parse problems with exit 2.
+Every verb reads canonical JSON files and writes one JSON document to
+standard output carrying a schema tag and the sha256 of each input.  Exit
+codes: 0 on success, 1 for a precondition or construction failure, 2 for
+input that cannot be parsed, 3 for an internal failure (a recursion depth
+exceeded or a broken invariant).  Each failure writes a
+{"schema": 1, "error": {...}} document.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .extension import EPCertificate, EPProblem, ep_extend
 from .graph import (
     Embedding, Graph, PartialIso, canonical_json, export_dot)
 from .limits import DEFAULT_MAX_AMBIENT
+from .oracles import brute_closed, brute_closure, brute_in_k0
 from .predimension import (
     closure, delta, delta_rel, dimension, geometric_closure_bounded,
     is_in_k0, is_self_sufficient, orientation_witness)
@@ -161,7 +165,7 @@ def _cmd_mu(args) -> int:
     g = Graph.from_json_dict(data["graph"], m_override=args.m)
     base = data["base"]
     alpha = Embedding.build(g.induced(base), g, dict(map(tuple, data["alpha"])))
-    value = mu_count(g, base, data["attach"], alpha, max_target=args.max_target)
+    value = mu_count(g, base, data["attach"], alpha)
     _emit(args, {"mu": value}, [args.file])
     return 0
 
@@ -234,43 +238,13 @@ def _random_graph(rng: random.Random, n: int, m: int, p: float) -> Graph:
     return Graph(m, names, edges)
 
 
-def _brute_in_k0(g: Graph) -> bool:
-    verts = g.sorted_vertices()
-    for k in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, k):
-            if delta(g, combo) < 0:
-                return False
-    return True
-
-
-def _brute_closed(g: Graph, a: frozenset) -> bool:
-    rest = sorted(g.vertices - a)
-    base = delta(g, a)
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            if delta(g, a | frozenset(combo)) < base:
-                return False
-    return True
-
-
-def _brute_closure(g: Graph, a: frozenset) -> frozenset:
-    out = frozenset(g.vertices)
-    rest = sorted(g.vertices - a)
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            s = a | frozenset(combo)
-            if len(s) < len(out) and _brute_closed(g, s):
-                out = s
-    return out
-
-
 def _suite_orientation(rng: random.Random) -> tuple:
     passed = failed = 0
     for _ in range(60):
         g = _random_graph(rng, rng.randint(0, 6), rng.choice([2, 3]), rng.random())
-        ok = is_in_k0(g) == _brute_in_k0(g)
+        ok = is_in_k0(g) == brute_in_k0(g)
         sub = frozenset(v for v in g.vertices if rng.random() < 0.5)
-        ok = ok and is_self_sufficient(g, sub) == _brute_closed(g, sub)
+        ok = ok and is_self_sufficient(g, sub) == brute_closed(g, sub)
         passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
     return passed, failed
 
@@ -284,7 +258,7 @@ def _suite_closure(rng: random.Random) -> tuple:
             continue
         done += 1
         a = frozenset(v for v in g.vertices if rng.random() < 0.4)
-        ok = closure(g, a).closure == _brute_closure(g, a)
+        ok = closure(g, a).closure == brute_closure(g, a)
         passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
     return passed, failed
 
@@ -439,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("mu", _cmd_mu, help="strong extension count from a spec file")
     p.add_argument("file", help="spec JSON with graph/base/attach/alpha")
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--max-target", type=int, default=None)
 
     p = verb("ep-extend", _cmd_ep_extend,
              help="solve an extension problem, emitting a certificate")
@@ -482,22 +455,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _fail(exc: Exception, code: int) -> int:
+    error = {"type": exc.__class__.__name__, "message": str(exc)}
+    if isinstance(exc, ConstructionFailed):
+        error["stage_log"] = exc.stage_log
+    sys.stdout.write(canonical_json({"schema": 1, "error": error}))
+    return code
+
+
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except AbinitioError as exc:
-        error = {"type": exc.__class__.__name__, "message": str(exc)}
-        if isinstance(exc, ConstructionFailed):
-            error["stage_log"] = exc.stage_log
-        sys.stdout.write(canonical_json({"schema": 1, "error": error}))
-        return 1
+        return _fail(exc, 1)
     except (ValueError, KeyError, TypeError, OSError) as exc:
-        sys.stdout.write(canonical_json({
-            "schema": 1,
-            "error": {"type": exc.__class__.__name__, "message": str(exc)},
-        }))
-        return 2
+        return _fail(exc, 2)
+    except (RecursionError, AssertionError) as exc:
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

@@ -25,10 +25,6 @@ class InvalidMap(AbinitioError):
     """An embedding or partial isomorphism violates its invariants."""
 
 
-class SizeCeilingExceeded(AbinitioError):
-    """A configured size ceiling would be exceeded by this computation."""
-
-
 class AmalgamError(AbinitioError):
     """A free amalgam specification failed eager validation."""
 

@@ -28,7 +28,6 @@ from .zero_decomposition import (
     uniform_algebraicity_report,
 )
 
-_UNBOUNDED = 10**9
 _MAX_SWEEP_PASSES = 32
 _MAX_COPIES_PER_ROW = 4096
 
@@ -221,8 +220,7 @@ def build_base_stage(
         pattern = a.induced(bl)
         mu.append({
             "block": sorted(bl),
-            "count": EmbeddingPlan(pattern).count(
-                a, is_strong=is_self_sufficient, max_target=_UNBOUNDED),
+            "count": EmbeddingPlan(pattern).count(a, is_strong=is_self_sufficient),
         })
 
     plans = []  # (map_index, kind, original blocks, chain vertex maps)
@@ -312,8 +310,7 @@ def _pattern_multiplicity(b: Graph, base: frozenset, gen: frozenset,
     """Self-matchings of the attachment fixing the generator pointwise; the
     amount one fresh copy adds to a placement's extension count."""
     pattern = b.induced(gen | attachment)
-    return EmbeddingPlan(pattern, pinned=gen).count(
-        pattern, fixed={x: x for x in gen}, max_target=_UNBOUNDED)
+    return EmbeddingPlan(pattern, pinned=gen).count(pattern, fixed={x: x for x in gen})
 
 
 def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
@@ -332,9 +329,8 @@ def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
     base_plan = EmbeddingPlan(b.induced(base))
     plan = EmbeddingPlan(b.induced(base | att), pinned=base)
     for _ in range(_MAX_SWEEP_PASSES):
-        alphas = [dict(p) for p in base_plan.pairs(
-            b, is_strong=is_self_sufficient, max_target=_UNBOUNDED)]
-        counts = _placement_counts(b, base, att, alphas, plan, _UNBOUNDED)
+        alphas = [dict(p) for p in base_plan.pairs(b, is_strong=is_self_sufficient)]
+        counts = _placement_counts(b, base, att, alphas, plan)
         nu = max(counts)
         if min(counts) == nu:
             return b, nu
@@ -483,8 +479,7 @@ def build_level_stage(
     added_log: list = []
     rows_log: list = []
     for _ in range(_MAX_SWEEP_PASSES):
-        report = uniform_algebraicity_report(
-            b, q + 1, max_set=max_set, max_target=_UNBOUNDED)
+        report = uniform_algebraicity_report(b, q + 1, max_set=max_set)
         bad = [row for row in report if not row[2]]
         if not bad:
             rows_log = [{

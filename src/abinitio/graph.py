@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import CoefficientMismatch, InvalidMap, SizeCeilingExceeded, UnknownVertex
-from . import limits
+from .errors import CoefficientMismatch, InvalidMap, UnknownVertex
 
 VertexSet = frozenset  # frozenset[str]; members must belong to an ambient graph
 
@@ -292,11 +291,7 @@ class PartialIso:
 # -- embedding enumeration ----------------------------------------------
 
 
-def _check_target(a: Graph, c: Graph, max_target: int | None) -> None:
-    ceiling = limits.max_target(max_target)
-    if len(c.vertices) > ceiling:
-        raise SizeCeilingExceeded(
-            f"target has {len(c.vertices)} vertices, ceiling is {ceiling}")
+def _check_coefficient(a: Graph, c: Graph) -> None:
     if a.m != c.m:
         raise CoefficientMismatch(f"coefficients differ: {a.m} vs {c.m}")
 
@@ -431,11 +426,10 @@ class EmbeddingPlan:
         extend(0)
 
     def pairs(self, c: Graph, fixed: dict | None = None,
-              is_strong: Callable | None = None,
-              max_target: int | None = None) -> list:
+              is_strong: Callable | None = None) -> list:
         """Every embedding as its sorted (vertex, image) pairs, in canonical
         (sorted) order; with is_strong, only those whose image passes it."""
-        _check_target(self.pattern, c, max_target)
+        _check_coefficient(self.pattern, c)
         names, by_name = sorted(self.order), self._by_name
         found: list = []
         strong: dict = {}
@@ -455,17 +449,15 @@ class EmbeddingPlan:
         return found
 
     def embeddings(self, c: Graph, fixed: dict | None = None,
-                   is_strong: Callable | None = None,
-                   max_target: int | None = None) -> list:
+                   is_strong: Callable | None = None) -> list:
         """pairs() as Embeddings."""
-        return [Embedding(self.pattern, c, p) for p in self.pairs(c, fixed, is_strong, max_target)]
+        return [Embedding(self.pattern, c, p) for p in self.pairs(c, fixed, is_strong)]
 
     def count(self, c: Graph, fixed: dict | None = None,
-              is_strong: Callable | None = None,
-              max_target: int | None = None) -> int:
+              is_strong: Callable | None = None) -> int:
         """The number of embeddings() without building them; strength is
         tested once per image set."""
-        _check_target(self.pattern, c, max_target)
+        _check_coefficient(self.pattern, c)
         per_image: dict = {}
 
         def emit(img):
@@ -478,11 +470,10 @@ class EmbeddingPlan:
         return sum(k for image, k in per_image.items() if is_strong(c, image))
 
     def first(self, c: Graph, fixed: dict | None = None,
-              is_strong: Callable | None = None,
-              max_target: int | None = None) -> dict | None:
+              is_strong: Callable | None = None) -> dict | None:
         """The map of embeddings(c, fixed, is_strong)[0], or None when there
         is none; the search stops at its first hit, testing strength there."""
-        _check_target(self.pattern, c, max_target)
+        _check_coefficient(self.pattern, c)
 
         def emit(img):
             if is_strong is None or is_strong(c, frozenset(img)):
@@ -501,13 +492,12 @@ def enumerate_embeddings(
     strong_only: bool = False,
     is_strong: Callable | None = None,
     fixed: dict | None = None,
-    max_target: int | None = None,
 ) -> list[Embedding]:
     """All induced embeddings of a into c, in canonical order.
 
     With strong_only, keep only embeddings whose image passes is_strong
     (default: self-sufficiency of the image in c).  fixed pins part of the
-    map in advance.  Targets above the size ceiling are rejected.
+    map in advance.
 
     The search runs an EmbeddingPlan compiled for a with the keys of fixed
     pinned, whose pairs() re-sorts its hits into the canonical order every
@@ -519,7 +509,7 @@ def enumerate_embeddings(
         is_strong = is_self_sufficient
     fixed = dict(fixed or {})
     plan = EmbeddingPlan(a, pinned=fixed)
-    return plan.embeddings(c, fixed, is_strong if strong_only else None, max_target)
+    return plan.embeddings(c, fixed, is_strong if strong_only else None)
 
 
 # -- fresh names and adjoined copies -------------------------------------

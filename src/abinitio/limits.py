@@ -1,16 +1,14 @@
-"""Size ceilings that keep exponential searches finite: the target size of
-embedding enumeration and the candidate size of connected-subset scans.
+"""The one size ceiling, and the default size of approximation chains.
 
-Every ceiling can be overridden per call; the module defaults can in turn
-be overridden through ``ABINITIO_MAX_TARGET`` and ``ABINITIO_MAX_SET_SIZE``
-so command-line runs can relax them without code changes.  Closure,
-dimension and decomposition are polynomial and have no ceiling.
+Connected-subset scans enumerate subsets of a pool, which is exponential in
+the pool, so they consider candidates of at most ``max_set`` vertices.  The
+ceiling can be overridden per call, and its default through
+``ABINITIO_MAX_SET_SIZE``.  Closure, dimension, decomposition and embedding
+enumeration have no ceiling: the first three are polynomial, and the cost of
+an embedding search is set by the pattern the caller chooses.
 """
 
 import os
-
-# Largest target graph accepted by embedding enumeration by default.
-DEFAULT_MAX_TARGET = 24
 
 # Default number of vertices an approximation chain may grow to.
 DEFAULT_MAX_AMBIENT = 24
@@ -33,12 +31,6 @@ def _env_int(name: str, fallback: int) -> int:
     if value < 0:
         raise ValueError(f"{var} must be a nonnegative integer, got {raw!r}")
     return value
-
-
-def max_target(override: "int | None" = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("MAX_TARGET", DEFAULT_MAX_TARGET)
 
 
 def max_set_size(override: "int | None" = None) -> int:

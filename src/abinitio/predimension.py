@@ -283,7 +283,6 @@ def geometric_closure_bounded(g: Graph, a: Iterable[str]) -> frozenset:
         v for v in ix.names if delta(g, _closure(ix, aa | {v}).closure) == base)
 
 
-def strong_embeddings(a: Graph, c: Graph, max_target: int | None = None) -> list:
+def strong_embeddings(a: Graph, c: Graph) -> list:
     """Induced embeddings of a into c whose image is self-sufficient."""
-    return enumerate_embeddings(
-        a, c, strong_only=True, is_strong=is_self_sufficient, max_target=max_target)
+    return enumerate_embeddings(a, c, strong_only=True, is_strong=is_self_sufficient)

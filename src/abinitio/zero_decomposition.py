@@ -319,7 +319,6 @@ def mu_count(
     a_image: Iterable[str],
     b_image: Iterable[str],
     alpha: Embedding,
-    max_target: int | None = None,
 ) -> int:
     """How many self-sufficient copies of the combined pattern on a+b extend
     the given self-sufficient placement of the base pattern on a."""
@@ -334,7 +333,7 @@ def mu_count(
         raise InvalidMap("alpha is not induced")
     if not is_self_sufficient(c, alpha.image):
         raise InvalidMap("alpha is not strong: image is not self-sufficient")
-    return count_strong_extensions(c, aa, bb, alpha.as_dict(), max_target=max_target)
+    return count_strong_extensions(c, aa, bb, alpha.as_dict())
 
 
 def count_strong_extensions(
@@ -342,7 +341,6 @@ def count_strong_extensions(
     base: frozenset,
     attach: frozenset,
     fixed: dict,
-    max_target: int | None = None,
     plan: EmbeddingPlan | None = None,
 ) -> int:
     """How many strong embeddings of the pattern c.induced(base | attach)
@@ -351,11 +349,11 @@ def count_strong_extensions(
     built and compiled once rather than per placement."""
     if plan is None:
         plan = EmbeddingPlan(c.induced(base | attach), pinned=base)
-    return plan.count(c, fixed, is_strong=is_self_sufficient, max_target=max_target)
+    return plan.count(c, fixed, is_strong=is_self_sufficient)
 
 
 def _placement_counts(c: Graph, base: frozenset, att: frozenset, placements: list,
-                      plan: EmbeddingPlan, max_target: int | None) -> list:
+                      plan: EmbeddingPlan) -> list:
     """count_strong_extensions for each placement f (a dict on base), once per
     key: f's image set and the images of the contacts, the base vertices with
     a neighbour in att, in name order.  The pattern constrains att only by
@@ -367,7 +365,7 @@ def _placement_counts(c: Graph, base: frozenset, att: frozenset, placements: lis
     for f in placements:
         key = (frozenset(f.values()), tuple([f[x] for x in contacts]))
         if key not in memo:
-            memo[key] = count_strong_extensions(c, base, att, f, max_target=max_target, plan=plan)
+            memo[key] = count_strong_extensions(c, base, att, f, plan=plan)
         counts.append(memo[key])
     return counts
 
@@ -445,7 +443,6 @@ def uniform_algebraicity_report(
     g: Graph,
     i: int,
     max_set: int | None = None,
-    max_target: int | None = None,
 ) -> list:
     """Per (base, attachment type): the extension count over every strong
     placement of the base pattern, and whether all counts agree.  Each base's
@@ -464,9 +461,9 @@ def uniform_algebraicity_report(
         for w in _dedupe_witnesses(g, witnesses):
             if w.base not in placements:
                 placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
-                    g, is_strong=is_self_sufficient, max_target=max_target)]
+                    g, is_strong=is_self_sufficient)]
             plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
             counts = _placement_counts(
-                g, w.base, w.zero_minimal_set, placements[w.base], plan, max_target)
+                g, w.base, w.zero_minimal_set, placements[w.base], plan)
             rows.append((w, counts, len(set(counts)) <= 1))
     return rows

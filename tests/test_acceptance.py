@@ -371,8 +371,7 @@ def test_criterion_07_extension_property_corpus():
                     failures.append((label, "base-orbit", piece))
         for lg in cert.stage_log[1:]:
             bq = Graph.from_json_dict(lg["graph"])
-            rows = uniform_algebraicity_report(
-                bq, lg["stage"], max_target=10 ** 9)
+            rows = uniform_algebraicity_report(bq, lg["stage"])
             if not all(r[2] for r in rows):
                 failures.append((label, "non-uniform", lg["stage"]))
             for mc in lg["map_cycles"]:

@@ -174,6 +174,15 @@ def test_mu(tmp_path, capsys):
     rc, doc, _ = run(capsys, ["mu", path])
     assert rc == 0 and doc["mu"] == 1
 
+    # four more blocks take the ambient to 26 vertices; the count is the same
+    for prefix in "bcde":
+        block = k5_dict(prefix)
+        spec["graph"]["vertices"] += block["vertices"]
+        spec["graph"]["edges"] += block["edges"]
+    path = write(tmp_path, "mu26.json", spec)
+    rc, doc, _ = run(capsys, ["mu", path])
+    assert rc == 0 and doc["mu"] == 1
+
 
 def test_ep_extend_then_verify(tmp_path, capsys):
     problem = {
@@ -321,6 +330,25 @@ def test_construction_failure_reports_its_stage_log(tmp_path, capsys, monkeypatc
     path = write(tmp_path, "bad.json", {"m": 2, "vertices": ["a"], "edges": [["a", "b"]]})
     rc, doc, _ = run(capsys, ["delta", path])
     assert rc == 1 and set(doc["error"]) == {"type", "message"}
+
+
+def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broken")
+
+    path = write(tmp_path, "g.json", k5_dict())
+    monkeypatch.setattr(cli, "extend_partial_iso", too_deep)
+    rc, doc, _ = run(capsys, ["extend-iso", path, "--map", "a0=a0"])
+    assert rc == 3
+    assert doc == {"schema": 1, "error": {
+        "type": "RecursionError", "message": "maximum recursion depth exceeded"}}
+    monkeypatch.setattr(cli, "closure", broken)
+    rc, doc, _ = run(capsys, ["closure", path, "--set", "a0"])
+    assert rc == 3
+    assert doc["error"] == {"type": "AssertionError", "message": "invariant broken"}
 
 
 def test_graph_roundtrip_through_cli(tmp_path, capsys):

@@ -11,7 +11,6 @@ from abinitio import (
     Graph,
     InvalidMap,
     PartialIso,
-    SizeCeilingExceeded,
     UnknownVertex,
     components,
     connected_subsets,
@@ -149,22 +148,15 @@ def test_enumerate_embeddings_fixed_and_ceiling():
     pinned = enumerate_embeddings(a, c, fixed={"p0": "v2"})
     assert all(e("p0") == "v2" for e in pinned)
     assert len(pinned) == 3
-    with pytest.raises(SizeCeilingExceeded):
-        enumerate_embeddings(a, c, max_target=3)
     with pytest.raises(CoefficientMismatch):
         enumerate_embeddings(k_complete(2, m=3), c)
 
 
 def test_size_ceiling_env_values_are_checked(monkeypatch):
-    a = k_complete(2, prefix="p")
-    c = k_complete(4)
-    monkeypatch.setenv("ABINITIO_MAX_TARGET", "3")
-    with pytest.raises(SizeCeilingExceeded):
-        enumerate_embeddings(a, c)
     for raw in ("-3", "junk", "2.5", ""):
-        monkeypatch.setenv("ABINITIO_MAX_TARGET", raw)
-        with pytest.raises(ValueError, match="ABINITIO_MAX_TARGET"):
-            enumerate_embeddings(a, c)
+        monkeypatch.setenv("ABINITIO_MAX_SET_SIZE", raw)
+        with pytest.raises(ValueError, match="ABINITIO_MAX_SET_SIZE"):
+            limits.max_set_size()
     monkeypatch.setenv("ABINITIO_MAX_SET_SIZE", "-1")
     with pytest.raises(ValueError, match="ABINITIO_MAX_SET_SIZE"):
         limits.max_set_size()
@@ -173,10 +165,25 @@ def test_size_ceiling_env_values_are_checked(monkeypatch):
         limits.max_set_size(-3)
 
 
-def _random_graph(rng, prefix, n, m):
+def _random_graph(rng, prefix, n, m, p=None):
     names = [f"{prefix}{i}" for i in range(n)]
-    p = rng.choice([0.2, 0.5, 0.8])
+    if p is None:
+        p = rng.choice([0.2, 0.5, 0.8])
     return Graph(m, names, [e for e in itertools.combinations(names, 2) if rng.random() < p])
+
+
+def _connected_pattern(rng, c, k):
+    """A connected induced subgraph of c on at most k vertices, renamed
+    p0, p1, ... in a random order."""
+    picked = [rng.choice(c.sorted_vertices())]
+    while len(picked) < k:
+        frontier = sorted(frozenset().union(*(c.neighbors(v) for v in picked)) - set(picked))
+        if not frontier:
+            break
+        picked.append(rng.choice(frontier))
+    rng.shuffle(picked)
+    name = {v: f"p{i}" for i, v in enumerate(picked)}
+    return Graph(c.m, name.values(), [(name[u], name[v]) for u, v in c.induced(picked).edges])
 
 
 def _vf2_embeddings(a, c):
@@ -203,31 +210,46 @@ def test_matcher_against_vf2():
         m = rng.choice([2, 3])
         a = _random_graph(rng, "p", rng.randint(1, 5), m)
         c = _random_graph(rng, "t", rng.randint(1, 9), m)
-        reference = _vf2_embeddings(a, c)
-        fixed = {}
-        if trial % 3:
-            pins = rng.sample(a.sorted_vertices(), rng.randint(1, min(2, len(a.vertices))))
-            if reference and trial % 2:
-                f = dict(rng.choice(sorted(reference)))
-                fixed = {p: f[p] for p in pins}
-            else:
-                fixed = {p: rng.choice(c.sorted_vertices()) for p in pins}
-        for strong_only in (False, True):
-            expect = {pairs for pairs in reference
-                      if all(dict(pairs)[p] == t for p, t in fixed.items())}
-            if strong_only:
-                expect = {pairs for pairs in expect
-                          if closed(c, frozenset(t for _, t in pairs))}
-            got = enumerate_embeddings(a, c, strong_only=strong_only, fixed=fixed)
-            got_pairs = [e.pairs for e in got]
-            assert set(got_pairs) == expect
-            assert got_pairs == sorted(got_pairs)
-            plan = EmbeddingPlan(a, pinned=fixed)
-            is_strong = is_self_sufficient if strong_only else None
-            assert plan.count(c, fixed, is_strong=is_strong) == len(got)
-            assert plan.pairs(c, fixed, is_strong=is_strong) == [
-                e.pairs for e in plan.embeddings(c, fixed, is_strong=is_strong)]
-            assert plan.first(c, fixed, is_strong) == (dict(got[0].pairs) if got else None)
+        _check_matcher_against_vf2(rng, trial, a, c, closed)
+    # sparse targets of 25-32 vertices with no size limit set, and connected
+    # patterns so the embeddings stay a few thousand; brute_closed is
+    # exponential at this size, so strength is checked with the package's
+    # own test and only the matcher is under comparison
+    rng = random.Random(2532)
+    for trial in range(10):
+        c = _random_graph(rng, "t", rng.randint(25, 32), rng.choice([2, 3]), p=0.15)
+        a = _connected_pattern(rng, c, rng.randint(1, 4))
+        _check_matcher_against_vf2(rng, trial, a, c, is_self_sufficient)
+
+
+def _check_matcher_against_vf2(rng, trial, a, c, closed):
+    """enumerate_embeddings and the plan's pairs, count and first against
+    VF2, plain and strong, with pins chosen by the trial number."""
+    reference = _vf2_embeddings(a, c)
+    fixed = {}
+    if trial % 3:
+        pins = rng.sample(a.sorted_vertices(), rng.randint(1, min(2, len(a.vertices))))
+        if reference and trial % 2:
+            f = dict(rng.choice(sorted(reference)))
+            fixed = {p: f[p] for p in pins}
+        else:
+            fixed = {p: rng.choice(c.sorted_vertices()) for p in pins}
+    for strong_only in (False, True):
+        expect = {pairs for pairs in reference
+                  if all(dict(pairs)[p] == t for p, t in fixed.items())}
+        if strong_only:
+            expect = {pairs for pairs in expect
+                      if closed(c, frozenset(t for _, t in pairs))}
+        got = enumerate_embeddings(a, c, strong_only=strong_only, fixed=fixed)
+        got_pairs = [e.pairs for e in got]
+        assert set(got_pairs) == expect
+        assert got_pairs == sorted(got_pairs)
+        plan = EmbeddingPlan(a, pinned=fixed)
+        is_strong = is_self_sufficient if strong_only else None
+        assert plan.count(c, fixed, is_strong=is_strong) == len(got)
+        assert plan.pairs(c, fixed, is_strong=is_strong) == [
+            e.pairs for e in plan.embeddings(c, fixed, is_strong=is_strong)]
+        assert plan.first(c, fixed, is_strong) == (dict(got[0].pairs) if got else None)
 
 
 def test_first_self_map_is_lex_first_automorphism():

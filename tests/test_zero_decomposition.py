@@ -414,7 +414,7 @@ def test_keyed_counts_match_direct_counts():
             placements = [dict(p) for p in EmbeddingPlan(g.induced(base)).pairs(
                 g, is_strong=is_self_sufficient)]
             direct = [count_strong_extensions(g, base, att, f, plan=plan) for f in placements]
-            assert _placement_counts(g, base, att, placements, plan, None) == direct
+            assert _placement_counts(g, base, att, placements, plan) == direct
             rows += 1
             partial += len(_contacts(g, base, att)) < len(base)
     assert rows >= 300 and partial >= 150
