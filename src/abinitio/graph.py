@@ -569,42 +569,23 @@ def connected_subsets(g: Graph, pool: frozenset, max_size: int) -> Iterator[froz
     """All subsets of pool that induce a connected subgraph, up to max_size.
 
     Connectivity is within the subset itself.  Classic expansion with an
-    exclusion frontier, so each subset is produced exactly once.
-    """
-    for s, _ in _connected_expansion(g, pool, max_size):
-        yield s
-
-
-def _connected_expansion(g: Graph, pool: frozenset, max_size: int,
-                         over: frozenset | None = None) -> Iterator[tuple]:
-    """The expansion behind connected_subsets, yielding each subset s with
-    its count over `over`, m*|s| - e(s) - e(s, over), carried as it grows.
-    It runs on an explicit stack of frames (frontier, next position in it,
-    banned set, count of the set grown), so no size limit meets the
-    recursion limit.
-
-    With over given, a subset counting <= 0 is yielded but not grown, and a
-    point counting <= 0 alone joins no larger set.  Each subset is reached
-    through a chain of its proper connected parts, so this skips only
-    subsets with a proper part counting <= 0, never one relatively tight
-    over `over`; the rest come in the same order as without over.
+    exclusion frontier, so each subset is produced exactly once.  It runs on
+    an explicit stack of frames (frontier, next position in it, banned set),
+    so no size limit meets the recursion limit.
     """
     pool = g.check_subset(pool)
-    adj, m = g._adj, g.m
-    anchor = frozenset() if over is None else over
-    live = pool if over is None else frozenset(v for v in pool if m > len(adj[v] & anchor))
+    adj = g._adj
     banned: set = set()
     for root in sorted(pool):
         current = {root}
-        rel = m - len(adj[root] & anchor)
-        yield frozenset(current), rel
+        yield frozenset(current)
         stack = []
-        if max_size > 1 and (over is None or rel > 0):
-            stack.append([sorted((adj[root] & live) - banned - current), 0, set(banned), rel])
+        if max_size > 1:
+            stack.append([sorted((adj[root] & pool) - banned - current), 0, set(banned)])
         banned.add(root)
         while stack:
             top = stack[-1]
-            frontier, i, local_banned, rel = top
+            frontier, i, local_banned = top
             if i:
                 # back from the branches through frontier[i - 1]
                 current.discard(frontier[i - 1])
@@ -615,13 +596,11 @@ def _connected_expansion(g: Graph, pool: frozenset, max_size: int,
             top[1] = i + 1
             v = frontier[i]
             rest = frontier[i + 1:]
-            near = adj[v]
-            rel += m - len(near & current) - len(near & anchor)
             current.add(v)
-            yield frozenset(current), rel
-            if len(current) < max_size and (over is None or rel > 0):
-                extra = sorted((near & live) - current - local_banned - set(rest))
-                stack.append([rest + extra, 0, set(local_banned), rel])
+            yield frozenset(current)
+            if len(current) < max_size:
+                extra = sorted((adj[v] & pool) - current - local_banned - set(rest))
+                stack.append([rest + extra, 0, set(local_banned)])
 
 
 def components(g: Graph, pool: Iterable[str]) -> list:

@@ -1,7 +1,10 @@
 """The one size ceiling, and the default size of approximation chains.
 
 Connected-subset scans enumerate subsets of a pool, which is exponential in
-the pool, so they consider candidates of at most ``max_set`` vertices.  The
+the pool, so they consider candidates of at most ``max_set`` vertices: those
+of ``hull`` and of the witnesses over a layer that is not self-sufficient.
+The sets tight over a self-sufficient layer come from one orientation, with
+no scan, so in ``decompose`` ``max_set`` only filters their sizes.  The
 ceiling can be overridden per call, and its default through
 ``ABINITIO_MAX_SET_SIZE``.  Closure, dimension, decomposition and embedding
 enumeration have no ceiling: the first three are polynomial, and the cost of
@@ -13,7 +16,7 @@ import os
 # Default number of vertices an approximation chain may grow to.
 DEFAULT_MAX_AMBIENT = 24
 
-# Largest candidate set considered when searching for relatively-tight sets.
+# Largest candidate set scanned, or tight set absorbed, by default.
 DEFAULT_MAX_SET_SIZE = 8
 
 _ENV_PREFIX = "ABINITIO_"

@@ -3,8 +3,10 @@
 A subset is self-sufficient when no superset has a strictly smaller count.
 Membership questions reduce to bounded-outdegree edge orientations, found by
 augmenting-path reassignment on vertex ids in name order (one index per public
-call, shared by all its searches); the closure absorbs inclusion-minimal
-strictly-decreasing extensions extracted from orientation failure regions.
+call, shared by all its searches).  The sets tight over a self-sufficient set
+are the saturated sink strong components of the orientation rooted at it; the
+closure absorbs inclusion-minimal strictly-decreasing extensions extracted
+from orientation failure regions.
 """
 
 from __future__ import annotations
@@ -121,6 +123,53 @@ def _orient(ix: _Index, inside: list, load: list):
             out[w].append(v if w == u else u)  # edges arrive sorted: it sorts last
             used[w] += 1
     return out, None
+
+
+def _tight_components(ix: _Index, base: Iterable[str]) -> list | None:
+    """The sets relatively tight over base, by least name; None when base is
+    not self-sufficient, that is when the orientation rooted at it fails.
+
+    With edges into base counted on their outside end, a set outside base
+    counts over it the sum of m - outdegree over its points plus the number
+    of edges leaving it.  So the tight sets, the minimal ones counting 0, are
+    the strong components no edge leaves whose points are all saturated:
+    Tarjan's search, on an explicit stack, finds them in linear time."""
+    inside, load = _rooted(ix, base)
+    out, _ = _orient(ix, inside, load)
+    if out is None:
+        return None
+    m, n = ix.g.m, len(ix.names)
+    order, low, comp = [0] * n, [0] * n, [-1] * n  # order 0: not yet visited
+    pending, found, visits = [], [], 0
+    for root in compress(range(n), inside):
+        if order[root]:
+            continue
+        work = [(root, iter(out[root]))]
+        pending.append(root)
+        order[root] = low[root] = visits = visits + 1
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not order[w]:
+                    work.append((w, iter(out[w])))
+                    pending.append(w)
+                    order[w] = low[w] = visits = visits + 1
+                    break
+                if comp[w] < 0:  # still pending: in v's component or above it
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == order[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(pending.pop())
+                        comp[members[-1]] = v
+                    if all(load[x] + len(out[x]) == m and all(comp[y] == v for y in out[x])
+                           for x in members):
+                        found.append(sorted(members))
+    return [frozenset(ix.names[x] for x in c) for c in sorted(found)]
 
 
 def _in_k0(ix: _Index) -> bool:

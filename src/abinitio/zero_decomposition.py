@@ -1,10 +1,12 @@
 """Structure theory of graphs whose total count is zero.
 
 Inside a hereditarily nonnegative graph with total count zero, the nonempty
-self-sufficient subsets are exactly the zero-count subsets.  They form a
-set-union lattice generated by the per-vertex closures, which yields the
-minimally closed blocks, the maximal connected zero sets, accretion levels,
-hulls, and the uniformity bookkeeping for relatively-tight attachments.
+self-sufficient subsets are exactly the zero-count subsets.  The sets tight
+over a self-sufficient base are the saturated sink strong components of one
+orientation rooted at it (predimension._tight_components): over the empty
+set the minimally closed blocks, over each accretion layer what the next one
+absorbs.  The carriers, the maximal connected zero sets, are the connected
+components.  Hulls and uniformity reports build on these.
 """
 
 from __future__ import annotations
@@ -15,36 +17,33 @@ from typing import Iterable
 
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import (Embedding, EmbeddingPlan, Graph, _connected_expansion, components,
-                    connected_subsets)
-from .predimension import (_Index, _closure, _member_index, delta, delta_rel,
-                           is_self_sufficient)
+from .graph import Embedding, EmbeddingPlan, Graph, components, connected_subsets
+from .predimension import (_Index, _closure, _in_k0, _last_index, _tight_components, delta,
+                           delta_rel, is_self_sufficient)
 
 
-def _require_zero_ambient(g: Graph) -> _Index:
-    """The ambient's orientation index, once it is checked in K0 with count 0."""
-    ix = _member_index(g, "ambient is not hereditarily nonnegative")
+def _require_zero_ambient(g: Graph) -> list:
+    """The sets tight over the empty set, once the orientation that finds
+    them has found g in K0, and g counts 0."""
+    tight = _tight_components(_last_index(g), ())
+    if tight is None:
+        raise OutsideK0("ambient is not hereditarily nonnegative")
     if delta(g, g.vertices) != 0:
         raise OutsideK0(f"ambient count is {delta(g, g.vertices)}, expected 0")
-    return ix
+    return tight
 
 
 def is_zero_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
     """b is relatively tight over a: count zero over a, every proper nonempty
-    part strictly positive.  b must be nonempty and disjoint from a."""
+    part strictly positive.  b must be nonempty and disjoint from a.  Only
+    edges inside a | b count, so on their graph b is the one set tight over a."""
     bb = g.check_subset(b)
     aa = g.check_subset(a)
     if not bb:
         raise InvalidMap("the attached set must be nonempty")
     if aa & bb:
         raise InvalidMap(f"sets must be disjoint, shared: {sorted(aa & bb)}")
-    if delta_rel(g, bb, aa) != 0:
-        return False
-    for size in range(1, len(bb)):
-        for part in itertools.combinations(sorted(bb), size):
-            if delta_rel(g, frozenset(part), aa) <= 0:
-                return False
-    return True
+    return delta_rel(g, bb, aa) == 0 and _tight_components(_Index(g.induced(aa | bb)), aa) == [bb]
 
 
 def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
@@ -62,77 +61,40 @@ def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) ->
 # -- blocks and carriers ---------------------------------------------------
 
 
-def _vertex_closures(ix: _Index) -> dict:
-    return {v: _closure(ix, frozenset([v])).closure for v in ix.names}
-
-
 def minimally_closed_sets(g: Graph) -> list:
-    """The minimal nonempty self-sufficient subsets.  They are exactly the
-    per-vertex closures that are closures of each of their own points."""
-    return _blocks(g, _vertex_closures(_require_zero_ambient(g)))
+    """The minimal nonempty self-sufficient subsets: the sets tight over the
+    empty set.  g counts 0, so an orientation of g within outdegree m
+    saturates every point, and these are its sink strong components."""
+    return _blocks(g, _require_zero_ambient(g))
 
 
-def _blocks(g: Graph, blobs: dict) -> list:
-    out = []
-    for v in g.sorted_vertices():
-        c = blobs[v]
-        if all(blobs[u] == c for u in c) and c not in out:
-            out.append(c)
+def _blocks(g: Graph, found: list) -> list:
+    out = sorted(found, key=lambda s: sorted(s))
     # blocks never touch: shared points or cross edges would merge them
     for i, a in enumerate(out):
         for b in out[i + 1:]:
             if a & b or any(g.neighbors(v) & b for v in a):
                 raise ConstructionFailed(f"blocks {sorted(a)} and {sorted(b)} touch")
-    return sorted(out, key=lambda s: sorted(s))
+    return out
 
 
 def connected_zero_sets(g: Graph) -> list:
     """Maximal zero-count subsets not splittable into two self-sufficient
-    halves: the unions of overlap components of the per-vertex closures."""
-    return _carriers(g, _vertex_closures(_require_zero_ambient(g)))
-
-
-def _carriers(g: Graph, blobs: dict) -> list:
-    parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for v, blob in blobs.items():
-        for u in blob:
-            union(v, u)
-    groups: dict = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    carriers = sorted((frozenset(s) for s in groups.values()), key=lambda s: sorted(s))
-    for i, a in enumerate(carriers):
-        for b in carriers[i + 1:]:
-            if any(g.neighbors(v) & b for v in a):
-                raise ConstructionFailed(
-                    f"carriers {sorted(a)} and {sorted(b)} are joined by an edge")
-    return carriers
+    halves: the connected components.  In an orientation of g the closure of
+    a point is what it reaches, so each edge joins its ends' closures."""
+    _require_zero_ambient(g)
+    return components(g, g.vertices)
 
 
 def _tight_sets_over(g: Graph, pool: frozenset, base: frozenset, cap: int):
-    """Connected candidates inside pool that are relatively tight over base,
-    plus a flag telling whether the size ceiling was reached: whether pool
-    has a connected subset of cap points, that is a component of at least
-    cap points.
-
-    Every proper nonempty part of a tight set counts > 0 over base, so the
-    scan grows no candidate counting <= 0 (see _connected_expansion) and
-    tests tightness only where the count it carries is 0."""
-    found = [cand for cand, rel in _connected_expansion(g, pool, cap, over=base)
-             if rel == 0 and is_zero_algebraic(g, cand, base)]
-    return found, cap > 0 and any(len(c) >= cap for c in components(g, pool))
+    """The sets inside pool relatively tight over base, of at most
+    max(cap, 1) points, plus a flag telling whether the size ceiling was
+    reached: whether cap > 0 and pool has a component of at least cap
+    points.  None when base is not self-sufficient."""
+    tight = _tight_components(_last_index(g), base)
+    return None if tight is None else (
+        [d for d in tight if d <= pool and len(d) <= max(cap, 1)],
+        cap > 0 and any(len(c) >= cap for c in components(g, pool)))
 
 
 @dataclass(frozen=True)
@@ -187,8 +149,12 @@ def level_chain(
     layers = [seed]
     ceiling_hit = False
     current = seed
+    inner = g.induced(car)  # tightness inside the carrier reads only its edges
     while current != car:
-        found, hit = _tight_sets_over(g, car - current, current, cap)
+        step = _tight_sets_over(inner, car - current, current, cap)
+        if step is None:
+            raise InvalidMap(f"layer {sorted(current)} is not self-sufficient")
+        found, hit = step
         ceiling_hit = ceiling_hit or hit
         if not found:
             raise ConstructionFailed(
@@ -199,20 +165,19 @@ def level_chain(
 
 
 def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
-    """Blocks, carriers and the level chain of every carrier, all derived
-    from one pass of per-vertex closures."""
-    blobs = _vertex_closures(_require_zero_ambient(g))
-    blocks = _blocks(g, blobs)
-    carriers = _carriers(g, blobs)
+    """Blocks, carriers and the level chain of every carrier.  One
+    orientation of g checks it in K0 and gives the blocks.  max_set only
+    filters the tight sets each layer absorbs: those of at most
+    max(max_set, 1) points."""
+    blocks = _blocks(g, _require_zero_ambient(g))
+    carriers = components(g, g.vertices)
     for b in blocks:
         inside = sum(1 for c in carriers if b <= c)
         if inside != 1:
             raise ConstructionFailed(f"block {sorted(b)} lies in {inside} carriers, not 1")
-    components = tuple(
+    return ZeroDecomposition(g, tuple(blocks), tuple(
         level_chain(g, c, blocks=blocks, carriers=carriers, max_set=max_set)
-        for c in carriers
-    )
-    return ZeroDecomposition(g, tuple(blocks), components)
+        for c in carriers))
 
 
 # -- hull ------------------------------------------------------------------
@@ -406,20 +371,23 @@ def base_attachment_pairs(
     layer L every d outside it has e(d, L) <= m*|d| - e(d), so gen must be
     all of d's contacts in L; as d has no other edges into L, d is tight
     over its contacts exactly when it is tight over L.  The witnesses are
-    then read off the sets tight over L.  Over any other layer each set of
-    contacts with exactly that many edges into d is tried.  Membership of g
-    is checked once, if there is a closure to take."""
+    then read off the sets tight over L, when the orientation rooted at L
+    finds them.  Over any other layer each set of contacts with exactly that
+    many edges into d is tried.  The generators are closed on that
+    orientation's index, once a search on it has found g in K0."""
     cap = limits.max_set_size(max_set)
     pool = carrier - base_layer
-    if base_layer <= g.vertices and is_self_sufficient(g, base_layer):
-        pairs = [(d, _contacts(g, d, base_layer))
-                 for d in _tight_sets_over(g, pool, base_layer, cap)[0]]
+    ix = _last_index(g)
+    tight = _tight_sets_over(g, pool, base_layer, cap) if base_layer <= g.vertices else None
+    if tight is not None:
+        pairs = [(d, _contacts(g, d, base_layer)) for d in tight[0]]
     else:
         pairs = [(d, gen) for d in connected_subsets(g, pool, cap)
                  for gen in _count_matched(g, d, base_layer)
                  if is_zero_minimally_algebraic(g, d, gen)]
+    if pairs and not _in_k0(ix):
+        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
     out = []
-    ix = _member_index(g, "closure requires a hereditarily nonnegative ambient") if pairs else None
     for d, gen in pairs:
         base = _closure(ix, gen).closure
         if base <= base_layer and not d & base:

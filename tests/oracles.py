@@ -12,7 +12,7 @@ scans stay instant.
 
 import itertools
 
-from abinitio import BaseWitness, closure, delta_rel, is_zero_algebraic
+from abinitio import BaseWitness, InvalidMap, closure, delta_rel
 from abinitio import limits
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
     brute_closed,
@@ -182,13 +182,32 @@ def ref_orientation(g) -> tuple:
 
 
 # -- reference copies of the subset scans of zero_decomposition ---------------
-# connected_subsets, is_zero_minimally_algebraic, _tight_sets_over,
-# base_attachment_pairs and hull's _absorbable_over as they were before the
-# closed forms and the pruned expansion: a recursive expansion, minimality
-# tested over every proper subset of the generator, every connected
-# candidate tested up to the ceiling, every contact subset tried as a
-# generator.  Copied unchanged but for the names; the package's fast paths
+# is_zero_algebraic, connected_subsets, is_zero_minimally_algebraic,
+# _tight_sets_over, base_attachment_pairs and hull's _absorbable_over as they
+# were before the sink-component rule, the closed forms and the pruned
+# expansion: tightness tested on every proper part, a recursive expansion,
+# minimality tested over every proper subset of the generator, every
+# connected candidate tested up to the ceiling, every contact subset tried as
+# a generator.  Copied unchanged but for the names; the package's fast paths
 # must give exactly their results, exceptions included.
+
+
+def ref_is_zero_algebraic(g, b, a) -> bool:
+    """b is relatively tight over a: count zero over a, every proper nonempty
+    part strictly positive.  b must be nonempty and disjoint from a."""
+    bb = g.check_subset(b)
+    aa = g.check_subset(a)
+    if not bb:
+        raise InvalidMap("the attached set must be nonempty")
+    if aa & bb:
+        raise InvalidMap(f"sets must be disjoint, shared: {sorted(aa & bb)}")
+    if delta_rel(g, bb, aa) != 0:
+        return False
+    for size in range(1, len(bb)):
+        for part in itertools.combinations(sorted(bb), size):
+            if delta_rel(g, frozenset(part), aa) <= 0:
+                return False
+    return True
 
 
 def ref_connected_subsets(g, pool, max_size):
@@ -226,11 +245,12 @@ def ref_is_zero_minimally_algebraic(g, b, a) -> bool:
     """Tight over a but over no proper subset of a."""
     bb = g.check_subset(b)
     aa = g.check_subset(a)
-    if not is_zero_algebraic(g, bb, aa):
+    if not ref_is_zero_algebraic(g, bb, aa):
         return False
     for size in range(len(aa)):
         for part in itertools.combinations(sorted(aa), size):
-            if delta_rel(g, bb, frozenset(part)) == 0 and is_zero_algebraic(g, bb, frozenset(part)):
+            if delta_rel(g, bb, frozenset(part)) == 0 and \
+                    ref_is_zero_algebraic(g, bb, frozenset(part)):
                 return False
     return True
 
@@ -243,7 +263,7 @@ def ref_tight_sets_over(g, pool, base, cap):
     for cand in ref_connected_subsets(g, pool, cap):
         if len(cand) == cap:
             hit = True
-        if delta_rel(g, cand, base) == 0 and is_zero_algebraic(g, cand, base):
+        if delta_rel(g, cand, base) == 0 and ref_is_zero_algebraic(g, cand, base):
             found.append(cand)
     return found, hit
 
@@ -253,10 +273,10 @@ def ref_absorbable_over(g, d, anchor_pool) -> bool:
     need = g.m * len(d) - g.edges_within(d)
     contacts = sorted(frozenset().union(*(g.neighbors(v) for v in d)) & anchor_pool)
     if need == 0:
-        return is_zero_algebraic(g, d, frozenset())
+        return ref_is_zero_algebraic(g, d, frozenset())
     for size in range(1, min(need, len(contacts)) + 1):
         for xs in itertools.combinations(contacts, size):
-            if is_zero_algebraic(g, d, frozenset(xs)):
+            if ref_is_zero_algebraic(g, d, frozenset(xs)):
                 return True
     return False
 

@@ -386,13 +386,21 @@ def test_membership_is_checked_once_per_call(monkeypatch):
     member = tight_graph(rng, 60, m=2, window=8)
     calls = []
     in_k0 = abinitio.predimension._in_k0
+    zero_ambient = abinitio.zero_decomposition._require_zero_ambient
 
     def counted(ix):
         calls.append(ix.g)
         return in_k0(ix)
 
-    # every membership check, public or behind closure and decompose, runs here
+    def counted_zero(g):
+        calls.append(g)
+        return zero_ambient(g)
+
+    # every membership check, public or behind closure and decompose, runs
+    # here; decompose's is the orientation that also yields its blocks
     monkeypatch.setattr(abinitio.predimension, "_in_k0", counted)
+    monkeypatch.setattr(abinitio.zero_decomposition, "_in_k0", counted)
+    monkeypatch.setattr(abinitio.zero_decomposition, "_require_zero_ambient", counted_zero)
     geometric_closure_bounded(member, member.sorted_vertices()[:2])
     assert calls == [member]
     calls.clear()

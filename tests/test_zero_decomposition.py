@@ -30,14 +30,14 @@ from abinitio import (
     mu_count,
     uniform_algebraicity_report,
 )
-from abinitio.graph import _connected_expansion
-from abinitio.zero_decomposition import _blocks, _carriers, _placement_counts, _tight_sets_over
-from builders import random_graph, random_k0_graph, random_zero_graph
+from abinitio.zero_decomposition import _blocks, _placement_counts, _tight_sets_over
+from builders import plant_clique, random_graph, random_k0_graph, random_zero_graph
 from oracles import (
     brute_strong_extension_count,
     ref_absorbable_over,
     ref_base_attachment_pairs,
     ref_connected_subsets,
+    ref_is_zero_algebraic,
     ref_is_zero_minimally_algebraic,
     ref_tight_sets_over,
 )
@@ -151,6 +151,9 @@ def test_level_chain_validates_carrier():
         level_chain(g, BLOCK)
     with pytest.raises(InvalidMap):
         level_chain(g, ["w", "z"])
+    # given blocks whose union is not self-sufficient have no sets tight over them
+    with pytest.raises(InvalidMap, match="not self-sufficient"):
+        level_chain(g, g.vertices, blocks=[frozenset(["a0"])], carriers=[g.vertices])
 
 
 def test_zero_algebraic_single_vertex():
@@ -467,49 +470,11 @@ def test_ceiling_flag_tells_whether_a_component_reaches_the_cap():
 def test_decomposition_invariants_raise(monkeypatch):
     # raises, not asserts: they hold under python -O too
     g = Graph(2, ["x", "y"], [("x", "y")])
-    apart = {"x": frozenset(["x"]), "y": frozenset(["y"])}
     with pytest.raises(ConstructionFailed, match="touch"):
-        _blocks(g, apart)
-    with pytest.raises(ConstructionFailed, match="joined by an edge"):
-        _carriers(g, apart)
-    monkeypatch.setattr(abinitio.zero_decomposition, "_carriers", lambda g, blobs: [])
+        _blocks(g, [frozenset(["x"]), frozenset(["y"])])
+    monkeypatch.setattr(abinitio.zero_decomposition, "components", lambda g, pool: [])
     with pytest.raises(ConstructionFailed, match="lies in 0 carriers"):
         decompose(k5_graph())
-
-
-def test_pruned_expansion_grows_only_positive_sets():
-    # each yielded set carries its count; in preorder the latest earlier
-    # set one point smaller is its parent, which must count > 0; no point
-    # counting <= 0 alone joins a larger set; and every set all of whose
-    # proper connected parts count > 0 is still yielded
-    rng = random.Random(91)
-    grown = skipped = 0
-    for _ in range(300):
-        g = random_graph(rng, 11)
-        vs = g.sorted_vertices()
-        base = frozenset(v for v in vs if rng.random() < 0.3)
-        pool = g.vertices - base
-        cap = rng.randint(0, 5)
-        got = list(_connected_expansion(g, pool, cap, over=base))
-        full = list(ref_connected_subsets(g, pool, cap))
-        sets = [s for s, _ in got]
-        assert sets == [s for s in full if s in set(sets)]
-        latest = {}
-        for s, rel in got:
-            assert rel == delta_rel(g, s, base)
-            if len(s) > 1:
-                parent, parent_rel = latest[len(s) - 1]
-                assert parent < s and parent_rel > 0
-                assert all(delta_rel(g, [v], base) > 0 for v in s)
-                grown += 1
-            latest[len(s)] = (s, rel)
-        for s in full:
-            parts = [p for p in full if p < s]
-            if all(delta_rel(g, p, base) > 0 for p in parts):
-                assert s in sets
-            elif any(delta_rel(g, p, base) == 0 for p in parts):
-                skipped += s not in sets
-    assert grown >= 1500 and skipped >= 500
 
 
 def _outcome(f, *args, **kwargs):
@@ -521,6 +486,11 @@ def _outcome(f, *args, **kwargs):
 
 def _pick(rng, items, p):
     return frozenset(v for v in items if rng.random() < p)
+
+
+def _sorted_scan(scan):
+    found, hit = scan
+    return sorted(map(sorted, found)), hit
 
 
 def test_subset_scans_match_reference_copies():
@@ -552,7 +522,13 @@ def test_subset_scans_match_reference_copies():
             base = _pick(rng, vs, 0.4)
             pool = _pick(rng, sorted(g.vertices - base), 0.8)
             want = ref_tight_sets_over(g, pool, base, cap)
-            assert _tight_sets_over(g, pool, base, cap) == want
+            # the sink-component rule needs a self-sufficient base
+            if is_self_sufficient(g, base):
+                assert _sorted_scan(_tight_sets_over(g, pool, base, cap)) == _sorted_scan(want)
+            if is_in_k0(g):
+                closed = closure(g, base).closure
+                assert _sorted_scan(_tight_sets_over(g, pool - closed, closed, cap)) == \
+                    _sorted_scan(ref_tight_sets_over(g, pool - closed, closed, cap))
             seen["found"] += len(want[0])
             seen["hit"] += want[1]
             for d in want[0]:
@@ -622,3 +598,92 @@ def test_decompositions_reports_and_hulls_match_reference_copies(monkeypatch):
     assert got == want
     rows = sum(len(o[1]) for o in want if o[0] == "ok" and isinstance(o[1], list))
     assert rows >= 20 and any(o[0] == "raised" for o in want)
+
+
+def test_zero_algebraic_matches_part_enumeration():
+    # the sink-component rule against the enumeration of every proper part,
+    # on random graphs, members of K0 and zero-count graphs
+    rng = random.Random(3301)
+    zero = tight = 0
+    for k in range(900):
+        g = (random_graph(rng, 9), random_k0_graph(rng, 9, m=2 + k % 2),
+             random_zero_graph(rng, 12))[k % 3]
+        vs = g.sorted_vertices()
+        for t in range(10):
+            b = _pick(rng, vs, 0.35) or frozenset(vs[:1])
+            near = sorted(frozenset().union(*(g.neighbors(v) for v in b)) - b)
+            a = _pick(rng, near, 0.8) | _pick(rng, sorted(g.vertices - b - set(near)), 0.2)
+            if t % 2:
+                # contacts in random order until b counts 0 or less over them
+                rng.shuffle(near)
+                a = frozenset()
+                while near and delta_rel(g, b, a) > 0:
+                    a |= {near.pop()}
+            want = ref_is_zero_algebraic(g, b, a)
+            assert is_zero_algebraic(g, b, a) == want
+            zero += delta_rel(g, b, a) == 0
+            tight += want
+    assert zero >= 1300 and tight >= 400
+
+
+def test_tight_sets_over_a_planted_clique_match_reference():
+    # outside K0 the rule still holds over a self-sufficient base; here the
+    # base holds a planted clique of negative count and the closure, in the
+    # graph without it, of the points the clique is tied to
+    rng = random.Random(611)
+    cases = found = 0
+    for k in range(400):
+        g = random_zero_graph(rng, 16) if k % 2 else random_k0_graph(rng, 14, m=2)
+        if len(g.vertices) < 6:
+            continue
+        h = plant_clique(rng, g)
+        clique = h.vertices - g.vertices
+        assert not is_in_k0(h)
+        ties = frozenset().union(*(h.neighbors(x) for x in clique)) - clique
+        base = closure(g, ties | _pick(rng, g.sorted_vertices(), 0.1)).closure | clique
+        assert is_self_sufficient(h, base)
+        pool = _pick(rng, sorted(h.vertices - base), 0.8)
+        for cap in range(6):
+            want = ref_tight_sets_over(h, pool, base, cap)
+            assert _sorted_scan(_tight_sets_over(h, pool, base, cap)) == _sorted_scan(want)
+            cases += 1
+            found += len(want[0])
+    assert cases >= 1500 and found >= 550
+
+
+def test_decompose_a_thousand_vertices():
+    # 120 carriers at m = 3: a 7-clique block, then a path of 1 to 4 points,
+    # each tied to the one before it and to two block points, so carrier j
+    # has one point per level and level 1 + j % 4
+    verts, edges, want = [], [], []
+    for j in range(120):
+        block = [f"c{j:03d}b{i}" for i in range(7)]
+        path = [f"c{j:03d}w{i}" for i in range(1 + j % 4)]
+        verts += block + path
+        edges += itertools.combinations(block, 2)
+        for i, w in enumerate(path):
+            edges += [(w, path[i - 1] if i else block[0]), (w, block[i + 1]), (w, block[i + 2])]
+        layers = tuple(frozenset(block + path[:i]) for i in range(len(path) + 1))
+        want.append((frozenset(block), layers))
+    g = Graph(3, verts, edges)
+    assert len(g.vertices) >= 1000
+    d = decompose(g)
+    assert list(d.minimally_closed) == [block for block, _ in want]
+    assert [(c.carrier, c.level, c.layers, c.ceiling_hit) for c in d.components] == [
+        (layers[-1], len(layers) - 1, layers, False) for _, layers in want]
+
+
+def test_zero_algebraic_on_a_forty_cycle():
+    # each cycle point has one edge into a: the cycle counts 0 over a and
+    # every proper part, a union of paths, counts at least 1; enumerating
+    # the parts would take about 2**40 checks
+    cycle = [f"c{i:02d}" for i in range(40)]
+    anchors = [f"a{i:02d}" for i in range(40)]
+    edges = list(zip(cycle, cycle[1:] + cycle[:1])) + list(zip(cycle, anchors))
+    g = Graph(2, cycle + anchors, edges)
+    assert is_zero_algebraic(g, cycle, anchors)
+    assert not is_zero_algebraic(g, cycle, anchors[1:])
+    path = Graph(2, g.vertices, edges[1:])
+    assert not is_zero_algebraic(path, cycle, anchors)
+    chord = Graph(2, g.vertices, edges + [("c00", "c20")])
+    assert not is_zero_algebraic(chord, cycle, anchors)
