@@ -23,9 +23,9 @@ from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
 from .zero_decomposition import (
     ZeroDecomposition,
     _placement_counts,
+    _report_rows,
     decompose,
     find_pattern_iso,
-    uniform_algebraicity_report,
 )
 
 _MAX_SWEEP_PASSES = 32
@@ -286,20 +286,31 @@ def build_base_stage(
             entry["cycle_length"] = order * s
         log_closures.append(entry)
 
+    log = {"stage": 0, "kind": "base", "blocks": [sorted(bl) for bl in blocks],
+           "mu": mu, "closures": log_closures, "graph": b0.to_json_dict()}
     # copies belonging to one map are untouched blocks for every other map
     for k in range(len(p.maps)):
         for v in sorted(b0.vertices):
             fmaps[k].setdefault(v, v)
-        assert _check_automorphism(b0, fmaps[k])
-        for v in sorted(p.maps[k].domain & core):
-            assert fmaps[k][v] == p.maps[k].as_dict()[v]
-    assert delta(b0, b0.vertices) == 0
-    assert is_in_k0(b0)
-    if core:
-        assert is_self_sufficient(b0, core)
-    log = {"stage": 0, "kind": "base", "blocks": [sorted(bl) for bl in blocks],
-           "mu": mu, "closures": log_closures, "graph": b0.to_json_dict()}
+        _require(_check_automorphism(b0, fmaps[k]), f"map {k} is not an automorphism", log)
+        e = p.maps[k].as_dict()
+        _require(all(fmaps[k][v] == e[v] for v in p.maps[k].domain & core),
+                 f"map {k} does not extend its input on the blocks", log)
+    _require_zero_member(b0, log)
+    _require(not core or is_self_sufficient(b0, core),
+             "the blocks are not self-sufficient", log)
     return b0, fmaps, log
+
+
+def _require(holds: bool, what: str, log: dict) -> None:
+    """An invariant of a stage, checked under python -O too."""
+    if not holds:
+        raise ConstructionFailed(f"stage {log['stage']}: {what}", stage_log=[log])
+
+
+def _require_zero_member(b: Graph, log: dict) -> None:
+    _require(delta(b, b.vertices) == 0, "the stage graph does not count 0", log)
+    _require(is_in_k0(b), "the stage graph is not hereditarily nonnegative", log)
 
 
 # -- level stages -------------------------------------------------------------
@@ -473,40 +484,42 @@ def build_level_stage(
         if (u in new_verts or w in new_verts) and u in verts and w in verts:
             edges.append((u, w))
     b = Graph(a.m, verts, edges)
-    if new_verts:
-        assert delta_rel(b, frozenset(new_verts), prev.vertices) == 0
+    log = {"stage": q + 1, "kind": "level", "layer_added": sorted(new_verts),
+           "rows": [], "added": [], "map_cycles": []}
+    _require(not new_verts or delta_rel(b, frozenset(new_verts), prev.vertices) == 0,
+             "the added layer does not count 0 over the previous stage", log)
 
-    added_log: list = []
-    rows_log: list = []
+    added_log = log["added"]
+    memo: dict = {}  # copies add no edge between existing points: bases keep their patterns
     for _ in range(_MAX_SWEEP_PASSES):
-        report = uniform_algebraicity_report(b, q + 1, max_set=max_set)
-        bad = [row for row in report if not row[2]]
+        # a row is uniform when its classes, which every placement falls in,
+        # share one count; nu is that count, 0 with no placement
+        rows = [(w, {n for table in tables.values() for n in table.values()})
+                for w, tables in _report_rows(b, q + 1, max_set, memo)]
+        bad = [w for w, seen in rows if len(seen) > 1]
         if not bad:
-            rows_log = [{
+            log["rows"] = [{
                 "base": sorted(w.base),
                 "generator": sorted(w.generator),
                 "attachment": sorted(w.zero_minimal_set),
-                "nu": counts[0] if counts else 0,
-            } for (w, counts, _) in report]
+                "nu": min(seen, default=0),
+            } for w, seen in rows]
             break
-        for (w, _, _) in bad:
+        for w in bad:
             b, _ = _uniformize_row(b, w, added_log)
     else:
         raise ConstructionFailed(
             "uniformity not reached within the pass budget", stage_log=added_log)
 
-    assert delta(b, b.vertices) == 0
-    assert is_in_k0(b)
-    assert is_self_sufficient(b, prev.vertices)
-
-    log = {"stage": q + 1, "kind": "level", "layer_added": sorted(new_verts),
-           "rows": rows_log, "added": added_log, "map_cycles": [],
-           "graph": b.to_json_dict()}
+    log["graph"] = b.to_json_dict()
+    _require_zero_member(b, log)
+    _require(is_self_sufficient(b, prev.vertices),
+             "the previous stage is not self-sufficient in this one", log)
     new_maps = []
     for k, pi in enumerate(p.maps):
         fnew = _extend_map_over_satellites(
             b, prev.vertices, pi.as_dict(), maps[k], log["map_cycles"], k, [log])
-        assert _check_automorphism(b, fnew)
+        _require(_check_automorphism(b, fnew), f"map {k} is not an automorphism", log)
         new_maps.append(fnew)
     return b, new_maps, log
 

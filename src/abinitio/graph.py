@@ -318,9 +318,10 @@ _IN_NAME_ORDER = object()
 
 class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
-    against any number of targets, in one of three modes: pairs() lists
-    them as sorted (vertex, image) pairs and embeddings() as Embeddings,
-    count() counts them and first() returns the least one.
+    against any number of targets: pairs() lists the embeddings as sorted
+    (vertex, image) pairs and embeddings() as Embeddings, count() counts
+    them, count_each() counts them for many pin maps at once, first()
+    returns the least one and representatives() one per image set.
 
     The search order puts the pinned vertices first, then at each step the
     vertex with the most already-placed neighbours (ties: higher degree,
@@ -337,7 +338,7 @@ class EmbeddingPlan:
     """
 
     __slots__ = ("pattern", "pinned", "order", "adjacent", "apart", "degrees", "_by_name",
-                 "_name_layout")
+                 "_name_layout", "_symmetry", "_free_layout")
 
     def __init__(self, a: Graph, pinned: Iterable[str] = ()):
         pins = a.check_subset(pinned)
@@ -357,7 +358,7 @@ class EmbeddingPlan:
         self.pinned = pins
         self.order, self.adjacent, self.apart, self.degrees = _positions(adj, order)
         self._by_name = tuple(sorted(range(len(order)), key=order.__getitem__))
-        self._name_layout = None
+        self._name_layout = self._symmetry = self._free_layout = None
 
     def _search(self, c: Graph, fixed: dict | None, emit: Callable,
                 in_name_order: bool = False) -> None:
@@ -365,65 +366,148 @@ class EmbeddingPlan:
         agrees with fixed, passing the images in search order as a list that
         the search goes on to overwrite.  in_name_order runs the layout of
         first(), compiled on its first use, with candidates sorted."""
-        fixed = fixed or {}
-        if fixed.keys() != self.pinned:
-            raise InvalidMap(
-                f"pins {sorted(fixed)} differ from the plan's {sorted(self.pinned)}")
-        for v in fixed.values():
-            c.check_subset([v])
+        fixed = self._pins(c, fixed)
         if in_name_order:
             if self._name_layout is None:
                 self._name_layout = _positions(
                     self.pattern._adj,
                     sorted(self.pinned) + sorted(self.pattern.vertices - self.pinned))
-            order, adjacent, apart, degrees = self._name_layout
-            free = _IN_NAME_ORDER
+            layout, free = self._name_layout, _IN_NAME_ORDER
         else:
-            order, adjacent, apart, degrees = self.order, self.adjacent, self.apart, self.degrees
-            free = None
-        cadj = c._adj
-        everything = c.vertices
-        pins = [fixed.get(p, free) for p in order]
-        n = len(pins)
-        img: list = [None] * n
-        used: set = set()
+            layout, free = (self.order, self.adjacent, self.apart, self.degrees), None
+        _run(c, layout, [fixed.get(p, free) for p in layout[0]], emit)
 
-        def extend(i: int) -> None:
-            if i == n:
-                emit(img)
-                return
-            near = adjacent[i]
-            if near:
-                cands = cadj[img[near[0]]]
-                for j in near[1:]:
-                    cands = cands & cadj[img[j]]
-            else:
-                cands = everything
-            pin = pins[i]
-            if pin is not None:
-                if pin is _IN_NAME_ORDER:
-                    cands = sorted(cands)
-                elif pin in cands:
-                    cands = (pin,)
-                else:
-                    return
-            d, far = degrees[i], apart[i]
-            for t in cands:
-                if t in used:
-                    continue
-                nt = cadj[t]
-                if len(nt) < d:
-                    continue
-                for j in far:
-                    if img[j] in nt:
-                        break
-                else:
-                    img[i] = t
-                    used.add(t)
-                    extend(i + 1)
-                    used.discard(t)
+    def _pins(self, c: Graph, fixed: dict | None) -> dict:
+        fixed = fixed or {}
+        if fixed.keys() != self.pinned:
+            raise InvalidMap(
+                f"pins {sorted(fixed)} differ from the plan's {sorted(self.pinned)}")
+        if not c.vertices.issuperset(fixed.values()):
+            for v in fixed.values():
+                c.check_subset([v])
+        return fixed
 
-        extend(0)
+    def _conditions(self) -> tuple:
+        """For an unpinned plan: per search position, the earlier positions
+        whose images its own must exceed, and the order of the pattern's
+        automorphism group, from its stabilizer chain along the search order.
+
+        Position i gets the orbit of its vertex v under the automorphisms
+        fixing the earlier ones, and every later member of that orbit must map
+        above v.  Of the embeddings sharing one image set, which differ by an
+        automorphism, exactly one meets every condition (Grochow and Kellis,
+        RECOMB 2007), and the group's order is the product of the orbit
+        lengths.  Computed once per plan."""
+        if self._symmetry is None:
+            at = {v: i for i, v in enumerate(self.order)}
+            below: list = [[] for _ in self.order]
+            size = 1
+            for i, level in enumerate(_chain(self.pattern, self.order, len(self.order))):
+                size *= len(level)
+                for u in level:
+                    if at[u] != i:
+                        below[at[u]].append(i)
+            self._symmetry = ([tuple(b) or None for b in below], size)
+        return self._symmetry
+
+    def _free_positions(self) -> tuple:
+        """The layout of the free positions alone, renumbered from 0; per
+        free position the pinned vertices adjacent to it; and all of those,
+        the touched pins, in name order."""
+        if self._free_layout is None:
+            k = len(self.pinned)
+            contacts = tuple(tuple([self.order[j] for j in near if j < k])
+                             for near in self.adjacent[k:])
+            self._free_layout = (
+                (self.order[k:],
+                 tuple(tuple([j - k for j in near if j >= k]) for near in self.adjacent[k:]),
+                 tuple(tuple([j - k for j in far if j >= k]) for far in self.apart[k:]),
+                 self.degrees[k:]),
+                contacts, tuple(sorted(frozenset().union(*contacts))))
+        return self._free_layout
+
+    @property
+    def touched(self) -> tuple:
+        """The pinned vertices adjacent to a free one, in name order."""
+        return self._free_positions()[2]
+
+    def _classes(self, keys: Iterable, tables: dict) -> list:
+        """The class of each key (image set of some pins, images of the
+        touched pins): its table in tables, {image set: {tuple: count}}, and
+        its tuple, the images of the pins adjacent to each free position.
+        Classes not yet in tables are filed with count 0."""
+        _, contacts, touched = self._free_positions()
+        at = {x: i for i, x in enumerate(touched)}
+        near_at = [[at[x] for x in near] for near in contacts]
+        memo: dict = {}
+        out = []
+        for key in keys:
+            hit = memo.get(key)
+            if hit is None:
+                table = tables.setdefault(key[0], {})
+                near = tuple([frozenset([key[1][i] for i in ids]) for ids in near_at])
+                table.setdefault(near, 0)
+                hit = memo[key] = (table, near)
+            out.append(hit)
+        return out
+
+    def tally(self, c: Graph, tables: dict, is_strong: Callable | None = None) -> None:
+        """Fill in tables as filed by _classes: for each image set S and
+        tuple, the embeddings of the free vertices into c - S whose images
+        have those neighbours in S, with the image passing is_strong.
+
+        A pinned vertex constrains the free ones only by adjacency, besides
+        injectivity and strength, so that is the count of every pin map onto
+        S of that class.  One search per S keeps at each position the points
+        whose neighbours in S some tuple of its table asks for; strength is
+        tested once per image set, and only for hits that some tuple asks
+        for."""
+        _check_coefficient(self.pattern, c)
+        layout = self._free_positions()[0]
+        for image, table in tables.items():
+            _tally(c, layout, image, table, is_strong)
+
+    def count_each(self, c: Graph, fixeds: list, is_strong: Callable | None = None) -> list:
+        """[count(c, f, is_strong) for f in fixeds], for pins f that each embed
+        the pinned vertices into c induced: one tally() over the classes of
+        the f, each f's count then a lookup."""
+        touched = self.touched
+        tables: dict = {}
+        classes = self._classes(
+            ((frozenset(f.values()), tuple([f[x] for x in touched])) for f in fixeds), tables)
+        self.tally(c, tables, is_strong)
+        return [table[near] for table, near in classes]
+
+    def representatives(self, c: Graph, is_strong: Callable | None = None) -> list:
+        """For an unpinned plan, one embedding per image set, as a map: the
+        one meeting _conditions(); with is_strong, only image sets passing
+        it.  Every embedding onto that set is this one composed with an
+        automorphism of the pattern."""
+        _check_coefficient(self.pattern, c)
+        self._pins(c, None)
+        order, found = self.order, []
+
+        def emit(img):
+            if is_strong is None or is_strong(c, frozenset(img)):
+                found.append(dict(zip(order, img)))
+
+        _run(c, (order, self.adjacent, self.apart, self.degrees), self._conditions()[0], emit)
+        return found
+
+    def pin_images(self) -> list:
+        """The images of the pins, in name order, under the pattern's
+        automorphisms, one tuple per restriction.  With the stabilizer chain
+        along the pins in name order, an automorphism is a product t0 t1 ...
+        of one transversal element per level, and its image of the j-th pin
+        is t0 ... tj applied to it, so the tuples are the products' images
+        over the pins' levels alone."""
+        pins = sorted(self.pinned)
+        # (images of the pins so far, the product of the levels so far)
+        partial = [((), {u: u for u in self.pattern.vertices})]
+        for level in _chain(self.pattern, pins, len(pins)):
+            partial = [(images + (prefix[u],), {x: prefix[y] for x, y in move.items()})
+                       for images, prefix in partial for u, move in level.items()]
+        return [images for images, _ in partial]
 
     def pairs(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None) -> list:
@@ -455,9 +539,18 @@ class EmbeddingPlan:
 
     def count(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None) -> int:
-        """The number of embeddings() without building them; strength is
-        tested once per image set."""
+        """The number of embeddings() without building them.
+
+        Embeddings with one image set differ by an automorphism of the
+        pattern fixing the pins.  Without pins the search reaches each image
+        set once, under the conditions of _conditions(), and the count is the
+        group's order times the number of image sets passing is_strong.  With
+        pins every embedding is visited.  Either way strength is tested once
+        per image set."""
         _check_coefficient(self.pattern, c)
+        if not self.pinned:
+            self._pins(c, fixed)
+            return self._conditions()[1] * len(self.representatives(c, is_strong))
         per_image: dict = {}
 
         def emit(img):
@@ -484,6 +577,133 @@ class EmbeddingPlan:
         except _Found as hit:
             return hit.args[0]
         return None
+
+
+def _chain(a: Graph, order: list, depth: int) -> list:
+    """For each of the first depth positions i of order, a map from each u
+    in the orbit of order[i] under the automorphisms of a fixing order[:i]
+    pointwise to one such automorphism taking order[i] to u: a stabilizer
+    chain with its transversals (McKay and Piperno, J. Symb. Comput. 2014),
+    each member found by a search of a into itself with order[:i + 1]
+    pinned, stopped at its first hit.  The group itself is never listed."""
+    adj = a._adj
+    layout = _positions(adj, list(order) + sorted(a.vertices - set(order)))
+    n = len(layout[0])
+    levels = []
+    for i in range(depth):
+        v = order[i]
+        held = frozenset(order[:i])
+        level = {v: {u: u for u in a.vertices}}
+        for u in sorted(a.vertices - held - {v}):
+            if len(adj[u]) != len(adj[v]) or adj[u] & held != adj[v] & held:
+                continue
+            try:
+                _run(a, layout, list(order[:i]) + [u] + [None] * (n - i - 1), _stop)
+            except _Found as hit:
+                level[u] = dict(zip(layout[0], hit.args[0]))
+        levels.append(level)
+    return levels
+
+
+def _stop(img: list) -> None:
+    raise _Found(list(img))
+
+
+def _run(c: Graph, layout: tuple, pins: list, emit: Callable) -> None:
+    """The backtracking search of EmbeddingPlan: emit gets each induced
+    embedding of layout's positions into c as the list of images.  pins[i]
+    narrows position i's candidates: a target vertex pins it, _IN_NAME_ORDER
+    sorts them, a tuple of earlier positions keeps those above all their
+    images, a frozenset keeps those inside it."""
+    order, adjacent, apart, degrees = layout
+    cadj = c._adj
+    everything = c.vertices
+    n = len(order)
+    img: list = [None] * n
+    used: set = set()
+
+    def extend(i: int) -> None:
+        if i == n:
+            emit(img)
+            return
+        near = adjacent[i]
+        if near:
+            cands = cadj[img[near[0]]]
+            for j in near[1:]:
+                cands = cands & cadj[img[j]]
+        else:
+            cands = everything
+        pin = pins[i]
+        if pin is not None:
+            if pin is _IN_NAME_ORDER:
+                cands = sorted(cands)
+            elif type(pin) is tuple:
+                least = max([img[j] for j in pin])
+                cands = [t for t in cands if t > least]
+            elif type(pin) is frozenset:
+                cands = cands & pin
+            elif pin in cands:
+                cands = (pin,)
+            else:
+                return
+        d, far = degrees[i], apart[i]
+        for t in cands:
+            if t in used:
+                continue
+            nt = cadj[t]
+            if len(nt) < d:
+                continue
+            for j in far:
+                if img[j] in nt:
+                    break
+            else:
+                img[i] = t
+                used.add(t)
+                extend(i + 1)
+                used.discard(t)
+
+    try:
+        extend(0)
+    finally:
+        del extend  # extend refers to itself: free the search now, not at the next collection
+
+
+def _tally(c: Graph, layout: tuple, image: frozenset, table: dict,
+           is_strong: Callable | None) -> None:
+    """tally()'s search over one image set: add to table[w] each
+    embedding of the free positions into c - image whose images' neighbour
+    sets in image form the tuple w and whose image with image passes
+    is_strong."""
+    cadj = c._adj
+    touching = {}  # point outside image -> its neighbours in image, when any
+    for s in image:
+        for t in cadj[s]:
+            if t not in image and t not in touching:
+                touching[t] = cadj[t] & image
+    domains, remote = [], None
+    for i in range(len(layout[0])):
+        wanted = {w[i] for w in table}
+        inside = [t for t, near in touching.items() if near in wanted]
+        if frozenset() in wanted:
+            if remote is None:
+                remote = c.vertices - image - frozenset(touching)
+            domains.append(remote.union(inside))
+        else:
+            domains.append(frozenset(inside))
+    strong: dict = {}
+    none = frozenset()
+
+    def emit(img):
+        w = tuple([touching.get(t, none) for t in img])
+        if w in table:
+            key = frozenset(img)
+            ok = strong.get(key)
+            if ok is None:
+                ok = strong[key] = is_strong is None or is_strong(c, image | key)
+            if ok:
+                table[w] += 1
+
+    _run(c, layout, domains, emit)
 
 
 def enumerate_embeddings(

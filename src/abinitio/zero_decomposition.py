@@ -36,14 +36,26 @@ def _require_zero_ambient(g: Graph) -> list:
 def is_zero_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
     """b is relatively tight over a: count zero over a, every proper nonempty
     part strictly positive.  b must be nonempty and disjoint from a.  Only
-    edges inside a | b count, so on their graph b is the one set tight over a."""
+    edges inside a | b count, so on their graph b is the one set tight over a.
+
+    Two families of parts are read off adjacency first: a point v of b
+    counts m - |N(v) & a| over a, and b - {v} counts |N(v) & (a | b)| - m,
+    as b counts 0; either one at most 0 rejects b before a graph is built."""
     bb = g.check_subset(b)
     aa = g.check_subset(a)
     if not bb:
         raise InvalidMap("the attached set must be nonempty")
     if aa & bb:
         raise InvalidMap(f"sets must be disjoint, shared: {sorted(aa & bb)}")
-    return delta_rel(g, bb, aa) == 0 and _tight_components(_Index(g.induced(aa | bb)), aa) == [bb]
+    if delta_rel(g, bb, aa) != 0:
+        return False
+    if len(bb) > 1:
+        both, m = aa | bb, g.m
+        for v in bb:
+            near = g.neighbors(v)
+            if len(near & aa) >= m or len(near & both) <= m:
+                return False
+    return _tight_components(_Index(g.induced(aa | bb)), aa) == [bb]
 
 
 def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
@@ -318,21 +330,17 @@ def count_strong_extensions(
 
 
 def _placement_counts(c: Graph, base: frozenset, att: frozenset, placements: list,
-                      plan: EmbeddingPlan) -> list:
-    """count_strong_extensions for each placement f (a dict on base), once per
-    key: f's image set and the images of the contacts, the base vertices with
-    a neighbour in att, in name order.  The pattern constrains att only by
-    adjacency to f(contacts), non-adjacency to the rest of f's image,
-    injectivity and strength of the whole image: equal keys, equal counts."""
-    contacts = tuple(sorted(x for x in base if c.neighbors(x) & att))
-    memo: dict = {}
-    counts = []
-    for f in placements:
-        key = (frozenset(f.values()), tuple([f[x] for x in contacts]))
-        if key not in memo:
-            memo[key] = count_strong_extensions(c, base, att, f, plan=plan)
-        counts.append(memo[key])
-    return counts
+                      plan: EmbeddingPlan | None = None) -> list:
+    """count_strong_extensions for each placement f (a dict on base, an
+    induced embedding of the base pattern); plan, when given, is the one
+    compiled for c.induced(base | att) with base pinned.  The pattern
+    constrains att only by adjacency to f(contacts), non-adjacency to the
+    rest of f's image, injectivity and strength of the whole image, so the
+    plan's count_each runs one search per image set of the placements,
+    tallied by the neighbour sets in it, and reads each count off that."""
+    if plan is None:
+        plan = EmbeddingPlan(c.induced(base | att), pinned=base)
+    return plan.count_each(c, placements, is_self_sufficient)
 
 
 # -- uniformity report ------------------------------------------------------
@@ -407,31 +415,65 @@ def _dedupe_witnesses(g: Graph, witnesses: list) -> list:
     return kept
 
 
+def _report_witnesses(g: Graph, i: int, max_set: int | None) -> list:
+    """The witnesses of uniform_algebraicity_report's rows, one per (base,
+    attachment type), in row order."""
+    if i < 1:
+        raise InvalidMap(f"level index must be >= 1, got {i}")
+    return [w for comp in decompose(g, max_set=max_set).components if comp.level >= i
+            for w in _dedupe_witnesses(g, base_attachment_pairs(
+                g, comp.carrier, comp.layers[i - 1], i, max_set=max_set))]
+
+
+def _report_rows(g: Graph, i: int, max_set: int | None, memo: dict) -> list:
+    """uniform_algebraicity_report's rows by class, without listing the
+    placements: per row the witness and its tables, {image set: {tuple:
+    count}} as EmbeddingPlan.tally fills them, holding the class of every
+    strong placement of the base.
+
+    Each base's strong image sets are enumerated once, one placement each.
+    The placements onto an image set are that one composed with the base
+    pattern's automorphisms, so the classes come from that placement and the
+    automorphisms' restrictions to the pins touching the attachment.  memo
+    keeps each base's plan and those restrictions; callers may share it
+    between graphs inducing the same pattern on every base, as the passes of
+    a level stage do, whose copies add no edge between existing points."""
+    rows = []
+    found: dict = {}  # base -> (image set, placement onto it), one per strong image set
+    for w in _report_witnesses(g, i, max_set):
+        if w.base not in memo:
+            memo[w.base] = EmbeddingPlan(g.induced(w.base))
+        if w.base not in found:
+            found[w.base] = [(frozenset(f.values()), f) for f in memo[w.base].representatives(
+                g, is_strong=is_self_sufficient)]
+        plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+        key = (w.base, plan.touched)
+        if key not in memo:
+            memo[key] = EmbeddingPlan(memo[w.base].pattern, pinned=key[1]).pin_images()
+        tables: dict = {}
+        plan._classes(((image, tuple([f[y] for y in ys]))
+                       for image, f in found[w.base] for ys in memo[key]), tables)
+        plan.tally(g, tables, is_self_sufficient)
+        rows.append((w, tables))
+    return rows
+
+
 def uniform_algebraicity_report(
     g: Graph,
     i: int,
     max_set: int | None = None,
 ) -> list:
     """Per (base, attachment type): the extension count over every strong
-    placement of the base pattern, and whether all counts agree.  Each base's
-    placements are enumerated once, and placements agreeing on their image
-    set and on the images of the contacts (the base vertices next to the
-    attachment) share one count: nothing else constrains the attachment."""
-    if i < 1:
-        raise InvalidMap(f"level index must be >= 1, got {i}")
+    placement of the base pattern, in canonical order, and whether all
+    counts agree.  Each base's placements are enumerated once, and each
+    row's counts take one search per image set of them (_placement_counts).
+    The level stage decides uniformity by class instead (_report_rows)."""
     rows = []
     placements: dict = {}
-    for comp in decompose(g, max_set=max_set).components:
-        if comp.level < i:
-            continue
-        witnesses = base_attachment_pairs(
-            g, comp.carrier, comp.layers[i - 1], i, max_set=max_set)
-        for w in _dedupe_witnesses(g, witnesses):
-            if w.base not in placements:
-                placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
-                    g, is_strong=is_self_sufficient)]
-            plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
-            counts = _placement_counts(
-                g, w.base, w.zero_minimal_set, placements[w.base], plan)
-            rows.append((w, counts, len(set(counts)) <= 1))
+    for w in _report_witnesses(g, i, max_set):
+        if w.base not in placements:
+            placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
+                g, is_strong=is_self_sufficient)]
+        counts = _placement_counts(g, w.base, w.zero_minimal_set, placements[w.base])
+        rows.append((w, counts, len(set(counts)) <= 1))
     return rows

@@ -12,8 +12,9 @@ scans stay instant.
 
 import itertools
 
-from abinitio import BaseWitness, InvalidMap, closure, delta_rel
+from abinitio import BaseWitness, InvalidMap, closure, delta_rel, is_self_sufficient
 from abinitio import limits
+from abinitio.graph import _check_coefficient
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
     brute_closed,
     brute_closure,
@@ -306,3 +307,44 @@ def ref_base_attachment_pairs(g, carrier, base_layer, level_index, max_set=None)
                 out.append(BaseWitness(base, gen, d, level_index))
     return sorted(
         out, key=lambda w: (sorted(w.base), sorted(w.zero_minimal_set), sorted(w.generator)))
+
+
+# -- reference copies of the per-embedding counts ------------------------------
+# EmbeddingPlan.count and zero_decomposition._placement_counts as they were
+# before counting by image set: every embedding visited and tallied per image
+# set, and one pinned count per (image set, contact images) key.  Copied
+# unchanged but for the names; the search they run is the plan's own
+# enumeration of every embedding, which pairs() also uses.
+
+
+def ref_count(plan, c, fixed=None, is_strong=None) -> int:
+    """The number of embeddings() without building them; strength is
+    tested once per image set."""
+    _check_coefficient(plan.pattern, c)
+    per_image: dict = {}
+
+    def emit(img):
+        key = frozenset(img)
+        per_image[key] = per_image.get(key, 0) + 1
+
+    plan._search(c, fixed, emit)
+    if is_strong is None:
+        return sum(per_image.values())
+    return sum(k for image, k in per_image.items() if is_strong(c, image))
+
+
+def ref_placement_counts(c, base, att, placements, plan) -> list:
+    """count_strong_extensions for each placement f (a dict on base), once per
+    key: f's image set and the images of the contacts, the base vertices with
+    a neighbour in att, in name order.  The pattern constrains att only by
+    adjacency to f(contacts), non-adjacency to the rest of f's image,
+    injectivity and strength of the whole image: equal keys, equal counts."""
+    contacts = tuple(sorted(x for x in base if c.neighbors(x) & att))
+    memo: dict = {}
+    counts = []
+    for f in placements:
+        key = (frozenset(f.values()), tuple([f[x] for x in contacts]))
+        if key not in memo:
+            memo[key] = ref_count(plan, c, f, is_strong=is_self_sufficient)
+        counts.append(memo[key])
+    return counts

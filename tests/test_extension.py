@@ -4,7 +4,7 @@ import random
 import pytest
 
 import abinitio.extension
-import abinitio.zero_decomposition
+import abinitio.graph
 from abinitio import (
     ConstructionFailed,
     EPCertificate,
@@ -14,6 +14,7 @@ from abinitio import (
     OutsideK0,
     PartialIso,
     build_base_stage,
+    build_level_stage,
     canonical_json,
     decompose,
     ep_extend,
@@ -355,16 +356,67 @@ def test_two_maps_at_level_two_count_each_class_once(monkeypatch):
     ident = {v: v for v in g.vertices}
     p = EPProblem(g, (PartialIso.build(g, {**ident, "a3": "a4", "a4": "a3"}),
                       PartialIso.build(g, ident)))
-    calls = []
-    direct = abinitio.zero_decomposition.count_strong_extensions
+    searches = []
+    direct = abinitio.graph._tally
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return direct(*args, **kwargs)
+    def counted(c, layout, image, table, is_strong):
+        searches.append((image, len(table)))
+        return direct(c, layout, image, table, is_strong)
 
-    monkeypatch.setattr(abinitio.zero_decomposition, "count_strong_extensions", counted)
+    monkeypatch.setattr(abinitio.graph, "_tally", counted)
     assert verify_certificate(p, ep_extend(p)).ok
-    assert len(calls) <= 1250
+    # one attachment search per image set of a base, per row and pass; one
+    # pinned count per (image set, contact images) key made 1,250 searches
+    assert 0 < len(searches) <= 343
+    assert len({image for image, _ in searches}) <= 11
+    assert sum(classes for _, classes in searches) > len(searches)
+
+
+def fan_graph():
+    # K5 and one point on each pair of it: every placement sees one copy
+    block = [f"a{i}" for i in range(5)]
+    spokes = [(f"w{i}{j}", f"a{i}", f"a{j}") for i, j in itertools.combinations(range(5), 2)]
+    return Graph(2, block + [w for w, _, _ in spokes],
+                 list(itertools.combinations(block, 2))
+                 + [e for w, x, y in spokes for e in ((w, x), (w, y))])
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("_check_automorphism", False, "map 0 is not an automorphism"),
+    ("_partial_permutation_parts", ([], [], [frozenset(IDA)]),
+     "map 0 does not extend its input on the blocks"),
+    ("delta", 1, "the stage graph does not count 0"),
+    ("is_in_k0", False, "the stage graph is not hereditarily nonnegative"),
+    ("is_self_sufficient", False, "the blocks are not self-sufficient"),
+])
+def test_base_stage_invariants_survive_without_asserts(monkeypatch, name, value, message):
+    g = w_graph()
+    p = EPProblem(g, (PartialIso.build(g, ROT),))
+    orders, decomp = orbit_orders(p), decompose(g)
+    monkeypatch.setattr(abinitio.extension, name, lambda *args: value)
+    with pytest.raises(ConstructionFailed, match=f"stage 0: {message}") as failed:
+        build_base_stage(p, orders, decomp)
+    assert [log["stage"] for log in failed.value.stage_log] == [0]
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("delta_rel", 1, "the added layer does not count 0 over the previous stage"),
+    ("delta", 1, "the stage graph does not count 0"),
+    ("is_in_k0", False, "the stage graph is not hereditarily nonnegative"),
+    ("is_self_sufficient", False, "the previous stage is not self-sufficient in this one"),
+    ("_check_automorphism", False, "map 0 is not an automorphism"),
+])
+def test_level_stage_invariants_survive_without_asserts(monkeypatch, name, value, message):
+    # the fan is uniform as it stands, so the level stage adds no copy and
+    # asks the patched names only for its invariants
+    g = fan_graph()
+    p = EPProblem(g, (PartialIso.build(g, {v: v for v in g.vertices}),))
+    decomp = decompose(g)
+    b0, maps, _ = build_base_stage(p, orbit_orders(p), decomp)
+    monkeypatch.setattr(abinitio.extension, name, lambda *args: value)
+    with pytest.raises(ConstructionFailed, match=f"stage 1: {message}") as failed:
+        build_level_stage(b0, p, 0, maps, decomp=decomp)
+    assert [log["stage"] for log in failed.value.stage_log] == [1]
 
 
 @pytest.mark.parametrize("t", [0, 2])

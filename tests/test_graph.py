@@ -246,10 +246,62 @@ def _check_matcher_against_vf2(rng, trial, a, c, closed):
         assert got_pairs == sorted(got_pairs)
         plan = EmbeddingPlan(a, pinned=fixed)
         is_strong = is_self_sufficient if strong_only else None
-        assert plan.count(c, fixed, is_strong=is_strong) == len(got)
+        assert plan.count(c, fixed, is_strong=is_strong) == len(got) == \
+            len(plan.pairs(c, fixed, is_strong=is_strong))
         assert plan.pairs(c, fixed, is_strong=is_strong) == [
             e.pairs for e in plan.embeddings(c, fixed, is_strong=is_strong)]
         assert plan.first(c, fixed, is_strong) == (dict(got[0].pairs) if got else None)
+
+
+def test_symmetry_breaking_matches_brute_force_automorphisms():
+    # the stabilizer chain without listing the group: its order, the pins'
+    # images, and one representative per image set
+    rng = random.Random(2007)
+    symmetric = 0
+    for trial in range(120):
+        g = _random_graph(rng, "v", rng.randint(1, 7), rng.choice([2, 3]))
+        autos = brute_automorphisms(g)
+        plan = EmbeddingPlan(g)
+        assert plan._conditions()[1] == len(autos)
+        symmetric += len(autos) > 1
+        pins = sorted(rng.sample(g.sorted_vertices(), rng.randint(0, min(3, len(g.vertices)))))
+        images = EmbeddingPlan(g, pinned=pins).pin_images()
+        assert len(images) == len(set(images))
+        assert set(images) == {tuple(f[x] for x in pins) for f in autos}
+        c = _random_graph(rng, "t", rng.randint(1, 9), g.m)
+        reps = plan.representatives(c)
+        sets = [frozenset(f.values()) for f in reps]
+        assert len(sets) == len(set(sets))
+        assert set(sets) == {frozenset(t for _, t in p) for p in plan.pairs(c)}
+        assert all(Embedding.build(g, c, f).is_induced() for f in reps)
+        assert plan.count(c) == len(autos) * len(reps)
+    assert symmetric >= 60
+
+
+def test_count_each_matches_pinned_counts():
+    # count_each against one pinned count per pin map, pins drawn from the
+    # embeddings of the pinned part so each embeds it induced
+    rng = random.Random(2008)
+    compared = 0
+    for trial in range(60):
+        c = _random_graph(rng, "t", rng.randint(4, 10), rng.choice([2, 3]))
+        a = _connected_pattern(rng, c, rng.randint(2, 5))
+        if len(a.vertices) < 2:
+            continue
+        pins = rng.sample(a.sorted_vertices(), rng.randint(1, len(a.vertices) - 1))
+        plan = EmbeddingPlan(a, pinned=pins)
+        fixeds = [dict(p) for p in EmbeddingPlan(a.induced(pins)).pairs(c)]
+        for is_strong in (None, is_self_sufficient):
+            assert plan.count_each(c, fixeds, is_strong) == [
+                plan.count(c, f, is_strong=is_strong) for f in fixeds]
+        # strength is asked only of images that some pin map's count needs
+        asked, needed = set(), set()
+        plan.count_each(c, fixeds, lambda g, s: asked.add(s) or is_self_sufficient(g, s))
+        for f in fixeds:
+            plan.count(c, f, lambda g, s: needed.add(s) or is_self_sufficient(g, s))
+        assert asked <= needed
+        compared += len(fixeds)
+    assert compared >= 500
 
 
 def test_first_self_map_is_lex_first_automorphism():

@@ -30,15 +30,19 @@ from abinitio import (
     mu_count,
     uniform_algebraicity_report,
 )
-from abinitio.zero_decomposition import _blocks, _placement_counts, _tight_sets_over
+from abinitio.zero_decomposition import (_blocks, _count_matched, _placement_counts,
+                                         _tight_sets_over)
 from builders import plant_clique, random_graph, random_k0_graph, random_zero_graph
 from oracles import (
+    brute_automorphisms,
     brute_strong_extension_count,
     ref_absorbable_over,
     ref_base_attachment_pairs,
     ref_connected_subsets,
     ref_is_zero_algebraic,
+    ref_count,
     ref_is_zero_minimally_algebraic,
+    ref_placement_counts,
     ref_tight_sets_over,
 )
 
@@ -423,6 +427,81 @@ def test_keyed_counts_match_direct_counts():
     assert rows >= 300 and partial >= 150
 
 
+def _check_counts_by_image_set(g, base, att) -> list:
+    """_placement_counts and the unpinned counts of the base pattern against
+    the reference copies, position by position; returns the placements."""
+    plan = EmbeddingPlan(g.induced(base | att), pinned=base)
+    base_plan = EmbeddingPlan(g.induced(base))
+    placements = [dict(p) for p in base_plan.pairs(g, is_strong=is_self_sufficient)]
+    assert _placement_counts(g, base, att, placements, plan) == \
+        ref_placement_counts(g, base, att, placements, plan)
+    for is_strong in (None, is_self_sufficient):
+        assert base_plan.count(g, is_strong=is_strong) == \
+            ref_count(base_plan, g, is_strong=is_strong)
+    return placements
+
+
+def _check_report_by_class(g) -> int:
+    """Every row of uniform_algebraicity_report, counted by class, against
+    the reference copy of _placement_counts over the listed placements;
+    returns the number of rows."""
+    rows = 0
+    level = max((c.level for c in decompose(g).components), default=0)
+    for i in range(1, level + 1):
+        for w, counts, uniform in uniform_algebraicity_report(g, i):
+            placements = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
+                g, is_strong=is_self_sufficient)]
+            plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+            want = ref_placement_counts(g, w.base, w.zero_minimal_set, placements, plan)
+            assert counts == want and uniform == (len(set(want)) <= 1)
+            rows += 1
+    return rows
+
+
+def test_counts_by_image_set_match_reference_copies():
+    rng = random.Random(12)
+    rows = asymmetric = 0
+    for k in range(80):
+        g = random_zero_graph(rng, 12) if k % 2 == 0 else random_k0_graph(rng, 9)
+        vs = g.sorted_vertices()
+        if len(vs) < 2:
+            continue
+        for _ in range(4):
+            base = frozenset(rng.sample(vs, rng.randint(1, min(4, len(vs) - 1))))
+            rest = sorted(g.vertices - base)
+            att = frozenset(rng.sample(rest, rng.randint(1, min(3, len(rest)))))
+            _check_counts_by_image_set(g, base, att)
+            rows += 1
+            asymmetric += len(brute_automorphisms(g.induced(base))) == 1
+    report_rows = sum(_check_report_by_class(random_zero_graph(rng, 10)) for _ in range(120))
+    assert rows >= 300 and asymmetric >= 60 and report_rows >= 60
+
+
+def test_counts_by_image_set_on_a_planted_seven_clique():
+    # K7 counts 0 at m = 3, and so does each point tied to three others:
+    # 5,040 automorphisms of the block, 16 of the level-two base
+    clique = [f"k{i}" for i in range(7)]
+    g = Graph(3, clique + ["s0", "s1", "s2"],
+              list(itertools.combinations(clique, 2))
+              + [("s0", "k0"), ("s0", "k1"), ("s0", "k2"), ("s1", "k0"), ("s1", "k3"),
+                 ("s1", "k4"), ("s2", "s0"), ("s2", "s1"), ("s2", "k5")])
+    placements = _check_counts_by_image_set(g, frozenset(clique), frozenset(["s0"]))
+    assert len(placements) == 5040
+    _check_counts_by_image_set(g, frozenset(clique), frozenset(["s0", "s1"]))
+    _check_counts_by_image_set(g, frozenset(clique) | {"s0", "s1"}, frozenset(["s2"]))
+    assert _check_report_by_class(g) == 3
+
+
+def test_counts_by_image_set_over_two_five_cliques():
+    # a base of two K5 blocks has 2 * 120 * 120 = 28,800 placements
+    na, ea = k5("a")
+    nb, eb = k5("b")
+    g = Graph(2, na + nb + ["w", "x"],
+              ea + eb + [("w", "a0"), ("w", "a1"), ("x", "a2"), ("x", "b0")])
+    placements = _check_counts_by_image_set(g, frozenset(na + nb), frozenset(["w", "x"]))
+    assert len(placements) == 28800
+
+
 def test_report_contacts_are_the_generator():
     # the base is self-sufficient, so an edge from the attachment to
     # base minus generator would make the attachment's count over it negative
@@ -624,6 +703,29 @@ def test_zero_algebraic_matches_part_enumeration():
             zero += delta_rel(g, b, a) == 0
             tight += want
     assert zero >= 1300 and tight >= 400
+
+
+def test_zero_algebraic_adjacency_rejections_match_part_enumeration():
+    # count-0 pairs with several points in b, as hull meets them: connected
+    # candidates over each set of contacts carrying exactly their deficit;
+    # the two adjacency checks reject before any graph is built
+    rng = random.Random(8)
+    cases = by_point = by_rest = tight = 0
+    for _ in range(30):
+        g = random_zero_graph(rng, 16)
+        vs = g.sorted_vertices()
+        e = frozenset(vs[:3])
+        for b in abinitio.graph.connected_subsets(g, g.vertices - e, 4):
+            if len(b) < 2:
+                continue
+            for a in _count_matched(g, b, g.vertices - b):
+                want = ref_is_zero_algebraic(g, b, a)
+                assert is_zero_algebraic(g, b, a) == want
+                cases += 1
+                tight += want
+                by_point += any(len(g.neighbors(v) & a) >= g.m for v in b)
+                by_rest += any(len(g.neighbors(v) & (a | b)) <= g.m for v in b)
+    assert cases >= 12000 and by_point >= 10000 and by_rest >= 10000 and tight >= 600
 
 
 def test_tight_sets_over_a_planted_clique_match_reference():
