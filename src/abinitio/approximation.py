@@ -15,7 +15,7 @@ from . import limits
 from .amalgam import AmalgamSpec, free_amalgam
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
-    Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, enumerate_embeddings, fresh_name)
+    Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, fresh_name)
 from .predimension import closure, delta_rel, is_in_k0, is_self_sufficient
 
 
@@ -41,9 +41,7 @@ def realize_extension(
         base_in_right=Embedding.build(
             pattern_base, pattern_ext, {v: v for v in pattern_base.vertices}),
     )
-    result = free_amalgam(spec).graph
-    assert is_self_sufficient(result, current.vertices)
-    return result
+    return free_amalgam(spec).graph
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def pattern_catalog(m: int, size_budget: int) -> tuple:
 def _base_choices(ext: Graph) -> list:
     """Self-sufficient subsets of the extension pattern, one per orbit of its
     automorphism group."""
-    autos = [e.as_dict() for e in enumerate_embeddings(ext, ext)]
+    autos = [dict(p) for p in EmbeddingPlan(ext).pairs(ext)]
     chosen = []
     emitted = set()
     for size in range(len(ext.vertices) + 1):
@@ -109,6 +107,25 @@ def _base_choices(ext: Graph) -> list:
     return chosen
 
 
+_TASKS: dict = {}
+
+
+def _tasks(m: int, size_budget: int) -> tuple:
+    """Every (extension, base pattern, extension plan pinned at the base,
+    base plan) in catalog order, one per base choice: compiled once per
+    argument pair, like pattern_catalog, so that the plans' lazily built
+    layouts serve every later call."""
+    key = (m, size_budget)
+    if key not in _TASKS:
+        tasks = []
+        for ext in pattern_catalog(m, size_budget):
+            for base_set in _base_choices(ext):
+                base = ext.induced(base_set)
+                tasks.append((ext, base, EmbeddingPlan(ext, pinned=base_set), EmbeddingPlan(base)))
+        _TASKS[key] = tuple(tasks)
+    return _TASKS[key]
+
+
 def build_approximation(
     seed: Graph,
     rounds: int,
@@ -121,11 +138,7 @@ def build_approximation(
     max_ambient vertices."""
     if not is_in_k0(seed):
         raise OutsideK0("seed is not hereditarily nonnegative")
-    pairs = []
-    for ext in pattern_catalog(seed.m, size_budget):
-        for base_set in _base_choices(ext):
-            pairs.append((ext, ext.induced(base_set), EmbeddingPlan(ext, pinned=base_set)))
-
+    tasks = _tasks(seed.m, size_budget)
     stages = [seed]
     task_log = []
     current = seed
@@ -133,11 +146,9 @@ def build_approximation(
     for rnd in range(rounds):
         snapshot = current
         queue = []
-        for ext, base_pattern, plan in pairs:
-            placements = enumerate_embeddings(
-                base_pattern, snapshot, strong_only=True, is_strong=is_self_sufficient)
-            for at in placements:
-                queue.append((ext, base_pattern, plan, at.as_dict()))
+        for ext, base_pattern, plan, base_plan in tasks:
+            for p in base_plan.pairs(snapshot, None, is_self_sufficient):
+                queue.append((ext, base_pattern, plan, dict(p)))
         for ext, base_pattern, plan, at_map in queue:
             # an empty map counts as no placement, so the empty pattern is
             # realized (as a no-op) every round
@@ -173,21 +184,23 @@ def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
         return ambient, hit
     new_part = n - frozenset(phi)
     grown, relabel = adjoin_copy(ambient, ambient, new_part, phi)
-    assert is_in_k0(grown)
-    assert is_self_sufficient(grown, ambient.vertices)
+    if not is_in_k0(grown):
+        raise ConstructionFailed("back-and-forth: the grown ambient is outside K0")
+    if not is_self_sufficient(grown, ambient.vertices):
+        raise ConstructionFailed("back-and-forth: the ambient is not strong in the grown one")
     out = dict(phi)
     out.update({w: relabel[w] for w in new_part})
     return grown, out
 
 
 def _total_extension(ambient: Graph, phi: dict) -> Embedding | None:
-    """The first automorphism of the ambient extending phi, or None."""
+    """The first automorphism of the ambient extending phi, or None.  A total
+    phi pins every position, so it is its own only candidate."""
+    if len(phi) == len(ambient.vertices):
+        gamma = Embedding.build(ambient, ambient, phi)
+        return gamma if gamma.is_induced() else None
     total = EmbeddingPlan(ambient, pinned=phi).first(ambient, phi)
-    if total is None:
-        return None
-    gamma = Embedding.build(ambient, ambient, total)
-    assert gamma.is_induced()
-    return gamma
+    return None if total is None else Embedding.build(ambient, ambient, total)
 
 
 def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
@@ -237,7 +250,8 @@ def add_generic_point(ambient: Graph, over, relative_delta: int) -> Graph:
     fresh = fresh_name("x", set(ambient.vertices))
     edges = list(ambient.sorted_edges()) + [(fresh, t) for t in sorted(target)[:k]]
     out = Graph(ambient.m, set(ambient.vertices) | {fresh}, edges)
-    assert delta_rel(out, frozenset([fresh]), target) == relative_delta
-    if relative_delta >= 1:
-        assert is_self_sufficient(out, ambient.vertices)
+    if delta_rel(out, frozenset([fresh]), target) != relative_delta:
+        raise ConstructionFailed(f"generic point: it does not count {relative_delta} over the set")
+    if relative_delta >= 1 and not is_self_sufficient(out, ambient.vertices):
+        raise ConstructionFailed("generic point: the ambient is not self-sufficient with it")
     return out

@@ -234,13 +234,11 @@ class Embedding:
         raise UnknownVertex(f"{v!r} not in embedding domain")
 
     def is_induced(self) -> bool:
-        f = self.as_dict()
-        vs = sorted(f)
-        for i, a in enumerate(vs):
-            for b in vs[i + 1:]:
-                if self.source.has_edge(a, b) != self.target.has_edge(f[a], f[b]):
-                    return False
-        return True
+        # the map is injective and total, so comparing each vertex's
+        # neighbourhood with its image's neighbours in the image covers every pair
+        f, image = self.as_dict(), self.image
+        sadj, tadj = self.source._adj, self.target._adj
+        return all(tadj[f[a]] & image == {f[b] for b in sadj[a]} for a in f)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,11 @@ scans stay instant.
 
 import itertools
 
-from abinitio import BaseWitness, InvalidMap, closure, delta_rel, is_self_sufficient
+from abinitio import (
+    BaseWitness, Embedding, EmbeddingPlan, InvalidMap, OutsideK0, closure, delta_rel,
+    enumerate_embeddings, is_in_k0, is_self_sufficient, pattern_catalog)
 from abinitio import limits
+from abinitio.approximation import ApproximationChain, realize_extension
 from abinitio.graph import _check_coefficient
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
     brute_closed,
@@ -348,3 +351,82 @@ def ref_placement_counts(c, base, att, placements, plan) -> list:
             memo[key] = ref_count(plan, c, f, is_strong=is_self_sufficient)
         counts.append(memo[key])
     return counts
+
+
+def ref_is_induced(emb) -> bool:
+    """Embedding.is_induced as it was: every pair of source vertices, edge
+    against edge."""
+    f = emb.as_dict()
+    vs = sorted(f)
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            if emb.source.has_edge(a, b) != emb.target.has_edge(f[a], f[b]):
+                return False
+    return True
+
+
+# -- reference copy of the per-call approximation loop ------------------------
+# approximation._base_choices and build_approximation as they were before the
+# task plans were compiled once per catalog: every call recomputes the base
+# choices, compiles a pinned plan per task, and lists each round's placements
+# as Embeddings through enumerate_embeddings.  Copied unchanged but for the
+# names.
+
+
+def ref_base_choices(ext) -> list:
+    autos = [e.as_dict() for e in enumerate_embeddings(ext, ext)]
+    chosen = []
+    emitted = set()
+    for size in range(len(ext.vertices) + 1):
+        for combo in itertools.combinations(ext.sorted_vertices(), size):
+            s = frozenset(combo)
+            if s in emitted:
+                continue
+            if not is_self_sufficient(ext, s):
+                continue
+            for a in autos:
+                emitted.add(frozenset(a[v] for v in s))
+            chosen.append(s)
+    return chosen
+
+
+def ref_build_approximation(seed, rounds, size_budget, max_ambient=limits.DEFAULT_MAX_AMBIENT):
+    if not is_in_k0(seed):
+        raise OutsideK0("seed is not hereditarily nonnegative")
+    pairs = []
+    for ext in pattern_catalog(seed.m, size_budget):
+        for base_set in ref_base_choices(ext):
+            pairs.append((ext, ext.induced(base_set), EmbeddingPlan(ext, pinned=base_set)))
+
+    stages = [seed]
+    task_log = []
+    current = seed
+    truncated = False
+    for rnd in range(rounds):
+        snapshot = current
+        queue = []
+        for ext, base_pattern, plan in pairs:
+            placements = enumerate_embeddings(
+                base_pattern, snapshot, strong_only=True, is_strong=is_self_sufficient)
+            for at in placements:
+                queue.append((ext, base_pattern, plan, at.as_dict()))
+        for ext, base_pattern, plan, at_map in queue:
+            # an empty map counts as no placement, so the empty pattern is
+            # realized (as a no-op) every round
+            if plan.first(current, at_map, is_self_sufficient):
+                continue
+            if len(current.vertices) + len(ext.vertices) - len(at_map) > max_ambient:
+                truncated = True
+                break
+            at = Embedding.build(base_pattern, current, at_map)
+            current = realize_extension(current, base_pattern, ext, at)
+            task_log.append({
+                "round": rnd,
+                "extension": ext.to_json_dict(),
+                "base": sorted(base_pattern.vertices),
+                "at": sorted(at_map.items()),
+            })
+        stages.append(current)
+        if truncated:
+            break
+    return ApproximationChain(tuple(stages), tuple(task_log), truncated)

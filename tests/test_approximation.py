@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
+import abinitio.approximation
 from abinitio import (
     ConstructionFailed,
     Embedding,
+    EmbeddingPlan,
     Graph,
     InvalidMap,
     OutsideK0,
@@ -15,13 +18,14 @@ from abinitio import (
     dimension,
     extend_partial_iso,
     geometric_closure_bounded,
+    is_in_k0,
     is_self_sufficient,
     pattern_catalog,
     realize_extension,
     strong_embeddings,
 )
-from abinitio.approximation import _base_choices
-from oracles import brute_automorphisms
+from abinitio.approximation import _base_choices, _tasks, _total_extension
+from oracles import brute_automorphisms, ref_base_choices, ref_build_approximation
 
 
 def k5(prefix):
@@ -49,6 +53,55 @@ def test_pattern_catalog_is_built_once():
     cat = pattern_catalog(2, 3)
     assert isinstance(cat, tuple)
     assert pattern_catalog(2, 3) is cat
+
+
+def test_task_plans_are_compiled_once_per_catalog(monkeypatch):
+    monkeypatch.setattr(abinitio.approximation, "_TASKS", {})
+    compiled = []
+    init = EmbeddingPlan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        compiled.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddingPlan, "__init__", counting_init)
+    tasks = _tasks(2, 3)
+    assert len(compiled) > 2 * len(tasks)
+    assert _tasks(2, 3) is tasks
+    assert [base for _, base, _, _ in tasks] == [
+        ext.induced(s) for ext in pattern_catalog(2, 3) for s in ref_base_choices(ext)]
+    seed = block("a")
+    first = build_approximation(seed, 1, 3)
+    compiled.clear()
+    assert build_approximation(seed, 1, 3) == first
+    assert compiled == []
+
+
+def _random_k0_seeds(count, rng):
+    seeds = []
+    while len(seeds) < count:
+        n = rng.randint(3, 6)
+        names = [f"g{i}" for i in range(n)]
+        edges = [e for e in itertools.combinations(names, 2) if rng.random() < 0.5]
+        g = Graph(2, names, edges)
+        if is_in_k0(g):
+            seeds.append(g)
+    return seeds
+
+
+@pytest.mark.parametrize("rounds, budget", [(1, 3), (2, 3), (1, 4)])
+def test_build_matches_per_call_reference(rounds, budget):
+    for seed in _random_k0_seeds(20, random.Random(rounds * 10 + budget)):
+        assert build_approximation(seed, rounds, budget).to_json_dict() == \
+            ref_build_approximation(seed, rounds, budget).to_json_dict()
+
+
+def test_truncated_build_matches_per_call_reference():
+    for seed in _random_k0_seeds(5, random.Random(7)):
+        chain = build_approximation(seed, 2, 3, max_ambient=len(seed.vertices) + 4)
+        assert chain.truncated
+        assert chain.to_json_dict() == ref_build_approximation(
+            seed, 2, 3, max_ambient=len(seed.vertices) + 4).to_json_dict()
 
 
 def test_base_choices_one_per_orbit():
@@ -158,6 +211,44 @@ def test_extend_grows_one_satellite():
     assert f["w"] == fresh or f[fresh] == "w"
     assert gamma.is_induced()
     assert is_self_sufficient(ambient, g.vertices)
+
+
+def test_total_map_check_matches_pinned_search():
+    # a path with a pendant: some permutations are automorphisms, most not
+    g = Graph(2, ["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e")])
+    vs = g.sorted_vertices()
+    hits = 0
+    for perm in itertools.permutations(vs):
+        phi = dict(zip(vs, perm))
+        gamma = _total_extension(g, phi)
+        assert (gamma and gamma.as_dict()) == EmbeddingPlan(g, pinned=phi).first(g, phi)
+        hits += gamma is not None
+    assert hits == 2
+
+
+def test_construction_invariants_survive_without_asserts(monkeypatch):
+    # the checks are raises, so python -O keeps them: a patched predicate
+    # that denies one must fail the step by name
+    approx = abinitio.approximation
+    na, ea = k5("a")
+    nb, eb = k5("b")
+    g = Graph(2, na + nb + ["w"], ea + eb + [("w", "b0"), ("w", "b1")])
+    phi = PartialIso.build(g, {f"a{i}": f"b{i}" for i in range(5)})
+    real = approx.is_self_sufficient
+    b = block("a")
+    for name, fake, call, message in [
+        ("is_in_k0", lambda h: False, lambda: extend_partial_iso(g, phi), "outside K0"),
+        ("is_self_sufficient", lambda h, s: h == g and real(h, s),
+         lambda: extend_partial_iso(g, phi), "not strong in the grown one"),
+        ("delta_rel", lambda *args: -1, lambda: add_generic_point(b, b.vertices, 1),
+         "does not count 1"),
+        ("is_self_sufficient", lambda h, s: h.vertices == s,
+         lambda: add_generic_point(b, b.vertices, 1), "not self-sufficient with it"),
+    ]:
+        with monkeypatch.context() as patched:
+            patched.setattr(approx, name, fake)
+            with pytest.raises(ConstructionFailed, match=message):
+                call()
 
 
 def test_extend_identity_is_identity():

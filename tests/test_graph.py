@@ -24,7 +24,8 @@ from abinitio import (
     limits,
 )
 from abinitio.graph import adjoin_copy
-from oracles import adjacent, brute_automorphisms, brute_closed, ref_connected_subsets
+from oracles import (
+    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_is_induced)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -113,6 +114,32 @@ def test_embedding_is_induced_detects_missing_edge():
     a = Graph(2, ["x", "y"], [("x", "y")])
     c = Graph(2, ["p", "q"], [])
     assert not Embedding.build(a, c, {"x": "p", "y": "q"}).is_induced()
+
+
+def test_is_induced_matches_pairwise_definition():
+    rng = random.Random(13)
+    seen = {"induced": 0, "lost": 0, "gained": 0}
+    for _ in range(300):
+        n, k = rng.randint(4, 8), rng.randint(0, 4)
+        c = Graph(2, [f"c{i}" for i in range(n)],
+                  [e for e in itertools.combinations([f"c{i}" for i in range(n)], 2)
+                   if rng.random() < 0.4])
+        image = rng.sample(sorted(c.vertices), k)
+        f = {f"a{i}": t for i, t in enumerate(image)}
+        # the source is the induced copy, then a random pair toggled
+        edges = {(f"a{i}", f"a{j}") for i, j in itertools.combinations(range(k), 2)
+                 if c.has_edge(image[i], image[j])}
+        toggled = None
+        if k >= 2 and rng.random() < 0.6:
+            toggled = tuple(f"a{i}" for i in sorted(rng.sample(range(k), 2)))
+            edges ^= {toggled}
+        emb = Embedding.build(Graph(2, f, edges), c, f)
+        assert emb.is_induced() == ref_is_induced(emb) == (toggled is None)
+        if toggled is not None:
+            seen["gained" if toggled in edges else "lost"] += 1
+        else:
+            seen["induced"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_partial_iso_rejects_non_isomorphism():

@@ -429,6 +429,7 @@ def test_this_module_passes_with_asserts_stripped():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_predimension.py", "tests/test_zero_decomposition.py",
          "tests/test_amalgam.py",
+         "tests/test_approximation.py::test_construction_invariants_survive_without_asserts",
          "tests/test_extension.py::test_base_stage_invariants_survive_without_asserts",
          "tests/test_extension.py::test_level_stage_invariants_survive_without_asserts"],
         cwd=ROOT, env=_env(), capture_output=True, text=True)
