@@ -152,18 +152,19 @@ def _check_automorphism(g: Graph, f: dict) -> bool:
 
 def _partial_permutation_parts(blocks: list, e: dict) -> tuple:
     """Split the block-level action of e into pure cycles, open chains, and
-    untouched blocks.  Blocks must be inside or disjoint from the domain."""
+    untouched blocks.  Blocks must be inside or disjoint from the domain, and
+    map onto blocks."""
+    log = {"stage": 0, "kind": "base", "blocks": [sorted(bl) for bl in blocks]}
     dom = set(e)
-    rng = set(e.values())
     image = {}
     for bl in blocks:
         inside = bl & dom
-        assert inside in (frozenset(), bl), "a block straddles the domain"
+        _require(inside in (frozenset(), bl), f"block {sorted(bl)} straddles the domain", log)
         if inside:
             image[bl] = frozenset(e[v] for v in bl)
-    by_set = {bl: bl for bl in blocks}
+    known = set(blocks)
     for bl, im in image.items():
-        assert by_set.get(im) == im, "a block maps onto a non-block"
+        _require(im in known, f"block {sorted(bl)} maps onto a non-block", log)
     has_incoming = set(image.values())
     chains = []
     cycles = []
@@ -585,16 +586,19 @@ def ep_extend(p: EPProblem, max_set: int | None = None) -> EPCertificate:
             b, p, q, fmaps, decomp=decomp, max_set=max_set)
         logs.append(lg)
 
-    assert p.a.induced(p.a.vertices) == b.induced(p.a.vertices)
+    # the inclusion is the identity on the ambient's points, so it is induced
+    # exactly when the stage graph induces the ambient on them
+    last = logs[-1]
+    _require(p.a.vertices <= b.vertices and b.induced(p.a.vertices) == p.a,
+             "the stage graph does not induce the ambient on its points", last)
     inclusion = Embedding.build(p.a, b, {v: v for v in p.a.vertices})
-    assert inclusion.is_induced()
     autos = []
     for k, pi in enumerate(p.maps):
         f = fmaps[k]
-        for d, r in pi.as_dict().items():
-            assert f[d] == r, f"map {k} not extended at {d}"
+        _require(all(f.get(d) == r for d, r in pi.as_dict().items()),
+                 f"map {k} is not extended", last)
         emb = Embedding.build(b, b, f)
-        assert emb.is_induced()
+        _require(emb.is_induced(), f"map {k} is not an automorphism of the stage graph", last)
         autos.append(emb)
     counts = {
         "mu": logs[0]["mu"],

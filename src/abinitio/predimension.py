@@ -1,12 +1,16 @@
 """The sparsity count m*|s| - e(s), self-sufficiency, and strong closure.
 
 A subset is self-sufficient when no superset has a strictly smaller count.
-Membership questions reduce to bounded-outdegree edge orientations, found by
-augmenting-path reassignment on vertex ids in name order (one index per public
-call, shared by all its searches).  The sets tight over a self-sufficient set
-are the saturated sink strong components of the orientation rooted at it; the
-closure absorbs inclusion-minimal strictly-decreasing extensions extracted
-from orientation failure regions.
+Membership questions reduce to bounded-outdegree edge orientations.  Where
+only the answer is output (membership in K0, self-sufficiency) they are
+decided order-free: points whose edges fit their capacity peel off, a core
+counting below 0 fails, and only a core with room left is searched.  Where
+the orientation itself is output (witnesses, closure chains, tight sets) it
+is found whole, by augmenting-path reassignment on vertex ids in name order
+(one index per public call, shared by all its searches).  The sets tight
+over a self-sufficient set are the saturated sink strong components of the
+orientation rooted at it; the closure absorbs inclusion-minimal
+strictly-decreasing extensions extracted from orientation failure regions.
 """
 
 from __future__ import annotations
@@ -172,12 +176,54 @@ def _tight_components(ix: _Index, base: Iterable[str]) -> list | None:
     return [frozenset(ix.names[x] for x in c) for c in sorted(found)]
 
 
+_last_index = lru_cache(maxsize=1)(_Index)  # questions come in runs over one ambient
+
+
+def _feasible(g: Graph, base: frozenset, ix: _Index | None = None) -> bool:
+    """Whether the edges outside base orient with outdegree at most m, edges
+    into base forced onto their outside end: whether base is self-sufficient,
+    or, base empty, whether g is in K0.  Only the answer is output, so the
+    order of work is free.
+
+    First peel: a point whose remaining edges fit its spare capacity takes
+    them all as origin, as any orientation can be flipped to let it.  With p
+    of its neighbours peeled that is deg - p <= m, whatever base is.  The
+    points left form a core; counting below 0 over base, it has more edges
+    than any orientation can carry.  Otherwise the name-ordered search
+    decides on the core alone, on the index ix or the last one built.  A
+    whole graph that peels, or counts below 0, never builds an index."""
+    adj, m = g._adj, g.m
+    queue = [v for v in g.vertices if len(adj[v]) <= m and v not in base]
+    slack = m * (len(g.vertices) - len(base)) - len(g.edges)  # the core's count, less e(base)
+    peeled: dict = {}  # per point, its neighbours peeled so far
+    for x in queue:  # the loop also visits what it appends
+        near = adj[x]
+        slack -= m - len(near) + peeled.get(x, 0)
+        for y in near:
+            p = peeled[y] = peeled.get(y, 0) + 1
+            if len(adj[y]) - p == m and y not in base:
+                queue.append(y)
+    if len(queue) + len(base) == len(g.vertices):
+        return True
+    if not base and slack < 0:
+        return False
+    ix = ix or _last_index(g)
+    inside, load = _rooted(ix, base)
+    # the loads sum to 2 e(base) plus the edges leaving base
+    if base and slack + (sum(load) - sum(compress(load, inside))) // 2 < 0:
+        return False
+    ids = ix.ids
+    for x in queue:
+        inside[ids[x]] = False
+    return _orient(ix, inside, load)[0] is not None
+
+
 def _in_k0(ix: _Index) -> bool:
-    return _orient(ix, *_rooted(ix, ()))[0] is not None
+    return _feasible(ix.g, frozenset(), ix)
 
 
 def _member_index(g: Graph, error: str) -> _Index:
-    """g's index, once the search on it has found g in K0."""
+    """g's index, once g is found in K0."""
     ix = _Index(g)
     if not _in_k0(ix):
         raise OutsideK0(error)
@@ -186,8 +232,10 @@ def _member_index(g: Graph, error: str) -> _Index:
 
 def is_in_k0(g: Graph) -> bool:
     """Whether every subset has a nonnegative count; decided by orientability
-    with outdegree at most m rather than by subset enumeration."""
-    return _in_k0(_Index(g))
+    with outdegree at most m rather than by subset enumeration.  Only the
+    answer is output, so points that peel never reach the name-ordered
+    search; orientation_witness and closure chains keep that search whole."""
+    return _feasible(g, frozenset())
 
 
 @dataclass(frozen=True)
@@ -215,22 +263,17 @@ def orientation_witness(g: Graph) -> OrientationWitness:
         max(map(len, out), default=0))
 
 
-_last_index = lru_cache(maxsize=1)(_Index)  # questions come in runs over one ambient
-
-
-@lru_cache(maxsize=262144)
-def _self_sufficient_cached(g: Graph, aa: frozenset) -> bool:
-    ix = _last_index(g)
-    return _orient(ix, *_rooted(ix, aa))[0] is not None
+_self_sufficient_cached = lru_cache(maxsize=262144)(_feasible)
 
 
 def is_self_sufficient(g: Graph, a: Iterable[str]) -> bool:
     """True iff delta(a') >= delta(a) for every superset a' inside g.
 
     Equivalent to orienting the edges outside a, with edges into a forced
-    onto their outside endpoint, within outdegree m.  Graphs are immutable,
-    so results are memoized; extension sweeps ask about the same set under
-    the same ambient thousands of times.
+    onto their outside endpoint, within outdegree m; decided order-free, by
+    peeling before any search.  Graphs are immutable, so results are
+    memoized; extension sweeps ask about the same set under the same
+    ambient thousands of times.
     """
     return _self_sufficient_cached(g, g.check_subset(a))
 

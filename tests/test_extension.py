@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -417,6 +418,51 @@ def test_level_stage_invariants_survive_without_asserts(monkeypatch, name, value
     with pytest.raises(ConstructionFailed, match=f"stage 1: {message}") as failed:
         build_level_stage(b0, p, 0, maps, decomp=decomp)
     assert [log["stage"] for log in failed.value.stage_log] == [1]
+
+
+def _blocks_replaced(*blocks):
+    """A decomposition whose minimally closed sets are the given blocks."""
+    def tamper(monkeypatch):
+        real = abinitio.extension.decompose
+        monkeypatch.setattr(abinitio.extension, "decompose", lambda g, **kw: dataclasses.replace(
+            real(g, **kw), minimally_closed=tuple(map(frozenset, blocks))))
+    return tamper
+
+
+def _stage_replaced(b, fmap):
+    """A base stage that returns b and fmap in place of what it built."""
+    def tamper(monkeypatch):
+        real = abinitio.extension.build_base_stage
+        monkeypatch.setattr(abinitio.extension, "build_base_stage",
+                            lambda *args: (b, [fmap], real(*args)[2]))
+    return tamper
+
+
+A5 = [f"a{i}" for i in range(5)]
+K5_LESS_ONE = Graph(2, A5, [e for e in itertools.combinations(A5, 2) if e != ("a0", "a1")])
+# K5 and a path c0 - c1 - c2: swapping c0 and c1 keeps the rotation but
+# moves the edge c1 c2 onto the non-edge c0 c2
+K5_PATH = Graph(2, A5 + ["c0", "c1", "c2"],
+                list(itertools.combinations(A5, 2)) + [("c0", "c1"), ("c1", "c2")])
+
+
+@pytest.mark.parametrize("graph, tamper, message", [
+    (w_graph, _blocks_replaced(A5 + ["w"]), r"block \[.*'w'\] straddles the domain"),
+    (single_block, _blocks_replaced(A5[:4]), r"block \['a0', .*'a3'\] maps onto a non-block"),
+    (single_block, _stage_replaced(K5_LESS_ONE, ROT),
+     "the stage graph does not induce the ambient on its points"),
+    (single_block, _stage_replaced(single_block(), IDA), "map 0 is not extended"),
+    (single_block, _stage_replaced(K5_PATH, ROT | {"c0": "c1", "c1": "c0", "c2": "c2"}),
+     "map 0 is not an automorphism of the stage graph"),
+], ids=["straddle", "non-block", "induced", "extended", "automorphism"])
+def test_ep_extend_invariants_survive_without_asserts(monkeypatch, graph, tamper, message):
+    # one block has no level above it, so stage 0 is the last; the w graph
+    # fails in stage 0, before its level stage
+    g = graph()
+    tamper(monkeypatch)
+    with pytest.raises(ConstructionFailed, match=f"stage 0: {message}") as failed:
+        ep_extend(EPProblem(g, (PartialIso.build(g, ROT),)))
+    assert [log["stage"] for log in failed.value.stage_log] == [0]
 
 
 @pytest.mark.parametrize("t", [0, 2])

@@ -25,7 +25,7 @@ from abinitio import (
     strong_embeddings,
 )
 from abinitio.graph import normalize_edge
-from abinitio.predimension import _Index, _orient
+from abinitio.predimension import _feasible, _Index, _orient, _rooted
 from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
     brute_closed,
@@ -423,6 +423,91 @@ def test_membership_is_checked_once_per_call(monkeypatch):
     assert calls == []
 
 
+def counted_searches(monkeypatch) -> list:
+    """Calls reaching the name-ordered search from here on, one entry each."""
+    calls, search = [], abinitio.predimension._orient
+    monkeypatch.setattr(abinitio.predimension, "_orient",
+                        lambda *args: calls.append(args[0].g) or search(*args))
+    return calls
+
+
+def disjoint_cliques(m, *sizes):
+    names, edges = [], []
+    for i, k in enumerate(sizes):
+        block = [f"{chr(97 + i)}{j}" for j in range(k)]
+        names += block
+        edges += itertools.combinations(block, 2)
+    return Graph(m, names, edges)
+
+
+# each point of the chain sends two edges back, so every point peels
+CHAIN = Graph(2, [f"v{i}" for i in range(7)],
+              [("v0", "v1")] + [(f"v{i}", f"v{i - j}") for i in range(2, 7) for j in (1, 2)])
+# a K6 whose points each hold one anchor: the anchors peel, the K6 counts -3
+ANCHORED_K6 = Graph(2, [f"c{i}" for i in range(6)] + [f"x{i}" for i in range(6)],
+                    list(itertools.combinations([f"c{i}" for i in range(6)], 2))
+                    + [(f"c{i}", f"x{i}") for i in range(6)])
+
+
+@pytest.mark.parametrize("g, base, member, searched", [
+    (CHAIN, (), True, False),
+    (CHAIN, ("v0", "v1"), True, False),
+    (ANCHORED_K6, (), False, False),
+    (ANCHORED_K6, ("x0",), False, False),
+    (disjoint_cliques(2, 4, 4), (), True, True),
+    (disjoint_cliques(2, 4, 4), ("a0",), True, True),
+    (disjoint_cliques(2, 6, 4, 4), (), False, True),
+    (disjoint_cliques(2, 6, 4, 4), ("a0", "a1", "a2", "a3", "a4"), False, True),
+], ids=["peeled", "peeled-over-base", "below-0", "below-0-over-base", "room-found",
+        "room-found-over-base", "room-none", "room-none-over-base"])
+def test_peeling_decides_before_the_search(monkeypatch, g, base, member, searched):
+    """Every branch of _feasible: all points peel; the core counts below 0;
+    the core has room and the search finds an orientation, or none."""
+    base = frozenset(base)
+    ix = _Index(g)
+    whole = _orient(ix, *_rooted(ix, base))[0] is not None
+    calls = counted_searches(monkeypatch)
+    assert _feasible(g, base) == _feasible(g, base, _Index(g)) == member == whole
+    assert calls == ([g, g] if searched else [])
+    assert brute_closed(g, base) == member
+    if not base:
+        assert is_in_k0(g) == brute_in_k0(g) == member
+
+
+def test_peeling_matches_the_search_and_the_subset_scans(monkeypatch):
+    """Random graphs of up to 9 points and random bases: membership and
+    self-sufficiency agree with the subset scans and with the search on the
+    whole graph.  A core with room that no orientation fits is rare this
+    small, so the branches counted are the other three."""
+    rng = random.Random(34)
+    calls = counted_searches(monkeypatch)
+    seen = {}
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(0, 9), m=rng.choice([2, 2, 3]), p=rng.random())
+        base = frozenset(v for v in g.vertices if rng.random() < 0.3)
+        ix = _Index(g)
+        for b, oracle in ((base, brute_closed(g, base)), (frozenset(), brute_in_k0(g))):
+            whole = _orient(ix, *_rooted(ix, b))[0] is not None
+            del calls[:]
+            assert _feasible(g, b, ix) == whole == oracle
+            seen[whole, bool(calls)] = seen.get((whole, bool(calls)), 0) + 1
+        assert is_self_sufficient(g, base) == brute_closed(g, base)
+        assert is_in_k0(g) == brute_in_k0(g)
+    assert min(seen.get(k, 0) for k in ((True, False), (True, True), (False, False))) >= 20
+
+
+def test_membership_at_scale_needs_no_search(monkeypatch):
+    """A 10^4-point tight graph peels away whole; with a K6 tied to six
+    anchors it counts below 0.  Neither reaches the search."""
+    rng = random.Random(35)
+    g = tight_graph(rng, 10_000, m=2, window=32, prefix="k")
+    h = plant_clique(rng, g, prefix="kx")
+    calls = counted_searches(monkeypatch)
+    assert is_in_k0(g)
+    assert not is_in_k0(h)
+    assert calls == []
+
+
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="already running with asserts stripped")
 def test_this_module_passes_with_asserts_stripped():
     proc = subprocess.run(
@@ -430,6 +515,7 @@ def test_this_module_passes_with_asserts_stripped():
          "tests/test_predimension.py", "tests/test_zero_decomposition.py",
          "tests/test_amalgam.py",
          "tests/test_approximation.py::test_construction_invariants_survive_without_asserts",
+         "tests/test_extension.py::test_ep_extend_invariants_survive_without_asserts",
          "tests/test_extension.py::test_base_stage_invariants_survive_without_asserts",
          "tests/test_extension.py::test_level_stage_invariants_survive_without_asserts"],
         cwd=ROOT, env=_env(), capture_output=True, text=True)
