@@ -493,10 +493,11 @@ def build_level_stage(
     added_log = log["added"]
     memo: dict = {}  # copies add no edge between existing points: bases keep their patterns
     for _ in range(_MAX_SWEEP_PASSES):
-        # a row is uniform when its classes, which every placement falls in,
-        # share one count; nu is that count, 0 with no placement
-        rows = [(w, {n for table in tables.values() for n in table.values()})
-                for w, tables in _report_rows(b, q + 1, max_set, memo)]
+        # a row is uniform when every strong placement of its base sees one
+        # count; nu is that count, 0 with no placement.  The counts are
+        # found once per row type and pass, but each row is still logged and
+        # evened out under its own base, generator and attachment
+        rows = _report_rows(b, q + 1, max_set, memo)
         bad = [w for w, seen in rows if len(seen) > 1]
         if not bad:
             log["rows"] = [{

@@ -492,6 +492,19 @@ class EmbeddingPlan:
         _run(c, (order, self.adjacent, self.apart, self.degrees), self._conditions()[0], emit)
         return found
 
+    def embeds_within(self, c: Graph, pins_into: frozenset, free_into: frozenset) -> bool:
+        """Whether some induced embedding into c maps the pinned vertices
+        into pins_into and the free ones into free_into; the search stops at
+        its first hit."""
+        _check_coefficient(self.pattern, c)
+        k = len(self.pinned)
+        try:
+            _run(c, (self.order, self.adjacent, self.apart, self.degrees),
+                 [pins_into] * k + [free_into] * (len(self.order) - k), _stop)
+        except _Found:
+            return True
+        return False
+
     def pin_images(self) -> list:
         """The images of the pins, in name order, under the pattern's
         automorphisms, one tuple per restriction.  With the stabilizer chain
@@ -612,40 +625,46 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable) -> None:
     embedding of layout's positions into c as the list of images.  pins[i]
     narrows position i's candidates: a target vertex pins it, _IN_NAME_ORDER
     sorts them, a tuple of earlier positions keeps those above all their
-    images, a frozenset keeps those inside it."""
+    images, a frozenset keeps those inside it.
+
+    The search runs on an explicit stack, one candidate iterator per placed
+    position, so no pattern size meets the recursion limit."""
     order, adjacent, apart, degrees = layout
     cadj = c._adj
     everything = c.vertices
     n = len(order)
+    if not n:
+        emit([])
+        return
     img: list = [None] * n
     used: set = set()
-
-    def extend(i: int) -> None:
-        if i == n:
-            emit(img)
-            return
-        near = adjacent[i]
-        if near:
-            cands = cadj[img[near[0]]]
-            for j in near[1:]:
-                cands = cands & cadj[img[j]]
-        else:
-            cands = everything
-        pin = pins[i]
-        if pin is not None:
-            if pin is _IN_NAME_ORDER:
-                cands = sorted(cands)
-            elif type(pin) is tuple:
-                least = max([img[j] for j in pin])
-                cands = [t for t in cands if t > least]
-            elif type(pin) is frozenset:
-                cands = cands & pin
-            elif pin in cands:
-                cands = (pin,)
+    tries: list = [None] * n  # position -> the iterator over its candidates
+    i, fresh = 0, True
+    while True:
+        if fresh:
+            near = adjacent[i]
+            if near:
+                cands = cadj[img[near[0]]]
+                for j in near[1:]:
+                    cands = cands & cadj[img[j]]
             else:
-                return
+                cands = everything
+            pin = pins[i]
+            if pin is not None:
+                if pin is _IN_NAME_ORDER:
+                    cands = sorted(cands)
+                elif type(pin) is tuple:
+                    least = max([img[j] for j in pin])
+                    cands = [t for t in cands if t > least]
+                elif type(pin) is frozenset:
+                    cands = cands & pin
+                elif pin in cands:
+                    cands = (pin,)
+                else:
+                    cands = ()
+            tries[i] = iter(cands)
         d, far = degrees[i], apart[i]
-        for t in cands:
+        for t in tries[i]:
             if t in used:
                 continue
             nt = cadj[t]
@@ -655,15 +674,23 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable) -> None:
                 if img[j] in nt:
                     break
             else:
-                img[i] = t
-                used.add(t)
-                extend(i + 1)
-                used.discard(t)
-
-    try:
-        extend(0)
-    finally:
-        del extend  # extend refers to itself: free the search now, not at the next collection
+                break
+        else:
+            # position i has no candidate left: back to the one before it
+            if not i:
+                return
+            i -= 1
+            used.discard(img[i])
+            fresh = False
+            continue
+        img[i] = t
+        if i + 1 == n:
+            emit(img)
+            fresh = False
+        else:
+            used.add(t)
+            i += 1
+            fresh = True
 
 
 def _tally(c: Graph, layout: tuple, image: frozenset, table: dict,

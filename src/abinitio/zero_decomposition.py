@@ -425,36 +425,67 @@ def _report_witnesses(g: Graph, i: int, max_set: int | None) -> list:
                 g, comp.carrier, comp.layers[i - 1], i, max_set=max_set))]
 
 
+def _row_invariant(g: Graph, w: BaseWitness) -> tuple:
+    """The sorted degrees of the base points and of the attachment points
+    in g.induced(base | attachment), which also fix both sizes and the edge
+    count: equal for rows of one type."""
+    both = w.base | w.zero_minimal_set
+    return tuple(tuple(sorted([len(g.neighbors(v) & both) for v in part]))
+                 for part in (w.base, w.zero_minimal_set))
+
+
 def _report_rows(g: Graph, i: int, max_set: int | None, memo: dict) -> list:
     """uniform_algebraicity_report's rows by class, without listing the
-    placements: per row the witness and its tables, {image set: {tuple:
-    count}} as EmbeddingPlan.tally fills them, holding the class of every
-    strong placement of the base.
+    placements: per row the witness and the set of counts its base's strong
+    placements see, read off the tables EmbeddingPlan.tally fills, {image
+    set: {tuple: count}}, one entry per class of those placements.
 
-    Each base's strong image sets are enumerated once, one placement each.
-    The placements onto an image set are that one composed with the base
-    pattern's automorphisms, so the classes come from that placement and the
-    automorphisms' restrictions to the pins touching the attachment.  memo
-    keeps each base's plan and those restrictions; callers may share it
-    between graphs inducing the same pattern on every base, as the passes of
-    a level stage do, whose copies add no edge between existing points."""
+    Two rows share a type when an isomorphism σ of their patterns, base |
+    attachment, maps one base onto the other.  A strong placement f of the
+    second base then matches the placement f∘σ of the first, onto the same
+    image with the same count, so both rows see the same counts.  Each type
+    is counted once, at its first row, and every later row of that type gets
+    the same set: rows are bucketed by _row_invariant and tested against
+    the counted rows of their bucket.  The test runs the counted row's
+    pattern, with its attachment pinned, into g with the pins kept inside
+    the new row's attachment and the free vertices inside its base; the
+    sizes being equal, an induced embedding is such an isomorphism.  The
+    attachment goes first because it is small and fixes the contacts: a
+    search placing the base first would try its symmetries one by one.
+
+    For a counted row, each base's strong image sets are enumerated once,
+    one placement each.  The placements onto an image set are that one
+    composed with the base pattern's automorphisms, so the classes come from
+    that placement and the automorphisms' restrictions to the pins touching
+    the attachment.  memo keeps each base's plan and those restrictions;
+    callers may share it between graphs inducing the same pattern on every
+    base, as the passes of a level stage do, whose copies add no edge
+    between existing points."""
     rows = []
     found: dict = {}  # base -> (image set, placement onto it), one per strong image set
+    counted: dict = {}  # _row_invariant -> [(plan, counts)], one per type counted
     for w in _report_witnesses(g, i, max_set):
-        if w.base not in memo:
-            memo[w.base] = EmbeddingPlan(g.induced(w.base))
-        if w.base not in found:
-            found[w.base] = [(frozenset(f.values()), f) for f in memo[w.base].representatives(
-                g, is_strong=is_self_sufficient)]
-        plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
-        key = (w.base, plan.touched)
-        if key not in memo:
-            memo[key] = EmbeddingPlan(memo[w.base].pattern, pinned=key[1]).pin_images()
-        tables: dict = {}
-        plan._classes(((image, tuple([f[y] for y in ys]))
-                       for image, f in found[w.base] for ys in memo[key]), tables)
-        plan.tally(g, tables, is_self_sufficient)
-        rows.append((w, tables))
+        bucket = counted.setdefault(_row_invariant(g, w), [])
+        counts = next((seen for plan, seen in bucket
+                       if plan.embeds_within(g, w.zero_minimal_set, w.base)), None)
+        if counts is None:
+            if w.base not in memo:
+                memo[w.base] = EmbeddingPlan(g.induced(w.base))
+            if w.base not in found:
+                found[w.base] = [(frozenset(f.values()), f) for f in
+                                 memo[w.base].representatives(g, is_strong=is_self_sufficient)]
+            pattern = g.induced(w.base | w.zero_minimal_set)
+            plan = EmbeddingPlan(pattern, pinned=w.base)
+            key = (w.base, plan.touched)
+            if key not in memo:
+                memo[key] = EmbeddingPlan(memo[w.base].pattern, pinned=key[1]).pin_images()
+            tables: dict = {}
+            plan._classes(((image, tuple([f[y] for y in ys]))
+                           for image, f in found[w.base] for ys in memo[key]), tables)
+            plan.tally(g, tables, is_self_sufficient)
+            counts = frozenset([n for table in tables.values() for n in table.values()])
+            bucket.append((EmbeddingPlan(pattern, pinned=w.zero_minimal_set), counts))
+        rows.append((w, counts))
     return rows
 
 

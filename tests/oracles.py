@@ -17,7 +17,8 @@ from abinitio import (
     enumerate_embeddings, is_in_k0, is_self_sufficient, pattern_catalog)
 from abinitio import limits
 from abinitio.approximation import ApproximationChain, realize_extension
-from abinitio.graph import _check_coefficient
+from abinitio.graph import _IN_NAME_ORDER, _check_coefficient
+from abinitio.zero_decomposition import _report_witnesses
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
     brute_closed,
     brute_closure,
@@ -430,3 +431,108 @@ def ref_build_approximation(seed, rounds, size_budget, max_ambient=limits.DEFAUL
         if truncated:
             break
     return ApproximationChain(tuple(stages), tuple(task_log), truncated)
+
+
+# -- reference copy of the recursive matcher -----------------------------------
+# graph._run as it was before it ran on an explicit stack: one recursive call
+# per search position, so it overflows the interpreter's stack on patterns of
+# about 1,000 vertices.  Copied unchanged but for the name and the
+# parameters' annotations.
+
+
+def ref_run(c, layout, pins, emit) -> None:
+    """The backtracking search of EmbeddingPlan: emit gets each induced
+    embedding of layout's positions into c as the list of images.  pins[i]
+    narrows position i's candidates: a target vertex pins it, _IN_NAME_ORDER
+    sorts them, a tuple of earlier positions keeps those above all their
+    images, a frozenset keeps those inside it."""
+    order, adjacent, apart, degrees = layout
+    cadj = c._adj
+    everything = c.vertices
+    n = len(order)
+    img: list = [None] * n
+    used: set = set()
+
+    def extend(i: int) -> None:
+        if i == n:
+            emit(img)
+            return
+        near = adjacent[i]
+        if near:
+            cands = cadj[img[near[0]]]
+            for j in near[1:]:
+                cands = cands & cadj[img[j]]
+        else:
+            cands = everything
+        pin = pins[i]
+        if pin is not None:
+            if pin is _IN_NAME_ORDER:
+                cands = sorted(cands)
+            elif type(pin) is tuple:
+                least = max([img[j] for j in pin])
+                cands = [t for t in cands if t > least]
+            elif type(pin) is frozenset:
+                cands = cands & pin
+            elif pin in cands:
+                cands = (pin,)
+            else:
+                return
+        d, far = degrees[i], apart[i]
+        for t in cands:
+            if t in used:
+                continue
+            nt = cadj[t]
+            if len(nt) < d:
+                continue
+            for j in far:
+                if img[j] in nt:
+                    break
+            else:
+                img[i] = t
+                used.add(t)
+                extend(i + 1)
+                used.discard(t)
+
+    try:
+        extend(0)
+    finally:
+        del extend  # extend refers to itself: free the search now, not at the next collection
+
+
+# -- reference copy of the level stage's row counts ----------------------------
+# zero_decomposition._report_rows as it was before rows of one type shared
+# their tables: every row counted on its own.  Copied unchanged but for the
+# name and the parameters' annotations.
+
+
+def ref_report_rows(g, i, max_set, memo) -> list:
+    """uniform_algebraicity_report's rows by class, without listing the
+    placements: per row the witness and its tables, {image set: {tuple:
+    count}} as EmbeddingPlan.tally fills them, holding the class of every
+    strong placement of the base.
+
+    Each base's strong image sets are enumerated once, one placement each.
+    The placements onto an image set are that one composed with the base
+    pattern's automorphisms, so the classes come from that placement and the
+    automorphisms' restrictions to the pins touching the attachment.  memo
+    keeps each base's plan and those restrictions; callers may share it
+    between graphs inducing the same pattern on every base, as the passes of
+    a level stage do, whose copies add no edge between existing points."""
+    rows = []
+    found: dict = {}  # base -> (image set, placement onto it), one per strong image set
+    for w in _report_witnesses(g, i, max_set):
+        if w.base not in memo:
+            memo[w.base] = EmbeddingPlan(g.induced(w.base))
+        if w.base not in found:
+            found[w.base] = [(frozenset(f.values()), f) for f in memo[w.base].representatives(
+                g, is_strong=is_self_sufficient)]
+        plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+        key = (w.base, plan.touched)
+        if key not in memo:
+            memo[key] = EmbeddingPlan(memo[w.base].pattern, pinned=key[1]).pin_images()
+        tables: dict = {}
+        plan._classes(((image, tuple([f[y] for y in ys]))
+                       for image, f in found[w.base] for ys in memo[key]), tables)
+        plan.tally(g, tables, is_self_sufficient)
+        rows.append((w, tables))
+    return rows

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -7,8 +9,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abinitio import ConstructionFailed, Graph, canonical_json, cli
+from abinitio import AbinitioError, ConstructionFailed, Graph, canonical_json, cli
 
 
 def k5_dict(prefix="a"):
@@ -250,6 +254,18 @@ def test_extend_iso(tmp_path, capsys):
     assert len(doc["ambient"]["vertices"]) == 12
 
 
+def test_extend_iso_past_the_recursion_limit(tmp_path, capsys):
+    # the back-and-forth compiles the whole ambient as its pattern, one
+    # search position per vertex: a path longer than the interpreter's
+    # recursion limit, where the identity is the only extension
+    names = [f"v{i:05d}" for i in range(1200)]
+    path = write(tmp_path, "path.json", {
+        "m": 2, "vertices": names, "edges": [[a, b] for a, b in zip(names, names[1:])]})
+    rc, doc, _ = run(capsys, ["extend-iso", path, "--map", "v00000=v00000"])
+    assert rc == 0 and doc["grown"] is False
+    assert doc["gamma"] == [[v, v] for v in names]
+
+
 def test_add_point(tmp_path, capsys):
     path = write(tmp_path, "g.json", k5_dict())
     rc, doc, _ = run(capsys, ["add-point", path, "--over", "a0,a1,a2,a3,a4",
@@ -381,3 +397,92 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["in_k0"] is True
+
+
+# -- generated documents ---------------------------------------------------------
+
+_NAMES = st.text(alphabet="abc", max_size=2)  # "" is not a vertex name
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 5),
+                     st.floats(allow_nan=False, allow_infinity=False), _NAMES)
+_ANY_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(_NAMES, inner, max_size=3)), max_leaves=8)
+
+
+@st.composite
+def _graph_documents(draw):
+    """The document of a graph, edges in either orientation and repeated,
+    vertices repeated; or one with a single flaw."""
+    names = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=2),
+                          min_size=1, max_size=6))
+    pairs = list(itertools.combinations(sorted(set(names)), 2))
+    edges = [list(p) if keep else [p[1], p[0]] for p, keep in draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.booleans()), max_size=8))] if pairs else []
+    doc = {"m": draw(st.integers(2, 4)), "vertices": names, "edges": edges}
+    flaw = draw(st.sampled_from(["none", "none", "none", "m", "unlisted", "loop", "empty"]))
+    if flaw == "m":
+        doc["m"] = draw(_SCALARS.filter(lambda m: not (type(m) is int and m >= 2)))
+    elif flaw == "unlisted":
+        doc["edges"] = edges + [[names[0], "z"]]
+    elif flaw == "loop":
+        doc["edges"] = edges + [[names[0], names[0]]]
+    elif flaw == "empty":
+        doc["vertices"] = names + [""]
+    return doc
+
+
+# anything JSON of roughly a graph's shape, keys missing or extra
+_LOOSE_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    "m": _ANY_JSON,
+    "vertices": st.one_of(st.lists(st.one_of(_NAMES, _ANY_JSON), max_size=5), _ANY_JSON),
+    "edges": st.one_of(st.lists(st.one_of(
+        st.lists(st.one_of(_NAMES, _ANY_JSON), max_size=3), _ANY_JSON), max_size=5), _ANY_JSON),
+    "extra": _ANY_JSON,
+})
+_DOCUMENTS = st.one_of(_graph_documents(), _LOOSE_DOCUMENTS, _ANY_JSON)
+
+
+def _read(doc):
+    """The graph a document describes and exit code 0, or None and the exit
+    code of its rejection: 2 for an input error, 1 for a domain error."""
+    try:
+        return Graph.from_json_dict(doc), 0
+    except ValueError:
+        return None, 2
+    except AbinitioError:
+        return None, 1
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_graph_documents_round_trip_or_are_rejected(doc):
+    g, _ = _read(doc)
+    if g is None:
+        return
+    # what was read is what the document lists, and it reads back unchanged
+    assert g.m == doc["m"] and g.vertices == frozenset(doc["vertices"])
+    assert g.edges == frozenset(tuple(sorted(e)) for e in doc["edges"])
+    again = Graph.from_json_dict(json.loads(json.dumps(g.to_json_dict())))
+    assert again == g and again.to_json_dict() == g.to_json_dict()
+
+
+@pytest.fixture(scope="module")
+def document_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_delta_answers_every_document_with_an_exit_code(document_dir, doc):
+    path = document_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["delta", str(path)])
+    answer = json.loads(out.getvalue())
+    assert rc in (0, 1, 2) and answer["schema"] == 1
+    g, code = _read(doc)
+    assert rc == code
+    if g is None:
+        assert set(answer) == {"schema", "error"}
+    else:
+        assert answer["delta"] == g.m * len(g.vertices) - len(g.edges)

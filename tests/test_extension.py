@@ -8,6 +8,7 @@ import abinitio.extension
 import abinitio.graph
 from abinitio import (
     ConstructionFailed,
+    EmbeddingPlan,
     EPCertificate,
     EPProblem,
     Graph,
@@ -25,7 +26,8 @@ from abinitio import (
     verify_certificate,
 )
 from abinitio.verifier import _admits_bounded_orientation
-from oracles import brute_in_k0
+from oracles import brute_in_k0, ref_report_rows
+from test_acceptance import _ep_corpus
 
 
 def k5(prefix):
@@ -371,6 +373,75 @@ def test_two_maps_at_level_two_count_each_class_once(monkeypatch):
     assert 0 < len(searches) <= 343
     assert len({image for image, _ in searches}) <= 11
     assert sum(classes for _, classes in searches) > len(searches)
+
+
+def _sweep_passes(monkeypatch, tallies=()) -> list:
+    """Every _report_rows call of one ep_extend run over the corpus, as
+    (graph, level, max_set, rows, how much tallies grew during the call)."""
+    passes = []
+    direct = abinitio.extension._report_rows
+
+    def recorded(g, i, max_set, memo):
+        before = len(tallies)
+        rows = direct(g, i, max_set, memo)
+        passes.append((g, i, max_set, rows, len(tallies) - before))
+        return rows
+
+    monkeypatch.setattr(abinitio.extension, "_report_rows", recorded)
+    for _, p in _ep_corpus():
+        ep_extend(p)
+    return passes
+
+
+def _count_set(tables) -> set:
+    return {n for table in tables.values() for n in table.values()}
+
+
+def test_rows_by_type_match_every_row_counted(monkeypatch):
+    # every sweep pass of the corpus: the rows, and the counts each row
+    # sees, against the reference copy that counts every row and against
+    # the public report, which lists every placement and shares no tables
+    passes = _sweep_passes(monkeypatch)
+    assert len(passes) == 60 and sum(len(rows) for _, _, _, rows, _ in passes) == 516
+    for g, i, max_set, rows, _ in passes:
+        want = ref_report_rows(g, i, max_set, {})
+        assert [w for w, _ in rows] == [w for w, _ in want]
+        assert [set(seen) for _, seen in rows] == [_count_set(t) for _, t in want]
+        report = uniform_algebraicity_report(g, i, max_set)
+        assert [w for w, _ in rows] == [w for w, _, _ in report]
+        assert [set(seen) for _, seen in rows] == [set(counts) for _, counts, _ in report]
+
+
+def _types(g, witnesses) -> int:
+    """The number of row types among witnesses, by networkx's VF2 with the
+    base points marked: two rows share a type when an isomorphism of their
+    patterns maps base onto base."""
+    import networkx as nx
+    reps: list = []
+    for w in witnesses:
+        pattern = nx.Graph()
+        both = w.base | w.zero_minimal_set
+        pattern.add_nodes_from((v, {"base": v in w.base}) for v in both)
+        pattern.add_edges_from((u, v) for u, v in g.induced(both).edges)
+        if not any(nx.is_isomorphic(pattern, r, node_match=lambda x, y: x == y) for r in reps):
+            reps.append(pattern)
+    return len(reps)
+
+
+def test_sweep_passes_tally_once_per_row_type(monkeypatch):
+    pytest.importorskip("networkx")
+    tallies = []
+    direct = EmbeddingPlan.tally
+    monkeypatch.setattr(EmbeddingPlan, "tally",
+                        lambda plan, *args: tallies.append(plan) or direct(plan, *args))
+    per_pass = [(len(rows), _types(g, [w for w, _ in rows]), tallied)
+                for g, _, _, rows, tallied in _sweep_passes(monkeypatch, tallies)]
+    assert len(per_pass) == 60
+    assert all(tallied == types for _, types, tallied in per_pass)
+    # the second pass of each stage confirms the rows after the copies
+    confirming = per_pass[1::2]
+    assert sum(rows for rows, _, _ in confirming) == 480
+    assert sum(tallied for _, _, tallied in confirming) == 30
 
 
 def fan_graph():

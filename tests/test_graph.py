@@ -23,9 +23,10 @@ from abinitio import (
     is_self_sufficient,
     limits,
 )
-from abinitio.graph import adjoin_copy
+from abinitio.graph import _IN_NAME_ORDER, _positions, _run, adjoin_copy
 from oracles import (
-    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_is_induced)
+    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_is_induced,
+    ref_run)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -364,6 +365,61 @@ def test_plan_order_and_pins():
         plan.count(c, {"p2": "nowhere"})
     with pytest.raises(UnknownVertex):
         EmbeddingPlan(a, pinned=["nowhere"])
+
+
+def _visits(search, c, layout, pins) -> list:
+    hits: list = []
+    search(c, layout, pins, lambda img: hits.append(tuple(img)))
+    return hits
+
+
+def test_explicit_stack_visits_in_the_recursive_order():
+    # every kind of pin narrowing a position, against the recursive copy:
+    # the same embeddings in the same order, which first() relies on
+    rng = random.Random(2010)
+    kinds, hits = set(), 0
+    for trial in range(200):
+        c = _random_graph(rng, "t", rng.randint(1, 9), rng.choice([2, 3]))
+        a = _random_graph(rng, "p", rng.randint(0, 5), c.m)
+        names = a.sorted_vertices()
+        pinned = rng.sample(names, rng.randint(0, len(names)))
+        plan = EmbeddingPlan(a, pinned=pinned)
+        layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
+        targets = c.sorted_vertices()
+        fixed = {p: rng.choice(targets) for p in pinned}
+        domains = [frozenset(rng.sample(targets, rng.randint(0, len(targets))))
+                   for _ in plan.order]
+        searches = [
+            (layout, [fixed.get(p) for p in plan.order]),
+            (layout, domains),
+            (_positions(a._adj, sorted(pinned) + sorted(set(names) - set(pinned))),
+             [fixed.get(p, _IN_NAME_ORDER) for p in sorted(pinned)]
+             + [_IN_NAME_ORDER] * (len(names) - len(pinned))),
+        ]
+        if not pinned:
+            searches.append((layout, EmbeddingPlan(a)._conditions()[0]))
+        for lay, pins in searches:
+            got = _visits(_run, c, lay, pins)
+            assert got == _visits(ref_run, c, lay, pins)
+            kinds.update(type(p).__name__ for p in pins)
+            hits += len(got)
+    assert kinds == {"NoneType", "str", "frozenset", "tuple", "object"} and hits >= 1000
+
+
+def test_pinned_modes_past_the_recursion_limit():
+    # one stack entry per search position: a path longer than the
+    # interpreter's recursion limit, pinned at one end, has one embedding
+    # into itself, the identity, in every mode
+    names = [f"v{i:05d}" for i in range(1200)]
+    path = Graph(2, names, list(zip(names, names[1:])))
+    plan = EmbeddingPlan(path, pinned=[names[0]])
+    pin = {names[0]: names[0]}
+    identity = {v: v for v in names}
+    assert plan.first(path, pin) == identity
+    assert plan.pairs(path, pin) == [tuple(sorted(identity.items()))]
+    assert plan.count(path, pin) == 1
+    assert plan.count(path, {names[0]: names[-1]}) == 1
+    assert plan.count(path, {names[0]: names[1]}) == 0
 
 
 def test_fresh_name_and_disjoint_union():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import abinitio
+import oracles
 from abinitio import (
     count_cross_edges,
     BaseWitness,
@@ -31,6 +32,7 @@ from abinitio import (
     uniform_algebraicity_report,
 )
 from abinitio.zero_decomposition import (_blocks, _count_matched, _placement_counts,
+                                         _report_rows, _row_invariant,
                                          _tight_sets_over)
 from builders import plant_clique, random_graph, random_k0_graph, random_zero_graph
 from oracles import (
@@ -43,6 +45,7 @@ from oracles import (
     ref_count,
     ref_is_zero_minimally_algebraic,
     ref_placement_counts,
+    ref_report_rows,
     ref_tight_sets_over,
 )
 
@@ -515,6 +518,60 @@ def test_report_contacts_are_the_generator():
                 assert _contacts(g, w.base, w.zero_minimal_set) == tuple(sorted(w.generator))
                 rows += 1
     assert rows >= 60
+
+
+def _row_types(monkeypatch, g, rows) -> tuple:
+    """For rows given as (base, attachment) pairs of g, all with the first
+    row's _row_invariant: whether each later row has the first row's type,
+    and how many rows _report_rows counted, one tally each.  Every row's
+    counts are checked against the reference copy, which counts each row."""
+    witnesses = [BaseWitness(frozenset(b), frozenset(b), frozenset(a), 1) for b, a in rows]
+    first = witnesses[0]
+    assert all(_row_invariant(g, w) == _row_invariant(g, first) for w in witnesses)
+    plan = EmbeddingPlan(g.induced(first.base | first.zero_minimal_set),
+                         pinned=first.zero_minimal_set)
+    same = [plan.embeds_within(g, w.zero_minimal_set, w.base) for w in witnesses[1:]]
+    for module in (abinitio.zero_decomposition, oracles):
+        monkeypatch.setattr(module, "_report_witnesses", lambda *args: witnesses)
+    tallies = []
+    direct = EmbeddingPlan.tally
+    monkeypatch.setattr(EmbeddingPlan, "tally",
+                        lambda plan, *args: tallies.append(plan) or direct(plan, *args))
+    got = _report_rows(g, 1, None, {})
+    counted = len(tallies)
+    want = ref_report_rows(g, 1, None, {})
+    assert [(w, set(seen)) for w, seen in got] == [
+        (w, {n for table in tables.values() for n in table.values()}) for w, tables in want]
+    return same, counted
+
+
+def test_rows_with_equal_invariants_but_no_isomorphism_are_counted_apart(monkeypatch):
+    # one point on a six-cycle and one point on two triangles: the base
+    # points have degree 1, the attachments degrees 3, 2, 2, 2, 2, 2
+    cycle = [f"c{i}" for i in range(6)]
+    again = [f"d{i}" for i in range(6)]
+    tri = [f"t{i}" for i in range(6)]
+    g = Graph(2, cycle + again + tri + ["x", "y", "z"],
+              list(zip(cycle, cycle[1:] + cycle[:1])) + list(zip(again, again[1:] + again[:1]))
+              + [(tri[i], tri[j]) for i, j in itertools.combinations(range(3), 2)]
+              + [(tri[i], tri[j]) for i, j in itertools.combinations(range(3, 6), 2)]
+              + [("x", "c0"), ("y", "t0"), ("z", "d3")])
+    assert is_in_k0(g)
+    rows = [({"x"}, set(cycle)), ({"y"}, set(tri)), ({"z"}, set(again))]
+    assert _row_types(monkeypatch, g, rows) == ([False, True], 2)
+
+
+def test_rows_isomorphic_only_by_swapping_base_and_attachment_are_counted_apart(
+        monkeypatch):
+    # on the path p1 - ... - p6 the identity takes the first row onto the
+    # second only with base and attachment swapped; the reversal, the path's
+    # only other automorphism, takes the first row onto the third
+    g = Graph(2, [f"p{i}" for i in range(1, 7)],
+              [(f"p{i}", f"p{i + 1}") for i in range(1, 6)])
+    rows = [({"p1", "p3", "p4"}, {"p2", "p5", "p6"}),
+            ({"p2", "p5", "p6"}, {"p1", "p3", "p4"}),
+            ({"p6", "p4", "p3"}, {"p5", "p2", "p1"})]
+    assert _row_types(monkeypatch, g, rows) == ([False, True], 2)
 
 
 def path_graph(n, prefix="p"):
