@@ -13,7 +13,6 @@ replay.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
@@ -143,8 +142,9 @@ def _validate_levels(p: EPProblem, decomp: ZeroDecomposition):
 def _check_automorphism(g: Graph, f: dict) -> bool:
     if set(f) != set(g.vertices) or set(f.values()) != set(g.vertices):
         return False
-    return all(g.has_edge(f[u], f[v]) == g.has_edge(u, v)
-               for u, v in itertools.combinations(sorted(g.vertices), 2))
+    # a bijection taking every edge to an edge permutes the finitely many
+    # edges, so it takes non-edges to non-edges too
+    return all(g.has_edge(f[u], f[v]) for u, v in g.edges)
 
 
 # -- base stage --------------------------------------------------------------
@@ -216,13 +216,19 @@ def build_base_stage(
     core = frozenset().union(*blocks) if blocks else frozenset()
     b0 = a.induced(core)
 
+    # isomorphic blocks have one count: each pattern type is counted once, and
+    # a block of the same size as a counted one has its type when the counted
+    # plan embeds into it
     mu = []
+    counted: list = []  # (plan, count), one per block type
     for bl in blocks:
-        pattern = a.induced(bl)
-        mu.append({
-            "block": sorted(bl),
-            "count": EmbeddingPlan(pattern).count(a, is_strong=is_self_sufficient),
-        })
+        count = next((n for plan, n in counted if len(plan.order) == len(bl)
+                      and plan.embeds_within(a, frozenset(), bl)), None)
+        if count is None:
+            plan = EmbeddingPlan(a.induced(bl))
+            count = plan.count(a, is_strong=is_self_sufficient)
+            counted.append((plan, count))
+        mu.append({"block": sorted(bl), "count": count})
 
     plans = []  # (map_index, kind, original blocks, chain vertex maps)
     for k, pi in enumerate(p.maps):

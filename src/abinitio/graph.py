@@ -387,15 +387,21 @@ class EmbeddingPlan:
 
     def _conditions(self) -> tuple:
         """For an unpinned plan: per search position, the earlier positions
-        whose images its own must exceed, and the order of the pattern's
-        automorphism group, from its stabilizer chain along the search order.
+        whose images its own must exceed; the order of the pattern's
+        automorphism group, from its stabilizer chain along the search order;
+        and per position, how many later positions adjacent to it must map
+        above its image.
 
         Position i gets the orbit of its vertex v under the automorphisms
         fixing the earlier ones, and every later member of that orbit must map
         above v.  Of the embeddings sharing one image set, which differ by an
         automorphism, exactly one meets every condition (Grochow and Kellis,
         RECOMB 2007), and the group's order is the product of the orbit
-        lengths.  Computed once per plan."""
+        lengths.  The later positions adjacent to position i that must map
+        above its image need as many distinct neighbours of that image above
+        it, so representatives() skips candidates with fewer: a hit never
+        starts there, and the hits and their order stay the same.  Computed
+        once per plan."""
         if self._symmetry is None:
             at = {v: i for i, v in enumerate(self.order)}
             below: list = [[] for _ in self.order]
@@ -405,7 +411,11 @@ class EmbeddingPlan:
                 for u in level:
                     if at[u] != i:
                         below[at[u]].append(i)
-            self._symmetry = ([tuple(b) or None for b in below], size)
+            rise = [0] * len(self.order)
+            for j, b in enumerate(below):
+                for i in b:
+                    rise[i] += i in self.adjacent[j]
+            self._symmetry = ([tuple(b) or None for b in below], size, rise)
         return self._symmetry
 
     def _free_positions(self) -> tuple:
@@ -489,7 +499,8 @@ class EmbeddingPlan:
             if is_strong is None or is_strong(c, frozenset(img)):
                 found.append(dict(zip(order, img)))
 
-        _run(c, (order, self.adjacent, self.apart, self.degrees), self._conditions()[0], emit)
+        below, _, rise = self._conditions()
+        _run(c, (order, self.adjacent, self.apart, self.degrees), below, emit, rise)
         return found
 
     def embeds_within(self, c: Graph, pins_into: frozenset, free_into: frozenset) -> bool:
@@ -620,12 +631,14 @@ def _stop(img: list) -> None:
     raise _Found(list(img))
 
 
-def _run(c: Graph, layout: tuple, pins: list, emit: Callable) -> None:
+def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None = None) -> None:
     """The backtracking search of EmbeddingPlan: emit gets each induced
     embedding of layout's positions into c as the list of images.  pins[i]
     narrows position i's candidates: a target vertex pins it, _IN_NAME_ORDER
     sorts them, a tuple of earlier positions keeps those above all their
-    images, a frozenset keeps those inside it.
+    images, a frozenset keeps those inside it.  rise[i], when given, keeps
+    only candidates of position i with at least that many neighbours above
+    them.
 
     The search runs on an explicit stack, one candidate iterator per placed
     position, so no pattern size meets the recursion limit."""
@@ -638,6 +651,8 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable) -> None:
         return
     img: list = [None] * n
     used: set = set()
+    rise = rise or (0,) * n
+    above: dict = {}  # candidate -> its neighbours above it, counted once per run
     tries: list = [None] * n  # position -> the iterator over its candidates
     i, fresh = 0, True
     while True:
@@ -662,6 +677,15 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable) -> None:
                     cands = (pin,)
                 else:
                     cands = ()
+            if rise[i]:
+                kept = []
+                for t in cands:
+                    up = above.get(t)
+                    if up is None:
+                        up = above[t] = sum([1 for u in cadj[t] if u > t])
+                    if up >= rise[i]:
+                        kept.append(t)
+                cands = kept
             tries[i] = iter(cands)
         d, far = degrees[i], apart[i]
         for t in tries[i]:

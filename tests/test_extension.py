@@ -20,13 +20,14 @@ from abinitio import (
     canonical_json,
     decompose,
     ep_extend,
+    find_pattern_iso,
     orbit_orders,
     uniform_algebraicity_report,
     validate_problem,
     verify_certificate,
 )
 from abinitio.verifier import _admits_bounded_orientation
-from oracles import brute_in_k0, ref_report_rows
+from oracles import brute_automorphisms, brute_in_k0, ref_report_rows
 from test_acceptance import _ep_corpus
 
 
@@ -137,6 +138,57 @@ def test_validate_problem():
     with pytest.raises(InvalidMap, match="not self-sufficient"):
         validate_problem(bad)
     validate_problem(EPProblem(h, (PartialIso.build(h, ROT),)))
+
+
+def test_base_stage_counts_each_block_type_once(monkeypatch):
+    # mu of every corpus base stage against a plan compiled and counted
+    # per block; isomorphic blocks share one count, so count() runs once
+    # per isomorphism type of block pattern
+    counted = []
+    direct = EmbeddingPlan.count
+
+    def recorded(plan, c, fixed=None, is_strong=None):
+        counted.append(plan.pattern)
+        return direct(plan, c, fixed, is_strong)
+
+    shared = 0
+    for _, p in _ep_corpus():
+        blocks = list(decompose(p.a).minimally_closed)
+        want = [{"block": sorted(bl), "count": EmbeddingPlan(p.a.induced(bl)).count(
+            p.a, is_strong=abinitio.is_self_sufficient)} for bl in blocks]
+        types: list = []
+        for bl in blocks:
+            if not any(len(t) == len(bl) and find_pattern_iso(p.a, t, [], p.a, bl)
+                       for t in types):
+                types.append(bl)
+        counted.clear()
+        monkeypatch.setattr(EmbeddingPlan, "count", recorded)
+        log = build_base_stage(p, orbit_orders(p))[2]
+        monkeypatch.setattr(EmbeddingPlan, "count", direct)
+        assert log["mu"] == want
+        assert len(counted) == len(types)
+        shared += len(blocks) - len(types)
+    assert shared == 19
+
+
+def test_automorphism_check_over_edges_matches_every_pair():
+    # every vertex pair compared against the check over edges, on random
+    # permutations and on automorphisms of graphs with many of them
+    rng = random.Random(2012)
+    autos = 0
+    for trial in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 7))]
+        g = Graph(2, names, [e for e in itertools.combinations(names, 2) if rng.random() < 0.5])
+        if trial % 2:
+            f = rng.choice(brute_automorphisms(g))
+        else:
+            f = dict(zip(names, rng.sample(names, len(names))))
+        want = all(g.has_edge(f[u], f[v]) == g.has_edge(u, v)
+                   for u, v in itertools.combinations(names, 2))
+        assert abinitio.extension._check_automorphism(g, f) == want
+        autos += want
+    assert not abinitio.extension._check_automorphism(g, {**f, names[0]: "elsewhere"})
+    assert autos >= 150
 
 
 def test_base_stage_identity_and_cycle():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import types
 
 import pytest
 
@@ -404,6 +405,56 @@ def test_explicit_stack_visits_in_the_recursive_order():
             kinds.update(type(p).__name__ for p in pins)
             hits += len(got)
     assert kinds == {"NoneType", "str", "frozenset", "tuple", "object"} and hits >= 1000
+
+
+class _CountingAdjacency(dict):
+    """An adjacency that counts its lookups, one per candidate tried."""
+
+    looked = 0
+
+    def __getitem__(self, v):
+        self.looked += 1
+        return dict.__getitem__(self, v)
+
+
+def _counting(c):
+    return types.SimpleNamespace(_adj=_CountingAdjacency(c._adj), vertices=c.vertices)
+
+
+def test_rise_skips_candidates_but_no_hit():
+    # representatives' look-ahead against the plain search under the same
+    # conditions: the same hits in the same order, on random patterns and
+    # on cliques, where the plain search walks every rising chain
+    rng = random.Random(2011)
+    hits = 0
+    cases = [(k_complete(7), _disjoint_cliques(2, 7)), (k_complete(5), k_complete(5))]
+    for trial in range(200):
+        c = _random_graph(rng, "t", rng.randint(1, 9), rng.choice([2, 3]))
+        cases.append((_random_graph(rng, "p", rng.randint(1, 5), c.m), c))
+    for a, c in cases:
+        plan = EmbeddingPlan(a)
+        below, _, rise = plan._conditions()
+        layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
+        got = _visits(lambda c, lay, pins, emit: _run(c, lay, pins, emit, rise), c, layout, below)
+        assert got == _visits(_run, c, layout, below)
+        assert [dict(zip(plan.order, img)) for img in got] == plan.representatives(c)
+        hits += len(got)
+    assert hits >= 300
+    # K7 into two disjoint K7s: two image sets, and far fewer candidates
+    plan = EmbeddingPlan(k_complete(7))
+    below, _, rise = plan._conditions()
+    layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
+    plain, ahead = _counting(_disjoint_cliques(2, 7)), _counting(_disjoint_cliques(2, 7))
+    _run(plain, layout, below, lambda img: None)
+    _run(ahead, layout, below, lambda img: None, rise)
+    assert rise == [6, 5, 4, 3, 2, 1, 0]
+    assert ahead._adj.looked * 4 < plain._adj.looked
+
+
+def _disjoint_cliques(k, n):
+    names = [f"t{j}{i}" for j in range(k) for i in range(n)]
+    return Graph(2, names, [(u, v) for u, v in itertools.combinations(names, 2)
+                            if u[:2] == v[:2]])
 
 
 def test_pinned_modes_past_the_recursion_limit():
