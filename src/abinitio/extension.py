@@ -24,7 +24,6 @@ from .zero_decomposition import (
     _placement_counts,
     _report_rows,
     decompose,
-    find_pattern_iso,
 )
 
 _MAX_SWEEP_PASSES = 32
@@ -59,16 +58,21 @@ class EPProblem:
         for entry in data["maps"]:
             if not isinstance(entry, dict) or "map" not in entry:
                 raise ValueError("each map entry must be an object with a 'map' key")
-            pairs = {}
-            for pair in entry["map"]:
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ValueError(f"map pairs must be 2-element lists, got {pair!r}")
-                d, r = pair
-                if d in pairs:
-                    raise ValueError(f"duplicate map source {d!r}")
-                pairs[d] = r
-            maps.append(PartialIso.build(g, pairs))
+            maps.append(PartialIso.build(g, _map_from_pairs(entry["map"])))
         return cls(g, tuple(maps))
+
+
+def _map_from_pairs(pairs) -> dict:
+    """A map read from [source, image] pairs, each source given once."""
+    out: dict = {}
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"map pairs must be 2-element lists, got {pair!r}")
+        d, r = pair
+        if d in out:
+            raise ValueError(f"duplicate map source {d!r}")
+        out[d] = r
+    return out
 
 
 @dataclass(frozen=True)
@@ -395,15 +399,25 @@ def _extend_map_over_satellites(
 ) -> dict:
     """Extend one total map of the previous stage across the attachment
     components of the new one.  Components meeting the input map's domain are
-    forced; the rest pair up greedily with unused isomorphic components."""
-    sats = components(b, b.vertices - prev_verts)
-    anchors = {
-        s: frozenset().union(*(b.neighbors(v) for v in s)) & prev_verts
-        for s in sats
-    }
+    forced; the rest pair up greedily with unused isomorphic components.
 
-    def anchor_pairs(s):
-        return [(x, fq[x]) for x in sorted(anchors[s])]
+    s goes onto t by the first hit of a plan of s pinned at its forced points
+    and its anchors, its contacts in the previous stage, sent by fq.  Each
+    component counts 0 over the previous stage, self-sufficient in b, so a
+    t matching s has its size and the images of its anchors as anchors; any
+    other t is passed over unsearched."""
+    sats = components(b, b.vertices - prev_verts)
+    anchors = {s: frozenset().union(*(b.neighbors(v) for v in s)) & prev_verts for s in sats}
+    plans: dict = {}  # (component, forced points) -> its plan
+
+    def match(s, t, forced):
+        pins = anchors[s]
+        if len(s) != len(t) or anchors[t] != frozenset([fq[x] for x in pins]):
+            return None
+        key = (s, frozenset(forced))
+        if key not in plans:
+            plans[key] = EmbeddingPlan(b.induced(s | pins), pinned=pins | key[1])
+        return plans[key].first(b, {**{x: fq[x] for x in pins}, **forced}, within=t)
 
     fnew = dict(fq)
     arcs = {}
@@ -419,8 +433,7 @@ def _extend_map_over_satellites(
                 f"map {map_index}: forced image straddles attachment components",
                 stage_log=stage_log)
         t = targets[0]
-        tau = find_pattern_iso(b, s, anchor_pairs(s), b, t,
-                               forced={v: e[v] for v in touched})
+        tau = match(s, t, {v: e[v] for v in touched})
         if tau is None or t in used:
             raise ConstructionFailed(
                 f"map {map_index}: no compatible completion over a forced component",
@@ -433,7 +446,7 @@ def _extend_map_over_satellites(
         for t in sats:
             if t in used:
                 continue
-            tau = find_pattern_iso(b, s, anchor_pairs(s), b, t)
+            tau = match(s, t, {})
             if tau is not None:
                 arcs[s] = tau
                 used.add(t)
@@ -563,13 +576,12 @@ class EPCertificate:
                 raise ValueError(f"certificate JSON lacks {key!r}")
         problem = EPProblem.from_json_dict(data["problem"], m_override=m_override)
         b = Graph.from_json_dict(data["b"], m_override=m_override)
-        inclusion = Embedding.build(
-            problem.a, b, {d: r for d, r in data["inclusion"]})
-        autos = tuple(
-            Embedding.build(b, b, {d: r for d, r in pairs})
-            for pairs in data["automorphisms"]
-        )
+        inclusion = Embedding.build(problem.a, b, _map_from_pairs(data["inclusion"]))
+        autos = tuple(Embedding.build(b, b, _map_from_pairs(pairs))
+                      for pairs in data["automorphisms"])
         orbit_raw = data.get("orbit", {"per_point": [], "per_map": [], "global": 1})
+        if not isinstance(orbit_raw, dict):
+            raise ValueError(f"certificate 'orbit' must be an object, got {orbit_raw!r}")
         orbit = OrbitOrder(
             tuple(dict(d) for d in orbit_raw.get("per_point", [])),
             tuple(orbit_raw.get("per_map", [])),

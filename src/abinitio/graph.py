@@ -103,8 +103,12 @@ class Graph:
 
     def induced(self, s: Iterable[str]) -> "Graph":
         sub = self.check_subset(s)
-        adj = self._adj
-        return Graph(self.m, sub, [(u, v) for u in sub for v in adj[u] if u < v and v in sub])
+        adj = {v: self._adj[v] & sub for v in sub}
+        g = object.__new__(Graph)  # built from a valid graph: nothing to check
+        for name, value in (("m", self.m), ("vertices", sub), ("_adj", adj), (
+                "edges", frozenset([(u, v) for u in sub for v in adj[u] if u < v]))):
+            object.__setattr__(g, name, value)
+        return g
 
     # -- serialization ---------------------------------------------------
 
@@ -339,7 +343,16 @@ class EmbeddingPlan:
                  "_name_layout", "_symmetry", "_free_layout")
 
     def __init__(self, a: Graph, pinned: Iterable[str] = ()):
-        pins = a.check_subset(pinned)
+        self.pattern = a
+        self.pinned = a.check_subset(pinned)
+        self._name_layout = self._symmetry = self._free_layout = None
+
+    def __getattr__(self, name: str):
+        """The connectivity-first layout, compiled on its first use: first()
+        runs without it."""
+        if name not in ("order", "adjacent", "apart", "degrees", "_by_name"):
+            raise AttributeError(name)
+        a, pins = self.pattern, self.pinned
         adj = a._adj
         order: list[str] = []
         # (-placed neighbours, -degree, name), kept current as vertices are placed
@@ -352,28 +365,17 @@ class EmbeddingPlan:
                 for u in adj[v]:
                     k = rank[u]
                     rank[u] = (k[0] - 1, k[1], u)
-        self.pattern = a
-        self.pinned = pins
         self.order, self.adjacent, self.apart, self.degrees = _positions(adj, order)
         self._by_name = tuple(sorted(range(len(order)), key=order.__getitem__))
-        self._name_layout = self._symmetry = self._free_layout = None
+        return getattr(self, name)
 
-    def _search(self, c: Graph, fixed: dict | None, emit: Callable,
-                in_name_order: bool = False) -> None:
+    def _search(self, c: Graph, fixed: dict | None, emit: Callable) -> None:
         """Call emit once per induced embedding of the pattern into c that
         agrees with fixed, passing the images in search order as a list that
-        the search goes on to overwrite.  in_name_order runs the layout of
-        first(), compiled on its first use, with candidates sorted."""
+        the search goes on to overwrite."""
         fixed = self._pins(c, fixed)
-        if in_name_order:
-            if self._name_layout is None:
-                self._name_layout = _positions(
-                    self.pattern._adj,
-                    sorted(self.pinned) + sorted(self.pattern.vertices - self.pinned))
-            layout, free = self._name_layout, _IN_NAME_ORDER
-        else:
-            layout, free = (self.order, self.adjacent, self.apart, self.degrees), None
-        _run(c, layout, [fixed.get(p, free) for p in layout[0]], emit)
+        _run(c, (self.order, self.adjacent, self.apart, self.degrees),
+             [fixed.get(p) for p in self.order], emit)
 
     def _pins(self, c: Graph, fixed: dict | None) -> dict:
         fixed = fixed or {}
@@ -585,17 +587,28 @@ class EmbeddingPlan:
         return sum(k for image, k in per_image.items() if is_strong(c, image))
 
     def first(self, c: Graph, fixed: dict | None = None,
-              is_strong: Callable | None = None) -> dict | None:
+              is_strong: Callable | None = None,
+              within: frozenset | None = None) -> dict | None:
         """The map of embeddings(c, fixed, is_strong)[0], or None when there
-        is none; the search stops at its first hit, testing strength there."""
+        is none; the search stops at its first hit, testing strength there.
+        within, when given, holds the free vertices' images.  When it has as
+        many points and misses the pins' images, the map is the least
+        bijection onto it, free vertices in name order, that matches their
+        edges among themselves and to the pins' images."""
         _check_coefficient(self.pattern, c)
+        fixed = self._pins(c, fixed)
+        if self._name_layout is None:
+            self._name_layout = _positions(self.pattern._adj, sorted(self.pinned)
+                                           + sorted(self.pattern.vertices - self.pinned))
+        names = self._name_layout[0]
+        free = _IN_NAME_ORDER if within is None else sorted(within)
 
         def emit(img):
             if is_strong is None or is_strong(c, frozenset(img)):
-                raise _Found(dict(sorted(zip(self._name_layout[0], img))))
+                raise _Found(dict(sorted(zip(names, img))))
 
         try:
-            self._search(c, fixed, emit, in_name_order=True)
+            _run(c, self._name_layout, [fixed.get(p, free) for p in names], emit)
         except _Found as hit:
             return hit.args[0]
         return None
@@ -635,10 +648,10 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None 
     """The backtracking search of EmbeddingPlan: emit gets each induced
     embedding of layout's positions into c as the list of images.  pins[i]
     narrows position i's candidates: a target vertex pins it, _IN_NAME_ORDER
-    sorts them, a tuple of earlier positions keeps those above all their
-    images, a frozenset keeps those inside it.  rise[i], when given, keeps
-    only candidates of position i with at least that many neighbours above
-    them.
+    sorts them, a sorted list keeps those in it in its order, a tuple of
+    earlier positions keeps those above all their images, a frozenset keeps
+    those inside it.  rise[i], when given, keeps only candidates of position
+    i with at least that many neighbours above them.
 
     The search runs on an explicit stack, one candidate iterator per placed
     position, so no pattern size meets the recursion limit."""
@@ -668,6 +681,8 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None 
             if pin is not None:
                 if pin is _IN_NAME_ORDER:
                     cands = sorted(cands)
+                elif type(pin) is list:
+                    cands = [t for t in pin if t in cands]
                 elif type(pin) is tuple:
                     least = max([img[j] for j in pin])
                     cands = [t for t in cands if t > least]

@@ -13,8 +13,8 @@ scans stay instant.
 import itertools
 
 from abinitio import (
-    BaseWitness, Embedding, EmbeddingPlan, InvalidMap, OutsideK0, closure, delta_rel,
-    enumerate_embeddings, is_in_k0, is_self_sufficient, pattern_catalog)
+    BaseWitness, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap, OutsideK0, closure,
+    components, delta_rel, enumerate_embeddings, is_in_k0, is_self_sufficient, pattern_catalog)
 from abinitio import limits
 from abinitio.approximation import ApproximationChain, realize_extension
 from abinitio.graph import _IN_NAME_ORDER, _check_coefficient
@@ -536,3 +536,134 @@ def ref_report_rows(g, i, max_set, memo) -> list:
         plan.tally(g, tables, is_self_sufficient)
         rows.append((w, tables))
     return rows
+
+
+# -- reference copies of the matcher the extension stages ran before -----------
+# zero_decomposition.find_pattern_iso, the direct recursive search
+# _dedupe_witnesses and _extend_map_over_satellites ran before they ran on
+# EmbeddingPlan, and those two functions as they were then.  Copied unchanged
+# but for the names, the parameters' annotations and the last paragraph of
+# find_pattern_iso's docstring, which compared its cost with a plan's.
+
+
+def ref_find_pattern_iso(g_src, d_src, anchor_pairs, g_dst, d_dst, forced=None):
+    """A bijection d_src -> d_dst matching internal edges and, through the
+    given anchor correspondence, all cross edges.  Pairs in forced are fixed
+    in advance.  None when no such bijection exists."""
+    if len(d_src) != len(d_dst):
+        return None
+    assignment: dict = {}
+
+    def ok(p, t):
+        for a_src, a_dst in anchor_pairs:
+            if g_src.has_edge(p, a_src) != g_dst.has_edge(t, a_dst):
+                return False
+        for q, u in assignment.items():
+            if g_src.has_edge(p, q) != g_dst.has_edge(t, u):
+                return False
+        return True
+
+    for p, t in sorted((forced or {}).items()):
+        if p not in d_src or t not in d_dst or t in assignment.values() or not ok(p, t):
+            return None
+        assignment[p] = t
+    src = [v for v in sorted(d_src) if v not in assignment]
+    dst = sorted(d_dst)
+
+    def extend(i):
+        if i == len(src):
+            return True
+        for t in dst:
+            if t not in assignment.values() and ok(src[i], t):
+                assignment[src[i]] = t
+                if extend(i + 1):
+                    return True
+                del assignment[src[i]]
+        return False
+
+    return dict(assignment) if extend(0) else None
+
+
+def ref_dedupe_witnesses(g, witnesses) -> list:
+    """One witness per (base, attachment type over the base)."""
+    kept: list = []
+    for w in witnesses:
+        anchor_pairs = [(v, v) for v in sorted(w.base)]
+        if not any(k.base == w.base and ref_find_pattern_iso(
+                g, w.zero_minimal_set, anchor_pairs, g, k.zero_minimal_set) for k in kept):
+            kept.append(w)
+    return kept
+
+
+def ref_extend_map_over_satellites(b, prev_verts, e, fq, log_cycles, map_index, stage_log):
+    """Extend one total map of the previous stage across the attachment
+    components of the new one.  Components meeting the input map's domain are
+    forced; the rest pair up greedily with unused isomorphic components."""
+    sats = components(b, b.vertices - prev_verts)
+    anchors = {
+        s: frozenset().union(*(b.neighbors(v) for v in s)) & prev_verts
+        for s in sats
+    }
+
+    def anchor_pairs(s):
+        return [(x, fq[x]) for x in sorted(anchors[s])]
+
+    fnew = dict(fq)
+    arcs = {}
+    used = set()
+    for s in sats:
+        touched = s & set(e)
+        if not touched:
+            continue
+        image = {e[v] for v in touched}
+        targets = [t for t in sats if image & t]
+        if len(targets) != 1 or not image <= targets[0]:
+            raise ConstructionFailed(
+                f"map {map_index}: forced image straddles attachment components",
+                stage_log=stage_log)
+        t = targets[0]
+        tau = ref_find_pattern_iso(b, s, anchor_pairs(s), b, t,
+                                   forced={v: e[v] for v in touched})
+        if tau is None or t in used:
+            raise ConstructionFailed(
+                f"map {map_index}: no compatible completion over a forced component",
+                stage_log=stage_log)
+        arcs[s] = tau
+        used.add(t)
+    for s in sats:
+        if s in arcs:
+            continue
+        for t in sats:
+            if t in used:
+                continue
+            tau = ref_find_pattern_iso(b, s, anchor_pairs(s), b, t)
+            if tau is not None:
+                arcs[s] = tau
+                used.add(t)
+                break
+        else:
+            raise ConstructionFailed(
+                f"map {map_index}: ran out of compatible components",
+                stage_log=stage_log)
+    for tau in arcs.values():
+        fnew.update(tau)
+
+    # component-level cycle bookkeeping: the map permutes the components
+    comp_image = {s: frozenset(arcs[s][v] for v in s) for s in sats}
+    seen = set()
+    for s in sats:
+        if s in seen:
+            continue
+        cyc = [s]
+        seen.add(s)
+        cur = comp_image[s]
+        while cur != s:
+            cyc.append(cur)
+            seen.add(cur)
+            cur = comp_image[cur]
+        log_cycles.append({
+            "map_index": map_index,
+            "components": [sorted(c) for c in cyc],
+            "length": len(cyc),
+        })
+    return fnew

@@ -214,6 +214,26 @@ def test_ep_extend_then_verify(tmp_path, capsys):
     assert rc == 1 and doc["ok"] is False and doc["diagnostics"]
 
 
+@pytest.mark.parametrize("tamper, message", [
+    (lambda c: c["inclusion"].insert(0, ["a0", "b0"]), "duplicate map source 'a0'"),
+    (lambda c: c["automorphisms"][0].insert(0, ["a0", "a1"]), "duplicate map source 'a0'"),
+    (lambda c: c.update(orbit=5), "certificate 'orbit' must be an object, got 5"),
+], ids=["inclusion", "automorphism", "orbit"])
+def test_ep_verify_rejects_malformed_certificates(tmp_path, capsys, tamper, message):
+    # a repeated source would otherwise keep its last pair, and read as a
+    # valid certificate
+    problem = {"graph": {"m": 2, "vertices": k5_dict("a")["vertices"] + k5_dict("b")["vertices"],
+                         "edges": k5_dict("a")["edges"] + k5_dict("b")["edges"]},
+               "maps": [{"map": [[f"a{i}", f"b{i}"] for i in range(5)]}]}
+    ppath = write(tmp_path, "problem.json", problem)
+    rc, doc, _ = run(capsys, ["ep-extend", ppath])
+    assert rc == 0
+    cert = doc["certificate"]
+    tamper(cert)
+    rc, doc, _ = run(capsys, ["ep-verify", ppath, write(tmp_path, "cert.json", cert)])
+    assert rc == 2 and doc["error"] == {"type": "ValueError", "message": message}
+
+
 def test_build(tmp_path, capsys):
     path = write(tmp_path, "empty.json", {"m": 2, "vertices": [], "edges": []})
     rc, doc, _ = run(capsys, ["build", path, "--rounds", "1", "--budget", "2"])

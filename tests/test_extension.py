@@ -6,6 +6,8 @@ import pytest
 
 import abinitio.extension
 import abinitio.graph
+import abinitio.zero_decomposition
+import oracles
 from abinitio import (
     ConstructionFailed,
     EmbeddingPlan,
@@ -18,16 +20,18 @@ from abinitio import (
     build_base_stage,
     build_level_stage,
     canonical_json,
+    components,
     decompose,
     ep_extend,
-    find_pattern_iso,
     orbit_orders,
     uniform_algebraicity_report,
     validate_problem,
     verify_certificate,
 )
 from abinitio.verifier import _admits_bounded_orientation
-from oracles import brute_automorphisms, brute_in_k0, ref_report_rows
+from oracles import (
+    brute_automorphisms, brute_in_k0, ref_dedupe_witnesses, ref_extend_map_over_satellites,
+    ref_find_pattern_iso, ref_report_rows)
 from test_acceptance import _ep_corpus
 
 
@@ -158,7 +162,7 @@ def test_base_stage_counts_each_block_type_once(monkeypatch):
             p.a, is_strong=abinitio.is_self_sufficient)} for bl in blocks]
         types: list = []
         for bl in blocks:
-            if not any(len(t) == len(bl) and find_pattern_iso(p.a, t, [], p.a, bl)
+            if not any(len(t) == len(bl) and ref_find_pattern_iso(p.a, t, [], p.a, bl)
                        for t in types):
                 types.append(bl)
         counted.clear()
@@ -283,6 +287,114 @@ def test_level_stage_identity_map():
     assert f == {v: v for v in cert.b.vertices}
     assert all(c["length"] == 1 for c in cert.stage_log[1]["map_cycles"])
     assert verify_certificate(p, cert).ok
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConstructionFailed as exc:
+        return ("failed", str(exc))
+
+
+def _triangle_and_point():
+    # a block, a triangle p, q, r tied to a0, a1, a2 one point each, and a
+    # point w tied to a3 and a4: two components of sizes 3 and 1, each
+    # counting 0 over the block
+    names, edges = k5("a")
+    edges = edges + [("p", "q"), ("p", "r"), ("q", "r"), ("p", "a0"), ("q", "a1"),
+                     ("r", "a2"), ("w", "a3"), ("w", "a4")]
+    return Graph(2, names + ["p", "q", "r", "w"], edges), frozenset(names)
+
+
+@pytest.mark.parametrize("fq, e, want", [
+    # swapping a0 and a1 swaps p and q; swapping a3 and a4 keeps w
+    ({"a0": "a1", "a1": "a0", "a3": "a4", "a4": "a3"}, {},
+     {"p": "q", "q": "p", "r": "r", "w": "w"}),
+    ({"a0": "a1", "a1": "a0"}, {"p": "q"}, {"p": "q", "q": "p", "r": "r", "w": "w"}),
+    # a forced point sent off its anchors' images
+    ({"a0": "a1", "a1": "a0"}, {"p": "r"}, "no compatible completion over a forced component"),
+    # rotated anchors: no component has the triangle's anchors sent there,
+    # and the point is too small to take the triangle
+    ({"a0": "a1", "a1": "a2", "a2": "a3", "a3": "a4", "a4": "a0"}, {},
+     "ran out of compatible components"),
+], ids=["swaps", "forced", "forced-off", "rotated"])
+def test_satellites_pair_components_over_their_anchors(fq, e, want):
+    b, block = _triangle_and_point()
+    fq = {v: fq.get(v, v) for v in block}
+    got = _outcome(abinitio.extension._extend_map_over_satellites, b, block, e, fq, [], 0, [])
+    expect = _outcome(ref_extend_map_over_satellites, b, block, e, fq, [], 0, [])
+    assert got == expect
+    if isinstance(want, str):
+        assert got == ("failed", f"map 0: {want}")
+    else:
+        assert got == {**fq, **want}
+
+
+def test_satellites_pair_only_components_of_one_size():
+    # points b, d and paths c0-c1-c2, e0-e1-e2, the paths' ends tied to the
+    # anchors of d and b.  Swapping those anchors sends b onto d, past the
+    # path that d's anchors share, which would take b inside it
+    names, edges = k5("a")
+    ties = ["b a0", "b a1", "d a3", "d a4", "c0 c1", "c1 c2", "e0 e1", "e1 e2"] + [
+        f"{end} {x}" for end, x in itertools.product(("c0", "c2"), ("a3", "a4"))] + [
+        f"{end} {x}" for end, x in itertools.product(("e0", "e2"), ("a0", "a1"))]
+    b = Graph(2, names + "b d c0 c1 c2 e0 e1 e2".split(), edges + [t.split() for t in ties])
+    block = frozenset(names)
+    fq = {v: {"a0": "a3", "a3": "a0", "a1": "a4", "a4": "a1"}.get(v, v) for v in block}
+    got = abinitio.extension._extend_map_over_satellites(b, block, {}, fq, [], 0, [])
+    assert got == ref_extend_map_over_satellites(b, block, {}, fq, [], 0, []) == {
+        **fq, "b": "d", "d": "b", "c0": "e0", "c1": "e1", "c2": "e2",
+        "e0": "c0", "e1": "c1", "e2": "c2"}
+
+
+def test_matcher_sites_answer_as_the_direct_search(monkeypatch):
+    # every call of the witness dedupe and of the satellite extension over
+    # the corpus against copies of both as they ran on the direct search:
+    # the same witnesses kept, the same bijections and the same cycles.  The
+    # satellites' check of size and anchors passes every pair of components
+    # the direct search matches, so it rejects no match unsearched
+    dedupe = abinitio.zero_decomposition._dedupe_witnesses
+    extend = abinitio.extension._extend_map_over_satellites
+    seen: dict = {}  # (site, matched) -> calls of the direct search
+    site = [None]
+
+    def direct(*args, **kwargs):
+        tau = ref_find_pattern_iso(*args, **kwargs)
+        seen[site[0], tau is not None] = seen.get((site[0], tau is not None), 0) + 1
+        return tau
+
+    def checked_dedupe(g, witnesses):
+        got = dedupe(g, witnesses)
+        site[0] = "dedupe"
+        assert got == ref_dedupe_witnesses(g, witnesses)
+        return got
+
+    def checked_extend(b, prev_verts, e, fq, log_cycles, map_index, stage_log):
+        ref_log: list = []
+        site[0] = "satellites"
+        want = _outcome(ref_extend_map_over_satellites,
+                        b, prev_verts, e, fq, ref_log, map_index, stage_log)
+        got = _outcome(extend, b, prev_verts, e, fq, log_cycles, map_index, stage_log)
+        assert got == want and log_cycles[len(log_cycles) - len(ref_log):] == ref_log
+        sats = components(b, b.vertices - prev_verts)
+        anchors = {s: frozenset().union(*(b.neighbors(v) for v in s)) & prev_verts
+                   for s in sats}
+        site[0] = "every pair"
+        for s, t in itertools.product(sats, sats):
+            if direct(b, s, [(x, fq[x]) for x in sorted(anchors[s])], b, t) is not None:
+                assert len(s) == len(t) and anchors[t] == {fq[x] for x in anchors[s]}
+        if isinstance(got, tuple):
+            raise ConstructionFailed(got[1], stage_log=stage_log)
+        return got
+
+    monkeypatch.setattr(oracles, "ref_find_pattern_iso", direct)
+    monkeypatch.setattr(abinitio.zero_decomposition, "_dedupe_witnesses", checked_dedupe)
+    monkeypatch.setattr(abinitio.extension, "_extend_map_over_satellites", checked_extend)
+    for _, p in _ep_corpus():
+        ep_extend(p)
+    assert seen == {("dedupe", False): 1474, ("dedupe", True): 11,
+                    ("satellites", False): 810, ("satellites", True): 440,
+                    ("every pair", False): 8340, ("every pair", True): 460}
 
 
 def test_ep_extend_two_maps():

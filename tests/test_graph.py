@@ -26,8 +26,8 @@ from abinitio import (
 )
 from abinitio.graph import _IN_NAME_ORDER, _positions, _run, adjoin_copy
 from oracles import (
-    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_is_induced,
-    ref_run)
+    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_find_pattern_iso,
+    ref_is_induced, ref_run)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -348,6 +348,40 @@ def test_first_self_map_is_lex_first_automorphism():
         expect = brute_automorphisms(g, fixed, stop_after=1)
         got = EmbeddingPlan(g, pinned=fixed).first(g, fixed)
         assert got == (expect[0] if expect else None)
+
+
+def test_first_within_is_the_least_matching_bijection():
+    # a set s onto a set t over anchors sent into a clique, as the witness
+    # dedupe and the satellite extension match them, against the direct
+    # search they ran before: anchors fixed, rotated or swapped, some points
+    # of s forced into t, and sets of unequal size, which the callers reject
+    # before searching since within then holds maps that are no bijection
+    rng = random.Random(2016)
+    core = [f"a{i}" for i in range(5)]
+    seen: dict = {}
+    for trial in range(600):
+        pts = [f"x{i}" for i in range(rng.randint(2, 7))]
+        g = Graph(2, core + pts, list(itertools.combinations(core, 2)) + [
+            (u, v) for u in pts for v in core + pts if u < v and rng.random() < 0.4])
+        s = frozenset(rng.sample(pts, rng.randint(1, len(pts))))
+        size = (len(s), len(s), rng.randint(1, len(pts)))[trial % 3]
+        t = s if trial % 6 == 0 else frozenset(rng.sample(pts, size))
+        anchors = rng.sample(core, rng.randint(0, 5))
+        send = dict(zip(sorted(anchors), rng.sample(core, len(anchors)) if trial % 4
+                        else sorted(anchors)))
+        k = rng.randint(0, min(len(s), len(t), 2))
+        forced = dict(zip(rng.sample(sorted(s), k), rng.sample(sorted(t), k)))
+        want = ref_find_pattern_iso(g, s, sorted(send.items()), g, t, forced)
+        if len(s) != len(t):
+            assert want is None
+            seen["unequal"] = seen.get("unequal", 0) + 1
+            continue
+        plan = EmbeddingPlan(g.induced(s | set(anchors)), pinned=set(anchors) | set(forced))
+        got = plan.first(g, {**send, **forced}, within=t)
+        assert (got and {v: got[v] for v in s}) == want
+        key = bool(forced), want is not None
+        seen[key] = seen.get(key, 0) + 1
+    assert seen["unequal"] >= 100 and min(seen.values()) >= 20, seen
 
 
 def test_plan_order_and_pins():

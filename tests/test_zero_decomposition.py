@@ -20,7 +20,6 @@ from abinitio import (
     count_strong_extensions,
     decompose,
     delta_rel,
-    find_pattern_iso,
     hull,
     is_in_k0,
     is_self_sufficient,
@@ -31,8 +30,8 @@ from abinitio import (
     mu_count,
     uniform_algebraicity_report,
 )
-from abinitio.zero_decomposition import (_blocks, _count_matched, _placement_counts,
-                                         _report_rows, _row_invariant,
+from abinitio.zero_decomposition import (_blocks, _count_matched, _dedupe_witnesses,
+                                         _placement_counts, _report_rows, _row_invariant,
                                          _tight_sets_over)
 from builders import plant_clique, random_graph, random_k0_graph, random_zero_graph
 from oracles import (
@@ -220,30 +219,42 @@ def test_hull_from_empty_set():
     assert hull(g, [], iterate=True) == g.vertices
 
 
-def test_find_pattern_iso():
+def test_attachment_plan_matches_over_anchors():
+    # the search _dedupe_witnesses and _extend_map_over_satellites run: an
+    # attachment's plan pinned at its anchors, its points kept in the target
     g = chain_graph()
-    anchors = [("a0", "a0"), ("a1", "a1")]
-    assert find_pattern_iso(g, frozenset(["w"]), anchors, g, frozenset(["w"])) == {"w": "w"}
-    rotated = [("a0", "a1"), ("a1", "a2")]
-    assert find_pattern_iso(g, frozenset(["w"]), rotated, g, frozenset(["w"])) is None
-    assert find_pattern_iso(g, frozenset(["w"]), [], g, frozenset(["w", "z"])) is None
-    assert (
-        find_pattern_iso(g, frozenset(["w"]), anchors, g, frozenset(["z"]),
-                         forced={"w": "z"})
-        is None
-    )
+    w = frozenset(["w"])
+    plan = EmbeddingPlan(g.induced(w | {"a0", "a1"}), pinned={"a0", "a1"})
+    assert plan.first(g, {"a0": "a0", "a1": "a1"}, within=w) == {"a0": "a0", "a1": "a1", "w": "w"}
+    assert plan.first(g, {"a0": "a1", "a1": "a2"}, within=w) is None
+    forced = EmbeddingPlan(plan.pattern, pinned={"a0", "a1", "w"})
+    assert forced.first(g, {"a0": "a0", "a1": "a1", "w": "z"}, within=frozenset(["z"])) is None
 
 
-def test_find_pattern_iso_permutes_triangle():
+def test_attachment_plan_permutes_triangle():
     names, edges = k5()
-    tri = ["p", "q", "r"]
+    tri = frozenset(["p", "q", "r"])
     edges = edges + [("p", "q"), ("p", "r"), ("q", "r"),
                      ("p", "a0"), ("q", "a1"), ("r", "a2")]
-    g = Graph(2, names + tri, edges)
+    g = Graph(2, names + sorted(tri), edges)
     # anchor swap a0<->a1 forces the p<->q swap
-    anchors = [("a0", "a1"), ("a1", "a0"), ("a2", "a2")]
-    got = find_pattern_iso(g, frozenset(tri), anchors, g, frozenset(tri))
-    assert got == {"p": "q", "q": "p", "r": "r"}
+    plan = EmbeddingPlan(g.induced(tri | {"a0", "a1", "a2"}), pinned={"a0", "a1", "a2"})
+    got = plan.first(g, {"a0": "a1", "a1": "a0", "a2": "a2"}, within=tri)
+    assert got == {"a0": "a1", "a1": "a0", "a2": "a2", "p": "q", "q": "p", "r": "r"}
+
+
+def test_dedupe_keeps_one_witness_per_attachment_type():
+    # w and y hang on a0, a1 alike, and u on a1, a2, so u is not compared
+    # with w.  The edges w-z and r-s both touch a0, a1 and a2, but a0 and a1
+    # meet w alone while r and s split them
+    names, edges = k5()
+    ties = ("w a0", "w a1", "y a0", "y a1", "u a1", "u a2", "z w", "z a2",
+            "r s", "r a0", "s a1", "s a2")
+    g = Graph(2, names + list("wyuzrs"), edges + [tuple(t.split()) for t in ties])
+    rows = [BaseWitness(BLOCK, frozenset(_contacts(g, BLOCK, frozenset(d))), frozenset(d), 1)
+            for d in ("w", "y", "u", "wz", "rs")]
+    assert _dedupe_witnesses(g, rows) == oracles.ref_dedupe_witnesses(g, rows) == [
+        rows[0], rows[2], rows[3], rows[4]]
 
 
 def two_copy_graph():
@@ -423,7 +434,7 @@ def test_keyed_counts_match_direct_counts():
             plan = EmbeddingPlan(g.induced(base | att), pinned=base)
             placements = [dict(p) for p in EmbeddingPlan(g.induced(base)).pairs(
                 g, is_strong=is_self_sufficient)]
-            direct = [count_strong_extensions(g, base, att, f, plan=plan) for f in placements]
+            direct = [count_strong_extensions(g, base, att, f) for f in placements]
             assert _placement_counts(g, base, att, placements, plan) == direct
             rows += 1
             partial += len(_contacts(g, base, att)) < len(base)
