@@ -44,12 +44,8 @@ from .graph import (
     components,
     connected_subsets,
     count_cross_edges,
-    cross_edges,
-    disjoint_union,
-    enumerate_embeddings,
     export_dot,
     fresh_name,
-    induced_subgraph,
 )
 from .predimension import (
     ClosureResult,
@@ -71,7 +67,6 @@ from .zero_decomposition import (
     ZeroDecomposition,
     base_attachment_pairs,
     connected_zero_sets,
-    count_strong_extensions,
     decompose,
     hull,
     is_zero_algebraic,
@@ -117,14 +112,10 @@ __all__ = [
     "connected_subsets",
     "connected_zero_sets",
     "count_cross_edges",
-    "count_strong_extensions",
-    "cross_edges",
     "decompose",
     "delta",
     "delta_rel",
     "dimension",
-    "disjoint_union",
-    "enumerate_embeddings",
     "ep_extend",
     "export_dot",
     "extend_partial_iso",
@@ -132,7 +123,6 @@ __all__ = [
     "fresh_name",
     "geometric_closure_bounded",
     "hull",
-    "induced_subgraph",
     "is_in_k0",
     "is_self_sufficient",
     "is_zero_algebraic",

@@ -20,7 +20,7 @@ import sys
 from .amalgam import AmalgamSpec, free_amalgam, verify_strong_pair
 from .approximation import add_generic_point, build_approximation, extend_partial_iso
 from .errors import AbinitioError, ConstructionFailed
-from .extension import EPCertificate, EPProblem, ep_extend
+from .extension import EPCertificate, EPProblem, _map_from_pairs, ep_extend
 from .graph import (
     Embedding, Graph, PartialIso, canonical_json, export_dot)
 from .limits import DEFAULT_MAX_AMBIENT
@@ -39,7 +39,10 @@ def _sha256(path: str) -> str:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _parse_set(text: str | None) -> list:
@@ -49,15 +52,11 @@ def _parse_set(text: str | None) -> list:
 
 
 def _parse_pairs(text: str | None) -> dict:
-    out = {}
-    for chunk in _parse_set(text):
+    chunks = _parse_set(text)
+    for chunk in chunks:
         if "=" not in chunk:
             raise ValueError(f"expected src=dst pairs, got {chunk!r}")
-        d, r = chunk.split("=", 1)
-        if d in out:
-            raise ValueError(f"duplicate source {d!r}")
-        out[d] = r
-    return out
+    return _map_from_pairs([chunk.split("=", 1) for chunk in chunks])
 
 
 def _load_graph(args, attr: str = "file") -> Graph:
@@ -132,8 +131,8 @@ def _cmd_amalgamate(args) -> int:
     spec = AmalgamSpec(
         left=left,
         right=right,
-        base_in_left=Embedding.build(base, left, dict(map(tuple, data["base_in_left"]))),
-        base_in_right=Embedding.build(base, right, dict(map(tuple, data["base_in_right"]))),
+        base_in_left=Embedding.build(base, left, _map_from_pairs(data["base_in_left"])),
+        base_in_right=Embedding.build(base, right, _map_from_pairs(data["base_in_right"])),
     )
     res = free_amalgam(spec)
     _emit(args, {
@@ -162,9 +161,12 @@ def _cmd_mu(args) -> int:
     for key in ("graph", "base", "attach", "alpha"):
         if key not in data:
             raise ValueError(f"mu spec is missing {key!r}")
+        if key in ("base", "attach") and not (
+                isinstance(data[key], list) and all(isinstance(v, str) for v in data[key])):
+            raise ValueError(f"mu spec {key!r} must be a JSON array of strings, got {data[key]!r}")
     g = Graph.from_json_dict(data["graph"], m_override=args.m)
     base = data["base"]
-    alpha = Embedding.build(g.induced(base), g, dict(map(tuple, data["alpha"])))
+    alpha = Embedding.build(g.induced(base), g, _map_from_pairs(data["alpha"]))
     value = mu_count(g, base, data["attach"], alpha)
     _emit(args, {"mu": value}, [args.file])
     return 0

@@ -21,7 +21,6 @@ from .graph import (
 from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
 from .zero_decomposition import (
     ZeroDecomposition,
-    _placement_counts,
     _report_rows,
     decompose,
 )
@@ -352,7 +351,7 @@ def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
     plan = EmbeddingPlan(b.induced(base | att), pinned=base)
     for _ in range(_MAX_SWEEP_PASSES):
         alphas = [dict(p) for p in base_plan.pairs(b, is_strong=is_self_sufficient)]
-        counts = _placement_counts(b, base, att, alphas, plan)
+        counts = plan.count_each(b, alphas, is_self_sufficient)
         nu = max(counts)
         if min(counts) == nu:
             return b, nu

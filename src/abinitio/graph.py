@@ -15,8 +15,6 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientMismatch, InvalidMap, UnknownVertex
 
-VertexSet = frozenset  # frozenset[str]; members must belong to an ambient graph
-
 
 def normalize_edge(u: str, v: str) -> tuple[str, str]:
     if u == v:
@@ -151,25 +149,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-# -- subgraphs and edge counts ------------------------------------------
-
-
-def induced_subgraph(g: Graph, s: Iterable[str]) -> Graph:
-    """The induced subgraph on s; inherits the coefficient."""
-    return g.induced(s)
-
-
-def cross_edges(g: Graph, s: Iterable[str], t: Iterable[str]) -> frozenset:
-    """Edges with one endpoint in s and the other in t.  s and t must be disjoint."""
-    ss = g.check_subset(s)
-    tt = g.check_subset(t)
-    if ss & tt:
-        raise InvalidMap(f"cross_edges requires disjoint sets, shared: {sorted(ss & tt)}")
-    out = set()
-    for v in ss:
-        for w in g.neighbors(v) & tt:
-            out.add(normalize_edge(v, w))
-    return frozenset(out)
+# -- edge counts ----------------------------------------------------------
 
 
 def count_cross_edges(g: Graph, s: frozenset, t: frozenset) -> int:
@@ -321,9 +301,9 @@ _IN_NAME_ORDER = object()
 class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
     against any number of targets: pairs() lists the embeddings as sorted
-    (vertex, image) pairs and embeddings() as Embeddings, count() counts
-    them, count_each() counts them for many pin maps at once, first()
-    returns the least one and representatives() one per image set.
+    (vertex, image) pairs, count_each() counts them for many pin maps at
+    once and count() for one, first() returns the least one and
+    representatives() one per image set.
 
     The search order puts the pinned vertices first, then at each step the
     vertex with the most already-placed neighbours (ties: higher degree,
@@ -368,14 +348,6 @@ class EmbeddingPlan:
         self.order, self.adjacent, self.apart, self.degrees = _positions(adj, order)
         self._by_name = tuple(sorted(range(len(order)), key=order.__getitem__))
         return getattr(self, name)
-
-    def _search(self, c: Graph, fixed: dict | None, emit: Callable) -> None:
-        """Call emit once per induced embedding of the pattern into c that
-        agrees with fixed, passing the images in search order as a list that
-        the search goes on to overwrite."""
-        fixed = self._pins(c, fixed)
-        _run(c, (self.order, self.adjacent, self.apart, self.degrees),
-             [fixed.get(p) for p in self.order], emit)
 
     def _pins(self, c: Graph, fixed: dict | None) -> dict:
         fixed = fixed or {}
@@ -552,44 +524,36 @@ class EmbeddingPlan:
                     return
             found.append(tuple(zip(names, [img[k] for k in by_name])))
 
-        self._search(c, fixed, emit)
+        fixed = self._pins(c, fixed)
+        _run(c, (self.order, self.adjacent, self.apart, self.degrees),
+             [fixed.get(p) for p in self.order], emit)
         found.sort()
         return found
 
-    def embeddings(self, c: Graph, fixed: dict | None = None,
-                   is_strong: Callable | None = None) -> list:
-        """pairs() as Embeddings."""
-        return [Embedding(self.pattern, c, p) for p in self.pairs(c, fixed, is_strong)]
-
     def count(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None) -> int:
-        """The number of embeddings() without building them.
+        """The number of pairs() without listing them.
 
-        Embeddings with one image set differ by an automorphism of the
-        pattern fixing the pins.  Without pins the search reaches each image
-        set once, under the conditions of _conditions(), and the count is the
-        group's order times the number of image sets passing is_strong.  With
-        pins every embedding is visited.  Either way strength is tested once
-        per image set."""
+        Without pins the search reaches each image set once, under the
+        conditions of _conditions(), and the count is the order of the
+        pattern's automorphism group times the number of image sets passing
+        is_strong.  With pins it is count_each() of the one pin map, or 0
+        when that map is not injective or not induced."""
         _check_coefficient(self.pattern, c)
+        fixed = self._pins(c, fixed)
         if not self.pinned:
-            self._pins(c, fixed)
             return self._conditions()[1] * len(self.representatives(c, is_strong))
-        per_image: dict = {}
-
-        def emit(img):
-            key = frozenset(img)
-            per_image[key] = per_image.get(key, 0) + 1
-
-        self._search(c, fixed, emit)
-        if is_strong is None:
-            return sum(per_image.values())
-        return sum(k for image, k in per_image.items() if is_strong(c, image))
+        image, adj, cadj = frozenset(fixed.values()), self.pattern._adj, c._adj
+        if len(image) < len(fixed) or any(
+                cadj[t] & image != {fixed[y] for y in adj[x] & self.pinned}
+                for x, t in fixed.items()):
+            return 0
+        return self.count_each(c, [fixed], is_strong)[0]
 
     def first(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None,
               within: frozenset | None = None) -> dict | None:
-        """The map of embeddings(c, fixed, is_strong)[0], or None when there
+        """The map of pairs(c, fixed, is_strong)[0], or None when there
         is none; the search stops at its first hit, testing strength there.
         within, when given, holds the free vertices' images.  When it has as
         many points and misses the pins' images, the map is the least
@@ -770,32 +734,6 @@ def _tally(c: Graph, layout: tuple, image: frozenset, table: dict,
     _run(c, layout, domains, emit)
 
 
-def enumerate_embeddings(
-    a: Graph,
-    c: Graph,
-    strong_only: bool = False,
-    is_strong: Callable | None = None,
-    fixed: dict | None = None,
-) -> list[Embedding]:
-    """All induced embeddings of a into c, in canonical order.
-
-    With strong_only, keep only embeddings whose image passes is_strong
-    (default: self-sufficiency of the image in c).  fixed pins part of the
-    map in advance.
-
-    The search runs an EmbeddingPlan compiled for a with the keys of fixed
-    pinned, whose pairs() re-sorts its hits into the canonical order every
-    certificate relies on.
-    """
-    if strong_only and is_strong is None:
-        from .predimension import is_self_sufficient
-
-        is_strong = is_self_sufficient
-    fixed = dict(fixed or {})
-    plan = EmbeddingPlan(a, pinned=fixed)
-    return plan.embeddings(c, fixed, is_strong if strong_only else None)
-
-
 # -- fresh names and adjoined copies -------------------------------------
 
 
@@ -835,15 +773,6 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
             elif w in glue:
                 edges.append((nv, glue[w]))
     return Graph(ambient.m, taken, edges), relabel
-
-
-def disjoint_union(g: Graph, h: Graph) -> tuple[Graph, dict]:
-    """Disjoint union keeping g's names; h is relabeled away from collisions.
-
-    Returns the union and the relabeling applied to h (identity entries
-    included so callers can always look names up).
-    """
-    return adjoin_copy(g, h, h.vertices, {})
 
 
 # -- connected subset enumeration ----------------------------------------

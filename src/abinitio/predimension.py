@@ -22,7 +22,7 @@ from itertools import compress
 from typing import Iterable
 
 from .errors import ConstructionFailed, OutsideK0
-from .graph import Graph, count_cross_edges, enumerate_embeddings
+from .graph import Embedding, EmbeddingPlan, Graph, count_cross_edges
 
 
 def delta(g: Graph, s: Iterable[str]) -> int:
@@ -377,4 +377,5 @@ def geometric_closure_bounded(g: Graph, a: Iterable[str]) -> frozenset:
 
 def strong_embeddings(a: Graph, c: Graph) -> list:
     """Induced embeddings of a into c whose image is self-sufficient."""
-    return enumerate_embeddings(a, c, strong_only=True, is_strong=is_self_sufficient)
+    pairs = EmbeddingPlan(a).pairs(c, is_strong=is_self_sufficient)
+    return [Embedding(a, c, p) for p in pairs]

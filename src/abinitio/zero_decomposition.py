@@ -258,28 +258,8 @@ def mu_count(
         raise InvalidMap("alpha is not induced")
     if not is_self_sufficient(c, alpha.image):
         raise InvalidMap("alpha is not strong: image is not self-sufficient")
-    return count_strong_extensions(c, aa, bb, alpha.as_dict())
-
-
-def count_strong_extensions(c: Graph, base: frozenset, attach: frozenset, fixed: dict) -> int:
-    """How many strong embeddings of the pattern c.induced(base | attach)
-    agree with fixed on base."""
-    plan = EmbeddingPlan(c.induced(base | attach), pinned=base)
-    return plan.count(c, fixed, is_strong=is_self_sufficient)
-
-
-def _placement_counts(c: Graph, base: frozenset, att: frozenset, placements: list,
-                      plan: EmbeddingPlan | None = None) -> list:
-    """count_strong_extensions for each placement f (a dict on base, an
-    induced embedding of the base pattern); plan, when given, is the one
-    compiled for c.induced(base | att) with base pinned.  The pattern
-    constrains att only by adjacency to f(contacts), non-adjacency to the
-    rest of f's image, injectivity and strength of the whole image, so the
-    plan's count_each runs one search per image set of the placements,
-    tallied by the neighbour sets in it, and reads each count off that."""
-    if plan is None:
-        plan = EmbeddingPlan(c.induced(base | att), pinned=base)
-    return plan.count_each(c, placements, is_self_sufficient)
+    plan = EmbeddingPlan(c.induced(aa | bb), pinned=aa)
+    return plan.count_each(c, [alpha.as_dict()], is_self_sufficient)[0]
 
 
 # -- uniformity report ------------------------------------------------------
@@ -446,14 +426,16 @@ def uniform_algebraicity_report(
     """Per (base, attachment type): the extension count over every strong
     placement of the base pattern, in canonical order, and whether all
     counts agree.  Each base's placements are enumerated once, and each
-    row's counts take one search per image set of them (_placement_counts).
-    The level stage decides uniformity by class instead (_report_rows)."""
+    row's counts take one search per image set of them
+    (EmbeddingPlan.count_each).  The level stage decides uniformity by class
+    instead (_report_rows)."""
     rows = []
     placements: dict = {}
     for w in _report_witnesses(g, i, max_set):
         if w.base not in placements:
             placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
                 g, is_strong=is_self_sufficient)]
-        counts = _placement_counts(g, w.base, w.zero_minimal_set, placements[w.base])
+        plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+        counts = plan.count_each(g, placements[w.base], is_self_sufficient)
         rows.append((w, counts, len(set(counts)) <= 1))
     return rows

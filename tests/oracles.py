@@ -14,7 +14,7 @@ import itertools
 
 from abinitio import (
     BaseWitness, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap, OutsideK0, closure,
-    components, delta_rel, enumerate_embeddings, is_in_k0, is_self_sufficient, pattern_catalog)
+    components, delta_rel, is_in_k0, is_self_sufficient, pattern_catalog, strong_embeddings)
 from abinitio import limits
 from abinitio.approximation import ApproximationChain, realize_extension
 from abinitio.graph import _IN_NAME_ORDER, _check_coefficient
@@ -314,31 +314,28 @@ def ref_base_attachment_pairs(g, carrier, base_layer, level_index, max_set=None)
 
 
 # -- reference copies of the per-embedding counts ------------------------------
-# EmbeddingPlan.count and zero_decomposition._placement_counts as they were
-# before counting by image set: every embedding visited and tallied per image
-# set, and one pinned count per (image set, contact images) key.  Copied
-# unchanged but for the names; the search they run is the plan's own
-# enumeration of every embedding, which pairs() also uses.
+# EmbeddingPlan.count and the per-placement counts of the level stage as they
+# were before counting by image set: every embedding visited and tallied per
+# image set, and one pinned count per (image set, contact images) key.  Copied
+# unchanged but for the names and for reading the plan's own enumeration of
+# every embedding through pairs().
 
 
 def ref_count(plan, c, fixed=None, is_strong=None) -> int:
-    """The number of embeddings() without building them; strength is
-    tested once per image set."""
+    """The number of pairs(), tallied per image set; strength is tested
+    once per image set."""
     _check_coefficient(plan.pattern, c)
     per_image: dict = {}
-
-    def emit(img):
-        key = frozenset(img)
+    for pairs in plan.pairs(c, fixed):
+        key = frozenset(t for _, t in pairs)
         per_image[key] = per_image.get(key, 0) + 1
-
-    plan._search(c, fixed, emit)
     if is_strong is None:
         return sum(per_image.values())
     return sum(k for image, k in per_image.items() if is_strong(c, image))
 
 
 def ref_placement_counts(c, base, att, placements, plan) -> list:
-    """count_strong_extensions for each placement f (a dict on base), once per
+    """The strong extension count of each placement f (a dict on base), once per
     key: f's image set and the images of the contacts, the base vertices with
     a neighbour in att, in name order.  The pattern constrains att only by
     adjacency to f(contacts), non-adjacency to the rest of f's image,
@@ -370,12 +367,13 @@ def ref_is_induced(emb) -> bool:
 # approximation._base_choices and build_approximation as they were before the
 # task plans were compiled once per catalog: every call recomputes the base
 # choices, compiles a pinned plan per task, and lists each round's placements
-# as Embeddings through enumerate_embeddings.  Copied unchanged but for the
-# names.
+# as Embeddings.  Copied unchanged but for the names, and for the listings,
+# which call EmbeddingPlan.pairs and strong_embeddings in place of a removed
+# wrapper that returned the same lists.
 
 
 def ref_base_choices(ext) -> list:
-    autos = [e.as_dict() for e in enumerate_embeddings(ext, ext)]
+    autos = [dict(p) for p in EmbeddingPlan(ext).pairs(ext)]
     chosen = []
     emitted = set()
     for size in range(len(ext.vertices) + 1):
@@ -407,8 +405,7 @@ def ref_build_approximation(seed, rounds, size_budget, max_ambient=limits.DEFAUL
         snapshot = current
         queue = []
         for ext, base_pattern, plan in pairs:
-            placements = enumerate_embeddings(
-                base_pattern, snapshot, strong_only=True, is_strong=is_self_sufficient)
+            placements = strong_embeddings(base_pattern, snapshot)
             for at in placements:
                 queue.append((ext, base_pattern, plan, at.as_dict()))
         for ext, base_pattern, plan, at_map in queue:

@@ -188,6 +188,43 @@ def test_mu(tmp_path, capsys):
     assert rc == 0 and doc["mu"] == 1
 
 
+def test_mu_reads_its_spec_strictly(tmp_path, capsys):
+    # a repeated alpha source is rejected, not resolved to its last image
+    base = [f"a{i}" for i in range(5)]
+    spec = {"graph": w_dict(), "base": base, "attach": ["w"],
+            "alpha": [["a0", "a1"]] + [[v, v] for v in base]}
+    rc, doc, _ = run(capsys, ["mu", write(tmp_path, "twice.json", spec)])
+    assert rc == 2 and "duplicate map source 'a0'" in doc["error"]["message"]
+    # base and attach are arrays of names, never strings read as letters:
+    # "ab" names one vertex here, and {"a", "b"} would be a valid base
+    graph = {"m": 2, "vertices": ["a", "ab", "b"],
+             "edges": [["a", "b"], ["a", "ab"], ["ab", "b"]]}
+    spec = {"graph": graph, "base": ["a", "b"], "attach": ["ab"],
+            "alpha": [["a", "a"], ["b", "b"]]}
+    rc, doc, _ = run(capsys, ["mu", write(tmp_path, "ok.json", spec)])
+    assert rc == 0 and doc["mu"] == 1
+    for key, value in (("base", "ab"), ("attach", "ab"), ("base", ["a", 1])):
+        bad = dict(spec, **{key: value})
+        rc, doc, _ = run(capsys, ["mu", write(tmp_path, "bad.json", bad)])
+        assert rc == 2 and "array of strings" in doc["error"]["message"]
+
+
+def test_amalgamate_rejects_repeated_map_sources(tmp_path, capsys):
+    spec = {
+        "left": k5_dict("a"),
+        "right": k5_dict("b"),
+        "base": k5_dict("c"),
+        "base_in_left": [[f"c{i}", f"a{i}"] for i in range(5)],
+        "base_in_right": [[f"c{i}", f"b{i}"] for i in range(5)],
+    }
+    rc, doc, _ = run(capsys, ["amalgamate", write(tmp_path, "ok.json", spec)])
+    assert rc == 0 and len(doc["graph"]["vertices"]) == 5
+    for key in ("base_in_left", "base_in_right"):
+        bad = dict(spec, **{key: [["c0", spec[key][1][1]]] + spec[key]})
+        rc, doc, _ = run(capsys, ["amalgamate", write(tmp_path, "bad.json", bad)])
+        assert rc == 2 and "duplicate map source 'c0'" in doc["error"]["message"]
+
+
 def test_ep_extend_then_verify(tmp_path, capsys):
     problem = {
         "graph": {
@@ -327,6 +364,16 @@ def test_error_exit_codes(tmp_path, capsys):
     garbled.write_text("not json at all {")
     rc, doc, _ = run(capsys, ["delta", str(garbled)])
     assert rc == 2 and doc["error"]["type"] == "JSONDecodeError"
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # the parser gives up on depth with a RecursionError; that is still
+    # input that cannot be parsed, not an internal failure
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    rc, doc, _ = run(capsys, ["k0", str(path)])
+    assert rc == 2
+    assert doc["error"]["type"] == "ValueError" and "nested" in doc["error"]["message"]
 
 
 def test_malformed_graph_documents_are_input_errors(tmp_path, capsys):

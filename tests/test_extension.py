@@ -523,20 +523,32 @@ def test_two_maps_at_level_two_count_each_class_once(monkeypatch):
     ident = {v: v for v in g.vertices}
     p = EPProblem(g, (PartialIso.build(g, {**ident, "a3": "a4", "a4": "a3"}),
                       PartialIso.build(g, ident)))
-    searches = []
+    searches, own = [], []
     direct = abinitio.graph._tally
+    multiplicity = abinitio.extension._pattern_multiplicity
 
     def counted(c, layout, image, table, is_strong):
         searches.append((image, len(table)))
         return direct(c, layout, image, table, is_strong)
 
+    def apart(*args):
+        # a row's self-matching count searches its pattern, not a stage graph
+        before = len(searches)
+        t = multiplicity(*args)
+        own.extend(searches[before:])
+        del searches[before:]
+        return t
+
     monkeypatch.setattr(abinitio.graph, "_tally", counted)
+    monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity", apart)
     assert verify_certificate(p, ep_extend(p)).ok
     # one attachment search per image set of a base, per row and pass; one
     # pinned count per (image set, contact images) key made 1,250 searches
     assert 0 < len(searches) <= 343
     assert len({image for image, _ in searches}) <= 11
     assert sum(classes for _, classes in searches) > len(searches)
+    # and one pinned count of one class per row for its self-matchings
+    assert len(own) <= 2 and all(classes == 1 for _, classes in own)
 
 
 def _sweep_passes(monkeypatch, tallies=()) -> list:

@@ -16,9 +16,6 @@ from abinitio import (
     components,
     connected_subsets,
     count_cross_edges,
-    cross_edges,
-    disjoint_union,
-    enumerate_embeddings,
     export_dot,
     fresh_name,
     is_self_sufficient,
@@ -26,8 +23,8 @@ from abinitio import (
 )
 from abinitio.graph import _IN_NAME_ORDER, _positions, _run, adjoin_copy
 from oracles import (
-    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_find_pattern_iso,
-    ref_is_induced, ref_run)
+    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
+    ref_find_pattern_iso, ref_is_induced, ref_run)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -90,11 +87,9 @@ def test_from_json_m_override():
 
 def test_cross_edges():
     g = Graph(2, ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("c", "d")])
-    assert cross_edges(g, ["a"], ["b", "c"]) == frozenset(
-        {("a", "b"), ("a", "c")})
+    assert count_cross_edges(g, frozenset(["a"]), frozenset(["b", "c"])) == 2
     assert count_cross_edges(g, frozenset(["a", "d"]), frozenset(["c"])) == 2
-    with pytest.raises(InvalidMap):
-        cross_edges(g, ["a"], ["a", "b"])
+    assert count_cross_edges(g, frozenset(["b", "d"]), frozenset(["a"])) == 1
 
 
 def test_embedding_validation():
@@ -151,7 +146,7 @@ def test_partial_iso_rejects_non_isomorphism():
         PartialIso.build(g, {"a": "c", "b": "d"})  # edge a-b, no edge c-d
 
 
-def test_enumerate_embeddings_against_permutation_scan():
+def test_pairs_against_permutation_scan():
     rng = random.Random(401)
     for _ in range(40):
         na, nc = rng.randint(1, 3), rng.randint(1, 5)
@@ -161,7 +156,7 @@ def test_enumerate_embeddings_against_permutation_scan():
         c = Graph(2, [f"t{i}" for i in range(nc)],
                   [e for e in itertools.combinations([f"t{i}" for i in range(nc)], 2)
                    if rng.random() < 0.5])
-        got = {tuple(sorted(e.as_dict().items())) for e in enumerate_embeddings(a, c)}
+        got = set(EmbeddingPlan(a).pairs(c))
         expect = set()
         for images in itertools.permutations(c.sorted_vertices(), na):
             f = dict(zip(a.sorted_vertices(), images))
@@ -171,24 +166,21 @@ def test_enumerate_embeddings_against_permutation_scan():
         assert got == expect
 
 
-def test_enumerate_embeddings_fixed_and_ceiling():
+def test_pairs_fixed_and_coefficient():
     a = k_complete(2, prefix="p")
     c = k_complete(4)
-    pinned = enumerate_embeddings(a, c, fixed={"p0": "v2"})
-    assert all(e("p0") == "v2" for e in pinned)
+    pinned = EmbeddingPlan(a, pinned=["p0"]).pairs(c, {"p0": "v2"})
+    assert all(dict(p)["p0"] == "v2" for p in pinned)
     assert len(pinned) == 3
     with pytest.raises(CoefficientMismatch):
-        enumerate_embeddings(k_complete(2, m=3), c)
+        EmbeddingPlan(k_complete(2, m=3)).pairs(c)
 
 
-def test_size_ceiling_env_values_are_checked(monkeypatch):
-    for raw in ("-3", "junk", "2.5", ""):
+def test_size_ceiling_ignores_the_environment(monkeypatch):
+    # the default is the package's own; only the max_set keyword moves it
+    for raw in ("junk", "3", "-1"):
         monkeypatch.setenv("ABINITIO_MAX_SET_SIZE", raw)
-        with pytest.raises(ValueError, match="ABINITIO_MAX_SET_SIZE"):
-            limits.max_set_size()
-    monkeypatch.setenv("ABINITIO_MAX_SET_SIZE", "-1")
-    with pytest.raises(ValueError, match="ABINITIO_MAX_SET_SIZE"):
-        limits.max_set_size()
+        assert limits.max_set_size() == limits.DEFAULT_MAX_SET_SIZE == 8
     assert limits.max_set_size(5) == 5
     with pytest.raises(ValueError, match="max_set .* got -3"):
         limits.max_set_size(-3)
@@ -252,8 +244,8 @@ def test_matcher_against_vf2():
 
 
 def _check_matcher_against_vf2(rng, trial, a, c, closed):
-    """enumerate_embeddings and the plan's pairs, count and first against
-    VF2, plain and strong, with pins chosen by the trial number."""
+    """The plan's pairs, count and first against VF2, plain and strong,
+    with pins chosen by the trial number."""
     reference = _vf2_embeddings(a, c)
     fixed = {}
     if trial % 3:
@@ -269,17 +261,14 @@ def _check_matcher_against_vf2(rng, trial, a, c, closed):
         if strong_only:
             expect = {pairs for pairs in expect
                       if closed(c, frozenset(t for _, t in pairs))}
-        got = enumerate_embeddings(a, c, strong_only=strong_only, fixed=fixed)
-        got_pairs = [e.pairs for e in got]
-        assert set(got_pairs) == expect
-        assert got_pairs == sorted(got_pairs)
         plan = EmbeddingPlan(a, pinned=fixed)
         is_strong = is_self_sufficient if strong_only else None
-        assert plan.count(c, fixed, is_strong=is_strong) == len(got) == \
-            len(plan.pairs(c, fixed, is_strong=is_strong))
-        assert plan.pairs(c, fixed, is_strong=is_strong) == [
-            e.pairs for e in plan.embeddings(c, fixed, is_strong=is_strong)]
-        assert plan.first(c, fixed, is_strong) == (dict(got[0].pairs) if got else None)
+        got = plan.pairs(c, fixed, is_strong=is_strong)
+        assert set(got) == expect
+        assert got == sorted(got)
+        assert all(Embedding(a, c, p).is_induced() for p in got)
+        assert plan.count(c, fixed, is_strong=is_strong) == len(got)
+        assert plan.first(c, fixed, is_strong) == (dict(got[0]) if got else None)
 
 
 def test_symmetry_breaking_matches_brute_force_automorphisms():
@@ -308,8 +297,9 @@ def test_symmetry_breaking_matches_brute_force_automorphisms():
 
 
 def test_count_each_matches_pinned_counts():
-    # count_each against one pinned count per pin map, pins drawn from the
-    # embeddings of the pinned part so each embeds it induced
+    # count_each against the reference copy of the per-embedding pinned
+    # count, one per pin map, pins drawn from the embeddings of the pinned
+    # part so each embeds it induced
     rng = random.Random(2008)
     compared = 0
     for trial in range(60):
@@ -322,15 +312,36 @@ def test_count_each_matches_pinned_counts():
         fixeds = [dict(p) for p in EmbeddingPlan(a.induced(pins)).pairs(c)]
         for is_strong in (None, is_self_sufficient):
             assert plan.count_each(c, fixeds, is_strong) == [
-                plan.count(c, f, is_strong=is_strong) for f in fixeds]
+                ref_count(plan, c, f, is_strong=is_strong) for f in fixeds]
         # strength is asked only of images that some pin map's count needs
         asked, needed = set(), set()
         plan.count_each(c, fixeds, lambda g, s: asked.add(s) or is_self_sufficient(g, s))
         for f in fixeds:
-            plan.count(c, f, lambda g, s: needed.add(s) or is_self_sufficient(g, s))
+            ref_count(plan, c, f, lambda g, s: needed.add(s) or is_self_sufficient(g, s))
         assert asked <= needed
         compared += len(fixeds)
     assert compared >= 500
+
+
+def test_pinned_count_matches_reference_on_any_pins():
+    # pins drawn from the whole target, so some repeat an image and some map
+    # an edge to a non-edge or back: those extend to no embedding
+    rng = random.Random(2009)
+    repeated = broken = 0
+    for trial in range(1000):
+        c = _random_graph(rng, "t", rng.randint(1, 7), rng.choice([2, 3]))
+        a = _random_graph(rng, "p", rng.randint(1, 5), c.m)
+        pins = rng.sample(a.sorted_vertices(), rng.randint(1, len(a.vertices)))
+        fixed = {p: rng.choice(c.sorted_vertices()) for p in pins}
+        plan = EmbeddingPlan(a, pinned=pins)
+        for is_strong in (None, is_self_sufficient):
+            assert plan.count(c, fixed, is_strong=is_strong) == \
+                ref_count(plan, c, fixed, is_strong=is_strong)
+        if len(set(fixed.values())) < len(fixed):
+            repeated += 1
+        elif not Embedding.build(a.induced(pins), c, fixed).is_induced():
+            broken += 1
+    assert repeated >= 100 and broken >= 100
 
 
 def test_first_self_map_is_lex_first_automorphism():
@@ -512,7 +523,7 @@ def test_fresh_name_and_disjoint_union():
     assert fresh_name("w", {"w", "w~1"}) == "w~2"
     g = Graph(2, ["a"], [])
     h = Graph(2, ["a", "b"], [("a", "b")])
-    u, relabel = disjoint_union(g, h)
+    u, relabel = adjoin_copy(g, h, h.vertices, {})
     assert len(u.vertices) == 3
     assert relabel["a"] != "a" and u.has_edge(relabel["a"], relabel["b"])
 

@@ -509,19 +509,36 @@ def test_membership_at_scale_needs_no_search(monkeypatch):
     assert calls == []
 
 
+def _library_nodes(matches) -> list:
+    """file:line of every node of the library's syntax trees that matches."""
+    found = []
+    for path in sorted((ROOT / "src" / "abinitio").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if matches(node):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def test_library_reads_nothing_that_python_O_changes():
     """python -O drops assert statements, compiles __debug__ to False and
     sets sys.flags.optimize; nothing else of a module's code changes.  With
     none of the three in the library, it runs the same code either way, so
     the test suite need not run again under -O."""
-    found = []
-    for path in sorted((ROOT / "src" / "abinitio").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Assert)
-                    or isinstance(node, ast.Name) and node.id == "__debug__"
-                    or isinstance(node, ast.Attribute) and node.attr in ("flags", "optimize")):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    assert _library_nodes(lambda node: (
+        isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "__debug__"
+        or isinstance(node, ast.Attribute) and node.attr in ("flags", "optimize"))) == []
+
+
+def test_library_reads_no_environment():
+    """Every setting of the library is a keyword or a command-line option:
+    no os.environ or getenv read, under any name it is imported as, so an
+    answer depends on the call's arguments alone."""
+    reads = ("environ", "environb", "getenv", "getenvb")
+    assert _library_nodes(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in reads
+        or isinstance(node, ast.Name) and node.id in reads
+        or isinstance(node, ast.alias) and node.name in reads)) == []
 
 
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="already running with asserts stripped")

@@ -17,7 +17,6 @@ from abinitio import (
     base_attachment_pairs,
     closure,
     connected_zero_sets,
-    count_strong_extensions,
     decompose,
     delta_rel,
     hull,
@@ -31,7 +30,7 @@ from abinitio import (
     uniform_algebraicity_report,
 )
 from abinitio.zero_decomposition import (_blocks, _count_matched, _dedupe_witnesses,
-                                         _placement_counts, _report_rows, _row_invariant,
+                                         _report_rows, _row_invariant,
                                          _tight_sets_over)
 from builders import plant_clique, random_graph, random_k0_graph, random_zero_graph
 from oracles import (
@@ -407,7 +406,7 @@ def test_count_strong_extensions_matches_oracle():
             continue
         attach = frozenset(outside[:1])
         fixed = {v: v for v in base}
-        got = count_strong_extensions(g, base, attach, fixed)
+        got = mu_count(g, base, attach, Embedding.build(g.induced(base), g, fixed))
         want = brute_strong_extension_count(
             g, sorted(base), sorted(attach), fixed)
         assert got == want
@@ -434,20 +433,20 @@ def test_keyed_counts_match_direct_counts():
             plan = EmbeddingPlan(g.induced(base | att), pinned=base)
             placements = [dict(p) for p in EmbeddingPlan(g.induced(base)).pairs(
                 g, is_strong=is_self_sufficient)]
-            direct = [count_strong_extensions(g, base, att, f) for f in placements]
-            assert _placement_counts(g, base, att, placements, plan) == direct
+            direct = [ref_count(plan, g, f, is_strong=is_self_sufficient) for f in placements]
+            assert plan.count_each(g, placements, is_self_sufficient) == direct
             rows += 1
             partial += len(_contacts(g, base, att)) < len(base)
     assert rows >= 300 and partial >= 150
 
 
 def _check_counts_by_image_set(g, base, att) -> list:
-    """_placement_counts and the unpinned counts of the base pattern against
+    """count_each and the unpinned counts of the base pattern against
     the reference copies, position by position; returns the placements."""
     plan = EmbeddingPlan(g.induced(base | att), pinned=base)
     base_plan = EmbeddingPlan(g.induced(base))
     placements = [dict(p) for p in base_plan.pairs(g, is_strong=is_self_sufficient)]
-    assert _placement_counts(g, base, att, placements, plan) == \
+    assert plan.count_each(g, placements, is_self_sufficient) == \
         ref_placement_counts(g, base, att, placements, plan)
     for is_strong in (None, is_self_sufficient):
         assert base_plan.count(g, is_strong=is_strong) == \
@@ -457,7 +456,7 @@ def _check_counts_by_image_set(g, base, att) -> list:
 
 def _check_report_by_class(g) -> int:
     """Every row of uniform_algebraicity_report, counted by class, against
-    the reference copy of _placement_counts over the listed placements;
+    the reference copy of the per-placement counts over the listed placements;
     returns the number of rows."""
     rows = 0
     level = max((c.level for c in decompose(g).components), default=0)
