@@ -16,7 +16,7 @@ from .amalgam import AmalgamSpec, free_amalgam
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
     Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, fresh_name)
-from .predimension import closure, delta_rel, is_in_k0, is_self_sufficient
+from .predimension import _closure_set, delta_rel, is_in_k0, is_self_sufficient
 
 
 # -- realizing pattern extensions --------------------------------------------
@@ -177,7 +177,7 @@ def build_approximation(
 def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
     """One forth step: bring v into the domain of phi, growing the ambient by
     a fresh copy of the closure increment when no internal image fits."""
-    n = closure(ambient, frozenset(phi) | {v}).closure
+    n = _closure_set(ambient, frozenset(phi) | {v})
     plan = EmbeddingPlan(ambient.induced(n), pinned=phi)
     hit = plan.first(ambient, phi, is_self_sufficient)
     if hit is not None:

@@ -24,7 +24,7 @@ from .extension import EPCertificate, EPProblem, _map_from_pairs, ep_extend
 from .graph import (
     Embedding, Graph, PartialIso, canonical_json, export_dot)
 from .limits import DEFAULT_MAX_AMBIENT
-from .oracles import brute_closed, brute_closure, brute_in_k0
+from .oracles import brute_closed, brute_closure, brute_delta, brute_in_k0
 from .predimension import (
     closure, delta, delta_rel, dimension, geometric_closure_bounded,
     is_in_k0, is_self_sufficient, orientation_witness)
@@ -261,6 +261,9 @@ def _suite_closure(rng: random.Random) -> tuple:
         done += 1
         a = frozenset(v for v in g.vertices if rng.random() < 0.4)
         ok = closure(g, a).closure == brute_closure(g, a)
+        d, gcl = brute_delta(g, brute_closure(g, a)), geometric_closure_bounded(g, a)
+        ok = ok and dimension(g, a) == d and all(
+            (v in gcl) == (brute_delta(g, brute_closure(g, a | {v})) == d) for v in g.vertices)
         passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
     return passed, failed
 

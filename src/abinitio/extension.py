@@ -14,10 +14,11 @@ replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
-    Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, components)
+    Embedding, EmbeddingPlan, Graph, PartialIso, _chain, adjoin_copy, components)
 from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
 from .zero_decomposition import (
     ZeroDecomposition,
@@ -328,10 +329,10 @@ def _require_zero_member(b: Graph, log: dict) -> None:
 
 def _pattern_multiplicity(b: Graph, base: frozenset, gen: frozenset,
                           attachment: frozenset) -> int:
-    """Self-matchings of the attachment fixing the generator pointwise; the
-    amount one fresh copy adds to a placement's extension count."""
-    pattern = b.induced(gen | attachment)
-    return EmbeddingPlan(pattern, pinned=gen).count(pattern, fixed={x: x for x in gen})
+    """Self-matchings of the attachment fixing the generator pointwise, which
+    one fresh copy adds to a placement's count: a stabilizer chain's orbits."""
+    order = sorted(gen) + sorted(attachment)
+    return prod(map(len, _chain(b.induced(gen | attachment), order, range(len(gen), len(order)))))
 
 
 def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:

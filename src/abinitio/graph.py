@@ -380,7 +380,7 @@ class EmbeddingPlan:
             at = {v: i for i, v in enumerate(self.order)}
             below: list = [[] for _ in self.order]
             size = 1
-            for i, level in enumerate(_chain(self.pattern, self.order, len(self.order))):
+            for i, level in enumerate(_chain(self.pattern, self.order, range(len(at)))):
                 size *= len(level)
                 for u in level:
                     if at[u] != i:
@@ -500,7 +500,7 @@ class EmbeddingPlan:
         pins = sorted(self.pinned)
         # (images of the pins so far, the product of the levels so far)
         partial = [((), {u: u for u in self.pattern.vertices})]
-        for level in _chain(self.pattern, pins, len(pins)):
+        for level in _chain(self.pattern, pins, range(len(pins))):
             partial = [(images + (prefix[u],), {x: prefix[y] for x, y in move.items()})
                        for images, prefix in partial for u, move in level.items()]
         return [images for images, _ in partial]
@@ -578,9 +578,9 @@ class EmbeddingPlan:
         return None
 
 
-def _chain(a: Graph, order: list, depth: int) -> list:
-    """For each of the first depth positions i of order, a map from each u
-    in the orbit of order[i] under the automorphisms of a fixing order[:i]
+def _chain(a: Graph, order: list, positions: range) -> list:
+    """For each position i of order in positions, a map from each u in the
+    orbit of order[i] under the automorphisms of a fixing order[:i]
     pointwise to one such automorphism taking order[i] to u: a stabilizer
     chain with its transversals (McKay and Piperno, J. Symb. Comput. 2014),
     each member found by a search of a into itself with order[:i + 1]
@@ -589,7 +589,7 @@ def _chain(a: Graph, order: list, depth: int) -> list:
     layout = _positions(adj, list(order) + sorted(a.vertices - set(order)))
     n = len(layout[0])
     levels = []
-    for i in range(depth):
+    for i in positions:
         v = order[i]
         held = frozenset(order[:i])
         level = {v: {u: u for u in a.vertices}}

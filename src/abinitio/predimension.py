@@ -2,15 +2,15 @@
 
 A subset is self-sufficient when no superset has a strictly smaller count.
 Membership questions reduce to bounded-outdegree edge orientations.  Where
-only the answer is output (membership in K0, self-sufficiency) they are
-decided order-free: points whose edges fit their capacity peel off, a core
-counting below 0 fails, and only a core with room left is searched.  Where
-the orientation itself is output (witnesses, closure chains, tight sets) it
-is found whole, by augmenting-path reassignment on vertex ids in name order
-(one index per public call, shared by all its searches).  The sets tight
-over a self-sufficient set are the saturated sink strong components of the
-orientation rooted at it; the closure absorbs inclusion-minimal
-strictly-decreasing extensions extracted from orientation failure regions.
+only an answer or a set is output (membership, self-sufficiency, dimension,
+gcl, closure sets) the order of work is free: points whose edges fit their
+capacity peel off, only a core with room left is searched, and sets are read
+off that orientation by collecting spare capacity.  Where the orientation is
+output (witnesses, closure chains, tight sets) it is found whole, by
+augmenting-path reassignment on vertex ids in name order, one index per call.
+Tight sets over a self-sufficient set are the saturated sink strong
+components of the orientation rooted at it; closure chains absorb minimal
+strictly-decreasing extensions from orientation failure regions.
 """
 
 from __future__ import annotations
@@ -107,16 +107,20 @@ def _orient(ix: _Index, inside: list, load: list):
                 mark[u] = mark[v] = stamp
                 parent[u] = parent[v] = -1
                 queue = [u, v]  # breadth-first: the loop also visits what it appends
-                for w in queue:
-                    if used[w] < cap:
-                        break
-                    for y in out[w]:
+                for x in queue:
+                    for y in out[x]:
                         if mark[y] != stamp:
                             mark[y] = stamp
-                            parent[y] = w
+                            parent[y] = x
+                            if used[y] < cap:  # tested on arrival: nothing after it is visited
+                                break
                             queue.append(y)
+                    else:
+                        continue
+                    break
                 else:
                     return None, frozenset([names[x] for x in queue])
+                w = y
                 while parent[w] >= 0:
                     pw = parent[w]
                     out[pw].remove(w)
@@ -179,30 +183,28 @@ def _tight_components(ix: _Index, base: Iterable[str]) -> list | None:
 _last_index = lru_cache(maxsize=1)(_Index)  # questions come in runs over one ambient
 
 
+def _peel(g: Graph, base: frozenset) -> tuple:
+    """The points outside base that peel, in order, and the core's count less
+    e(base).  A point with p of its neighbours peeled and deg - p <= m takes
+    its remaining edges as origin, as any orientation can be flipped to."""
+    adj, m = g._adj, g.m
+    left = {v: len(near) - m for v, near in adj.items()}  # deg - p - m, p peeled so far
+    queue = [v for v, k in left.items() if k <= 0 and v not in base]
+    slack = m * (len(g.vertices) - len(base)) - len(g.edges)
+    for x in queue:  # the loop also visits what it appends
+        slack += left[x]
+        for y in adj[x]:
+            k = left[y] = left[y] - 1
+            if k == 0 and y not in base:
+                queue.append(y)
+    return queue, slack
+
+
 def _feasible(g: Graph, base: frozenset, ix: _Index | None = None) -> bool:
     """Whether the edges outside base orient with outdegree at most m, edges
-    into base forced onto their outside end: whether base is self-sufficient,
-    or, base empty, whether g is in K0.  Only the answer is output, so the
-    order of work is free.
-
-    First peel: a point whose remaining edges fit its spare capacity takes
-    them all as origin, as any orientation can be flipped to let it.  With p
-    of its neighbours peeled that is deg - p <= m, whatever base is.  The
-    points left form a core; counting below 0 over base, it has more edges
-    than any orientation can carry.  Otherwise the name-ordered search
-    decides on the core alone, on the index ix or the last one built.  A
-    whole graph that peels, or counts below 0, never builds an index."""
-    adj, m = g._adj, g.m
-    queue = [v for v in g.vertices if len(adj[v]) <= m and v not in base]
-    slack = m * (len(g.vertices) - len(base)) - len(g.edges)  # the core's count, less e(base)
-    peeled: dict = {}  # per point, its neighbours peeled so far
-    for x in queue:  # the loop also visits what it appends
-        near = adj[x]
-        slack -= m - len(near) + peeled.get(x, 0)
-        for y in near:
-            p = peeled[y] = peeled.get(y, 0) + 1
-            if len(adj[y]) - p == m and y not in base:
-                queue.append(y)
+    into base forced onto their outside end (base self-sufficient, or empty and
+    g in K0): after the peel, a core below 0 fails or the search on it decides."""
+    queue, slack = _peel(g, base)
     if len(queue) + len(base) == len(g.vertices):
         return True
     if not base and slack < 0:
@@ -218,23 +220,52 @@ def _feasible(g: Graph, base: frozenset, ix: _Index | None = None) -> bool:
     return _orient(ix, inside, load)[0] is not None
 
 
-def _in_k0(ix: _Index) -> bool:
-    return _feasible(ix.g, frozenset(), ix)
-
-
-def _member_index(g: Graph, error: str) -> _Index:
-    """g's index, once g is found in K0."""
-    ix = _Index(g)
-    if not _in_k0(ix):
+def _orientation(g: Graph, error: str = "closure requires a hereditarily nonnegative ambient"):
+    """Per point, its edges' far ends in an orientation of g with outdegree
+    at most m, the peel's with the core searched, once it has found g in K0."""
+    queue, slack = _peel(g, frozenset())
+    out: dict = {}
+    for x in queue:
+        out[x] = [y for y in g._adj[x] if y not in out]
+    if slack >= 0 and len(out) < len(g.vertices):
+        ix = _last_index(g)
+        inside = [v not in out for v in ix.names]
+        core = _orient(ix, inside, [0] * len(inside))[0] or []
+        out.update((ix.names[x], [ix.names[y] for y in ys])
+                   for x, ys in enumerate(core) if inside[x])
+    if len(out) < len(g.vertices):
         raise OutsideK0(error)
-    return ix
+    return out
+
+
+def _collect(g: Graph, out: dict, a: frozenset) -> frozenset:
+    """The closure of a, off the orientation out, which it reorients: a set
+    counts m - outdegree over its points plus its leaving edges, so with no
+    path from a to a spare point outside a left (the pebble game's collection
+    step; Lee and Streinu 2008), what a reaches is the least minimiser."""
+    while True:
+        parent, queue = dict.fromkeys(a), list(a)  # breadth-first from a
+        for x in queue:
+            for y in out[x]:
+                if y not in parent:
+                    parent[y] = x
+                    if len(out[y]) < g.m:
+                        break
+                    queue.append(y)
+            else:
+                continue
+            break
+        else:
+            return frozenset(parent)
+        while (x := parent[y]) is not None:
+            out[x].remove(y)
+            out[y].append(x)
+            y = x
 
 
 def is_in_k0(g: Graph) -> bool:
     """Whether every subset has a nonnegative count; decided by orientability
-    with outdegree at most m rather than by subset enumeration.  Only the
-    answer is output, so points that peel never reach the name-ordered
-    search; orientation_witness and closure chains keep that search whole."""
+    with outdegree at most m, order-free, rather than by subset enumeration."""
     return _feasible(g, frozenset())
 
 
@@ -326,11 +357,11 @@ def _minimize_violator(g: Graph, base: frozenset, region: frozenset) -> tuple:
 
 def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
     """The smallest self-sufficient superset, with the absorption chain that
-    produced it.  The ambient must be hereditarily nonnegative; that is
-    checked once here; the callers that close many sets over one ambient
-    check it once and call _closure on the same index.
-    """
-    ix = _member_index(g, "closure requires a hereditarily nonnegative ambient")
+    produced it, from rounds of the name-ordered search.  The ambient must
+    be hereditarily nonnegative."""
+    ix = _Index(g)
+    if not _feasible(g, frozenset(), ix):
+        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
     return _closure(ix, g.check_subset(a))
 
 
@@ -360,19 +391,30 @@ def _closure(ix: _Index, current: frozenset) -> ClosureResult:
         chain.append(current)
 
 
+def _closure_set(g: Graph, a: Iterable[str]) -> frozenset:
+    """closure(g, a).closure, checked alike, from any orientation."""
+    return _collect(g, _orientation(g), g.check_subset(a))
+
+
 def dimension(g: Graph, a: Iterable[str]) -> int:
     """The count of the closure; monotone and submodular."""
-    return delta(g, closure(g, a).closure)
+    return delta(g, _closure_set(g, a))
 
 
 def geometric_closure_bounded(g: Graph, a: Iterable[str]) -> frozenset:
-    """All points whose addition leaves the dimension over a unchanged.
-    Membership of the ambient is checked once, not once per point."""
+    """All points whose addition leaves the dimension over a unchanged: on
+    the orientation collected at the closure, those reaching no spare point
+    outside it, found by one backward search."""
     aa = g.check_subset(a)
-    ix = _member_index(g, "geometric closure requires a hereditarily nonnegative ambient")
-    base = delta(g, _closure(ix, aa).closure)
-    return frozenset(
-        v for v in ix.names if delta(g, _closure(ix, aa | {v}).closure) == base)
+    out = _orientation(g, "geometric closure requires a hereditarily nonnegative ambient")
+    inner = _collect(g, out, aa)
+    reach = [v for v, ys in out.items() if len(ys) < g.m and v not in inner]
+    seen = set(reach)
+    for y in reach:  # the loop also visits what it appends
+        fresh = [x for x in g._adj[y] - seen if y in out[x]]
+        seen.update(fresh)
+        reach += fresh
+    return g.vertices - seen
 
 
 def strong_embeddings(a: Graph, c: Graph) -> list:

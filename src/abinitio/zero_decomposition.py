@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import Embedding, EmbeddingPlan, Graph, components, connected_subsets
-from .predimension import (_Index, _closure, _in_k0, _last_index, _tight_components, delta,
-                           delta_rel, is_self_sufficient)
+from .predimension import (_Index, _collect, _last_index, _orientation, _tight_components,
+                           delta, delta_rel, is_self_sufficient)
 
 
 def _require_zero_ambient(g: Graph) -> list:
@@ -181,6 +182,11 @@ def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
     orientation of g checks it in K0 and gives the blocks.  max_set only
     filters the tight sets each layer absorbs: those of at most
     max(max_set, 1) points."""
+    return _decomposition(g, max_set)
+
+
+@lru_cache(maxsize=1)  # an audit and the reports on its levels read one graph
+def _decomposition(g: Graph, max_set: int | None) -> ZeroDecomposition:
     blocks = _blocks(g, _require_zero_ambient(g))
     carriers = components(g, g.vertices)
     for b in blocks:
@@ -300,11 +306,10 @@ def base_attachment_pairs(
     over its contacts exactly when it is tight over L.  The witnesses are
     then read off the sets tight over L, when the orientation rooted at L
     finds them.  Over any other layer each set of contacts with exactly that
-    many edges into d is tried.  The generators are closed on that
-    orientation's index, once a search on it has found g in K0."""
+    many edges into d is tried.  The generators are closed on one
+    orientation of g, once it has found g in K0."""
     cap = limits.max_set_size(max_set)
     pool = carrier - base_layer
-    ix = _last_index(g)
     tight = _tight_sets_over(g, pool, base_layer, cap) if base_layer <= g.vertices else None
     if tight is not None:
         pairs = [(d, _contacts(g, d, base_layer)) for d in tight[0]]
@@ -312,11 +317,10 @@ def base_attachment_pairs(
         pairs = [(d, gen) for d in connected_subsets(g, pool, cap)
                  for gen in _count_matched(g, d, base_layer)
                  if is_zero_minimally_algebraic(g, d, gen)]
-    if pairs and not _in_k0(ix):
-        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
+    orientation = _orientation(g) if pairs else {}
     out = []
     for d, gen in pairs:
-        base = _closure(ix, gen).closure
+        base = _collect(g, orientation, gen)
         if base <= base_layer and not d & base:
             out.append(BaseWitness(base, gen, d, level_index))
     return sorted(

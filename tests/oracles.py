@@ -14,10 +14,12 @@ import itertools
 
 from abinitio import (
     BaseWitness, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap, OutsideK0, closure,
-    components, delta_rel, is_in_k0, is_self_sufficient, pattern_catalog, strong_embeddings)
+    components, delta, delta_rel, is_in_k0, is_self_sufficient, pattern_catalog,
+    strong_embeddings)
 from abinitio import limits
 from abinitio.approximation import ApproximationChain, realize_extension
 from abinitio.graph import _IN_NAME_ORDER, _check_coefficient
+from abinitio.predimension import _closure, _Index
 from abinitio.zero_decomposition import _report_witnesses
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
     brute_closed,
@@ -184,6 +186,27 @@ def ref_orientation(g) -> tuple:
     assignment, _ = ref_bounded_orientation(g, frozenset(g.vertices), {}, g.m)
     return tuple(sorted((origin, e[0] if e[1] == origin else e[1])
                         for e, origin in assignment.items()))
+
+
+# -- reference copies of the set answers by closure rounds ---------------------
+# dimension and geometric_closure_bounded as they were before the set answers
+# read one orientation: the closure by rounds of the name-ordered search, and
+# one such closure per point for gcl.  Copied unchanged but for the names
+# and for the membership check, which ran on the index before.
+
+
+def ref_dimension(g, a) -> int:
+    return delta(g, closure(g, a).closure)
+
+
+def ref_geometric_closure_bounded(g, a) -> frozenset:
+    aa = g.check_subset(a)
+    if not is_in_k0(g):
+        raise OutsideK0("geometric closure requires a hereditarily nonnegative ambient")
+    ix = _Index(g)
+    base = delta(g, _closure(ix, aa).closure)
+    return frozenset(
+        v for v in ix.names if delta(g, _closure(ix, aa | {v}).closure) == base)
 
 
 # -- reference copies of the subset scans of zero_decomposition ---------------

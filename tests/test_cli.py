@@ -454,6 +454,19 @@ def test_selftest(capsys):
     assert all(row["passed"] > 0 for row in doc["suites"])
 
 
+@pytest.mark.parametrize("name, wrong", [
+    ("dimension", lambda g, a: -1),
+    ("geometric_closure_bounded", lambda g, a: frozenset(a)),
+])
+def test_selftest_closure_suite_checks_the_set_answers(capsys, monkeypatch, name, wrong):
+    # a wrong dimension, or a gcl that never grows past a, fails the suite
+    monkeypatch.setattr(cli, name, wrong)
+    rc, doc, _ = run(capsys, ["selftest"])
+    rows = {row["name"]: row for row in doc["suites"]}
+    assert rc == 1 and doc["ok"] is False and rows["closure"]["failed"] > 0
+    assert rows["closure"]["passed"] + rows["closure"]["failed"] == 30
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "g.json", k5_dict())
     # the child imports the package this process imported

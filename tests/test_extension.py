@@ -547,8 +547,37 @@ def test_two_maps_at_level_two_count_each_class_once(monkeypatch):
     assert 0 < len(searches) <= 343
     assert len({image for image, _ in searches}) <= 11
     assert sum(classes for _, classes in searches) > len(searches)
-    # and one pinned count of one class per row for its self-matchings
-    assert len(own) <= 2 and all(classes == 1 for _, classes in own)
+    # and a row's self-matchings come from its pattern's stabilizer chain
+    assert own == []
+
+
+def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
+    """t, the generator's pointwise stabilizer read off a stabilizer chain,
+    equals the pinned self-count it replaced and the automorphisms listed by
+    brute force: on every row of the corpus, and on random patterns and
+    generators, where it is often above 1."""
+    rows = []
+    multiplicity = abinitio.extension._pattern_multiplicity
+    monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity",
+                        lambda *args: rows.append(args) or multiplicity(*args))
+    for _, p in _ep_corpus():
+        ep_extend(p)
+    corpus = len(rows)
+    rng = random.Random(1901)
+    for _ in range(150):
+        names = [f"v{i}" for i in range(rng.randint(1, 7))]
+        g = Graph(2, names, [e for e in itertools.combinations(names, 2)
+                             if rng.random() < rng.random()])
+        gen = frozenset(rng.sample(names, rng.randint(0, len(names) - 1)))
+        rows.append((g, frozenset(), gen, g.vertices - gen))
+    above = 0
+    for b, base, gen, att in rows:
+        pattern, fixed = b.induced(gen | att), {x: x for x in gen}
+        t = multiplicity(b, base, gen, att)
+        assert t == EmbeddingPlan(pattern, pinned=gen).count(pattern, fixed=fixed)
+        assert t == len(brute_automorphisms(pattern, fixed))
+        above += t > 1
+    assert corpus == 36 and above >= 50
 
 
 def _sweep_passes(monkeypatch, tallies=()) -> list:

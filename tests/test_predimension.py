@@ -26,7 +26,8 @@ from abinitio import (
     strong_embeddings,
 )
 from abinitio.graph import normalize_edge
-from abinitio.predimension import _feasible, _Index, _orient, _rooted
+from abinitio.predimension import (
+    _closure, _closure_set, _collect, _feasible, _Index, _orient, _orientation, _rooted)
 from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
     brute_closed,
@@ -36,6 +37,8 @@ from oracles import (
     brute_in_k0,
     ref_bounded_orientation,
     ref_closure_chain,
+    ref_dimension,
+    ref_geometric_closure_bounded,
     ref_orientation,
     ref_rooted_load,
 )
@@ -386,21 +389,21 @@ def test_membership_is_checked_once_per_call(monkeypatch):
     zero = random_zero_graph(rng, 16)
     member = tight_graph(rng, 60, m=2, window=8)
     calls = []
-    in_k0 = abinitio.predimension._in_k0
+    orientation = abinitio.predimension._orientation
     zero_ambient = abinitio.zero_decomposition._require_zero_ambient
 
-    def counted(ix):
-        calls.append(ix.g)
-        return in_k0(ix)
+    def counted_orientation(g, *error):
+        calls.append(g)
+        return orientation(g, *error)
 
     def counted_zero(g):
         calls.append(g)
         return zero_ambient(g)
 
-    # every membership check, public or behind closure and decompose, runs
-    # here; decompose's is the orientation that also yields its blocks
-    monkeypatch.setattr(abinitio.predimension, "_in_k0", counted)
-    monkeypatch.setattr(abinitio.zero_decomposition, "_in_k0", counted)
+    # every membership check runs here: the orientation the set answers
+    # read, and decompose's, the orientation that yields its blocks
+    monkeypatch.setattr(abinitio.predimension, "_orientation", counted_orientation)
+    monkeypatch.setattr(abinitio.zero_decomposition, "_orientation", counted_orientation)
     monkeypatch.setattr(abinitio.zero_decomposition, "_require_zero_ambient", counted_zero)
     geometric_closure_bounded(member, member.sorted_vertices()[:2])
     assert calls == [member]
@@ -507,6 +510,138 @@ def test_membership_at_scale_needs_no_search(monkeypatch):
     assert is_in_k0(g)
     assert not is_in_k0(h)
     assert calls == []
+
+
+def is_orientation(g, out) -> bool:
+    """Whether out gives every edge of g one origin, each point at most m."""
+    arcs = [(x, y) for x, ys in out.items() for y in ys]
+    return (out.keys() == g.vertices and all(len(ys) <= g.m for ys in out.values())
+            and len(arcs) == len(g.edges) and {normalize_edge(*e) for e in arcs} == g.edges)
+
+
+def test_one_orientation_closes_like_the_rounds_and_the_subset_scan():
+    """Random graphs of up to 9 points: _orientation finds one exactly on
+    members, and collecting on it gives the closure of the rounds and of the
+    subset scan, for the empty set, the whole graph and random sets, one
+    orientation serving every set in turn."""
+    rng = random.Random(36)
+    members = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 9), m=rng.choice([2, 2, 3]), p=rng.random())
+        if not brute_in_k0(g):
+            with pytest.raises(OutsideK0, match="^no way$"):
+                _orientation(g, "no way")
+            continue
+        out = _orientation(g, "no way")
+        members += 1
+        assert is_orientation(g, out)
+        verts = g.sorted_vertices()
+        for a in (frozenset(), g.vertices, frozenset(v for v in verts if rng.random() < 0.4),
+                  frozenset(rng.sample(verts, min(len(verts), 1)))):
+            assert _collect(g, out, a) == _closure(_Index(g), a).closure == brute_closure(g, a)
+            assert is_orientation(g, out)
+            assert _closure_set(g, a) == brute_closure(g, a)
+    assert members >= 120
+
+
+def test_gcl_adds_the_points_that_keep_the_dimension():
+    """gcl(a) against brute_dimension of a with each point added, and
+    dimension against brute_dimension, on random members of up to 8 points."""
+    rng = random.Random(37)
+    seen = grew = 0
+    while seen < 200:
+        g = random_graph(rng, rng.randint(0, 8), m=rng.choice([2, 2, 3]), p=rng.random())
+        if not is_in_k0(g):
+            continue
+        seen += 1
+        a = frozenset(v for v in g.vertices if rng.random() < rng.choice([0.0, 0.3, 0.6]))
+        d = brute_dimension(g, a)
+        assert dimension(g, a) == d
+        want = frozenset(v for v in g.vertices if brute_dimension(g, a | {v}) == d)
+        assert geometric_closure_bounded(g, a) == want
+        grew += want != brute_closure(g, a)
+    assert grew >= 15
+
+
+def loose_graph(rng, n, prefix):
+    """A tight graph with one edge in ten dropped: still in K0, with spare
+    capacity scattered over it, so closures and gcl grow past a."""
+    g = tight_graph(rng, n, m=2, window=16, prefix=prefix)
+    return Graph(2, g.vertices, [e for e in g.sorted_edges() if rng.random() < 0.9])
+
+
+def test_set_answers_match_the_reference_copies_at_scale():
+    """Tight and loose graphs of 800 points: dimension equals the copy that
+    ran closure rounds, and gcl, on the loose graph, the copy that ran one
+    closure per point."""
+    rng = random.Random(38)
+    grew = 0
+    for g in (tight_graph(rng, 800, m=2, window=24, prefix="u"), loose_graph(rng, 800, "l")):
+        verts = g.sorted_vertices()
+        for size in (1, 2, 3, 3, 5):
+            a = frozenset(rng.sample(verts, size))
+            assert dimension(g, a) == ref_dimension(g, a)
+            grew += len(_closure_set(g, a)) > size
+    grown = 0
+    for v in rng.sample(verts, 2):
+        a = g.neighbors(v) | {v}
+        got = geometric_closure_bounded(g, a)
+        assert got == ref_geometric_closure_bounded(g, a)
+        grown += len(got) > len(a)
+    assert grew >= 3 and grown >= 1
+
+
+@pytest.mark.parametrize("g", [k_complete(6), k_complete(4)], ids=["outside-k0", "member"])
+@pytest.mark.parametrize("a", [["v0"], ["zz"], []], ids=["known", "unknown", "empty"])
+def test_set_answers_raise_as_the_reference_copies(g, a):
+    """The same exception, with the same message, checked in the same order:
+    dimension checks membership first, gcl the set first."""
+    for got, want in ((dimension, ref_dimension),
+                      (geometric_closure_bounded, ref_geometric_closure_bounded)):
+        outcomes = []
+        for f in (got, want):
+            try:
+                outcomes.append(("ok", f(g, a)))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_set_answers_do_not_depend_on_vertex_names():
+    """The peel's order follows set order and the core's search name order,
+    so renaming the points gives another orientation: the sets read off it
+    are the same, renamed."""
+    rng = random.Random(39)
+    graphs = [loose_graph(rng, 200, "n"), disjoint_cliques(2, 4, 5, 3)]
+    graphs += [g for g in (random_graph(rng, 8, p=0.6) for _ in range(40)) if is_in_k0(g)]
+    for g in graphs:
+        verts = g.sorted_vertices()
+        names = [f"r{i:04d}" for i in range(len(verts))]
+        rng.shuffle(names)
+        ren = dict(zip(verts, names))
+        h = Graph(g.m, names, [(ren[u], ren[v]) for u, v in g.edges])
+        for _ in range(3):
+            a = frozenset(rng.sample(verts, rng.randint(0, min(3, len(verts)))))
+            b = frozenset(ren[v] for v in a)
+            assert frozenset(ren[v] for v in _closure_set(g, a)) == _closure_set(h, b)
+            assert dimension(g, a) == dimension(h, b)
+            assert (frozenset(ren[v] for v in geometric_closure_bounded(g, a))
+                    == geometric_closure_bounded(h, b))
+
+
+def test_one_gcl_call_builds_one_orientation(monkeypatch):
+    """gcl and dimension orient once, whatever the number of points: one
+    _orientation, whose core search is one _orient run."""
+    g = disjoint_cliques(2, 4, 4, 3)  # no point peels
+    built = []
+    orientation = abinitio.predimension._orientation
+    monkeypatch.setattr(abinitio.predimension, "_orientation",
+                        lambda g, *error: built.append(g) or orientation(g, *error))
+    searches = counted_searches(monkeypatch)
+    assert geometric_closure_bounded(g, ["a0", "a1"]) == frozenset(
+        [f"a{i}" for i in range(4)])
+    assert dimension(g, ["c0"]) == 2
+    assert built == searches == [g, g]
 
 
 def _library_nodes(matches) -> list:
