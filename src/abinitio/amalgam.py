@@ -71,9 +71,9 @@ def free_amalgam(spec: AmalgamSpec) -> AmalgamResult:
 
     # the left factor already has the base's edges: both base embeddings
     # are induced, so only the right factor's private part is copied in
-    result, fresh = adjoin_copy(
+    result, (fresh,) = adjoin_copy(
         spec.left, spec.right, spec.right.vertices - set(right_base_to_left),
-        right_base_to_left)
+        [right_base_to_left])
     right_map = {**right_base_to_left, **fresh}
 
     left_emb = Embedding.build(spec.left, result, {v: v for v in spec.left.vertices})

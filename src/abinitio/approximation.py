@@ -183,7 +183,7 @@ def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
     if hit is not None:
         return ambient, hit
     new_part = n - frozenset(phi)
-    grown, relabel = adjoin_copy(ambient, ambient, new_part, phi)
+    grown, (relabel,) = adjoin_copy(ambient, ambient, new_part, [phi])
     if not is_in_k0(grown):
         raise ConstructionFailed("back-and-forth: the grown ambient is outside K0")
     if not is_self_sufficient(grown, ambient.vertices):

@@ -14,6 +14,7 @@ replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from math import prod
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
@@ -22,6 +23,7 @@ from .graph import (
 from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
 from .zero_decomposition import (
     ZeroDecomposition,
+    _placement_classes,
     _report_rows,
     decompose,
 )
@@ -119,10 +121,7 @@ def orbit_orders(p: EPProblem) -> OrbitOrder:
             orders[d] = steps if x == d else 1
         per_point.append(orders)
         per_map.append(max(orders.values(), default=1))
-    global_order = 1
-    for o in per_map:
-        global_order *= o
-    return OrbitOrder(tuple(per_point), tuple(per_map), global_order)
+    return OrbitOrder(tuple(per_point), tuple(per_map), prod(per_map))
 
 
 def _layer_index(decomp: ZeroDecomposition) -> dict:
@@ -234,16 +233,11 @@ def build_base_stage(
             counted.append((plan, count))
         mu.append({"block": sorted(bl), "count": count})
 
-    plans = []  # (map_index, kind, original blocks, chain vertex maps)
+    plans = []  # (map_index, kind, original blocks)
     for k, pi in enumerate(p.maps):
-        e = pi.as_dict()
-        cycles, chains, fixed = _partial_permutation_parts(blocks, e)
-        for cyc in cycles:
-            plans.append((k, "cycle", cyc))
-        for ch in chains:
-            plans.append((k, "chain", ch))
-        for bl in fixed:
-            plans.append((k, "fixed", [bl]))
+        cycles, chains, fixed = _partial_permutation_parts(blocks, pi.as_dict())
+        plans += ([(k, "cycle", cyc) for cyc in cycles] + [(k, "chain", ch) for ch in chains]
+                  + [(k, "fixed", [bl]) for bl in fixed])
 
     fmaps = [dict() for _ in p.maps]
     log_closures = []
@@ -259,13 +253,10 @@ def build_base_stage(
             "order": order,
         }
         if kind == "fixed":
-            for v in chain[0]:
-                fmaps[k][v] = v
+            fmaps[k].update((v, v) for v in chain[0])
             entry["cycle_length"] = 1
         elif kind == "cycle":
-            for bl in chain:
-                for v in bl:
-                    fmaps[k][v] = e[v]
+            fmaps[k].update((v, e[v]) for bl in chain for v in bl)
             entry["cycle_length"] = len(chain)
         else:
             s = len(chain)
@@ -274,26 +265,16 @@ def build_base_stage(
             composite = {v: v for v in start}
             for _ in range(s - 1):
                 composite = {v: e[composite[v]] for v in start}
-            betas = []
-            for _ in range((order - 1) * s):
-                b0, beta = adjoin_copy(b0, a, start, {})
-                betas.append(beta)
-                entry["copies"].append(sorted(beta.values()))
-            for bl in chain[:-1]:
-                for v in bl:
-                    fmaps[k][v] = e[v]
+            b0, betas = adjoin_copy(b0, a, start, [{}] * ((order - 1) * s))
+            entry["copies"] = [sorted(beta.values()) for beta in betas]
+            fmaps[k].update((v, e[v]) for bl in chain[:-1] for v in bl)
             inv = {composite[v]: v for v in start}
-            last = {v: inv[v] for v in chain[-1]}
-            if betas:
-                for v in chain[-1]:
-                    fmaps[k][v] = betas[0][last[v]]
-                for j in range(len(betas) - 1):
-                    for u in start:
-                        fmaps[k][betas[j][u]] = betas[j + 1][u]
-                for u in start:
-                    fmaps[k][betas[-1][u]] = u
-            else:
-                fmaps[k].update(last)
+            # the end block goes to the first copy, each copy to the next and
+            # the last back onto the start
+            ring = betas + [{u: u for u in start}]
+            fmaps[k].update((v, ring[0][inv[v]]) for v in chain[-1])
+            for here, there in zip(ring, ring[1:]):
+                fmaps[k].update((here[u], there[u]) for u in start)
             entry["cycle_length"] = order * s
         log_closures.append(entry)
 
@@ -327,70 +308,80 @@ def _require_zero_member(b: Graph, log: dict) -> None:
 # -- level stages -------------------------------------------------------------
 
 
-def _pattern_multiplicity(b: Graph, base: frozenset, gen: frozenset,
-                          attachment: frozenset) -> int:
+def _pattern_multiplicity(b: Graph, gen: frozenset, attachment: frozenset) -> int:
     """Self-matchings of the attachment fixing the generator pointwise, which
     one fresh copy adds to a placement's count: a stabilizer chain's orbits."""
     order = sorted(gen) + sorted(attachment)
     return prod(map(len, _chain(b.induced(gen | attachment), order, range(len(gen), len(order)))))
 
 
-def _uniformize_row(b: Graph, witness, added_log: list) -> tuple:
-    """Add copies until every strong placement of the base sees the same
-    count.  A copy's cross edges land exactly on one generator image, so
-    placements with distinct generator image sets never share supply and can
-    be topped up in one batch between recounts."""
+def _row_name(w) -> str:
+    return f"row with base {sorted(w.base)} and attachment {sorted(w.zero_minimal_set)}"
+
+
+def _uniformize_row(b: Graph, witness, log: dict, memo: dict) -> tuple:
+    """Add copies until every strong placement of the base sees one count,
+    nu; returns the grown graph and nu.  Each pass counts by class, as
+    _report_rows does (_placement_classes, on its memo).  A copy's cross
+    edges land on one generator image, so placements with distinct
+    generator image sets K never share supply, and one graph build between
+    recounts tops up every K.  K's copies are glued along alpha, its least
+    placement of least count: the least of those classes' least placements,
+    each found by a name-ordered search pinned at its class's images."""
     base, gen, att = witness.base, witness.generator, witness.zero_minimal_set
-    row = f"row with base {sorted(base)} and attachment {sorted(att)}"
-    t = _pattern_multiplicity(b, base, gen, att)
+    where = f"stage {log['stage']}: {_row_name(witness)}"
+    t = _pattern_multiplicity(b, gen, att)
     if t < 1:
-        raise ConstructionFailed(f"{row}: no self-matching over the generator", stage_log=added_log)
-    added = 0
-    # copies only add edges at fresh vertices, so both patterns stay induced
+        raise ConstructionFailed(f"{where}: no self-matching over the generator", stage_log=[log])
+    # copies only add edges at fresh vertices, so the patterns stay induced
     # subgraphs of every later b and are built and compiled once per row
-    base_plan = EmbeddingPlan(b.induced(base))
     plan = EmbeddingPlan(b.induced(base | att), pinned=base)
+    pins = tuple(sorted(gen.union(plan.touched)))
+    at_gen = [j for j, x in enumerate(pins) if x in gen]
+    names = sorted(base)
+    lead = [pins.index(v) for v in takewhile(pins.__contains__, names)]
+    added = 0
     for _ in range(_MAX_SWEEP_PASSES):
-        alphas = [dict(p) for p in base_plan.pairs(b, is_strong=is_self_sufficient)]
-        counts = plan.count_each(b, alphas, is_self_sufficient)
+        classes = _placement_classes(b, base, plan, pins, memo, {})
+        counts = [n for _, _, n in classes]
         nu = max(counts)
         if min(counts) == nu:
             return b, nu
-        by_image = {}
-        for al, cnt in zip(alphas, counts):
-            key = frozenset(al[x] for x in gen)
-            by_image.setdefault(key, []).append((al, cnt))
+        by_image: dict = {}
+        for image, ims, n in classes:
+            by_image.setdefault(frozenset([ims[j] for j in at_gen]), []).append((image, ims, n))
+        alphas = []  # one per copy
         for key in sorted(by_image, key=sorted):
             members = by_image[key]
-            seen = {cnt for _, cnt in members}
+            seen = {n for _, _, n in members}
             if seen == {nu}:
                 continue
-            al, cnt = min(members, key=lambda mc: mc[1])
+            cnt = min(seen)
             if (nu - cnt) % t:
                 raise ConstructionFailed(
-                    f"{row}: deficit {nu - cnt} not a multiple of {t}", stage_log=added_log)
+                    f"{where}: deficit {nu - cnt} not a multiple of {t}", stage_log=[log])
+            # a least placement begins with its class's images of the leading pins
+            head = min([ims[j] for j in lead] for _, ims, n in members if n == cnt)
+            al = min((memo[base, pins][0].first(b, dict(zip(pins, ims)), within=image - set(ims))
+                      for image, ims, n in members if n == cnt and [ims[j] for j in lead] == head),
+                     key=lambda f: [f[v] for v in names])
             # twisted placements over the same image set can disagree; then
             # only one copy goes in before the next recount
             copies = (nu - cnt) // t if len(seen) == 1 else 1
-            glue = {x: al[x] for x in gen}
-            for _ in range(copies):
-                if added >= _MAX_COPIES_PER_ROW:
-                    raise ConstructionFailed(
-                        "copy budget exhausted while evening out counts",
-                        stage_log=added_log)
-                # a fresh copy of the attachment, wired to the alpha-image of
-                # the generator with the original cross pattern
-                b, fresh = adjoin_copy(b, b, att, glue)
-                added += 1
-                added_log.append({
-                    "base": sorted(base),
-                    "generator": sorted(gen),
-                    "attachment": sorted(att),
-                    "alpha": [[v, al[v]] for v in sorted(base)],
-                    "fresh": sorted(fresh.values()),
-                })
-    raise ConstructionFailed("pass budget exhausted while evening out counts",
-                             stage_log=added_log)
+            if added + len(alphas) + copies > _MAX_COPIES_PER_ROW:
+                raise ConstructionFailed(f"{where}: copy budget of {_MAX_COPIES_PER_ROW} copies "
+                                         "exhausted while evening out counts", stage_log=[log])
+            alphas += [al] * copies
+        added += len(alphas)
+        # fresh copies of the attachment, each wired to the alpha-image of
+        # the generator with the original cross pattern
+        b, fresh = adjoin_copy(b, b, att, [{x: al[x] for x in gen} for al in alphas])
+        log["added"] += [{"base": sorted(base), "generator": sorted(gen), "attachment": sorted(att),
+                          "alpha": [[v, al[v]] for v in names], "fresh": sorted(relabel.values())}
+                         for al, relabel in zip(alphas, fresh)]
+    raise ConstructionFailed(
+        f"{where}: pass budget of {_MAX_SWEEP_PASSES} passes exhausted while evening out counts",
+        stage_log=[log])
 
 
 def _extend_map_over_satellites(
@@ -489,7 +480,9 @@ def build_level_stage(
 ) -> tuple:
     """Stage q+1: bring in the ambient's own layer-(q+1) vertices, then add
     attachment copies until counts are level-(q+1) uniform, then extend every
-    map across the new components."""
+    map across the new components.  Rows are counted and evened out by
+    class, listing no placement; a budget running out raises naming the
+    stage, the row and the budget."""
     a = p.a
     if decomp is None:
         decomp = decompose(a, max_set=max_set)
@@ -509,8 +502,9 @@ def build_level_stage(
     _require(not new_verts or delta_rel(b, frozenset(new_verts), prev.vertices) == 0,
              "the added layer does not count 0 over the previous stage", log)
 
-    added_log = log["added"]
-    memo: dict = {}  # copies add no edge between existing points: bases keep their patterns
+    # copies add no edge between existing points: bases keep their patterns,
+    # so the rows' counts and evening-out share one memo of plans
+    memo: dict = {}
     for _ in range(_MAX_SWEEP_PASSES):
         # a row is uniform when every strong placement of its base sees one
         # count; nu is that count, 0 with no placement.  The counts are
@@ -527,10 +521,12 @@ def build_level_stage(
             } for w, seen in rows]
             break
         for w in bad:
-            b, _ = _uniformize_row(b, w, added_log)
+            b, _ = _uniformize_row(b, w, log, memo)
     else:
         raise ConstructionFailed(
-            "uniformity not reached within the pass budget", stage_log=added_log)
+            f"stage {q + 1}: uniformity not reached within the pass budget of "
+            f"{_MAX_SWEEP_PASSES} passes; the last pass found {len(bad)} uneven rows, "
+            f"first the {_row_name(bad[0])}", stage_log=[log])
 
     log["graph"] = b.to_json_dict()
     _require_zero_member(b, log)

@@ -748,31 +748,36 @@ def fresh_name(base: str, taken: set) -> str:
 
 
 def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
-                glue: dict) -> tuple[Graph, dict]:
-    """Adjoin to ambient a copy of part, a vertex set of source, named by
-    fresh_name over sorted(part) away from ambient's names.  The copy gets
+                glues: list) -> tuple[Graph, list]:
+    """Adjoin to ambient one copy of part, a vertex set of source, per glue
+    in glues, in one graph build.  Each copy is named by fresh_name over
+    sorted(part) away from ambient's names and the earlier copies'.  It gets
     source's edges inside part and, for each source edge from part to a key
-    of glue, an edge to that key's image in ambient; nothing else is added.
+    of its glue, an edge to that key's image in ambient; nothing else is
+    added.
 
-    Returns the grown graph and the naming of part.
+    Returns the grown graph and the naming of part, one per glue.
     """
     if ambient.m != source.m:
         raise CoefficientMismatch(f"coefficients differ: {ambient.m} vs {source.m}")
-    part = source.check_subset(part)
+    part = sorted(source.check_subset(part))
     taken = set(ambient.vertices)
-    relabel: dict[str, str] = {}
-    for v in sorted(part):
-        relabel[v] = fresh_name(v, taken)
-        taken.add(relabel[v])
     edges = list(ambient.edges)
-    for v, nv in relabel.items():
-        for w in source._adj[v]:
-            if w in relabel:
-                if v < w:
-                    edges.append((nv, relabel[w]))
-            elif w in glue:
-                edges.append((nv, glue[w]))
-    return Graph(ambient.m, taken, edges), relabel
+    relabels = []
+    for glue in glues:
+        relabel: dict[str, str] = {}
+        for v in part:
+            relabel[v] = fresh_name(v, taken)
+            taken.add(relabel[v])
+        for v, nv in relabel.items():
+            for w in source._adj[v]:
+                if w in relabel:
+                    if v < w:
+                        edges.append((nv, relabel[w]))
+                elif w in glue:
+                    edges.append((nv, glue[w]))
+        relabels.append(relabel)
+    return Graph(ambient.m, taken, edges), relabels
 
 
 # -- connected subset enumeration ----------------------------------------

@@ -386,14 +386,11 @@ def _report_rows(g: Graph, i: int, max_set: int | None, memo: dict) -> list:
     attachment goes first because it is small and fixes the contacts: a
     search placing the base first would try its symmetries one by one.
 
-    For a counted row, each base's strong image sets are enumerated once,
-    one placement each.  The placements onto an image set are that one
-    composed with the base pattern's automorphisms, so the classes come from
-    that placement and the automorphisms' restrictions to the pins touching
-    the attachment.  memo keeps each base's plan and those restrictions;
-    callers may share it between graphs inducing the same pattern on every
-    base, as the passes of a level stage do, whose copies add no edge
-    between existing points."""
+    A counted row's counts are those of its classes, from one tally
+    (_placement_classes, which the level stage's evening-out runs too).
+    memo keeps the plans that enumeration compiles; callers may share it
+    between graphs inducing the same pattern on every base, as the passes of
+    a level stage do, whose copies add no edge between existing points."""
     rows = []
     found: dict = {}  # base -> (image set, placement onto it), one per strong image set
     counted: dict = {}  # _row_invariant -> [(plan, counts)], one per type counted
@@ -402,24 +399,39 @@ def _report_rows(g: Graph, i: int, max_set: int | None, memo: dict) -> list:
         counts = next((seen for plan, seen in bucket
                        if plan.embeds_within(g, w.zero_minimal_set, w.base)), None)
         if counts is None:
-            if w.base not in memo:
-                memo[w.base] = EmbeddingPlan(g.induced(w.base))
-            if w.base not in found:
-                found[w.base] = [(frozenset(f.values()), f) for f in
-                                 memo[w.base].representatives(g, is_strong=is_self_sufficient)]
             pattern = g.induced(w.base | w.zero_minimal_set)
             plan = EmbeddingPlan(pattern, pinned=w.base)
-            key = (w.base, plan.touched)
-            if key not in memo:
-                memo[key] = EmbeddingPlan(memo[w.base].pattern, pinned=key[1]).pin_images()
-            tables: dict = {}
-            plan._classes(((image, tuple([f[y] for y in ys]))
-                           for image, f in found[w.base] for ys in memo[key]), tables)
-            plan.tally(g, tables, is_self_sufficient)
-            counts = frozenset([n for table in tables.values() for n in table.values()])
+            counts = frozenset([n for _, _, n in _placement_classes(
+                g, w.base, plan, plan.touched, memo, found)])
             bucket.append((EmbeddingPlan(pattern, pinned=w.zero_minimal_set), counts))
         rows.append((w, counts))
     return rows
+
+
+def _placement_classes(g: Graph, base: frozenset, plan: EmbeddingPlan, pins: tuple,
+                       memo: dict, found: dict) -> list:
+    """The strong placements of base in g by class, unlisted: per image set
+    and images of pins, name-ordered base points holding the touched pins of
+    plan (a row's pattern pinned at base), those two and the count one tally
+    gives each of its placements.  found keeps one placement per strong
+    image set of each base; the others are it composed with the base
+    pattern's automorphisms, whose restrictions to pins memo keeps, with
+    each base's plan and, per (base, pins), the base pattern pinned there."""
+    if base not in memo:
+        memo[base] = EmbeddingPlan(g.induced(base))
+    if base not in found:
+        found[base] = [(frozenset(f.values()), f) for f in
+                       memo[base].representatives(g, is_strong=is_self_sufficient)]
+    if (base, pins) not in memo:
+        pinned = EmbeddingPlan(memo[base].pattern, pinned=pins)
+        memo[base, pins] = (pinned, pinned.pin_images())
+    keys = [(image, tuple([f[y] for y in ys]))
+            for image, f in found[base] for ys in memo[base, pins][1]]
+    at = [pins.index(x) for x in plan.touched]
+    tables: dict = {}
+    classes = plan._classes(((image, tuple([ims[j] for j in at])) for image, ims in keys), tables)
+    plan.tally(g, tables, is_self_sufficient)
+    return [(image, ims, table[near]) for (image, ims), (table, near) in zip(keys, classes)]
 
 
 def uniform_algebraicity_report(
@@ -429,10 +441,11 @@ def uniform_algebraicity_report(
 ) -> list:
     """Per (base, attachment type): the extension count over every strong
     placement of the base pattern, in canonical order, and whether all
-    counts agree.  Each base's placements are enumerated once, and each
-    row's counts take one search per image set of them
-    (EmbeddingPlan.count_each).  The level stage decides uniformity by class
-    instead (_report_rows)."""
+    counts agree.  The report lists every placement: each base's are
+    enumerated once, and each row's counts take one search per image set of
+    them (EmbeddingPlan.count_each).  The level stage lists none: it counts
+    by class, one placement per image set (_report_rows, and
+    _placement_classes when it evens a row out)."""
     rows = []
     placements: dict = {}
     for w in _report_witnesses(g, i, max_set):

@@ -16,9 +16,9 @@ from abinitio import (
     BaseWitness, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap, OutsideK0, closure,
     components, delta, delta_rel, is_in_k0, is_self_sufficient, pattern_catalog,
     strong_embeddings)
-from abinitio import limits
+from abinitio import extension, limits
 from abinitio.approximation import ApproximationChain, realize_extension
-from abinitio.graph import _IN_NAME_ORDER, _check_coefficient
+from abinitio.graph import _IN_NAME_ORDER, _check_coefficient, adjoin_copy
 from abinitio.predimension import _closure, _Index
 from abinitio.zero_decomposition import _report_witnesses
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
@@ -556,6 +556,73 @@ def ref_report_rows(g, i, max_set, memo) -> list:
         plan.tally(g, tables, is_self_sufficient)
         rows.append((w, tables))
     return rows
+
+
+# -- reference copy of the level stage's evening-out by listing ----------------
+# extension._uniformize_row as it was before it counted by class: every strong
+# placement listed and counted in every pass, one graph built per copy.
+# Copied unchanged but for the name, the self-matching count t, taken here as
+# the pinned self-count that extension._pattern_multiplicity replaced, and
+# adjoin_copy's call, which now takes a list of glues.
+
+
+def ref_uniformize_row(b, witness, added_log: list) -> tuple:
+    """Add copies until every strong placement of the base sees the same
+    count.  A copy's cross edges land exactly on one generator image, so
+    placements with distinct generator image sets never share supply and can
+    be topped up in one batch between recounts."""
+    base, gen, att = witness.base, witness.generator, witness.zero_minimal_set
+    row = f"row with base {sorted(base)} and attachment {sorted(att)}"
+    t = EmbeddingPlan(b.induced(gen | att), pinned=gen).count(
+        b.induced(gen | att), fixed={x: x for x in gen})
+    if t < 1:
+        raise ConstructionFailed(f"{row}: no self-matching over the generator", stage_log=added_log)
+    added = 0
+    # copies only add edges at fresh vertices, so both patterns stay induced
+    # subgraphs of every later b and are built and compiled once per row
+    base_plan = EmbeddingPlan(b.induced(base))
+    plan = EmbeddingPlan(b.induced(base | att), pinned=base)
+    for _ in range(extension._MAX_SWEEP_PASSES):
+        alphas = [dict(p) for p in base_plan.pairs(b, is_strong=is_self_sufficient)]
+        counts = plan.count_each(b, alphas, is_self_sufficient)
+        nu = max(counts)
+        if min(counts) == nu:
+            return b, nu
+        by_image = {}
+        for al, cnt in zip(alphas, counts):
+            key = frozenset(al[x] for x in gen)
+            by_image.setdefault(key, []).append((al, cnt))
+        for key in sorted(by_image, key=sorted):
+            members = by_image[key]
+            seen = {cnt for _, cnt in members}
+            if seen == {nu}:
+                continue
+            al, cnt = min(members, key=lambda mc: mc[1])
+            if (nu - cnt) % t:
+                raise ConstructionFailed(
+                    f"{row}: deficit {nu - cnt} not a multiple of {t}", stage_log=added_log)
+            # twisted placements over the same image set can disagree; then
+            # only one copy goes in before the next recount
+            copies = (nu - cnt) // t if len(seen) == 1 else 1
+            glue = {x: al[x] for x in gen}
+            for _ in range(copies):
+                if added >= extension._MAX_COPIES_PER_ROW:
+                    raise ConstructionFailed(
+                        "copy budget exhausted while evening out counts",
+                        stage_log=added_log)
+                # a fresh copy of the attachment, wired to the alpha-image of
+                # the generator with the original cross pattern
+                b, (fresh,) = adjoin_copy(b, b, att, [glue])
+                added += 1
+                added_log.append({
+                    "base": sorted(base),
+                    "generator": sorted(gen),
+                    "attachment": sorted(att),
+                    "alpha": [[v, al[v]] for v in sorted(base)],
+                    "fresh": sorted(fresh.values()),
+                })
+    raise ConstructionFailed("pass budget exhausted while evening out counts",
+                             stage_log=added_log)
 
 
 # -- reference copies of the matcher the extension stages ran before -----------

@@ -1,6 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +33,10 @@ from abinitio import (
     verify_certificate,
 )
 from abinitio.verifier import _admits_bounded_orientation
+from abinitio.zero_decomposition import BaseWitness, _report_rows
 from oracles import (
     brute_automorphisms, brute_in_k0, ref_dedupe_witnesses, ref_extend_map_over_satellites,
-    ref_find_pattern_iso, ref_report_rows)
+    ref_find_pattern_iso, ref_report_rows, ref_uniformize_row)
 from test_acceptance import _ep_corpus
 
 
@@ -569,11 +574,11 @@ def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
         g = Graph(2, names, [e for e in itertools.combinations(names, 2)
                              if rng.random() < rng.random()])
         gen = frozenset(rng.sample(names, rng.randint(0, len(names) - 1)))
-        rows.append((g, frozenset(), gen, g.vertices - gen))
+        rows.append((g, gen, g.vertices - gen))
     above = 0
-    for b, base, gen, att in rows:
+    for b, gen, att in rows:
         pattern, fixed = b.induced(gen | att), {x: x for x in gen}
-        t = multiplicity(b, base, gen, att)
+        t = multiplicity(b, gen, att)
         assert t == EmbeddingPlan(pattern, pinned=gen).count(pattern, fixed=fixed)
         assert t == len(brute_automorphisms(pattern, fixed))
         above += t > 1
@@ -647,6 +652,216 @@ def test_sweep_passes_tally_once_per_row_type(monkeypatch):
     confirming = per_pass[1::2]
     assert sum(rows for rows, _, _ in confirming) == 480
     assert sum(tallied for _, _, tallied in confirming) == 30
+
+
+def test_corpus_certificates_keep_their_digest():
+    # the benchmark's digest of the 51 corpus certificates: sha256 over each
+    # label and its certificate's canonical JSON, in corpus order
+    digest = hashlib.sha256()
+    for label, p in _ep_corpus():
+        doc = json.dumps(ep_extend(p).to_json_dict(), sort_keys=True, separators=(",", ":"))
+        digest.update(label.encode() + b"\n" + doc.encode() + b"\n")
+    stored = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_certificates.sha256"
+    assert digest.hexdigest() == stored.read_text().split()[0]
+
+
+def _evened(b, w, stage=1) -> tuple:
+    """_uniformize_row and the reference copy that lists every placement,
+    each from b on a row: (graph, nu) or the failure, and the copies
+    logged."""
+    log = {"stage": stage, "added": []}
+    got = _outcome(abinitio.extension._uniformize_row, b, w, log, {})
+    ref_log: list = []
+    want = _outcome(ref_uniformize_row, b, w, ref_log)
+    return got, log["added"], want, ref_log
+
+
+def _mixes(g, w) -> bool:
+    """Whether the strong placements of w's base with one generator image
+    set see two counts, by listing them."""
+    placements = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
+        g, is_strong=abinitio.is_self_sufficient)]
+    plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+    seen: dict = {}
+    for f, n in zip(placements, plan.count_each(g, placements, abinitio.is_self_sufficient)):
+        seen.setdefault(frozenset(f[x] for x in w.generator), set()).add(n)
+    return any(len(counts) > 1 for counts in seen.values())
+
+
+def _touches_only_its_generator(g, w) -> bool:
+    # the base is self-sufficient and the attachment counts 0 over the
+    # generator, so no edge joins the attachment to the rest of the base,
+    # and minimality makes every generator point touch it
+    plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+    return plan.touched == tuple(sorted(w.generator))
+
+
+def test_rows_even_out_as_the_listing_did(monkeypatch):
+    # every row a level stage evens out over the corpus, from the graph it
+    # was evened out on, against the reference copy that lists and counts
+    # every placement: the same graph, nu and logged copies
+    direct = abinitio.extension._uniformize_row
+    calls = []
+    monkeypatch.setattr(abinitio.extension, "_uniformize_row",
+                        lambda b, w, log, memo: calls.append((b, w, log["stage"]))
+                        or direct(b, w, log, memo))
+    for _, p in _ep_corpus():
+        ep_extend(p)
+    monkeypatch.undo()
+    assert len(calls) == 36
+    mixed = 0
+    for b, w, stage in calls:
+        got, added, want, ref_added = _evened(b, w, stage)
+        assert got == want and added == ref_added
+        assert _touches_only_its_generator(b, w)
+        mixed += _mixes(b, w)
+    # no corpus row has a generator image set seeing two counts
+    assert mixed == 0
+
+
+def _mixed_stage(rng) -> Graph:
+    """A zero-count stage graph over one or two K5 blocks, m = 2: points on
+    two block points, and triangles whose points take one edge each into a
+    block, on one, two or three of its points.  A triangle with two points
+    on x and one on y is seen twice by a placement sending x, y onto those
+    points and not at all by one swapping them: one generator image set,
+    two counts."""
+    names, edges = [], []
+    for block in "ab"[:rng.randint(1, 2)]:
+        points = [f"{block}{i}" for i in range(5)]
+        names += points
+        edges += itertools.combinations(points, 2)
+        for k in range(rng.randint(0, 2)):
+            names.append(f"{block}w{k}")
+            edges += [(f"{block}w{k}", x) for x in rng.sample(points, 2)]
+        for k in range(rng.randint(1, 3)):
+            triangle = [f"{block}t{k}{j}" for j in range(3)]
+            x, y, z = rng.sample(points, 3)
+            names += triangle
+            edges += itertools.combinations(triangle, 2)
+            edges += zip(triangle, rng.choice([(x, y, z), (x, x, y), (x, x, x)]))
+    return Graph(2, names, edges)
+
+
+def test_rows_with_mixed_counts_even_out_as_the_listing_did():
+    # seeded stage graphs where a generator image set sees two counts, so
+    # a pass adds one copy for it and recounts
+    rng = random.Random(2020)
+    rows = mixed = 0
+    for _ in range(30):
+        g = _mixed_stage(rng)
+        assert abinitio.is_in_k0(g) and 2 * len(g.vertices) == len(g.edges)
+        for w, seen in _report_rows(g, 1, None, {}):
+            got, added, want, ref_added = _evened(g, w)
+            assert got == want and added == ref_added
+            assert _touches_only_its_generator(g, w)
+            rows += 1
+            mixed += _mixes(g, w)
+    assert rows == 137 and mixed == 29
+
+
+def test_row_touching_past_its_generator_fails_as_the_listing_did(monkeypatch):
+    # no witness touches past its generator (_touches_only_its_generator);
+    # a row made up to do so groups placements by the generator's images
+    # while their classes fix the touched pins' too.  A copy glued along the
+    # generator alone never matches such a row, so both copies run out of
+    # passes after the same copies
+    monkeypatch.setattr(abinitio.extension, "_MAX_SWEEP_PASSES", 3)
+    g = w_graph()
+    w = BaseWitness(frozenset(A5), frozenset(["a0"]), frozenset(["w"]), 1)
+    got, added, want, ref_added = _evened(g, w)
+    assert got[0] == want[0] == "failed"
+    assert got[1].endswith("pass budget of 3 passes exhausted while evening out counts")
+    assert added == ref_added and len(added) == 3 * 5
+
+
+def _copying_problem() -> tuple:
+    """The first corpus problem whose first level stage adds copies, and
+    its certificate."""
+    for _, p in _ep_corpus():
+        cert = ep_extend(p)
+        if len(cert.stage_log) > 1 and cert.stage_log[1]["added"]:
+            return p, cert
+    raise AssertionError("no corpus problem adds copies")
+
+
+def test_level_stage_budgets_name_stage_row_and_budget(monkeypatch):
+    p, cert = _copying_problem()
+    first = cert.stage_log[1]["added"][0]
+    row = (rf"stage 1: row with base {re.escape(str(first['base']))} and attachment "
+           rf"{re.escape(str(first['attachment']))}")
+
+    def failure(name, value, stub=None) -> ConstructionFailed:
+        with monkeypatch.context() as patched:
+            patched.setattr(abinitio.extension, name, value)
+            if stub is not None:
+                patched.setattr(abinitio.extension, "_uniformize_row", stub)
+            with pytest.raises(ConstructionFailed) as failed:
+                ep_extend(p)
+        [log] = failed.value.stage_log
+        assert log["stage"] == 1 and log["kind"] == "level"
+        # the stage's log, with the copies added before the budget ran out
+        assert log["added"] == cert.stage_log[1]["added"][:len(log["added"])]
+        return failed.value
+
+    exc = failure("_MAX_COPIES_PER_ROW", 0)
+    assert re.fullmatch(
+        row + ": copy budget of 0 copies exhausted while evening out counts", str(exc))
+    assert exc.stage_log[0]["added"] == []
+    exc = failure("_MAX_SWEEP_PASSES", 1)
+    assert re.fullmatch(
+        row + ": pass budget of 1 passes exhausted while evening out counts", str(exc))
+    assert exc.stage_log[0]["added"]
+    # rows that never even out exhaust the stage's passes
+    exc = failure("_MAX_SWEEP_PASSES", 2, lambda b, w, log, memo: (b, 0))
+    assert re.fullmatch(
+        r"stage 1: uniformity not reached within the pass budget of 2 passes; the last "
+        r"pass found \d+ uneven rows, first the " + row[len("stage 1: "):], str(exc))
+    # with the budgets as they are, the output is the certificate
+    assert canonical_json(ep_extend(p).to_json_dict()) == canonical_json(cert.to_json_dict())
+
+
+def test_level_stage_lists_no_placement_and_builds_once_per_pass(monkeypatch):
+    # over the corpus: no placement is listed inside a level stage, each
+    # pass of a row that adds copies builds one graph, and the copies and
+    # sweep passes stay those of the listing
+    inside, builds, passes, sweeps = [False], [0], [0], [0]
+    stage = abinitio.extension.build_level_stage
+    classes = abinitio.extension._placement_classes
+    row = abinitio.extension._uniformize_row
+    rows = abinitio.extension._report_rows
+    pairs = EmbeddingPlan.pairs
+    init = Graph.__init__
+
+    def level_stage(*args, **kwargs):
+        inside[0] = True
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def listed(*args, **kwargs):
+        if inside[0]:
+            raise AssertionError("a level stage listed placements")
+        return pairs(*args, **kwargs)
+
+    def evened(b, w, log, memo):
+        builds[0] = passes[0] = 0
+        out = row(b, w, log, memo)
+        assert builds[0] == passes[0] - 1  # the last pass confirms
+        return out
+
+    monkeypatch.setattr(abinitio.extension, "build_level_stage", level_stage)
+    monkeypatch.setattr(EmbeddingPlan, "pairs", listed)
+    monkeypatch.setattr(abinitio.extension, "_uniformize_row", evened)
+    monkeypatch.setattr(abinitio.extension, "_placement_classes",
+                        lambda *args: passes.__setitem__(0, passes[0] + 1) or classes(*args))
+    monkeypatch.setattr(abinitio.extension, "_report_rows",
+                        lambda *args: sweeps.__setitem__(0, sweeps[0] + 1) or rows(*args))
+    monkeypatch.setattr(Graph, "__init__",
+                        lambda *args: builds.__setitem__(0, builds[0] + 1) or init(*args))
+    copies = sum(len(lg["added"]) for _, p in _ep_corpus() for lg in ep_extend(p).stage_log[1:])
+    assert copies == 453 and sweeps[0] == 60
 
 
 def fan_graph():

@@ -523,7 +523,7 @@ def test_fresh_name_and_disjoint_union():
     assert fresh_name("w", {"w", "w~1"}) == "w~2"
     g = Graph(2, ["a"], [])
     h = Graph(2, ["a", "b"], [("a", "b")])
-    u, relabel = adjoin_copy(g, h, h.vertices, {})
+    u, (relabel,) = adjoin_copy(g, h, h.vertices, [{}])
     assert len(u.vertices) == 3
     assert relabel["a"] != "a" and u.has_edge(relabel["a"], relabel["b"])
 
@@ -533,7 +533,7 @@ def test_adjoin_copy_names_and_wiring():
     source = Graph(2, ["a", "b", "x", "y", "z"],
                    [("a", "b"), ("x", "y"), ("y", "z"), ("y", "a"), ("y", "b"), ("z", "b")])
     ambient = Graph(2, ["x", "y", "y~1", "p", "q"], [("x", "y")])
-    grown, relabel = adjoin_copy(ambient, source, ["z", "y", "x"], {"a": "p", "b": "q"})
+    grown, (relabel,) = adjoin_copy(ambient, source, ["z", "y", "x"], [{"a": "p", "b": "q"}])
     # fresh names are taken in sorted order of the part
     assert list(relabel.items()) == [("x", "x~1"), ("y", "y~2"), ("z", "z")]
     assert grown.vertices == ambient.vertices | {"x~1", "y~2", "z"}
@@ -542,8 +542,18 @@ def test_adjoin_copy_names_and_wiring():
                          ("q", "z")}
     # the glue keys' own edge (a, b) is not copied onto their images
     assert not grown.has_edge("p", "q")
+    # several glues in one call: the graph and names of one call per glue,
+    # each copy named away from the earlier ones
+    glues = [{"a": "p", "b": "q"}, {"a": "q"}, {}, {"a": "p", "b": "q"}]
+    one_by_one, names = ambient, []
+    for glue in glues:
+        one_by_one, (relabel,) = adjoin_copy(one_by_one, source, ["x", "y", "z"], [glue])
+        names.append(relabel)
+    assert adjoin_copy(ambient, source, ["x", "y", "z"], glues) == (one_by_one, names)
+    assert [r["y"] for r in names] == ["y~2", "y~3", "y~4", "y~5"]
+    assert adjoin_copy(ambient, source, ["x"], []) == (ambient, [])
     with pytest.raises(CoefficientMismatch):
-        adjoin_copy(ambient, Graph(3, ["x"], []), ["x"], {})
+        adjoin_copy(ambient, Graph(3, ["x"], []), ["x"], [{}])
 
 
 def test_connected_subsets_matches_brute_force():
