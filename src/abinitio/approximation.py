@@ -4,12 +4,23 @@ Grow a seed by realizing self-sufficient pattern extensions over every
 placement found so far, extend partial isomorphisms to automorphisms by a
 back-and-forth that only enlarges the ambient when no internal image exists,
 and adjoin fresh points of prescribed relative count.
+
+A round of the chain lists the strong embeddings of each distinct pattern
+into the stage it starts from once, and answers from those listings every
+check that a placement's extension already exists there.  That is exact:
+each realization is a free amalgam, which adds no edge between old points,
+and it keeps the stage self-sufficient, so by transitivity of <= (Wagner,
+"Relational structures and dimensions", 1994) a strong embedding into the
+round's first stage stays induced and strong in every later one.  Only the
+placements it leaves open are searched in the current stage.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from . import limits
 from .amalgam import AmalgamSpec, free_amalgam
@@ -32,7 +43,8 @@ def realize_extension(
         raise InvalidMap("base and extension pattern coefficients differ")
     if not pattern_base.vertices <= pattern_ext.vertices:
         raise InvalidMap("the base pattern must be a subgraph of the extension pattern")
-    if pattern_ext.induced(pattern_base.vertices) != pattern_base:
+    base_adj, ext_adj, base = pattern_base._adj, pattern_ext._adj, pattern_base.vertices
+    if any(ext_adj[v] & base != base_adj[v] for v in base):
         raise InvalidMap("the base pattern must be induced in the extension pattern")
     spec = AmalgamSpec(
         left=current,
@@ -107,23 +119,52 @@ def _base_choices(ext: Graph) -> list:
     return chosen
 
 
+def _restriction(positions: tuple) -> Callable:
+    """The map from an embedding, as sorted (vertex, image) pairs, to the
+    tuple of its pairs at the given positions."""
+    if len(positions) == 1:
+        return lambda pairs, i=positions[0]: (pairs[i],)
+    return itemgetter(*positions) if positions else lambda pairs: ()
+
+
 _TASKS: dict = {}
 
 
 def _tasks(m: int, size_budget: int) -> tuple:
-    """Every (extension, base pattern, extension plan pinned at the base,
-    base plan) in catalog order, one per base choice: compiled once per
-    argument pair, like pattern_catalog, so that the plans' lazily built
-    layouts serve every later call."""
+    """The distinct patterns, extensions and bases compared by value, each
+    with one unpinned plan; and every task in catalog order, one per base
+    choice, as (extension's number, base's number, extension plan pinned at
+    the base, the _restriction of the extension's embeddings to the base).
+    Compiled once per argument pair, like pattern_catalog, so that the
+    plans' lazily built layouts serve every later call."""
     key = (m, size_budget)
     if key not in _TASKS:
+        number: dict = {}
         tasks = []
         for ext in pattern_catalog(m, size_budget):
+            names = ext.sorted_vertices()
             for base_set in _base_choices(ext):
-                base = ext.induced(base_set)
-                tasks.append((ext, base, EmbeddingPlan(ext, pinned=base_set), EmbeddingPlan(base)))
-        _TASKS[key] = tuple(tasks)
+                tasks.append((
+                    number.setdefault(ext, len(number)),
+                    number.setdefault(ext.induced(base_set), len(number)),
+                    EmbeddingPlan(ext, pinned=base_set),
+                    _restriction(tuple(i for i, v in enumerate(names) if v in base_set))))
+        _TASKS[key] = (tuple((g, EmbeddingPlan(g)) for g in number), tuple(tasks))
     return _TASKS[key]
+
+
+def _open_placements(patterns: tuple, tasks: tuple, listings: list) -> Iterator:
+    """Per task in order, the placements of its base in the listings that
+    no listed embedding of its extension restricts to, as (extension, base,
+    pinned plan, placement pairs).  Lazy, so that a truncated round stops
+    early.  The empty extension has no listing to answer from: its empty map
+    counts as no placement, so it is realized (as a no-op) every round."""
+    for ext_id, base_id, plan, restrict in tasks:
+        ext, base = patterns[ext_id][0], patterns[base_id][0]
+        met = set(map(restrict, listings[ext_id])) if ext.vertices else ()
+        for p in listings[base_id]:
+            if p not in met:
+                yield ext, base, plan, p
 
 
 def build_approximation(
@@ -135,23 +176,29 @@ def build_approximation(
     """Round-robin realization of every (base <= extension) pattern pair over
     every strong placement of the base present when the round starts.  The
     chain stops, marked truncated, before a task would grow the stage past
-    max_ambient vertices."""
+    max_ambient vertices.  A negative rounds, size_budget or max_ambient is
+    a ValueError.
+
+    Each round lists every distinct pattern's strong embeddings into the
+    stage it starts from once.  A base's listing gives its placements; a
+    placement that some listed embedding of the extension restricts to
+    needs nothing, since that embedding stays strong in every later stage.
+    Every other placement is searched in the current stage, as it may have
+    been met by a realization earlier in the round."""
+    limits.nonnegative("rounds", rounds)
+    limits.nonnegative("size_budget", size_budget)
+    limits.nonnegative("max_ambient", max_ambient)
     if not is_in_k0(seed):
         raise OutsideK0("seed is not hereditarily nonnegative")
-    tasks = _tasks(seed.m, size_budget)
+    patterns, tasks = _tasks(seed.m, size_budget)
     stages = [seed]
     task_log = []
     current = seed
     truncated = False
     for rnd in range(rounds):
-        snapshot = current
-        queue = []
-        for ext, base_pattern, plan, base_plan in tasks:
-            for p in base_plan.pairs(snapshot, None, is_self_sufficient):
-                queue.append((ext, base_pattern, plan, dict(p)))
-        for ext, base_pattern, plan, at_map in queue:
-            # an empty map counts as no placement, so the empty pattern is
-            # realized (as a no-op) every round
+        listings = [plan.pairs(current, None, is_self_sufficient) for _, plan in patterns]
+        for ext, base_pattern, plan, at_pairs in _open_placements(patterns, tasks, listings):
+            at_map = dict(at_pairs)
             if plan.first(current, at_map, is_self_sufficient):
                 continue
             if len(current.vertices) + len(ext.vertices) - len(at_map) > max_ambient:
@@ -163,7 +210,7 @@ def build_approximation(
                 "round": rnd,
                 "extension": ext.to_json_dict(),
                 "base": sorted(base_pattern.vertices),
-                "at": sorted(at_map.items()),
+                "at": sorted(at_pairs),
             })
         stages.append(current)
         if truncated:
@@ -207,6 +254,7 @@ def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
     """Total automorphism extending g, growing the ambient only when forced.
     Alternates pulling the least unmatched vertex into the domain and into
     the range."""
+    limits.nonnegative("steps", steps)
     if g.ambient != ambient:
         raise InvalidMap("map does not live in the given ambient")
     if not is_self_sufficient(ambient, g.domain):

@@ -8,7 +8,8 @@ no scan, so in ``decompose`` ``max_set`` only filters their sizes.  The
 ceiling is overridden per call, never through the environment.  Closure,
 dimension, decomposition and embedding enumeration have no ceiling: the
 first three are polynomial, and the cost of an embedding search is set by
-the pattern the caller chooses.
+the pattern the caller chooses.  A negative ceiling, budget or round
+count is rejected by ``nonnegative`` with a ValueError.
 """
 
 # Default number of vertices an approximation chain may grow to.
@@ -18,9 +19,15 @@ DEFAULT_MAX_AMBIENT = 24
 DEFAULT_MAX_SET_SIZE = 8
 
 
+def nonnegative(name: str, value: int) -> int:
+    """value itself, or ValueError when it is negative: a count or size
+    argument below 0 is malformed input, not an empty request."""
+    if value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def max_set_size(override: "int | None" = None) -> int:
     if override is None:
         return DEFAULT_MAX_SET_SIZE
-    if override < 0:
-        raise ValueError(f"max_set must be a nonnegative integer, got {override!r}")
-    return override
+    return nonnegative("max_set", override)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import abinitio.approximation
 from abinitio import (
@@ -57,6 +59,7 @@ def test_pattern_catalog_is_built_once():
 
 def test_task_plans_are_compiled_once_per_catalog(monkeypatch):
     monkeypatch.setattr(abinitio.approximation, "_TASKS", {})
+    catalog = pattern_catalog(2, 3)
     compiled = []
     init = EmbeddingPlan.__init__
 
@@ -65,16 +68,63 @@ def test_task_plans_are_compiled_once_per_catalog(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(EmbeddingPlan, "__init__", counting_init)
-    tasks = _tasks(2, 3)
-    assert len(compiled) > 2 * len(tasks)
-    assert _tasks(2, 3) is tasks
-    assert [base for _, base, _, _ in tasks] == [
-        ext.induced(s) for ext in pattern_catalog(2, 3) for s in ref_base_choices(ext)]
+    patterns, tasks = layout = _tasks(2, 3)
+    # one plan per catalog member to choose its bases, one per task pinned
+    # at its base, one unpinned per distinct pattern
+    assert len(compiled) == len(catalog) + len(tasks) + len(patterns)
+    assert _tasks(2, 3) is layout
+    choices = [(ext, ext.induced(s)) for ext in catalog for s in ref_base_choices(ext)]
+    assert [(patterns[e][0], patterns[b][0]) for e, b, _, _ in tasks] == choices
+    assert [g for g, _ in patterns] == list(dict.fromkeys(g for pair in choices for g in pair))
+    for e, b, plan, restrict in tasks:
+        ext, base = patterns[e][0], patterns[b][0]
+        assert plan.pattern == ext and plan.pinned == base.vertices
+        identity = tuple((v, v) for v in ext.sorted_vertices())
+        assert restrict(identity) == tuple((v, v) for v in base.sorted_vertices())
     seed = block("a")
     first = build_approximation(seed, 1, 3)
     compiled.clear()
     assert build_approximation(seed, 1, 3) == first
     assert compiled == []
+
+
+def test_each_round_lists_each_distinct_pattern_once(monkeypatch):
+    patterns, _ = _tasks(2, 3)
+    distinct = {g for ext in pattern_catalog(2, 3)
+                for g in [ext] + [ext.induced(s) for s in ref_base_choices(ext)]}
+    assert len(patterns) == len(distinct)
+    listed = []
+    pairs = EmbeddingPlan.pairs
+
+    def counting_pairs(self, *args, **kwargs):
+        listed.append(self.pattern)
+        return pairs(self, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddingPlan, "pairs", counting_pairs)
+    chain = build_approximation(block("a"), 2, 3)
+    assert len(chain.stages) == 3  # both rounds started, so both listed
+    assert len(listed) == 2 * len(distinct)
+    assert set(listed) == distinct
+
+
+def test_placements_met_in_the_first_stage_are_not_searched(monkeypatch):
+    searched = []
+    first = EmbeddingPlan.first
+
+    def recording_first(self, c, fixed=None, *args, **kwargs):
+        searched.append((self.pattern, dict(fixed or {})))
+        return first(self, c, fixed, *args, **kwargs)
+
+    seed = Graph(2, ["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    _tasks(2, 3)  # the catalog's own isomorphism tests run first() too
+    monkeypatch.setattr(EmbeddingPlan, "first", recording_first)
+    chain = build_approximation(seed, 1, 3)
+    monkeypatch.undo()
+    assert chain.task_log and searched
+    for ext, pins in searched:
+        if ext.vertices:  # the empty extension is realized as a no-op
+            assert not any(pins.items() <= e.as_dict().items()
+                           for e in strong_embeddings(ext, seed)), (ext, pins)
 
 
 def _random_k0_seeds(count, rng):
@@ -102,6 +152,39 @@ def test_truncated_build_matches_per_call_reference():
         assert chain.truncated
         assert chain.to_json_dict() == ref_build_approximation(
             seed, 2, 3, max_ambient=len(seed.vertices) + 4).to_json_dict()
+
+
+@st.composite
+def k0_seeds(draw):
+    """A member of the class with coefficient 2 or 3 on 3 to 7 points."""
+    m = draw(st.sampled_from([2, 3]))
+    names = [f"g{i}" for i in range(draw(st.integers(3, 7)))]
+    slots = list(itertools.combinations(names, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    g = Graph(m, names, [e for e, k in zip(slots, keep) if k])
+    assume(is_in_k0(g))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(k0_seeds(), st.integers(0, 3), st.integers(0, 3))
+def test_build_matches_reference_on_random_seeds(seed, rounds, budget):
+    # the reference searches the current stage for every placement
+    assert build_approximation(seed, rounds, budget).to_json_dict() == \
+        ref_build_approximation(seed, rounds, budget).to_json_dict()
+
+
+@settings(max_examples=25, deadline=None)
+@given(k0_seeds(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_truncated_build_matches_reference_on_random_seeds(seed, rounds, budget, data):
+    # a ceiling below the size the chain reaches stops it partway
+    reached = len(build_approximation(seed, rounds, budget).stages[-1].vertices)
+    assume(reached > len(seed.vertices))
+    ceiling = data.draw(st.integers(len(seed.vertices), reached - 1))
+    chain = build_approximation(seed, rounds, budget, max_ambient=ceiling)
+    assert chain.truncated
+    assert chain.to_json_dict() == ref_build_approximation(
+        seed, rounds, budget, max_ambient=ceiling).to_json_dict()
 
 
 def test_base_choices_one_per_orbit():
@@ -155,6 +238,21 @@ def test_build_zero_rounds():
     assert chain.task_log == () and not chain.truncated
     d = chain.to_json_dict()
     assert list(d) == ["stages", "task_log", "truncated"]
+
+
+def test_negative_sizes_are_rejected():
+    seed = block("a")
+    for args, kwargs, name in [((-1, 3), {}, "rounds"), ((1, -1), {}, "size_budget"),
+                               ((1, 3), {"max_ambient": -5}, "max_ambient")]:
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer, got -"):
+            build_approximation(seed, *args, **kwargs)
+    g = PartialIso.build(seed, {v: v for v in seed.vertices})
+    with pytest.raises(ValueError, match="steps must be a nonnegative integer, got -1"):
+        extend_partial_iso(seed, g, steps=-1)
+    # 0 stays valid
+    assert build_approximation(seed, 0, 0, max_ambient=0).stages == (seed,)
+    assert build_approximation(seed, 1, 0, max_ambient=0).truncated
+    assert extend_partial_iso(seed, g, steps=0)[0] == seed
 
 
 def test_build_rejects_bad_seed():

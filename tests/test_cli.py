@@ -290,6 +290,21 @@ def test_build_stops_at_max_ambient(tmp_path, capsys):
     assert rc == 0 and doc["truncated"] is False
 
 
+def test_negative_build_and_extend_sizes_are_input_errors(tmp_path, capsys):
+    path = write(tmp_path, "k5.json", k5_dict())
+    build = ["build", path, "--rounds", "1", "--budget", "3"]
+    for argv, name in [
+            (["build", path, "--rounds", "-1", "--budget", "3"], "rounds"),
+            (["build", path, "--rounds", "1", "--budget", "-1"], "size_budget"),
+            (build + ["--max-ambient", "-5"], "max_ambient"),
+            (["extend-iso", path, "--map", "a0=a0", "--steps", "-1"], "steps")]:
+        rc, doc, _ = run(capsys, argv)
+        assert rc == 2 and doc["error"]["type"] == "ValueError", argv
+        assert doc["error"]["message"].startswith(f"{name} must be a nonnegative integer")
+    rc, doc, _ = run(capsys, build + ["--max-ambient", "0"])
+    assert rc == 0 and doc["truncated"] is True
+
+
 def test_extend_iso(tmp_path, capsys):
     g = {
         "m": 2,
