@@ -86,6 +86,8 @@ class Graph:
         return sorted(self.edges)
 
     def check_subset(self, s: Iterable[str]) -> frozenset:
+        if isinstance(s, str):  # else read as a set of one-letter names
+            raise TypeError(f"expected a collection of vertex names, got the string {s!r}")
         sub = frozenset(s)
         missing = sub - self.vertices
         if missing:

@@ -5,12 +5,15 @@ Membership questions reduce to bounded-outdegree edge orientations.  Where
 only an answer or a set is output (membership, self-sufficiency, dimension,
 gcl, closure sets) the order of work is free: points whose edges fit their
 capacity peel off, only a core with room left is searched, and sets are read
-off that orientation by collecting spare capacity.  Where the orientation is
-output (witnesses, closure chains, tight sets) it is found whole, by
-augmenting-path reassignment on vertex ids in name order, one index per call.
-Tight sets over a self-sufficient set are the saturated sink strong
-components of the orientation rooted at it; closure chains absorb minimal
-strictly-decreasing extensions from orientation failure regions.
+off that orientation by collecting spare capacity.  That orientation is
+stored per graph, in a small process-wide memo, and read by every set
+question on the graph.  Where the orientation is output (witnesses, closure
+chains, tight sets) it is found whole, by augmenting-path reassignment on
+vertex ids in name order, one index per call.  Tight sets over a
+self-sufficient set are the saturated sink strong components of the
+orientation rooted at it; closure chains absorb minimal strictly-decreasing
+extensions from orientation failure regions, searching only the rounds that
+absorb: the closure set, read first, says where the chain ends.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import ConstructionFailed, OutsideK0
@@ -220,29 +224,40 @@ def _feasible(g: Graph, base: frozenset, ix: _Index | None = None) -> bool:
     return _orient(ix, inside, load)[0] is not None
 
 
-def _orientation(g: Graph, error: str = "closure requires a hereditarily nonnegative ambient"):
+@lru_cache(maxsize=16)
+def _stored_orientation(g: Graph) -> MappingProxyType | None:
     """Per point, its edges' far ends in an orientation of g with outdegree
-    at most m, the peel's with the core searched, once it has found g in K0."""
+    at most m, the peel's with the core searched; None outside K0.  Stored
+    per graph value, read-only, its lists tuples: set questions come in runs
+    over a few ambients, and every reader copies before it reorients."""
     queue, slack = _peel(g, frozenset())
     out: dict = {}
     for x in queue:
-        out[x] = [y for y in g._adj[x] if y not in out]
+        out[x] = tuple(y for y in g._adj[x] if y not in out)
     if slack >= 0 and len(out) < len(g.vertices):
         ix = _last_index(g)
         inside = [v not in out for v in ix.names]
         core = _orient(ix, inside, [0] * len(inside))[0] or []
-        out.update((ix.names[x], [ix.names[y] for y in ys])
+        out.update((ix.names[x], tuple(ix.names[y] for y in ys))
                    for x, ys in enumerate(core) if inside[x])
-    if len(out) < len(g.vertices):
+    return MappingProxyType(out) if len(out) == len(g.vertices) else None
+
+
+def _orientation(g: Graph, error: str = "closure requires a hereditarily nonnegative ambient"):
+    """The stored orientation of g as a fresh dict, its tuples shared, once
+    it has found g in K0."""
+    stored = _stored_orientation(g)
+    if stored is None:
         raise OutsideK0(error)
-    return out
+    return dict(stored)
 
 
 def _collect(g: Graph, out: dict, a: frozenset) -> frozenset:
     """The closure of a, off the orientation out, which it reorients: a set
     counts m - outdegree over its points plus its leaving edges, so with no
     path from a to a spare point outside a left (the pebble game's collection
-    step; Lee and Streinu 2008), what a reaches is the least minimiser."""
+    step; Lee and Streinu 2008), what a reaches is the least minimiser.  A
+    reversed path's tuples are replaced, never changed in place."""
     while True:
         parent, queue = dict.fromkeys(a), list(a)  # breadth-first from a
         for x in queue:
@@ -258,8 +273,8 @@ def _collect(g: Graph, out: dict, a: frozenset) -> frozenset:
         else:
             return frozenset(parent)
         while (x := parent[y]) is not None:
-            out[x].remove(y)
-            out[y].append(x)
+            out[x] = tuple(z for z in out[x] if z != y)
+            out[y] += (x,)
             y = x
 
 
@@ -357,30 +372,37 @@ def _minimize_violator(g: Graph, base: frozenset, region: frozenset) -> tuple:
 
 def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
     """The smallest self-sufficient superset, with the absorption chain that
-    produced it, from rounds of the name-ordered search.  The ambient must
+    produced it.  The set is read off the stored orientation; a set short of
+    it climbs there by rounds of the name-ordered search.  The ambient must
     be hereditarily nonnegative."""
-    ix = _Index(g)
-    if not _feasible(g, frozenset(), ix):
-        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
-    return _closure(ix, g.check_subset(a))
+    out = _orientation(g)
+    current = g.check_subset(a)
+    target = _collect(g, out, current)
+    if current == target:
+        return ClosureResult(current, (current,))
+    return _closure(_Index(g), current, target)
 
 
-def _closure(ix: _Index, current: frozenset) -> ClosureResult:
-    """closure over an ambient already known to be in K0.
+def _closure(ix: _Index, current: frozenset, target: frozenset) -> ClosureResult:
+    """The absorption chain from current up to its closure target.
 
-    Each round runs the rooted orientation; on failure the saturated region
-    it returns has strictly negative relative count, and any inclusion-minimal
-    violator inside it lies within the closure (intersect it with the closure:
-    submodularity keeps the intersection violating, minimality forces
-    containment), so absorbing it never overshoots.
+    Each round runs the rooted orientation.  While current is short of the
+    closure it is not self-sufficient, so the search fails, and the
+    saturated region it returns has strictly negative relative count; any
+    inclusion-minimal violator inside it lies within the closure (intersect
+    it with the closure: submodularity keeps the intersection violating,
+    minimality forces containment), so absorbing it never overshoots and the
+    chain ends at target, with no search left to confirm it.
     """
     g = ix.g
     inside, load = _rooted(ix, current)
     chain = [current]
-    while True:
+    while current != target:
         out, violating = _orient(ix, inside, load)
         if out is not None:
-            return ClosureResult(current, tuple(chain))
+            raise ConstructionFailed(
+                f"closure round {len(chain)}: {sorted(current)} orients, short of the "
+                f"closure's {len(target)} points", stage_log=[sorted(s) for s in chain])
         step, rel = _minimize_violator(g, current, violating)
         if rel >= 0:
             raise ConstructionFailed(
@@ -389,6 +411,7 @@ def _closure(ix: _Index, current: frozenset) -> ClosureResult:
         _absorb(ix, inside, load, step)
         current = current | step
         chain.append(current)
+    return ClosureResult(current, tuple(chain))
 
 
 def _closure_set(g: Graph, a: Iterable[str]) -> frozenset:

@@ -13,13 +13,14 @@ scans stay instant.
 import itertools
 
 from abinitio import (
-    BaseWitness, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap, OutsideK0, closure,
+    BaseWitness, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap, OutsideK0,
     components, delta, delta_rel, is_in_k0, is_self_sufficient, pattern_catalog,
     strong_embeddings)
 from abinitio import extension, limits
 from abinitio.approximation import ApproximationChain, realize_extension
 from abinitio.graph import _IN_NAME_ORDER, _check_coefficient, adjoin_copy
-from abinitio.predimension import _closure, _Index
+from abinitio.predimension import (
+    ClosureResult, _absorb, _feasible, _Index, _minimize_violator, _orient, _rooted)
 from abinitio.zero_decomposition import _report_witnesses
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
     brute_closed,
@@ -188,15 +189,42 @@ def ref_orientation(g) -> tuple:
                         for e, origin in assignment.items()))
 
 
-# -- reference copies of the set answers by closure rounds ---------------------
-# dimension and geometric_closure_bounded as they were before the set answers
-# read one orientation: the closure by rounds of the name-ordered search, and
-# one such closure per point for gcl.  Copied unchanged but for the names
-# and for the membership check, which ran on the index before.
+# -- reference copies of the closure and the set answers by closure rounds ----
+# closure, dimension and geometric_closure_bounded as they were before the
+# set answers read one orientation and before closure stopped at the closure
+# set: the closure by rounds of the name-ordered search on a fresh index, run
+# until an orientation succeeds, and one such closure per point for gcl.
+# Copied unchanged but for the names and for gcl's membership check, which
+# ran on the index before.  They read no stored orientation.
+
+
+def ref_closure(g, a) -> ClosureResult:
+    ix = _Index(g)
+    if not _feasible(g, frozenset(), ix):
+        raise OutsideK0("closure requires a hereditarily nonnegative ambient")
+    return _ref_closure_rounds(ix, g.check_subset(a))
+
+
+def _ref_closure_rounds(ix, current) -> ClosureResult:
+    g = ix.g
+    inside, load = _rooted(ix, current)
+    chain = [current]
+    while True:
+        out, violating = _orient(ix, inside, load)
+        if out is not None:
+            return ClosureResult(current, tuple(chain))
+        step, rel = _minimize_violator(g, current, violating)
+        if rel >= 0:
+            raise ConstructionFailed(
+                f"closure round {len(chain)}: absorbing {sorted(step)} changes the count "
+                f"by {rel}, not below 0", stage_log=[sorted(s) for s in chain])
+        _absorb(ix, inside, load, step)
+        current = current | step
+        chain.append(current)
 
 
 def ref_dimension(g, a) -> int:
-    return delta(g, closure(g, a).closure)
+    return delta(g, ref_closure(g, a).closure)
 
 
 def ref_geometric_closure_bounded(g, a) -> frozenset:
@@ -204,9 +232,9 @@ def ref_geometric_closure_bounded(g, a) -> frozenset:
     if not is_in_k0(g):
         raise OutsideK0("geometric closure requires a hereditarily nonnegative ambient")
     ix = _Index(g)
-    base = delta(g, _closure(ix, aa).closure)
+    base = delta(g, _ref_closure_rounds(ix, aa).closure)
     return frozenset(
-        v for v in ix.names if delta(g, _closure(ix, aa | {v}).closure) == base)
+        v for v in ix.names if delta(g, _ref_closure_rounds(ix, aa | {v}).closure) == base)
 
 
 # -- reference copies of the subset scans of zero_decomposition ---------------
@@ -326,7 +354,7 @@ def ref_base_attachment_pairs(g, carrier, base_layer, level_index, max_set=None)
                 gen = frozenset(xs)
                 if not ref_is_zero_minimally_algebraic(g, d, gen):
                     continue
-                base = closure(g, gen).closure
+                base = ref_closure(g, gen).closure
                 if not base <= base_layer:
                     continue
                 if d & base:

@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+import abinitio as ab
 from abinitio import (
     CoefficientMismatch,
     Embedding,
@@ -628,3 +629,36 @@ def test_export_dot_snapshot():
     clustered = export_dot(g, {"left": ["a", "b"]})
     assert 'subgraph "cluster_left"' in clustered
     assert export_dot(Graph(2, [], [])) == "graph ambient {\n}\n"
+
+
+def test_a_bare_string_is_not_read_as_a_vertex_set():
+    """A str is an iterable of one-letter names: every public function that
+    takes a vertex set refuses one, naming it, rather than misread "ab" as
+    {"a", "b"} on a graph that also has a point "ab"."""
+    g = Graph(2, ["a", "b", "ab"], [("a", "b")])
+    assert ab.dimension(g, ["ab"]) == 2 and ab.dimension(g, ["a", "b"]) == 3
+    calls = {
+        "check_subset": lambda s: g.check_subset(s),
+        "induced": lambda s: g.induced(s),
+        "delta": lambda s: ab.delta(g, s),
+        "delta_rel (moved)": lambda s: ab.delta_rel(g, s, []),
+        "delta_rel (over)": lambda s: ab.delta_rel(g, [], s),
+        "dimension": lambda s: ab.dimension(g, s),
+        "closure": lambda s: ab.closure(g, s),
+        "is_self_sufficient": lambda s: ab.is_self_sufficient(g, s),
+        "geometric_closure_bounded": lambda s: ab.geometric_closure_bounded(g, s),
+        "EmbeddingPlan": lambda s: EmbeddingPlan(g, pinned=s),
+        "is_zero_algebraic": lambda s: ab.is_zero_algebraic(g, s, []),
+        "is_zero_minimally_algebraic": lambda s: ab.is_zero_minimally_algebraic(g, ["ab"], s),
+        "level_chain": lambda s: ab.level_chain(g, s),
+        "hull": lambda s: ab.hull(g, s),
+        "mu_count": lambda s: ab.mu_count(g, s, ["ab"], None),
+        "connected_subsets": lambda s: list(connected_subsets(g, s, 3)),
+        "components": lambda s: components(g, s),
+        "add_generic_point": lambda s: ab.add_generic_point(g, s, 1),
+        "adjoin_copy": lambda s: adjoin_copy(g, g, s, [{}]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match="got the string 'ab'"):
+            call("ab")
+            pytest.fail(f"{name} read the string 'ab'")

@@ -27,7 +27,8 @@ from abinitio import (
 )
 from abinitio.graph import normalize_edge
 from abinitio.predimension import (
-    _closure, _closure_set, _collect, _feasible, _Index, _orient, _orientation, _rooted)
+    ClosureResult, _closure_set, _collect, _feasible, _Index, _orient, _orientation, _rooted,
+    _stored_orientation)
 from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
     brute_closed,
@@ -36,6 +37,7 @@ from oracles import (
     brute_dimension,
     brute_in_k0,
     ref_bounded_orientation,
+    ref_closure,
     ref_closure_chain,
     ref_dimension,
     ref_geometric_closure_bounded,
@@ -361,7 +363,7 @@ def test_closure_chains_do_not_depend_on_the_hash_seed():
         "from abinitio import Graph, closure\n"
         "xs = [f'x{i}' for i in range(6)]\n"
         "g = Graph(2, ['a', 'b', 'c'] + xs, [(x, c) for x in xs for c in 'abc'])\n"
-        "print([sorted(s) for s in closure(g, 'abc').witness_chain])\n")
+        "print([sorted(s) for s in closure(g, ['a', 'b', 'c']).witness_chain])\n")
     chains = [subprocess.run([sys.executable, "-c", script], env=_env(PYTHONHASHSEED=seed),
                              capture_output=True, text=True, check=True).stdout
               for seed in ("0", "1")]
@@ -538,7 +540,7 @@ def test_one_orientation_closes_like_the_rounds_and_the_subset_scan():
         verts = g.sorted_vertices()
         for a in (frozenset(), g.vertices, frozenset(v for v in verts if rng.random() < 0.4),
                   frozenset(rng.sample(verts, min(len(verts), 1)))):
-            assert _collect(g, out, a) == _closure(_Index(g), a).closure == brute_closure(g, a)
+            assert _collect(g, out, a) == ref_closure(g, a).closure == brute_closure(g, a)
             assert is_orientation(g, out)
             assert _closure_set(g, a) == brute_closure(g, a)
     assert members >= 120
@@ -624,24 +626,115 @@ def test_set_answers_do_not_depend_on_vertex_names():
             a = frozenset(rng.sample(verts, rng.randint(0, min(3, len(verts)))))
             b = frozenset(ren[v] for v in a)
             assert frozenset(ren[v] for v in _closure_set(g, a)) == _closure_set(h, b)
+            assert frozenset(ren[v] for v in closure(g, a).closure) == closure(h, b).closure
             assert dimension(g, a) == dimension(h, b)
             assert (frozenset(ren[v] for v in geometric_closure_bounded(g, a))
                     == geometric_closure_bounded(h, b))
 
 
 def test_one_gcl_call_builds_one_orientation(monkeypatch):
-    """gcl and dimension orient once, whatever the number of points: one
-    _orientation, whose core search is one _orient run."""
+    """gcl, dimension and the closure of a closed set read one stored
+    orientation of the graph: one core search, one _orient run, for all
+    three calls, and the closure builds no index."""
     g = disjoint_cliques(2, 4, 4, 3)  # no point peels
-    built = []
-    orientation = abinitio.predimension._orientation
-    monkeypatch.setattr(abinitio.predimension, "_orientation",
-                        lambda g, *error: built.append(g) or orientation(g, *error))
+    _stored_orientation.cache_clear()
     searches = counted_searches(monkeypatch)
     assert geometric_closure_bounded(g, ["a0", "a1"]) == frozenset(
         [f"a{i}" for i in range(4)])
     assert dimension(g, ["c0"]) == 2
-    assert built == searches == [g, g]
+    monkeypatch.setattr(abinitio.predimension, "_Index", None)
+    block = frozenset(f"b{i}" for i in range(4))
+    assert closure(g, block) == ClosureResult(block, (block,))
+    assert searches == [g]
+    assert _stored_orientation.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+def test_a_closure_chain_that_orients_short_of_the_closure_set_fails_by_name(monkeypatch):
+    # survives python -O: the check is a raise, not an assert
+    g = k_complete(5)
+    h = Graph(2, list(g.vertices) + ["w", "x"], list(g.edges) + [("w", "v0"), ("w", "v1")])
+    chain = ref_closure(h, ["w"]).witness_chain
+    assert len(chain) > 1 and chain[-1] == h.vertices - {"x"}
+    monkeypatch.setattr(abinitio.predimension, "_collect", lambda g, out, a: g.vertices)
+    with pytest.raises(ConstructionFailed, match=(
+            rf"closure round {len(chain)}: .* orients, short of the closure's 7 points")) as info:
+        closure(h, ["w"])
+    assert info.value.stage_log == [sorted(s) for s in chain]
+
+
+def test_closure_matches_the_rounds_and_the_subset_scan():
+    """Random members of up to 9 points at m = 2 or 3: closure's chain and
+    set equal the rounds run until an orientation succeeds, and its set the
+    subset scan's, for random sets and, as often, for sets already closed."""
+    rng = random.Random(40)
+    seen = closed = 0
+    while seen < 300:
+        g = random_graph(rng, rng.randint(0, 9), m=rng.choice([2, 3]), p=rng.random())
+        if not is_in_k0(g):
+            continue
+        seen += 1
+        a = frozenset(v for v in g.vertices if rng.random() < rng.choice([0.0, 0.3, 0.6]))
+        if rng.random() < 0.5:
+            a = brute_closure(g, a)
+        got = closure(g, a)
+        closed += got.closure == a
+        assert got == ref_closure(g, a)
+        assert got.closure == brute_closure(g, a)
+    assert closed >= 150
+
+
+def test_closure_matches_the_rounds_at_scale():
+    """An 800-point tight graph: closure equals the rounds, chain and set,
+    for small sets and for the closed sets they climb to."""
+    rng = random.Random(41)
+    g = tight_graph(rng, 800, m=2, window=24, prefix="z")
+    verts = g.sorted_vertices()
+    grew = 0
+    for size in (1, 2, 3, 3, 5):
+        a = frozenset(rng.sample(verts, size))
+        got = closure(g, a)
+        assert got == ref_closure(g, a)
+        assert closure(g, got.closure) == ref_closure(g, got.closure)
+        grew += len(got.witness_chain) > 1
+    assert grew >= 2
+
+
+def test_interleaved_queries_answer_as_from_an_empty_store():
+    """closure, dimension, gcl and decompose on two graphs, in shuffled
+    order: every answer equals the one given with the store emptied first,
+    and the stored orientations end as they were built, so no reader
+    reorients what the store holds."""
+    rng = random.Random(42)
+    loose, zero = loose_graph(rng, 200, "i"), random_zero_graph(rng, 20)
+    run = {"closure": lambda g, a: closure(g, a).to_json_dict(), "dimension": dimension,
+           "gcl": lambda g, a: sorted(geometric_closure_bounded(g, a)),
+           "decompose": lambda g, a: decompose(g).to_json_dict()}
+    queries = [("decompose", zero, None)] * 3
+    for g in (loose, zero):
+        verts = g.sorted_vertices()
+        for _ in range(12):
+            a = frozenset(rng.sample(verts, rng.randint(1, 3)))
+            if rng.random() < 0.3:
+                a = _closure_set(g, a)
+            queries.append((rng.choice(["closure", "dimension", "gcl"]), g, a))
+    want = []
+    for kind, g, a in queries:
+        _stored_orientation.cache_clear()
+        want.append(run[kind](g, a))
+    _stored_orientation.cache_clear()
+    def stored():
+        return {g: {v: tuple(ys) for v, ys in _stored_orientation(g).items()}
+                for g in (loose, zero)}
+
+    built = stored()
+    order = list(range(len(queries)))
+    for _ in range(3):
+        rng.shuffle(order)
+        for i in order:
+            kind, g, a = queries[i]
+            assert run[kind](g, a) == want[i], (kind, sorted(a or ()))
+    assert stored() == built
+    assert _stored_orientation.cache_info().misses == 2
 
 
 def _library_nodes(matches) -> list:
@@ -685,7 +778,8 @@ def test_invariant_checks_pass_with_asserts_stripped():
          "tests/test_predimension.py", "tests/test_zero_decomposition.py",
          "tests/test_amalgam.py", "tests/test_approximation.py", "tests/test_extension.py",
          "-k", "survive_without_asserts or a_closure_round_that_does_not_lower_the_count"
+         " or a_closure_chain_that_orients_short_of_the_closure_set"
          " or a_failed_postcondition_raises_by_name or decomposition_invariants_raise"],
         cwd=ROOT, env=_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "\n21 passed, " in proc.stdout, proc.stdout[-3000:]
+    assert "\n22 passed, " in proc.stdout, proc.stdout[-3000:]
