@@ -14,6 +14,7 @@ replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import takewhile
 from math import prod
 
@@ -211,7 +212,8 @@ def build_base_stage(
     open block chain of length s, (order-1)*s relabeled block copies closing
     the chain into a cycle of length order*s on which the full lap is the
     pointwise identity.  Returns (graph, one total vertex map per input map,
-    log entry)."""
+    log entry).  The block counts mu read no map, so they are shared by value
+    across calls on one ambient (_block_counts); the log is built afresh."""
     a = p.a
     if decomp is None:
         decomp = decompose(a)
@@ -219,19 +221,8 @@ def build_base_stage(
     core = frozenset().union(*blocks) if blocks else frozenset()
     b0 = a.induced(core)
 
-    # isomorphic blocks have one count: each pattern type is counted once, and
-    # a block of the same size as a counted one has its type when the counted
-    # plan embeds into it
-    mu = []
-    counted: list = []  # (plan, count), one per block type
-    for bl in blocks:
-        count = next((n for plan, n in counted if len(plan.order) == len(bl)
-                      and plan.embeds_within(a, frozenset(), bl)), None)
-        if count is None:
-            plan = EmbeddingPlan(a.induced(bl))
-            count = plan.count(a, is_strong=is_self_sufficient)
-            counted.append((plan, count))
-        mu.append({"block": sorted(bl), "count": count})
+    mu = [{"block": sorted(bl), "count": n}
+          for bl, n in zip(blocks, _block_counts(a, tuple(blocks)))]
 
     plans = []  # (map_index, kind, original blocks)
     for k, pi in enumerate(p.maps):
@@ -292,6 +283,26 @@ def build_base_stage(
     _require(not core or is_self_sufficient(b0, core),
              "the blocks are not self-sufficient", log)
     return b0, fmaps, log
+
+
+@lru_cache(maxsize=16)  # the criterion-7 corpus has 14 ambients: a repeat pass misses none
+def _block_counts(a: Graph, blocks: tuple) -> tuple:
+    """Per block, the strong placements of its pattern in a.  Isomorphic
+    blocks have one count: each pattern type is counted once, and a block of
+    the same size as a counted one has its type when the counted plan embeds
+    into it.  Shared by value: the maps never enter, and problems come in
+    runs over a few ambients."""
+    out = []
+    counted: list = []  # (plan, count), one per block type
+    for bl in blocks:
+        count = next((n for plan, n in counted if len(plan.order) == len(bl)
+                      and plan.embeds_within(a, frozenset(), bl)), None)
+        if count is None:
+            plan = EmbeddingPlan(a.induced(bl))
+            count = plan.count(a, is_strong=is_self_sufficient)
+            counted.append((plan, count))
+        out.append(count)
+    return tuple(out)
 
 
 def _require(holds: bool, what: str, log: dict) -> None:
@@ -470,6 +481,53 @@ def _extend_map_over_satellites(
     return fnew
 
 
+class _SweepLog(dict):
+    """The log entry a sweep writes its copies into, {"stage", "added"}."""
+
+
+def _frozen(entry: dict) -> tuple:
+    """A log entry of lists, and of lists of lists, as tuples of tuples."""
+    return tuple((key, tuple(tuple(x) if type(x) is list else x for x in value))
+                 for key, value in entry.items())
+
+
+def _thawed(entry: tuple) -> dict:
+    """The log entry _frozen took, rebuilt from fresh lists."""
+    return {key: [list(x) for x in value] if value and type(value[0]) is tuple else list(value)
+            for key, value in entry}
+
+
+@lru_cache(maxsize=16)  # the corpus's 30 level stages start from 8 graphs; at 4 one is evicted
+def _even_out(b: Graph, level: int, max_set: int | None) -> tuple:
+    """The sweep of a level stage from b: pass over the rows, evening out
+    those that are not uniform, until a pass finds every row uniform.  Only
+    b, the level and max_set are read, never the maps, so the result is
+    shared by value across the stages that start from one graph.  Returns
+    the grown graph, per row its witness and nu, and the copies added, each
+    _frozen: nothing a caller can change.  A failure carries the sweep's
+    _SweepLog, with the copies added before it."""
+    log = _SweepLog(stage=level, added=[])
+    # copies add no edge between existing points: bases keep their patterns,
+    # so the rows' counts and evening-out share one memo of plans
+    memo: dict = {}
+    for _ in range(_MAX_SWEEP_PASSES):
+        # a row is uniform when every strong placement of its base sees one
+        # count; nu is that count, 0 with no placement.  The counts are
+        # found once per row type and pass, but each row is still logged and
+        # evened out under its own base, generator and attachment
+        rows = _report_rows(b, level, max_set, memo)
+        bad = [w for w, seen in rows if len(seen) > 1]
+        if not bad:
+            return (b, tuple((w, min(seen, default=0)) for w, seen in rows),
+                    tuple(map(_frozen, log["added"])))
+        for w in bad:
+            b, _ = _uniformize_row(b, w, log, memo)
+    raise ConstructionFailed(
+        f"stage {level}: uniformity not reached within the pass budget of "
+        f"{_MAX_SWEEP_PASSES} passes; the last pass found {len(bad)} uneven rows, "
+        f"first the {_row_name(bad[0])}", stage_log=[log])
+
+
 def build_level_stage(
     prev: Graph,
     p: EPProblem,
@@ -482,7 +540,9 @@ def build_level_stage(
     attachment copies until counts are level-(q+1) uniform, then extend every
     map across the new components.  Rows are counted and evened out by
     class, listing no placement; a budget running out raises naming the
-    stage, the row and the budget."""
+    stage, the row and the budget.  The sweep reads no map, so its result
+    is shared by value across calls from one stage graph (_even_out); the
+    log is built afresh and every invariant is checked on every call."""
     a = p.a
     if decomp is None:
         decomp = decompose(a, max_set=max_set)
@@ -501,32 +561,22 @@ def build_level_stage(
            "rows": [], "added": [], "map_cycles": []}
     _require(not new_verts or delta_rel(b, frozenset(new_verts), prev.vertices) == 0,
              "the added layer does not count 0 over the previous stage", log)
-
-    # copies add no edge between existing points: bases keep their patterns,
-    # so the rows' counts and evening-out share one memo of plans
-    memo: dict = {}
-    for _ in range(_MAX_SWEEP_PASSES):
-        # a row is uniform when every strong placement of its base sees one
-        # count; nu is that count, 0 with no placement.  The counts are
-        # found once per row type and pass, but each row is still logged and
-        # evened out under its own base, generator and attachment
-        rows = _report_rows(b, q + 1, max_set, memo)
-        bad = [w for w, seen in rows if len(seen) > 1]
-        if not bad:
-            log["rows"] = [{
-                "base": sorted(w.base),
-                "generator": sorted(w.generator),
-                "attachment": sorted(w.zero_minimal_set),
-                "nu": min(seen, default=0),
-            } for w, seen in rows]
-            break
-        for w in bad:
-            b, _ = _uniformize_row(b, w, log, memo)
-    else:
-        raise ConstructionFailed(
-            f"stage {q + 1}: uniformity not reached within the pass budget of "
-            f"{_MAX_SWEEP_PASSES} passes; the last pass found {len(bad)} uneven rows, "
-            f"first the {_row_name(bad[0])}", stage_log=[log])
+    try:
+        b, rows, added = _even_out(b, q + 1, max_set)
+    except ConstructionFailed as exc:
+        # the sweep logs its copies into an entry of its own: report them in
+        # this stage's log
+        if exc.stage_log and isinstance(exc.stage_log[0], _SweepLog):
+            log["added"] = exc.stage_log[0]["added"]
+            exc.stage_log = [log]
+        raise
+    log["rows"] = [{
+        "base": sorted(w.base),
+        "generator": sorted(w.generator),
+        "attachment": sorted(w.zero_minimal_set),
+        "nu": nu,
+    } for w, nu in rows]
+    log["added"] = list(map(_thawed, added))
 
     log["graph"] = b.to_json_dict()
     _require_zero_member(b, log)
@@ -588,7 +638,10 @@ class EPCertificate:
 
 
 def ep_extend(p: EPProblem, max_set: int | None = None) -> EPCertificate:
-    """Run every stage and package the result."""
+    """Run every stage and package the result.  Stage work that reads no
+    map (block counts, level sweeps) is shared by value across calls, so
+    many maps over one ambient pay for it once; each certificate owns its
+    logs."""
     validate_problem(p)
     decomp = decompose(p.a, max_set=max_set)
     _validate_levels(p, decomp)

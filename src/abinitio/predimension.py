@@ -373,14 +373,15 @@ def _minimize_violator(g: Graph, base: frozenset, region: frozenset) -> tuple:
 def closure(g: Graph, a: Iterable[str]) -> ClosureResult:
     """The smallest self-sufficient superset, with the absorption chain that
     produced it.  The set is read off the stored orientation; a set short of
-    it climbs there by rounds of the name-ordered search.  The ambient must
-    be hereditarily nonnegative."""
+    it climbs there by rounds of the name-ordered search, on the graph's
+    last index (_last_index), which the searches only read.  The ambient
+    must be hereditarily nonnegative."""
     out = _orientation(g)
     current = g.check_subset(a)
     target = _collect(g, out, current)
     if current == target:
         return ClosureResult(current, (current,))
-    return _closure(_Index(g), current, target)
+    return _closure(_last_index(g), current, target)
 
 
 def _closure(ix: _Index, current: frozenset, target: frozenset) -> ClosureResult:

@@ -40,6 +40,18 @@ from oracles import (
 from test_acceptance import _ep_corpus
 
 
+@pytest.fixture(autouse=True)
+def unshared_stages(monkeypatch):
+    """Every stage a test here drives does its map-independent work afresh:
+    both caches that share it by value are emptied before each call, so the
+    tests counting work or patching a budget see every computation.  The
+    sharing itself is tested in test_stage_sharing.py."""
+    for name in ("_block_counts", "_even_out"):
+        shared = getattr(abinitio.extension, name)
+        monkeypatch.setattr(abinitio.extension, name,
+                            lambda *args, shared=shared: shared.cache_clear() or shared(*args))
+
+
 def k5(prefix):
     names = [f"{prefix}{i}" for i in range(5)]
     edges = [(names[i], names[j]) for i in range(5) for j in range(i + 1, 5)]

@@ -27,8 +27,8 @@ from abinitio import (
 )
 from abinitio.graph import normalize_edge
 from abinitio.predimension import (
-    ClosureResult, _closure_set, _collect, _feasible, _Index, _orient, _orientation, _rooted,
-    _stored_orientation)
+    ClosureResult, _closure_set, _collect, _feasible, _Index, _last_index, _orient, _orientation,
+    _rooted, _stored_orientation)
 from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
     brute_closed,
@@ -697,6 +697,23 @@ def test_closure_matches_the_rounds_at_scale():
         assert closure(g, got.closure) == ref_closure(g, got.closure)
         grew += len(got.witness_chain) > 1
     assert grew >= 2
+
+
+def test_a_closure_after_dimension_builds_no_index(monkeypatch):
+    """The rounds of a closure short of its set read the graph's last
+    index, which dimension's core search has just built: no _Index is
+    built, and the chain is still the rounds' on a fresh one."""
+    g = random_zero_graph(random.Random(43), 20)  # its blocks do not peel
+    a = frozenset(["b0v0"])
+    _stored_orientation.cache_clear()
+    _last_index.cache_clear()
+    assert dimension(g, a) == 0
+    assert _last_index.cache_info().misses == 1
+    with monkeypatch.context() as patched:
+        patched.setattr(abinitio.predimension, "_Index", None)
+        got = closure(g, a)
+    assert _last_index.cache_info().misses == 1
+    assert len(got.witness_chain) > 1 and got == ref_closure(g, a)
 
 
 def test_interleaved_queries_answer_as_from_an_empty_store():
