@@ -78,6 +78,20 @@ def _map_from_pairs(pairs) -> dict:
     return out
 
 
+def _of_kind(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)  # JSON true is no integer
+
+
+def _optional(data: dict, key: str, default, what: str, kind: type, item: type | None = None,
+              where: str = ""):
+    """data[key], or default when it is absent.  A ValueError says it must
+    be what, unless it is of kind and, item given, its entries of item."""
+    value = data.get(key, default)
+    if not _of_kind(value, kind) or item and not all(_of_kind(x, item) for x in value):
+        raise ValueError(f"certificate '{where}{key}' must be {what}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OrbitOrder:
     per_point: tuple  # one {vertex: order} dict per map
@@ -625,16 +639,16 @@ class EPCertificate:
         inclusion = Embedding.build(problem.a, b, _map_from_pairs(data["inclusion"]))
         autos = tuple(Embedding.build(b, b, _map_from_pairs(pairs))
                       for pairs in data["automorphisms"])
-        orbit_raw = data.get("orbit", {"per_point": [], "per_map": [], "global": 1})
-        if not isinstance(orbit_raw, dict):
-            raise ValueError(f"certificate 'orbit' must be an object, got {orbit_raw!r}")
+        orbit_raw = _optional(data, "orbit", {}, "an object", dict)
         orbit = OrbitOrder(
-            tuple(dict(d) for d in orbit_raw.get("per_point", [])),
-            tuple(orbit_raw.get("per_map", [])),
-            orbit_raw.get("global", 1),
+            tuple(dict(d) for d in _optional(
+                orbit_raw, "per_point", [], "an array of objects", list, dict, "orbit.")),
+            tuple(_optional(orbit_raw, "per_map", [], "an array of integers", list, int, "orbit.")),
+            _optional(orbit_raw, "global", 1, "an integer", int, where="orbit."),
         )
-        return cls(problem, b, inclusion, autos, orbit,
-                   dict(data.get("counts", {})), tuple(data.get("stage_log", [])))
+        counts = _optional(data, "counts", {}, "an object", dict)
+        stage_log = _optional(data, "stage_log", [], "an array of objects", list, dict)
+        return cls(problem, b, inclusion, autos, orbit, dict(counts), tuple(stage_log))
 
 
 def ep_extend(p: EPProblem, max_set: int | None = None) -> EPCertificate:

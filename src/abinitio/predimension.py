@@ -2,18 +2,18 @@
 
 A subset is self-sufficient when no superset has a strictly smaller count.
 Membership questions reduce to bounded-outdegree edge orientations.  Where
-only an answer or a set is output (membership, self-sufficiency, dimension,
-gcl, closure sets) the order of work is free: points whose edges fit their
-capacity peel off, only a core with room left is searched, and sets are read
-off that orientation by collecting spare capacity.  That orientation is
-stored per graph, in a small process-wide memo, and read by every set
-question on the graph.  Where the orientation is output (witnesses, closure
-chains, tight sets) it is found whole, by augmenting-path reassignment on
-vertex ids in name order, one index per call.  Tight sets over a
-self-sufficient set are the saturated sink strong components of the
-orientation rooted at it; closure chains absorb minimal strictly-decreasing
-extensions from orientation failure regions, searching only the rounds that
-absorb: the closure set, read first, says where the chain ends.
+only an answer or a set is output the order of work is free: points whose
+edges fit their capacity peel off, and only a core with room left is
+searched.  One such orientation per graph is stored, in a small process-wide
+memo, and read for membership, dimension, gcl, closure sets (by collecting
+spare capacity) and the blocks of a zero-count graph.  Rooted questions
+search once each: self-sufficiency after its own peel, and the sets tight
+over a self-sufficient base, with every accretion step above them, as the
+saturated strong components of one orientation rooted at it.  Where the
+orientation is output (witnesses, closure chains) it is found by
+augmenting-path reassignment on vertex ids in name order; closure chains
+absorb minimal strictly-decreasing extensions from failure regions, only in
+the rounds that absorb: the closure set, read first, says where they end.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, groupby
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import ConstructionFailed, OutsideK0
 from .graph import Embedding, EmbeddingPlan, Graph, count_cross_edges
@@ -137,21 +137,29 @@ def _orient(ix: _Index, inside: list, load: list):
     return out, None
 
 
-def _tight_components(ix: _Index, base: Iterable[str]) -> list | None:
-    """The sets relatively tight over base, by least name; None when base is
-    not self-sufficient, that is when the orientation rooted at it fails.
+def _tight_components(ix: _Index, base: Iterable[str], cap: int | None = None,
+                      stored: Mapping | None = None) -> list | None:
+    """The absorption steps over base, sets by least name; None when base
+    is not self-sufficient, that is when the orientation rooted at it fails.
+    stored, the store's orientation by name, replaces the search over ().
 
     With edges into base counted on their outside end, a set outside base
     counts over it the sum of m - outdegree over its points plus the number
-    of edges leaving it.  So the tight sets, the minimal ones counting 0, are
-    the strong components no edge leaves whose points are all saturated:
-    Tarjan's search, on an explicit stack, finds them in linear time."""
+    of edges leaving it.  So step 0, the sets tight over base, are the strong
+    components no edge leaves whose points are all saturated.  Every edge
+    between them and the rest points in, so absorbed they leave the
+    orientation rooted at the larger base: a saturated component sits one
+    step above the highest it reaches.  Tarjan's search, on an explicit
+    stack, closes a component after all it reaches: one pass numbers them.
+    A component over cap points is barred, as is all that reaches it."""
     inside, load = _rooted(ix, base)
-    out, _ = _orient(ix, inside, load)
+    out = _orient(ix, inside, load)[0] if stored is None else [
+        [ix.ids[y] for y in stored[v]] for v in ix.names]
     if out is None:
         return None
     m, n = ix.g.m, len(ix.names)
-    order, low, comp = [0] * n, [0] * n, [-1] * n  # order 0: not yet visited
+    cap = n if cap is None else cap
+    order, low, comp, step = [0] * n, [0] * n, [-1] * n, [0] * n  # order 0: not yet visited
     pending, found, visits = [], [], 0
     for root in compress(range(n), inside):
         if order[root]:
@@ -178,10 +186,14 @@ def _tight_components(ix: _Index, base: Iterable[str]) -> list | None:
                     while not members or members[-1] != v:
                         members.append(pending.pop())
                         comp[members[-1]] = v
-                    if all(load[x] + len(out[x]) == m and all(comp[y] == v for y in out[x])
-                           for x in members):
-                        found.append(sorted(members))
-    return [frozenset(ix.names[x] for x in c) for c in sorted(found)]
+                    step[v] = max((step[comp[y]] + 1 for x in members for y in out[x]
+                                   if comp[y] != v), default=0)
+                    if len(members) > cap or any(load[x] + len(out[x]) != m for x in members):
+                        step[v] = n  # barred, with all that reaches it: no chain has n steps
+                    found.append((step[v], sorted(members)))
+    # a component one step up reaches one a step below: no step is empty
+    return [[frozenset(ix.names[x] for x in members) for _, members in group]
+            for k, group in groupby(sorted(found), key=lambda c: c[0]) if k < n]
 
 
 _last_index = lru_cache(maxsize=1)(_Index)  # questions come in runs over one ambient
@@ -279,9 +291,10 @@ def _collect(g: Graph, out: dict, a: frozenset) -> frozenset:
 
 
 def is_in_k0(g: Graph) -> bool:
-    """Whether every subset has a nonnegative count; decided by orientability
-    with outdegree at most m, order-free, rather than by subset enumeration."""
-    return _feasible(g, frozenset())
+    """Whether every subset has a nonnegative count: whether g orients with
+    outdegree at most m, read off the store (_stored_orientation), which
+    closure, dimension, gcl and decompose read too."""
+    return _stored_orientation(g) is not None
 
 
 @dataclass(frozen=True)

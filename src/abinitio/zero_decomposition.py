@@ -19,19 +19,19 @@ from typing import Iterable
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import Embedding, EmbeddingPlan, Graph, components, connected_subsets
-from .predimension import (_Index, _collect, _last_index, _orientation, _tight_components,
-                           delta, delta_rel, is_self_sufficient)
+from .predimension import (_Index, _collect, _last_index, _orientation, _stored_orientation,
+                           _tight_components, delta, delta_rel, is_self_sufficient)
 
 
 def _require_zero_ambient(g: Graph) -> list:
-    """The sets tight over the empty set, once the orientation that finds
-    them has found g in K0, and g counts 0."""
-    tight = _tight_components(_last_index(g), ())
-    if tight is None:
+    """The sets tight over the empty set, once the store has found g in K0
+    and g counts 0: off the store's orientation, as any saturates each point."""
+    stored = _stored_orientation(g)
+    if stored is None:
         raise OutsideK0("ambient is not hereditarily nonnegative")
     if delta(g, g.vertices) != 0:
         raise OutsideK0(f"ambient count is {delta(g, g.vertices)}, expected 0")
-    return tight
+    return next(iter(_tight_components(_last_index(g), (), stored=stored)), [])
 
 
 def is_zero_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
@@ -56,7 +56,7 @@ def is_zero_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
             near = g.neighbors(v)
             if len(near & aa) >= m or len(near & both) <= m:
                 return False
-    return _tight_components(_Index(g.induced(aa | bb)), aa) == [bb]
+    return _tight_components(_Index(g.induced(aa | bb)), aa) == [[bb]]
 
 
 def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) -> bool:
@@ -99,17 +99,6 @@ def connected_zero_sets(g: Graph) -> list:
     return components(g, g.vertices)
 
 
-def _tight_sets_over(g: Graph, pool: frozenset, base: frozenset, cap: int):
-    """The sets inside pool relatively tight over base, of at most
-    max(cap, 1) points, plus a flag telling whether the size ceiling was
-    reached: whether cap > 0 and pool has a component of at least cap
-    points.  None when base is not self-sufficient."""
-    tight = _tight_components(_last_index(g), base)
-    return None if tight is None else (
-        [d for d in tight if d <= pool and len(d) <= max(cap, 1)],
-        cap > 0 and any(len(c) >= cap for c in components(g, pool)))
-
-
 @dataclass(frozen=True)
 class ComponentLevels:
     carrier: frozenset
@@ -147,7 +136,8 @@ def level_chain(
     max_set: int | None = None,
 ) -> ComponentLevels:
     """Accretion layers of one carrier: layer 0 is the union of its blocks,
-    each next layer absorbs everything relatively tight over the previous."""
+    each next layer absorbs everything relatively tight over the previous.
+    One search rooted at the blocks gives every step (_tight_components)."""
     car = g.check_subset(carrier)
     if carriers is None:
         carriers = connected_zero_sets(g)
@@ -159,26 +149,22 @@ def level_chain(
     seed = frozenset().union(*(b for b in blocks if b <= car)) if blocks else frozenset()
     if not (seed and seed <= car):
         raise InvalidMap(f"carrier {sorted(car)} contains no block")
-    layers = [seed]
-    ceiling_hit = False
-    current = seed
     inner = g.induced(car)  # tightness inside the carrier reads only its edges
-    while current != car:
-        step = _tight_sets_over(inner, car - current, current, cap)
-        if step is None:
-            raise InvalidMap(f"layer {sorted(current)} is not self-sufficient")
-        found, hit = step
-        ceiling_hit = ceiling_hit or hit
-        if not found:
-            raise ConstructionFailed(
-                f"carrier not reachable with attachment size ceiling {cap}")
-        current = current | frozenset().union(*found)
-        layers.append(current)
-    return ComponentLevels(car, len(layers) - 1, tuple(layers), ceiling_hit)
+    steps = _tight_components(_last_index(inner), seed, max(cap, 1)) if seed != car else []
+    if steps is None:
+        raise InvalidMap(f"layer {sorted(seed)} is not self-sufficient")
+    layers = [seed]
+    for found in steps:
+        layers.append(layers[-1] | frozenset().union(*found))
+    if layers[-1] != car:
+        raise ConstructionFailed(f"carrier not reachable with attachment size ceiling {cap}")
+    # hit when a step's pool has a component of cap points: the first holds the rest
+    hit = cap > 0 and any(len(c) >= cap for c in components(inner, car - seed))
+    return ComponentLevels(car, len(layers) - 1, tuple(layers), hit)
 
 
 def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
-    """Blocks, carriers and the level chain of every carrier.  One
+    """Blocks, carriers and the level chain of every carrier.  The stored
     orientation of g checks it in K0 and gives the blocks.  max_set only
     filters the tight sets each layer absorbs: those of at most
     max(max_set, 1) points."""
@@ -310,9 +296,10 @@ def base_attachment_pairs(
     orientation of g, once it has found g in K0."""
     cap = limits.max_set_size(max_set)
     pool = carrier - base_layer
-    tight = _tight_sets_over(g, pool, base_layer, cap) if base_layer <= g.vertices else None
-    if tight is not None:
-        pairs = [(d, _contacts(g, d, base_layer)) for d in tight[0]]
+    steps = _tight_components(_last_index(g), base_layer, max(cap, 1)) \
+        if base_layer <= g.vertices else None
+    if steps is not None:
+        pairs = [(d, _contacts(g, d, base_layer)) for step in steps[:1] for d in step if d <= pool]
     else:
         pairs = [(d, gen) for d in connected_subsets(g, pool, cap)
                  for gen in _count_matched(g, d, base_layer)

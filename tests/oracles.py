@@ -13,9 +13,9 @@ scans stay instant.
 import itertools
 
 from abinitio import (
-    BaseWitness, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap, OutsideK0,
-    components, delta, delta_rel, is_in_k0, is_self_sufficient, pattern_catalog,
-    strong_embeddings)
+    BaseWitness, ComponentLevels, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap,
+    OutsideK0, components, connected_zero_sets, delta, delta_rel, is_in_k0,
+    is_self_sufficient, minimally_closed_sets, pattern_catalog, strong_embeddings)
 from abinitio import extension, limits
 from abinitio.approximation import ApproximationChain, realize_extension
 from abinitio.graph import _IN_NAME_ORDER, _check_coefficient, adjoin_copy
@@ -245,7 +245,10 @@ def ref_geometric_closure_bounded(g, a) -> frozenset:
 # minimality tested over every proper subset of the generator, every
 # connected candidate tested up to the ceiling, every contact subset tried as
 # a generator.  Copied unchanged but for the names; the package's fast paths
-# must give exactly their results, exceptions included.
+# must give exactly their results, exceptions included.  ref_level_chain is
+# level_chain as it was before one rooted search gave every step: one scan
+# per step, on ref_tight_sets_over, after a self-sufficiency check of the
+# layer, which the replaced search made.
 
 
 def ref_is_zero_algebraic(g, b, a) -> bool:
@@ -322,6 +325,37 @@ def ref_tight_sets_over(g, pool, base, cap):
         if delta_rel(g, cand, base) == 0 and ref_is_zero_algebraic(g, cand, base):
             found.append(cand)
     return found, hit
+
+
+def ref_level_chain(g, carrier, blocks=None, carriers=None, max_set=None) -> ComponentLevels:
+    """Accretion layers of one carrier: layer 0 is the union of its blocks,
+    each next layer absorbs everything relatively tight over the previous."""
+    car = g.check_subset(carrier)
+    if carriers is None:
+        carriers = connected_zero_sets(g)
+    if car not in carriers:
+        raise InvalidMap(f"{sorted(car)} is not a maximal connected zero set")
+    cap = limits.max_set_size(max_set)
+    if blocks is None:
+        blocks = minimally_closed_sets(g)
+    seed = frozenset().union(*(b for b in blocks if b <= car)) if blocks else frozenset()
+    if not (seed and seed <= car):
+        raise InvalidMap(f"carrier {sorted(car)} contains no block")
+    layers = [seed]
+    ceiling_hit = False
+    current = seed
+    inner = g.induced(car)
+    while current != car:
+        if not is_self_sufficient(inner, current):
+            raise InvalidMap(f"layer {sorted(current)} is not self-sufficient")
+        found, hit = ref_tight_sets_over(inner, car - current, current, cap)
+        ceiling_hit = ceiling_hit or hit
+        if not found:
+            raise ConstructionFailed(
+                f"carrier not reachable with attachment size ceiling {cap}")
+        current = current | frozenset().union(*found)
+        layers.append(current)
+    return ComponentLevels(car, len(layers) - 1, tuple(layers), ceiling_hit)
 
 
 def ref_absorbable_over(g, d, anchor_pool) -> bool:

@@ -255,10 +255,26 @@ def test_ep_extend_then_verify(tmp_path, capsys):
     (lambda c: c["inclusion"].insert(0, ["a0", "b0"]), "duplicate map source 'a0'"),
     (lambda c: c["automorphisms"][0].insert(0, ["a0", "a1"]), "duplicate map source 'a0'"),
     (lambda c: c.update(orbit=5), "certificate 'orbit' must be an object, got 5"),
-], ids=["inclusion", "automorphism", "orbit"])
+    (lambda c: c.update(stage_log="abc"),
+     "certificate 'stage_log' must be an array of objects, got 'abc'"),
+    (lambda c: c.update(stage_log=[{}, 1]),
+     "certificate 'stage_log' must be an array of objects, got [{}, 1]"),
+    (lambda c: c.update(counts=[["mu", 1]]),
+     "certificate 'counts' must be an object, got [['mu', 1]]"),
+    (lambda c: c["orbit"].update(per_point=[[1]]),
+     "certificate 'orbit.per_point' must be an array of objects, got [[1]]"),
+    (lambda c: c["orbit"].update(per_map="xyz"),
+     "certificate 'orbit.per_map' must be an array of integers, got 'xyz'"),
+    (lambda c: c["orbit"].update(per_map=[1, True]),
+     "certificate 'orbit.per_map' must be an array of integers, got [1, True]"),
+    (lambda c: c["orbit"].update(**{"global": "big"}),
+     "certificate 'orbit.global' must be an integer, got 'big'"),
+], ids=["inclusion", "automorphism", "orbit", "stage-log-string", "stage-log-item", "counts",
+        "per-point", "per-map-string", "per-map-boolean", "global"])
 def test_ep_verify_rejects_malformed_certificates(tmp_path, capsys, tamper, message):
     # a repeated source would otherwise keep its last pair, and read as a
-    # valid certificate
+    # valid certificate; an optional field of the wrong kind would be read
+    # as something else ("abc" as three log entries) instead of rejected
     problem = {"graph": {"m": 2, "vertices": k5_dict("a")["vertices"] + k5_dict("b")["vertices"],
                          "edges": k5_dict("a")["edges"] + k5_dict("b")["edges"]},
                "maps": [{"map": [[f"a{i}", f"b{i}"] for i in range(5)]}]}

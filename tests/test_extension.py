@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import abinitio.zero_decomposition
 import oracles
 from abinitio import (
     ConstructionFailed,
+    Embedding,
     EmbeddingPlan,
     EPCertificate,
     EPProblem,
@@ -34,6 +37,7 @@ from abinitio import (
 )
 from abinitio.verifier import _admits_bounded_orientation
 from abinitio.zero_decomposition import BaseWitness, _report_rows
+from builders import random_zero_graph
 from oracles import (
     brute_automorphisms, brute_in_k0, ref_dedupe_witnesses, ref_extend_map_over_satellites,
     ref_find_pattern_iso, ref_report_rows, ref_uniformize_row)
@@ -511,6 +515,157 @@ def test_verifier_orientation_matches_brute_force():
         assert _admits_bounded_orientation(g) == expect
         seen.add(expect)
     assert seen == {True, False}
+
+
+def _corpus_certificate():
+    """The first corpus problem with a map whose certificate grows the
+    ambient, and that certificate, which verifies."""
+    for _, p in _ep_corpus():
+        cert = ep_extend(p)
+        if p.maps and cert.b.vertices > p.a.vertices:
+            assert verify_certificate(p, cert).ok and p.a.m == 2
+            return p, cert
+    raise AssertionError("no corpus certificate grows its ambient")
+
+
+def _unchecked_embedding(source, target, pairs):
+    """An Embedding built without its own checks, as an in-memory forgery
+    could be: the verifier must not rely on them."""
+    emb = object.__new__(Embedding)
+    for name, value in (("source", source), ("target", target), ("pairs", tuple(pairs))):
+        object.__setattr__(emb, name, value)
+    return emb
+
+
+def _on_result(cert, b):
+    """cert with result graph b, its inclusion and automorphisms moved onto
+    b, each automorphism fixing the points b adds."""
+    fixed = {v: v for v in b.vertices - cert.b.vertices}
+    return dataclasses.replace(
+        cert, b=b, inclusion=Embedding.build(cert.problem.a, b, cert.inclusion.as_dict()),
+        automorphisms=tuple(Embedding.build(b, b, {**f.as_dict(), **fixed})
+                            for f in cert.automorphisms))
+
+
+def _forge_coefficient(p, cert):
+    b = cert.b
+    return _on_result(cert, Graph(3, b.vertices, b.edges)), (
+        "coefficient mismatch: problem 2, result 3",
+        f"result count is {len(b.vertices)}, expected 0")
+
+
+def _forge_inclusion_source(p, cert):
+    a = Graph(2, p.a.vertices, sorted(p.a.edges)[1:])
+    return dataclasses.replace(cert, inclusion=Embedding.build(
+        a, cert.b, cert.inclusion.as_dict())), ("inclusion source is not the problem graph",)
+
+
+def _forge_inclusion_target(p, cert):
+    b = Graph(2, cert.b.vertices, sorted(cert.b.edges)[1:])
+    return dataclasses.replace(cert, inclusion=Embedding.build(
+        p.a, b, cert.inclusion.as_dict())), ("inclusion target is not the result graph",)
+
+
+def _forge_partial_inclusion(p, cert):
+    a = p.a.induced(p.a.vertices - {max(p.a.vertices)})
+    incl = {d: r for d, r in cert.inclusion.pairs if d in a.vertices}
+    return dataclasses.replace(cert, inclusion=Embedding.build(a, cert.b, incl)), (
+        "inclusion source is not the problem graph", "inclusion is not total on the problem graph")
+
+
+def _forge_outside_k0(p, cert):
+    # a K6 counts -3, and three pendant points tied to it bring it to 0
+    clique = [f"zk{i}" for i in range(6)]
+    edges = list(itertools.combinations(clique, 2)) + [(f"zp{i}", clique[i]) for i in range(3)]
+    b = Graph(2, cert.b.vertices | set(clique) | {f"zp{i}" for i in range(3)},
+              list(cert.b.edges) + edges)
+    return _on_result(cert, b), ("result admits no bounded orientation: outside the class",)
+
+
+def _forge_not_a_self_map(p, cert):
+    # nor total on the result: only the skipped bijection check would say so
+    part = cert.b.induced(cert.b.vertices - {max(cert.b.vertices)})
+    f = {d: r for d, r in cert.automorphisms[0].pairs if d in part.vertices}
+    autos = (Embedding.build(part, cert.b, f),) + cert.automorphisms[1:]
+    return dataclasses.replace(cert, automorphisms=autos), (
+        "automorphism 0 is not a self-map of the result",)
+
+
+def _forge_not_a_bijection(p, cert):
+    pairs = list(cert.automorphisms[0].pairs)
+    pairs[0] = (pairs[0][0], pairs[1][1])
+    autos = (_unchecked_embedding(cert.b, cert.b, pairs),) + cert.automorphisms[1:]
+    return dataclasses.replace(cert, automorphisms=autos), (
+        "automorphism 0 is not a vertex bijection",)
+
+
+@pytest.mark.parametrize("forge", [
+    _forge_coefficient, _forge_inclusion_source, _forge_inclusion_target,
+    _forge_partial_inclusion, _forge_outside_k0, _forge_not_a_self_map, _forge_not_a_bijection,
+], ids=lambda forge: forge.__name__[len("_forge_"):])
+def test_verifier_names_each_forged_clause(forge):
+    # one clause broken in a corpus certificate: its diagnostic, and no other
+    p, cert = _corpus_certificate()
+    forged, diagnostics = forge(p, cert)
+    assert verify_certificate(p, forged) == abinitio.verifier.VerificationReport(
+        False, diagnostics)
+
+
+def _relieved_second(g) -> tuple:
+    """_admits_bounded_orientation(g), and how many edges it gave their
+    second endpoint after relieving it, the first being stuck: the lines
+    run just after the elif naming that relief, counted by a tracer."""
+    lines, first = inspect.getsourcelines(_admits_bounded_orientation)
+    target = first + 1 + next(i for i, text in enumerate(lines) if "elif relieve(v):" in text)
+    code, hits = _admits_bounded_orientation.__code__, []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(1)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        admits = _admits_bounded_orientation(g)
+    finally:
+        sys.settrace(previous)
+    return admits, len(hits)
+
+
+def test_verifier_orientation_relieving_the_second_endpoint_matches_brute_force():
+    # zero-count graphs under shuffled names, every other one with an edge
+    # more: some edges find their first endpoint's region full and must
+    # relieve the second, in members of K0 and outside
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for k in range(600):
+        g = random_zero_graph(rng, 12)
+        names = [f"r{i:02d}" for i in range(len(g.vertices))]
+        rng.shuffle(names)
+        ren = dict(zip(g.sorted_vertices(), names))
+        edges = [(ren[u], ren[v]) for u, v in g.edges]
+        missing = [e for e in itertools.combinations(sorted(names), 2)
+                   if e not in edges and e[::-1] not in edges]
+        g = Graph(2, names, edges + rng.sample(missing, min(k % 2, len(missing))))
+        admits, relieved = _relieved_second(g)
+        if relieved:
+            assert admits == brute_in_k0(g)
+            seen[admits] += 1
+    assert seen[True] >= 5 and seen[False] >= 10
+
+
+def test_level_stages_decompose_the_ambient_when_not_given_it():
+    stages = 0
+    for _, p in _ep_corpus()[::5]:
+        decomp = decompose(p.a)
+        b, maps, _ = build_base_stage(p, orbit_orders(p), decomp)
+        for q in range(max((c.level for c in decomp.components), default=0)):
+            given = build_level_stage(b, p, q, maps, decomp=decomp)
+            assert build_level_stage(b, p, q, maps) == given
+            b, maps, _ = given
+            stages += 1
+    assert stages >= 4
 
 
 def test_stage_log_replays_uniformity():

@@ -29,6 +29,7 @@ from abinitio.graph import normalize_edge
 from abinitio.predimension import (
     ClosureResult, _closure_set, _collect, _feasible, _Index, _last_index, _orient, _orientation,
     _rooted, _stored_orientation)
+from abinitio.zero_decomposition import _decomposition
 from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
     brute_closed,
@@ -647,6 +648,44 @@ def test_one_gcl_call_builds_one_orientation(monkeypatch):
     assert closure(g, block) == ClosureResult(block, (block,))
     assert searches == [g]
     assert _stored_orientation.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+def test_membership_fills_the_store_that_dimension_reads(monkeypatch):
+    """is_in_k0 is the stored orientation's presence: it runs the one core
+    search, and dimension after it reads the store and searches nothing.
+    A graph outside K0 is stored too, as None: a K6 counts below 0, so
+    no search decides it."""
+    g = disjoint_cliques(2, 4, 4, 3)  # no point peels
+    _stored_orientation.cache_clear()
+    searches = counted_searches(monkeypatch)
+    assert is_in_k0(g)
+    assert _stored_orientation.cache_info()[:2] == (0, 1)  # hits, misses
+    assert dimension(g, ["c0"]) == 2
+    assert searches == [g]
+    assert _stored_orientation.cache_info()[:2] == (1, 1)
+    outside = disjoint_cliques(2, 6)
+    assert not is_in_k0(outside)
+    with pytest.raises(OutsideK0):
+        dimension(outside, ["a0"])
+    assert searches == [g]
+    assert _stored_orientation.cache_info()[:2] == (2, 2)
+
+
+def test_decompose_reads_its_blocks_off_the_store(monkeypatch):
+    """Four carriers, two with points above their blocks, of a graph the
+    store holds: decompose runs no search for the blocks, and one per
+    carrier with layers above its blocks, on the carrier's graph."""
+    blocks = disjoint_cliques(2, 5, 5, 5, 5)
+    g = Graph(2, blocks.vertices | {"w", "y", "z"}, list(blocks.edges) + [
+        ("w", "a0"), ("w", "a1"), ("z", "w"), ("z", "a2"), ("y", "c0"), ("y", "c1")])
+    _stored_orientation.cache_clear()
+    _decomposition.cache_clear()
+    assert is_in_k0(g)
+    searches = counted_searches(monkeypatch)
+    d = decompose(g)
+    assert [c.level for c in d.components] == [2, 0, 1, 0]
+    assert searches == [g.induced(c.carrier) for c in d.components if c.level]
+    assert _stored_orientation.cache_info()[:2] == (1, 1)
 
 
 def test_a_closure_chain_that_orients_short_of_the_closure_set_fails_by_name(monkeypatch):

@@ -6,8 +6,11 @@ every certificate and failure, and pin how much it shares on the corpus."""
 import pytest
 
 import abinitio.extension
+import abinitio.predimension
 from abinitio import ConstructionFailed, ep_extend
 from abinitio.extension import _block_counts, _even_out
+from abinitio.predimension import _last_index, _self_sufficient_cached, _stored_orientation
+from abinitio.zero_decomposition import _decomposition
 from abinitio.graph import canonical_json
 from test_acceptance import _ep_corpus
 
@@ -56,6 +59,21 @@ def test_one_corpus_pass_evens_out_each_distinct_stage_once():
     sweeps, blocks = _even_out.cache_info(), _block_counts.cache_info()
     assert (sweeps.hits + sweeps.misses, sweeps.misses) == (30, 8)
     assert (blocks.hits + blocks.misses, blocks.misses) == (51, 14)
+
+
+def test_one_corpus_pass_runs_at_most_149_orientation_searches(monkeypatch):
+    # from every cache empty: membership and the blocks read the stored
+    # orientation of each graph, and a level chain searches once per
+    # carrier with points above its blocks
+    _empty()
+    for cache in (_stored_orientation, _last_index, _self_sufficient_cached, _decomposition):
+        cache.cache_clear()
+    runs, search = [], abinitio.predimension._orient
+    monkeypatch.setattr(abinitio.predimension, "_orient",
+                        lambda *args: runs.append(1) or search(*args))
+    for _, p in _ep_corpus():
+        ep_extend(p)
+    assert len(runs) <= 149
 
 
 def test_a_changed_certificate_leaves_the_next_one_unchanged():

@@ -29,9 +29,9 @@ from abinitio import (
     mu_count,
     uniform_algebraicity_report,
 )
-from abinitio.zero_decomposition import (_blocks, _count_matched, _dedupe_witnesses,
-                                         _report_rows, _row_invariant,
-                                         _tight_sets_over)
+from abinitio.predimension import _Index, _tight_components
+from abinitio.zero_decomposition import (_blocks, _count_matched, _decomposition,
+                                         _dedupe_witnesses, _report_rows, _row_invariant)
 from builders import plant_clique, random_graph, random_k0_graph, random_zero_graph
 from oracles import (
     brute_automorphisms,
@@ -42,6 +42,7 @@ from oracles import (
     ref_is_zero_algebraic,
     ref_count,
     ref_is_zero_minimally_algebraic,
+    ref_level_chain,
     ref_placement_counts,
     ref_report_rows,
     ref_tight_sets_over,
@@ -159,6 +160,30 @@ def test_level_chain_validates_carrier():
     # given blocks whose union is not self-sufficient have no sets tight over them
     with pytest.raises(InvalidMap, match="not self-sufficient"):
         level_chain(g, g.vertices, blocks=[frozenset(["a0"])], carriers=[g.vertices])
+    # given blocks none of which lies in the carrier
+    with pytest.raises(InvalidMap, match=r"carrier \['a0', .*\] contains no block"):
+        level_chain(g, g.vertices, blocks=[frozenset(["b0"])], carriers=[g.vertices])
+    with pytest.raises(InvalidMap, match="contains no block"):
+        level_chain(g, g.vertices, blocks=[], carriers=[g.vertices])
+
+
+def test_level_chain_defaults_give_the_decomposition_component():
+    # blocks and carriers found by level_chain itself, every carrier, caps
+    # 0 to 5: as decompose's component, or decompose's error where it fails
+    rng = random.Random(77)
+    chains = failed = 0
+    for k in range(60):
+        g = random_zero_graph(rng, 16)
+        cap = k % 6
+        got = [_outcome(level_chain, g, c, max_set=cap) for c in connected_zero_sets(g)]
+        want = _outcome(decompose, g, max_set=cap)
+        if want[0] == "ok":
+            assert got == [("ok", comp) for comp in want[1].components]
+            chains += sum(comp.level > 0 for comp in want[1].components)
+        else:
+            assert want == next(o for o in got if o[0] == "raised")
+            failed += 1
+    assert chains >= 30 and failed >= 5
 
 
 def test_zero_algebraic_single_vertex():
@@ -584,28 +609,36 @@ def test_rows_isomorphic_only_by_swapping_base_and_attachment_are_counted_apart(
     assert _row_types(monkeypatch, g, rows) == ([False, True], 2)
 
 
-def path_graph(n, prefix="p"):
-    names = [f"{prefix}{i}" for i in range(n)]
-    return Graph(2, names, list(zip(names, names[1:])))
+def tied_paths(*sizes):
+    """A K5 block and, per size k, a path of k points above it: its first
+    point tied to a0 and a1, each next one to the one before it and to a2.
+    Each path is a component of the pool over the block, and each step
+    absorbs one point of every path still growing."""
+    names, edges = k5()
+    for i, k in enumerate(sizes):
+        path = [f"p{i}x{j}" for j in range(k)]
+        names += path
+        edges += [("a0", path[0]), ("a1", path[0])]
+        edges += [(u, v) for u, v in zip(path, path[1:])] + [(v, "a2") for v in path[1:]]
+    return Graph(2, names, edges)
 
 
 def test_ceiling_flag_tells_whether_a_component_reaches_the_cap():
-    # the flag says a connected candidate of exactly cap points exists
+    # the flag says the pool over the blocks has a component of cap points
     for n, hit in [(2, False), (3, True), (4, True)]:
-        g = path_graph(n)
-        assert _tight_sets_over(g, g.vertices, frozenset(), 3) == ([], hit)
+        g = tied_paths(n)
+        comp = decompose(g, max_set=3).components[0]
+        assert comp.ceiling_hit == hit and comp.level == n
+        assert level_chain(g, g.vertices, max_set=3) == comp
     # many small components never reach the cap, one large enough does
-    pairs = Graph(2, [f"x{i}" for i in range(12)],
-                  [(f"x{i}", f"x{i + 1}") for i in range(0, 12, 2)])
-    assert _tight_sets_over(pairs, pairs.vertices, frozenset(), 3) == ([], False)
-    assert _tight_sets_over(pairs, pairs.vertices, frozenset(), 2) == ([], True)
-    mixed = Graph(2, pairs.vertices | path_graph(3).vertices,
-                  pairs.edges | path_graph(3).edges)
-    assert _tight_sets_over(mixed, mixed.vertices, frozenset(), 3) == ([], True)
-    # cap 0 still scans singletons and never raises the flag
+    pairs = tied_paths(*[2] * 6)
+    assert [decompose(pairs, max_set=cap).components[0].ceiling_hit
+            for cap in (3, 2)] == [False, True]
+    assert decompose(tied_paths(*[2] * 6, 3), max_set=3).components[0].ceiling_hit
+    # cap 0 still absorbs singletons and never raises the flag
     g = chain_graph()
-    assert _tight_sets_over(g, frozenset(["w", "z"]), BLOCK, 0) == ([{"w"}], False)
-    assert _tight_sets_over(g, frozenset(["w", "z"]), BLOCK, 1) == ([{"w"}], True)
+    assert level_chain(g, g.vertices, max_set=0).ceiling_hit is False
+    assert level_chain(g, g.vertices, max_set=1).ceiling_hit is True
     # through decompose: the first step's pool {w, z} is the largest
     flags = [decompose(g, max_set=cap).components[0].ceiling_hit for cap in range(5)]
     assert flags == [False, True, True, False, False]
@@ -634,9 +667,15 @@ def _pick(rng, items, p):
     return frozenset(v for v in items if rng.random() < p)
 
 
-def _sorted_scan(scan):
-    found, hit = scan
-    return sorted(map(sorted, found)), hit
+def _tight_over(g, pool, base, cap):
+    """The first absorption step over base, capped as a layer caps it, inside
+    pool, by least name."""
+    steps = _tight_components(_Index(g), base, max(cap, 1))
+    return sorted(sorted(d) for step in steps[:1] for d in step if d <= pool)
+
+
+def _scanned(scan):
+    return sorted(map(sorted, scan[0]))
 
 
 def test_subset_scans_match_reference_copies():
@@ -670,11 +709,11 @@ def test_subset_scans_match_reference_copies():
             want = ref_tight_sets_over(g, pool, base, cap)
             # the sink-component rule needs a self-sufficient base
             if is_self_sufficient(g, base):
-                assert _sorted_scan(_tight_sets_over(g, pool, base, cap)) == _sorted_scan(want)
+                assert _tight_over(g, pool, base, cap) == _scanned(want)
             if is_in_k0(g):
                 closed = closure(g, base).closure
-                assert _sorted_scan(_tight_sets_over(g, pool - closed, closed, cap)) == \
-                    _sorted_scan(ref_tight_sets_over(g, pool - closed, closed, cap))
+                assert _tight_over(g, pool - closed, closed, cap) == \
+                    _scanned(ref_tight_sets_over(g, pool - closed, closed, cap))
             seen["found"] += len(want[0])
             seen["hit"] += want[1]
             for d in want[0]:
@@ -732,14 +771,16 @@ def test_decompositions_reports_and_hulls_match_reference_copies(monkeypatch):
                 out.append(_outcome(hull, g, e, iterate=iterate, max_set=cap))
         return out
 
+    _decomposition.cache_clear()
     with monkeypatch.context() as patched:
-        for name, ref in [("_tight_sets_over", ref_tight_sets_over),
+        for name, ref in [("level_chain", ref_level_chain),
                           ("base_attachment_pairs", ref_base_attachment_pairs),
                           ("is_zero_minimally_algebraic", ref_is_zero_minimally_algebraic),
                           ("_absorbable_over", ref_absorbable_over),
                           ("connected_subsets", ref_connected_subsets)]:
             patched.setattr(zd, name, ref)
         want = run_all()
+    _decomposition.cache_clear()
     got = run_all()
     assert got == want
     rows = sum(len(o[1]) for o in want if o[0] == "ok" and isinstance(o[1], list))
@@ -795,6 +836,27 @@ def test_zero_algebraic_adjacency_rejections_match_part_enumeration():
     assert cases >= 12000 and by_point >= 10000 and by_rest >= 10000 and tight >= 600
 
 
+def test_absorption_steps_match_the_scan_step_by_step():
+    # one search rooted at a closed base gives every step: each is what the
+    # scan finds tight over the base and the steps before it, at caps 0 to
+    # 5, on members of K0 at m = 2 and 3 and on zero-count graphs
+    rng = random.Random(4242)
+    climbs = barred = 0
+    for k in range(900):
+        g = random_zero_graph(rng, 16) if k % 3 else random_k0_graph(rng, 9, m=2 + k % 2)
+        base = closure(g, _pick(rng, g.sorted_vertices(), 0.2)).closure
+        cap = k % 6
+        want, current = [], base
+        while found := ref_tight_sets_over(g, g.vertices - current, current, cap)[0]:
+            want.append(sorted(map(sorted, found)))
+            current = current | frozenset().union(*found)
+        steps = _tight_components(_Index(g), base, max(cap, 1))
+        assert [sorted(map(sorted, step)) for step in steps] == want
+        climbs += len(want) > 1
+        barred += current != g.vertices and _tight_components(_Index(g), current) != []
+    assert climbs >= 70 and barred >= 150
+
+
 def test_tight_sets_over_a_planted_clique_match_reference():
     # outside K0 the rule still holds over a self-sufficient base; here the
     # base holds a planted clique of negative count and the closure, in the
@@ -814,7 +876,7 @@ def test_tight_sets_over_a_planted_clique_match_reference():
         pool = _pick(rng, sorted(h.vertices - base), 0.8)
         for cap in range(6):
             want = ref_tight_sets_over(h, pool, base, cap)
-            assert _sorted_scan(_tight_sets_over(h, pool, base, cap)) == _sorted_scan(want)
+            assert _tight_over(h, pool, base, cap) == _scanned(want)
             cases += 1
             found += len(want[0])
     assert cases >= 1500 and found >= 550
