@@ -47,7 +47,7 @@ class EPProblem:
         return {
             "graph": self.a.to_json_dict(),
             "maps": [
-                {"map": [[d, pi.as_dict()[d]] for d in sorted(pi.domain)]}
+                {"map": [[d, r] for d, r in pi.pairs]}
                 for pi in self.maps
             ],
         }
@@ -118,24 +118,42 @@ def validate_problem(p: EPProblem):
             raise InvalidMap(f"map {k}: range is not self-sufficient")
 
 
+def _chains_and_cycles(items, f: dict) -> tuple:
+    """The one-to-one map f among items split into walks: (chains, cycles),
+    each walk a list of items that f takes each to the next.  A chain starts
+    at an item no item goes to and stops at the first item that f leaves
+    undefined or sends off the items; a cycle starts at its first item and
+    closes.  Both lists keep item order.  f must be one-to-one on items, or
+    a chain can walk forever: a PartialIso rejects a map that is not, a
+    block map is a one-to-one map read on disjoint blocks, and the
+    components' arcs use each target once."""
+    step = {x: f.get(x) for x in items}
+    reached = set(step.values())
+    chains, cycles, seen = [], [], set()
+    # the chains' starts come first, so an item no chain took lies on a cycle
+    for x in [x for x in items if x not in reached] + list(items):
+        if x not in seen:
+            walk = [x]
+            y = step[x]
+            while y in step and y != x:
+                walk.append(y)
+                y = step[y]
+            seen.update(walk)
+            (cycles if y == x else chains).append(walk)
+    return chains, cycles
+
+
 def orbit_orders(p: EPProblem) -> OrbitOrder:
     """Per vertex: the least iterate of its map returning it to itself, or 1
     when the trajectory leaves the domain first.  Per map the maximum, and
     globally the product."""
     per_point = []
-    per_map = []
     for pi in p.maps:
-        e = pi.as_dict()
-        orders = {}
-        for d in sorted(pi.domain):
-            x = e[d]
-            steps = 1
-            while x in e and x != d and steps <= len(e):
-                x = e[x]
-                steps += 1
-            orders[d] = steps if x == d else 1
+        domain = sorted(pi.domain)
+        orders = dict.fromkeys(domain, 1)
+        orders.update((x, len(c)) for c in _chains_and_cycles(domain, pi.as_dict())[1] for x in c)
         per_point.append(orders)
-        per_map.append(max(orders.values(), default=1))
+    per_map = [max(orders.values(), default=1) for orders in per_point]
     return OrbitOrder(tuple(per_point), tuple(per_map), prod(per_map))
 
 
@@ -170,8 +188,8 @@ def _check_automorphism(g: Graph, f: dict) -> bool:
 
 def _partial_permutation_parts(blocks: list, e: dict) -> tuple:
     """Split the block-level action of e into pure cycles, open chains, and
-    untouched blocks.  Blocks must be inside or disjoint from the domain, and
-    map onto blocks."""
+    untouched blocks, the chains of one block.  Blocks must be inside or
+    disjoint from the domain, and map onto blocks."""
     log = {"stage": 0, "kind": "base", "blocks": [sorted(bl) for bl in blocks]}
     dom = set(e)
     image = {}
@@ -183,40 +201,9 @@ def _partial_permutation_parts(blocks: list, e: dict) -> tuple:
     known = set(blocks)
     for bl, im in image.items():
         _require(im in known, f"block {sorted(bl)} maps onto a non-block", log)
-    has_incoming = set(image.values())
-    chains = []
-    cycles = []
-    fixed = []
-    seen = set()
-    for bl in blocks:
-        if bl in seen:
-            continue
-        if bl not in image and bl not in has_incoming:
-            fixed.append(bl)
-            seen.add(bl)
-            continue
-        if bl in has_incoming:
-            continue  # chain interior or end; reached from its start
-        chain = [bl]
-        seen.add(bl)
-        cur = bl
-        while cur in image:
-            cur = image[cur]
-            chain.append(cur)
-            seen.add(cur)
-        chains.append(chain)
-    for bl in blocks:
-        if bl in seen:
-            continue
-        cycle = [bl]
-        seen.add(bl)
-        cur = image[bl]
-        while cur != bl:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = image[cur]
-        cycles.append(cycle)
-    return cycles, chains, fixed
+    chains, cycles = _chains_and_cycles(blocks, image)
+    return (cycles, [ch for ch in chains if len(ch) > 1],
+            [ch[0] for ch in chains if len(ch) == 1])
 
 
 def build_base_stage(
@@ -266,18 +253,15 @@ def build_base_stage(
         else:
             s = len(chain)
             start = chain[0]
-            # walk the composite along the chain to relate start and end
-            composite = {v: v for v in start}
-            for _ in range(s - 1):
-                composite = {v: e[composite[v]] for v in start}
             b0, betas = adjoin_copy(b0, a, start, [{}] * ((order - 1) * s))
             entry["copies"] = [sorted(beta.values()) for beta in betas]
             fmaps[k].update((v, e[v]) for bl in chain[:-1] for v in bl)
-            inv = {composite[v]: v for v in start}
-            # the end block goes to the first copy, each copy to the next and
-            # the last back onto the start
+            # the end block goes to the first copy: each start point's walk
+            # along the chain ends at the point sent to its copy; each copy
+            # goes to the next and the last back onto the start
             ring = betas + [{u: u for u in start}]
-            fmaps[k].update((v, ring[0][inv[v]]) for v in chain[-1])
+            walks = _chains_and_cycles([v for bl in chain for v in bl], e)[0]
+            fmaps[k].update((w[-1], ring[0][w[0]]) for w in walks)
             for here, there in zip(ring, ring[1:]):
                 fmaps[k].update((here[u], there[u]) for u in start)
             entry["cycle_length"] = order * s
@@ -476,22 +460,8 @@ def _extend_map_over_satellites(
 
     # component-level cycle bookkeeping: the map permutes the components
     comp_image = {s: frozenset(arcs[s][v] for v in s) for s in sats}
-    seen = set()
-    for s in sats:
-        if s in seen:
-            continue
-        cyc = [s]
-        seen.add(s)
-        cur = comp_image[s]
-        while cur != s:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = comp_image[cur]
-        log_cycles.append({
-            "map_index": map_index,
-            "components": [sorted(c) for c in cyc],
-            "length": len(cyc),
-        })
+    log_cycles += [{"map_index": map_index, "components": [sorted(c) for c in cyc],
+                    "length": len(cyc)} for cyc in _chains_and_cycles(sats, comp_image)[1]]
     return fnew
 
 

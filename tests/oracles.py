@@ -11,6 +11,7 @@ scans stay instant.
 """
 
 import itertools
+import math
 
 from abinitio import (
     BaseWitness, ComponentLevels, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap,
@@ -692,7 +693,8 @@ def ref_uniformize_row(b, witness, added_log: list) -> tuple:
 # _dedupe_witnesses and _extend_map_over_satellites ran before they ran on
 # EmbeddingPlan, and those two functions as they were then.  Copied unchanged
 # but for the names, the parameters' annotations and the last paragraph of
-# find_pattern_iso's docstring, which compared its cost with a plan's.
+# find_pattern_iso's docstring, which compared its cost with a plan's, and
+# for the component cycle log, whose loop is ref_map_cycles below.
 
 
 def ref_find_pattern_iso(g_src, d_src, anchor_pairs, g_dst, d_dst, forced=None):
@@ -799,6 +801,89 @@ def ref_extend_map_over_satellites(b, prev_verts, e, fq, log_cycles, map_index, 
 
     # component-level cycle bookkeeping: the map permutes the components
     comp_image = {s: frozenset(arcs[s][v] for v in s) for s in sats}
+    log_cycles += ref_map_cycles(sats, comp_image, map_index)
+    return fnew
+
+
+# -- reference copies of the walks along a one-to-one map ----------------------
+# extension.orbit_orders, extension._partial_permutation_parts and the
+# component cycle log of extension._extend_map_over_satellites as they were
+# before all three read one chain-and-cycle walk: each followed its map with
+# a loop of its own.  Copied unchanged but for the names, _require's module,
+# and the cycle log, lifted out of its function (ref_extend_map_over_satellites
+# above calls it) with the component permutation as a parameter and its
+# entries returned, not appended.
+
+
+def ref_orbit_orders(p) -> extension.OrbitOrder:
+    per_point = []
+    per_map = []
+    for pi in p.maps:
+        e = pi.as_dict()
+        orders = {}
+        for d in sorted(pi.domain):
+            x = e[d]
+            steps = 1
+            while x in e and x != d and steps <= len(e):
+                x = e[x]
+                steps += 1
+            orders[d] = steps if x == d else 1
+        per_point.append(orders)
+        per_map.append(max(orders.values(), default=1))
+    return extension.OrbitOrder(tuple(per_point), tuple(per_map), math.prod(per_map))
+
+
+def ref_partial_permutation_parts(blocks: list, e: dict) -> tuple:
+    log = {"stage": 0, "kind": "base", "blocks": [sorted(bl) for bl in blocks]}
+    dom = set(e)
+    image = {}
+    for bl in blocks:
+        inside = bl & dom
+        extension._require(inside in (frozenset(), bl),
+                           f"block {sorted(bl)} straddles the domain", log)
+        if inside:
+            image[bl] = frozenset(e[v] for v in bl)
+    known = set(blocks)
+    for bl, im in image.items():
+        extension._require(im in known, f"block {sorted(bl)} maps onto a non-block", log)
+    has_incoming = set(image.values())
+    chains = []
+    cycles = []
+    fixed = []
+    seen = set()
+    for bl in blocks:
+        if bl in seen:
+            continue
+        if bl not in image and bl not in has_incoming:
+            fixed.append(bl)
+            seen.add(bl)
+            continue
+        if bl in has_incoming:
+            continue  # chain interior or end; reached from its start
+        chain = [bl]
+        seen.add(bl)
+        cur = bl
+        while cur in image:
+            cur = image[cur]
+            chain.append(cur)
+            seen.add(cur)
+        chains.append(chain)
+    for bl in blocks:
+        if bl in seen:
+            continue
+        cycle = [bl]
+        seen.add(bl)
+        cur = image[bl]
+        while cur != bl:
+            cycle.append(cur)
+            seen.add(cur)
+            cur = image[cur]
+        cycles.append(cycle)
+    return cycles, chains, fixed
+
+
+def ref_map_cycles(sats, comp_image, map_index) -> list:
+    log_cycles = []
     seen = set()
     for s in sats:
         if s in seen:
@@ -815,4 +900,4 @@ def ref_extend_map_over_satellites(b, prev_verts, e, fq, log_cycles, map_index, 
             "components": [sorted(c) for c in cyc],
             "length": len(cyc),
         })
-    return fnew
+    return log_cycles

@@ -120,6 +120,113 @@ def test_orbit_orders():
     assert orbit_orders(p).per_map == (1,)
 
 
+def _one_to_one(rng, sources, targets) -> dict:
+    """A random one-to-one map from some of sources into targets."""
+    sources = rng.sample(sources, rng.randint(0, min(len(sources), len(targets))))
+    return dict(zip(sources, rng.sample(targets, len(sources))))
+
+
+def test_chains_and_cycles_split_one_to_one_maps():
+    # random one-to-one maps among shuffled items, with fixed points, the
+    # empty map, and images and sources outside the items
+    split = abinitio.extension._chains_and_cycles
+    rng = random.Random(2525)
+    seen = set()
+    for _ in range(400):
+        items = rng.sample(range(12), rng.randint(0, 10))
+        f = _one_to_one(rng, items + [20, 21], items + [30, 31])
+        chains, cycles = split(items, f)
+        walks = chains + cycles
+        inside = {x: f[x] for x in items if f.get(x) in items}
+        # every item lies in exactly one walk, and each step follows f
+        assert sorted(x for w in walks for x in w) == sorted(items)
+        assert all(inside[x] == y for w in walks for x, y in zip(w, w[1:]))
+        # chains run from each unreached item to where f is undefined or
+        # leaves the items; cycles close
+        assert [w[0] for w in chains] == [x for x in items if x not in inside.values()]
+        assert all(w[-1] not in inside for w in chains)
+        assert all(inside[w[-1]] == w[0] for w in cycles)
+        # both lists keep item order, and a cycle starts at its first item
+        for ws in (chains, cycles):
+            assert [items.index(w[0]) for w in ws] == sorted(items.index(w[0]) for w in ws)
+        assert all(min(w, key=items.index) == w[0] for w in cycles)
+        seen.update(("chain" if w in chains else "cycle", len(w) > 1) for w in walks)
+        seen.add("map" if f else "empty map")
+    assert seen == {("chain", False), ("chain", True), ("cycle", False), ("cycle", True),
+                    "map", "empty map"}
+
+
+def test_orbit_orders_match_the_loop_they_replaced():
+    # every injection among the points of an edgeless ambient is a partial
+    # isomorphism of it
+    rng = random.Random(2526)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 9))]
+        g = Graph(2, names, [])
+        p = EPProblem(g, tuple(PartialIso.build(g, _one_to_one(rng, names, names))
+                               for _ in range(rng.randint(1, 3))))
+        got, want = orbit_orders(p), oracles.ref_orbit_orders(p)
+        assert got == want and [list(d) for d in got.per_point] == [list(d) for d in want.per_point]
+
+
+def test_partial_permutation_parts_match_the_split_they_replaced():
+    # disjoint blocks with a one-to-one block map of cycles, chains and
+    # untouched blocks, read as a point map; now and then a block straddles
+    # the domain or goes onto a non-block
+    split = abinitio.extension._partial_permutation_parts
+    rng = random.Random(2527)
+    seen = set()
+    for _ in range(400):
+        blocks = [frozenset(f"b{i}_{j}" for j in range(rng.randint(1, 3)))
+                  for i in range(rng.randint(0, 8))]
+        rng.shuffle(blocks)
+        e = {}
+        for size in {len(bl) for bl in blocks}:
+            group = [bl for bl in blocks if len(bl) == size]
+            for bl, im in zip(group, rng.sample(group, len(group))):
+                if rng.random() < 0.7:
+                    e.update(zip(sorted(bl), rng.sample(sorted(im), size)))
+        if e and rng.random() < 0.1:
+            del e[rng.choice(sorted(e))]
+        if e and rng.random() < 0.1:
+            e[rng.choice(sorted(e))] = "elsewhere"
+        got = _outcome(split, blocks, e)
+        assert got == _outcome(oracles.ref_partial_permutation_parts, blocks, e)
+        seen.update(("failed",) if got[0] == "failed" else
+                    (kind for kind, parts in zip(("cycles", "chains", "fixed"), got) if parts))
+    assert seen == {"cycles", "chains", "fixed", "failed"}
+
+
+def test_satellite_cycles_match_the_loop_they_replaced():
+    # cliques of one to three points with no anchors, some sent by the input
+    # map onto a permutation's choice among cliques of their size, the rest
+    # paired off by the matcher: the cycle log of the permutation they make
+    rng = random.Random(2528)
+    lengths = set()
+    for _ in range(200):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 7))]
+        cliques = [[f"c{i}_{j}" for j in range(n)] for i, n in enumerate(sizes)]
+        b = Graph(2, [v for c in cliques for v in c],
+                  [e for c in cliques for e in itertools.combinations(c, 2)])
+        e = {}
+        for size in set(sizes):
+            group = [c for c in cliques if len(c) == size]
+            for c, im in zip(group, rng.sample(group, len(group))):
+                if rng.random() < 0.6:
+                    e.update(_one_to_one(rng, c, im))
+        log_cycles: list = []
+        f = abinitio.extension._extend_map_over_satellites(
+            b, frozenset(), e, {}, log_cycles, 0, [])
+        sats = components(b, b.vertices)
+        comp_image = {s: frozenset(f[v] for v in s) for s in sats}
+        assert log_cycles == oracles.ref_map_cycles(sats, comp_image, 0)
+        ref_log: list = []
+        assert f == ref_extend_map_over_satellites(b, frozenset(), e, {}, ref_log, 0, [])
+        assert log_cycles == ref_log
+        lengths.update(c["length"] for c in log_cycles)
+    assert lengths >= {1, 2, 3}
+
+
 def test_problem_json_roundtrip():
     g = w_graph()
     p = EPProblem(g, (PartialIso.build(g, ROT),))
