@@ -66,11 +66,14 @@ class EPProblem:
 
 
 def _map_from_pairs(pairs) -> dict:
-    """A map read from [source, image] pairs, each source given once."""
+    """A map read from a list of [source, image] pairs of names, each source
+    given once."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"a map must be a list of pairs, got {pairs!r}")
     out: dict = {}
     for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"map pairs must be 2-element lists, got {pair!r}")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is str for x in pair)):
+            raise ValueError(f"map pairs must be 2-element lists of names, got {pair!r}")
         d, r = pair
         if d in out:
             raise ValueError(f"duplicate map source {d!r}")
@@ -404,23 +407,30 @@ def _extend_map_over_satellites(
     s goes onto t by the first hit of a plan of s pinned at its forced points
     and its anchors, its contacts in the previous stage, sent by fq.  Each
     component counts 0 over the previous stage, self-sufficient in b, so a
-    t matching s has its size and the images of its anchors as anchors; any
-    other t is passed over unsearched."""
-    sats = components(b, b.vertices - prev_verts)
-    anchors = {s: frozenset().union(*(b.neighbors(v) for v in s)) & prev_verts for s in sats}
-    plans: dict = {}  # (component, forced points) -> its plan
+    t matching s has its size and the images of its anchors as anchors: s
+    searches only its bucket of _satellites.  A point's neighbours are all
+    anchors and fq is an automorphism of the previous stage, so the hit onto
+    a point of the bucket is its pins and that point, found unsearched.  The
+    record keeps every answer, so the maps over one stage graph search each
+    component, target and pin map once."""
+    sats, anchors, buckets, memo = _satellites(b, prev_verts)
+
+    def bucket(s):
+        return len(s), frozenset([fq[x] for x in anchors[s]])
 
     def match(s, t, forced):
-        pins = anchors[s]
-        if len(s) != len(t) or anchors[t] != frozenset([fq[x] for x in pins]):
-            return None
-        key = (s, frozenset(forced))
-        if key not in plans:
-            plans[key] = EmbeddingPlan(b.induced(s | pins), pinned=pins | key[1])
-        return plans[key].first(b, {**{x: fq[x] for x in pins}, **forced}, within=t)
+        pins = {**{x: fq[x] for x in anchors[s]}, **forced}
+        key = (s, t, tuple(sorted(pins.items())))
+        if key not in memo:
+            if len(s) == 1:
+                memo[key] = tuple(sorted({**pins, **dict(zip(s, t))}.items()))
+            else:
+                tau = EmbeddingPlan(b.induced(s | anchors[s]), pinned=pins).first(b, pins, within=t)
+                memo[key] = None if tau is None else tuple(tau.items())
+        return memo[key]
 
     fnew = dict(fq)
-    arcs = {}
+    arcs = {}  # component -> the component it goes onto
     used = set()
     for s in sats:
         touched = s & set(e)
@@ -433,35 +443,32 @@ def _extend_map_over_satellites(
                 f"map {map_index}: forced image straddles attachment components",
                 stage_log=stage_log)
         t = targets[0]
-        tau = match(s, t, {v: e[v] for v in touched})
+        tau = match(s, t, {v: e[v] for v in touched}) if bucket(s) == (len(t), anchors[t]) else None
         if tau is None or t in used:
             raise ConstructionFailed(
                 f"map {map_index}: no compatible completion over a forced component",
                 stage_log=stage_log)
-        arcs[s] = tau
+        arcs[s] = t
         used.add(t)
+        fnew.update(tau)
     for s in sats:
         if s in arcs:
             continue
-        for t in sats:
-            if t in used:
-                continue
-            tau = match(s, t, {})
+        for t in buckets.get(bucket(s), ()):
+            tau = None if t in used else match(s, t, {})
             if tau is not None:
-                arcs[s] = tau
-                used.add(t)
                 break
         else:
             raise ConstructionFailed(
                 f"map {map_index}: ran out of compatible components",
                 stage_log=stage_log)
-    for tau in arcs.values():
+        arcs[s] = t
+        used.add(t)
         fnew.update(tau)
 
     # component-level cycle bookkeeping: the map permutes the components
-    comp_image = {s: frozenset(arcs[s][v] for v in s) for s in sats}
     log_cycles += [{"map_index": map_index, "components": [sorted(c) for c in cyc],
-                    "length": len(cyc)} for cyc in _chains_and_cycles(sats, comp_image)[1]]
+                    "length": len(cyc)} for cyc in _chains_and_cycles(sats, arcs)[1]]
     return fnew
 
 
@@ -510,6 +517,21 @@ def _even_out(b: Graph, level: int, max_set: int | None) -> tuple:
         f"stage {level}: uniformity not reached within the pass budget of "
         f"{_MAX_SWEEP_PASSES} passes; the last pass found {len(bad)} uneven rows, "
         f"first the {_row_name(bad[0])}", stage_log=[log])
+
+
+@lru_cache(maxsize=8)  # a corpus pass extends its maps over 8 distinct stage graphs
+def _satellites(b: Graph, prev_verts: frozenset) -> tuple:
+    """The attachment components of b over prev_verts in order, per component
+    its anchors, the components bucketed by (size, anchors) in order, and a
+    memo of match answers keyed by (s, t, sorted pins), each frozen or None.
+    No map enters but through the pins, so the record is shared by value
+    across the maps and calls extending over one stage graph."""
+    sats = components(b, b.vertices - prev_verts)
+    anchors = {s: frozenset().union(*(b.neighbors(v) for v in s)) & prev_verts for s in sats}
+    buckets: dict = {}
+    for t in sats:
+        buckets.setdefault((len(t), anchors[t]), []).append(t)
+    return sats, anchors, buckets, {}
 
 
 def build_level_stage(

@@ -287,6 +287,31 @@ def test_ep_verify_rejects_malformed_certificates(tmp_path, capsys, tamper, mess
     assert rc == 2 and doc["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("pairs", [[[["a0"], "b0"]], [["a0", {"x": 1}]], {"a0": "b0"}],
+                         ids=["unhashable-source", "image-no-name", "no-list"])
+def test_malformed_map_pairs_are_input_errors(tmp_path, capsys, pairs):
+    # every document reading [source, image] pairs exits 2 naming them: not
+    # 1, as for a name the graph lacks, nor with an unhashable-type error
+    named = repr(pairs if not isinstance(pairs, list) else pairs[0])
+    two = {"m": 2, "vertices": k5_dict("a")["vertices"] + k5_dict("b")["vertices"],
+           "edges": k5_dict("a")["edges"] + k5_dict("b")["edges"]}
+    problem = {"graph": two, "maps": [{"map": [[f"a{i}", f"b{i}"] for i in range(5)]}]}
+    ppath = write(tmp_path, "problem.json", problem)
+    rc, doc, _ = run(capsys, ["ep-extend", ppath])
+    cert = doc["certificate"]
+    amalgam = {"left": k5_dict("a"), "right": k5_dict("b"), "base": k5_dict("c"),
+               "base_in_left": [[f"c{i}", f"a{i}"] for i in range(5)], "base_in_right": pairs}
+    mu = {"graph": w_dict(), "base": [f"a{i}" for i in range(5)], "attach": ["w"],
+          "alpha": pairs}
+    for argv in (["ep-extend", write(tmp_path, "bad.json", dict(problem, maps=[{"map": pairs}]))],
+                 ["ep-verify", ppath, write(tmp_path, "cert.json", dict(cert, inclusion=pairs))],
+                 ["amalgamate", write(tmp_path, "amalgam.json", amalgam)],
+                 ["mu", write(tmp_path, "mu.json", mu)]):
+        rc, doc, _ = run(capsys, argv)
+        assert rc == 2 and doc["error"]["type"] == "ValueError", argv
+        assert named in doc["error"]["message"], argv
+
+
 def test_build(tmp_path, capsys):
     path = write(tmp_path, "empty.json", {"m": 2, "vertices": [], "edges": []})
     rc, doc, _ = run(capsys, ["build", path, "--rounds", "1", "--budget", "2"])

@@ -44,13 +44,18 @@ from oracles import (
 from test_acceptance import _ep_corpus
 
 
+# the caches sharing stage work by value; test_stage_sharing.py checks that
+# every cache of the module is named here
+SHARED_STAGES = ("_block_counts", "_even_out", "_satellites")
+
+
 @pytest.fixture(autouse=True)
 def unshared_stages(monkeypatch):
     """Every stage a test here drives does its map-independent work afresh:
-    both caches that share it by value are emptied before each call, so the
+    each cache that shares it by value is emptied before each call, so the
     tests counting work or patching a budget see every computation.  The
     sharing itself is tested in test_stage_sharing.py."""
-    for name in ("_block_counts", "_even_out"):
+    for name in SHARED_STAGES:
         shared = getattr(abinitio.extension, name)
         monkeypatch.setattr(abinitio.extension, name,
                             lambda *args, shared=shared: shared.cache_clear() or shared(*args))
@@ -251,6 +256,28 @@ def test_problem_json_rejects_malformed():
             {"graph": good["graph"], "maps": [{"map": [["a0", "a1"], ["a0", "a2"]]}]})
     with pytest.raises(InvalidMap):
         EPProblem(g, ({"a0": "a1"},))
+
+
+# maps that are no list of [name, name] pairs, and the part each error names
+MALFORMED_MAPS = [
+    ([[["a0"], "a1"]], "[['a0'], 'a1']"),  # an unhashable source
+    ([["a0", {"x": 1}]], "['a0', {'x': 1}]"),  # an image no graph can name
+    ([["a0", 1]], "['a0', 1]"),
+    ({"a0": "a1"}, "{'a0': 'a1'}"),
+    ("a0a1", "'a0a1'"),
+]
+
+
+@pytest.mark.parametrize("pairs, named", MALFORMED_MAPS)
+def test_json_readers_reject_malformed_map_pairs(pairs, named):
+    g = single_block()
+    p = EPProblem(g, (PartialIso.build(g, IDA),))
+    good = ep_extend(p).to_json_dict()
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EPProblem.from_json_dict({"graph": good["problem"]["graph"], "maps": [{"map": pairs}]})
+    for key, value in (("inclusion", pairs), ("automorphisms", [pairs])):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            EPCertificate.from_json_dict({**good, key: value})
 
 
 def test_validate_problem():

@@ -1,23 +1,35 @@
 """ep_extend shares the stage work that reads no map by value across calls:
-the block counts of a base stage (_block_counts) and the sweep of a level
-stage (_even_out).  These tests check that the sharing is invisible in
-every certificate and failure, and pin how much it shares on the corpus."""
+the block counts of a base stage (_block_counts), the sweep of a level
+stage (_even_out) and the satellite record of a stage graph (_satellites).
+These tests check that the sharing is invisible in every certificate and
+failure, and pin how much it shares on the corpus."""
+
+import itertools
+import random
+import sys
 
 import pytest
 
 import abinitio.extension
 import abinitio.predimension
-from abinitio import ConstructionFailed, ep_extend
-from abinitio.extension import _block_counts, _even_out
+import abinitio.zero_decomposition
+from abinitio import ConstructionFailed, EmbeddingPlan, Graph, ep_extend
+from abinitio.extension import (
+    _block_counts, _even_out, _extend_map_over_satellites, _satellites)
 from abinitio.predimension import _last_index, _self_sufficient_cached, _stored_orientation
 from abinitio.zero_decomposition import _decomposition
 from abinitio.graph import canonical_json
+from oracles import brute_automorphisms, ref_extend_map_over_satellites
 from test_acceptance import _ep_corpus
+from test_extension import SHARED_STAGES
+
+STAGE_CACHES = (_block_counts, _even_out, _satellites)
+GRAPH_CACHES = (_stored_orientation, _last_index, _self_sufficient_cached, _decomposition)
 
 
 def _empty():
-    _block_counts.cache_clear()
-    _even_out.cache_clear()
+    for cache in STAGE_CACHES:
+        cache.cache_clear()
 
 
 def _certificates(problems, cold=False) -> list:
@@ -66,7 +78,7 @@ def test_one_corpus_pass_runs_at_most_149_orientation_searches(monkeypatch):
     # orientation of each graph, and a level chain searches once per
     # carrier with points above its blocks
     _empty()
-    for cache in (_stored_orientation, _last_index, _self_sufficient_cached, _decomposition):
+    for cache in GRAPH_CACHES:
         cache.cache_clear()
     runs, search = [], abinitio.predimension._orient
     monkeypatch.setattr(abinitio.predimension, "_orient",
@@ -113,3 +125,157 @@ def test_a_failed_stage_leaves_the_caches_as_they_were(monkeypatch):
                        "rows": [], "added": first["added"][:len(log["added"])],
                        "map_cycles": []}
         assert canonical_json(ep_extend(p).to_json_dict()) == want
+
+
+def test_every_module_cache_is_emptied_where_tests_need_it():
+    # a cache left off these lists would carry entries from one test into
+    # the next, and hide work from the tests that count it
+    lru = type(_even_out)
+    caches = {module.__name__: {name for name, obj in vars(module).items()
+                                if type(obj) is lru and obj.__module__ == module.__name__}
+              for module in (abinitio.extension, abinitio.predimension,
+                             abinitio.zero_decomposition)}
+    assert caches["abinitio.extension"] == set(SHARED_STAGES)
+    listed = {cache.__wrapped__ for cache in STAGE_CACHES + GRAPH_CACHES}
+    for module, names in caches.items():
+        for name in names:
+            assert getattr(sys.modules[module], name).__wrapped__ in listed, (module, name)
+
+
+def test_one_corpus_pass_builds_8_satellite_records_and_searches_20_components(monkeypatch):
+    # 28 level-stage calls extend their maps over 8 distinct stage graphs.
+    # Of the 440 searches a pass made when each call matched afresh, 20 are
+    # left: the other matches are one-point components, read off the pins,
+    # or answers the record already holds
+    _empty()
+    searches, inside, first = [], [False], EmbeddingPlan.first
+    extend = abinitio.extension._extend_map_over_satellites
+
+    def counted(*args):
+        inside[0] = True
+        try:
+            return extend(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(EmbeddingPlan, "first",
+                        lambda *args, **kwargs: searches.append(inside[0]) or first(*args, **kwargs))
+    monkeypatch.setattr(abinitio.extension, "_extend_map_over_satellites", counted)
+    for _, p in _ep_corpus():
+        ep_extend(p)
+    records = _satellites.cache_info()
+    assert (records.hits + records.misses, records.misses) == (28, 8)
+    assert sum(searches) == 20
+
+
+def _outcome(fn, *args):
+    log_cycles: list = []
+    try:
+        return fn(*args[:4], log_cycles, *args[4:]), log_cycles
+    except ConstructionFailed as exc:
+        return ("failed", str(exc)), log_cycles
+
+
+def _checked_both_ways(monkeypatch, *args):
+    """The extension over b = args[0] from an empty satellite record and from
+    the shared one, each as the reference answers: map, cycles or error."""
+    want = _outcome(ref_extend_map_over_satellites, *args)
+    for record in (_satellites.__wrapped__, _satellites):
+        monkeypatch.setattr(abinitio.extension, "_satellites", record)
+        assert _outcome(_extend_map_over_satellites, *args) == want
+    return want
+
+
+def test_corpus_satellites_answer_as_the_reference_from_empty_and_warm_records(monkeypatch):
+    # every call of two corpus passes: the first fills the shared records,
+    # the second reads them full
+    calls = []
+
+    def checked(b, prev_verts, e, fq, log_cycles, map_index, stage_log):
+        calls.append(_checked_both_ways(monkeypatch, b, prev_verts, e, fq, map_index, stage_log))
+        return _extend_map_over_satellites(b, prev_verts, e, fq, log_cycles, map_index, stage_log)
+
+    monkeypatch.setattr(abinitio.extension, "_extend_map_over_satellites", checked)
+    _empty()
+    for _ in range(2):
+        for _, p in _ep_corpus():
+            ep_extend(p)
+    assert len(calls) == 56 and any(log for _, log in calls)
+
+
+def _random_stage(rng):
+    """A block, a five-cycle or K5, and components of one to three points
+    tied to the block by as many edges as make them count 0 over it, as
+    attachment components do: a component matching another then has its
+    anchors' images as anchors.  Each comes with copies moved by
+    automorphisms of the block, so that some pairs match."""
+    names = [f"a{i}" for i in range(5)]
+    ring = [(x, names[(i + 1) % 5]) for i, x in enumerate(names)]
+    block = Graph(2, names, rng.choice([ring, list(itertools.combinations(names, 2))]))
+    autos = brute_automorphisms(block)
+    points, edges = list(names), list(block.edges)
+    for i in range(rng.randint(1, 3)):
+        size = rng.randint(1, 3)
+        shape = [(0, 1), (1, 2), (0, 2)][:size - 1 + (size == 3 and rng.random() < 0.5)]
+        ties: list = [[] for _ in range(size)]
+        for _ in range(2 * size - len(shape)):
+            point = rng.choice(ties)
+            point.append(rng.choice(sorted(set(names) - set(point))))
+        for j in range(rng.randint(1, 3)):
+            g = rng.choice(autos)
+            copy = [f"c{i}_{j}_{k}" for k in range(size)]
+            points += copy
+            edges += [(copy[x], copy[y]) for x, y in shape]
+            edges += [(copy[k], g[x]) for k in range(size) for x in ties[k]]
+    return Graph(2, points, edges), frozenset(names), autos
+
+
+def _random_forcing(rng, b, block) -> dict:
+    """Some points sent by the input map into the points outside the block,
+    now and then one into the block, so that its image straddles."""
+    outside = sorted(b.vertices - block)
+    k = rng.randint(0, min(2, len(outside)))
+    e = dict(zip(rng.sample(outside, k), rng.sample(outside, k)))
+    if e and rng.random() < 0.2:
+        e[next(iter(e))] = rng.choice(sorted(block))
+    return e
+
+
+def test_random_satellites_answer_as_the_reference_from_empty_and_warm_records(monkeypatch):
+    # maps of the block drawn from its automorphisms, forced and unforced,
+    # several per stage graph so that the shared record answers from what
+    # earlier maps left in it
+    rng = random.Random(2614)
+    seen = set()
+    for _ in range(150):
+        b, block, autos = _random_stage(rng)
+        _satellites.cache_clear()
+        fqs = rng.sample(autos, min(2, len(autos)))  # repeats meet answers of other forcings
+        for _ in range(6):
+            fq = rng.choice(fqs)
+            e = _random_forcing(rng, b, block) if rng.random() < 0.7 else {}
+            got, _ = _checked_both_ways(monkeypatch, b, block, e, fq, 0, [])
+            seen.add(got[1].split(": ")[1] if type(got) is tuple else "extended")
+    assert seen == {"extended", "ran out of compatible components",
+                    "forced image straddles attachment components",
+                    "no compatible completion over a forced component"}
+
+
+def test_a_failed_call_leaves_the_record_answering_as_before(monkeypatch):
+    rng = random.Random(2615)
+    failed = 0
+    for _ in range(100):
+        b, block, autos = _random_stage(rng)
+        _satellites.cache_clear()
+        draws = [(rng.choice(autos), _random_forcing(rng, b, block)) for _ in range(4)]
+        before = [_outcome(_extend_map_over_satellites, b, block, e, fq, 0, [])
+                  for fq, e in draws]
+        memo = dict(_satellites(b, block)[3])
+        for fq, e in draws:
+            got, _ = _checked_both_ways(monkeypatch, b, block, e, fq, 0, [])
+            failed += type(got) is tuple
+        # the answers the record held before are still its answers
+        assert {key: _satellites(b, block)[3][key] for key in memo} == memo
+        assert [_outcome(_extend_map_over_satellites, b, block, e, fq, 0, [])
+                for fq, e in draws] == before
+    assert failed
