@@ -122,6 +122,8 @@ def _cmd_k0(args) -> int:
 
 def _cmd_amalgamate(args) -> int:
     data = _read_json(args.file)
+    if not isinstance(data, dict):
+        raise ValueError(f"amalgam spec must be a JSON object, got {data!r}")
     for key in ("left", "right", "base", "base_in_left", "base_in_right"):
         if key not in data:
             raise ValueError(f"amalgam spec is missing {key!r}")
@@ -158,6 +160,8 @@ def _cmd_hull(args) -> int:
 
 def _cmd_mu(args) -> int:
     data = _read_json(args.file)
+    if not isinstance(data, dict):
+        raise ValueError(f"mu spec must be a JSON object, got {data!r}")
     for key in ("graph", "base", "attach", "alpha"):
         if key not in data:
             raise ValueError(f"mu spec is missing {key!r}")

@@ -56,6 +56,8 @@ class EPProblem:
     def from_json_dict(cls, data: dict, m_override: int | None = None) -> "EPProblem":
         if not isinstance(data, dict) or "graph" not in data or "maps" not in data:
             raise ValueError("problem JSON must have 'graph' and 'maps' keys")
+        if not isinstance(data["maps"], list):
+            raise ValueError(f"problem 'maps' must be a JSON array, got {data['maps']!r}")
         g = Graph.from_json_dict(data["graph"], m_override=m_override)
         maps = []
         for entry in data["maps"]:
@@ -160,16 +162,9 @@ def orbit_orders(p: EPProblem) -> OrbitOrder:
     return OrbitOrder(tuple(per_point), tuple(per_map), prod(per_map))
 
 
-def _layer_index(decomp: ZeroDecomposition) -> dict:
-    idx = {}
-    for comp in decomp.components:
-        for v in comp.carrier:
-            idx[v] = min(i for i, layer in enumerate(comp.layers) if v in layer)
-    return idx
-
-
 def _validate_levels(p: EPProblem, decomp: ZeroDecomposition):
-    idx = _layer_index(decomp)
+    idx = {v: min(i for i, layer in enumerate(comp.layers) if v in layer)
+           for comp in decomp.components for v in comp.carrier}
     for k, pi in enumerate(p.maps):
         for d, r in pi.as_dict().items():
             if idx[d] != idx[r]:
@@ -333,8 +328,10 @@ def _row_name(w) -> str:
 
 def _uniformize_row(b: Graph, witness, log: dict, memo: dict) -> tuple:
     """Add copies until every strong placement of the base sees one count,
-    nu; returns the grown graph and nu.  Each pass counts by class, as
-    _report_rows does (_placement_classes, on its memo).  A copy's cross
+    nu; returns the grown graph and nu.  Each pass counts by class on the
+    sweep's memo (_placement_classes), so the first reads what _report_rows
+    counted on b, and the copies go to memo["copies"] for the next
+    report pass (_sweep_witnesses).  A copy's cross
     edges land on one generator image, so placements with distinct
     generator image sets K never share supply, and one graph build between
     recounts tops up every K.  K's copies are glued along alpha, its least
@@ -354,7 +351,7 @@ def _uniformize_row(b: Graph, witness, log: dict, memo: dict) -> tuple:
     lead = [pins.index(v) for v in takewhile(pins.__contains__, names)]
     added = 0
     for _ in range(_MAX_SWEEP_PASSES):
-        classes = _placement_classes(b, base, plan, pins, memo, {})
+        classes = _placement_classes(b, base, plan, pins, memo)
         counts = [n for _, _, n in classes]
         nu = max(counts)
         if min(counts) == nu:
@@ -388,6 +385,9 @@ def _uniformize_row(b: Graph, witness, log: dict, memo: dict) -> tuple:
         # fresh copies of the attachment, each wired to the alpha-image of
         # the generator with the original cross pattern
         b, fresh = adjoin_copy(b, b, att, [{x: al[x] for x in gen} for al in alphas])
+        memo.setdefault("copies", []).extend(
+            (witness, frozenset([al[x] for x in gen]), frozenset([al[x] for x in base]),
+             frozenset(relabel.values())) for al, relabel in zip(alphas, fresh))
         log["added"] += [{"base": sorted(base), "generator": sorted(gen), "attachment": sorted(att),
                           "alpha": [[v, al[v]] for v in names], "fresh": sorted(relabel.values())}
                          for al, relabel in zip(alphas, fresh)]
@@ -496,16 +496,17 @@ def _even_out(b: Graph, level: int, max_set: int | None) -> tuple:
     shared by value across the stages that start from one graph.  Returns
     the grown graph, per row its witness and nu, and the copies added, each
     _frozen: nothing a caller can change.  A failure carries the sweep's
-    _SweepLog, with the copies added before it."""
+    _SweepLog, with the copies added before it.  Each grown graph has the
+    one before as a strong subset (copies add no edge between old points and
+    count 0 over their generator images), so what a pass establishes holds
+    in the next: the passes share one memo, dropped on return, of row types,
+    witnesses (_sweep_witnesses) and per-graph counts (_placement_classes)."""
     log = _SweepLog(stage=level, added=[])
-    # copies add no edge between existing points: bases keep their patterns,
-    # so the rows' counts and evening-out share one memo of plans
     memo: dict = {}
     for _ in range(_MAX_SWEEP_PASSES):
         # a row is uniform when every strong placement of its base sees one
-        # count; nu is that count, 0 with no placement.  The counts are
-        # found once per row type and pass, but each row is still logged and
-        # evened out under its own base, generator and attachment
+        # count; nu is that count, 0 with no placement.  Each row is logged
+        # and evened out under its own base, generator and attachment
         rows = _report_rows(b, level, max_set, memo)
         bad = [w for w, seen in rows if len(seen) > 1]
         if not bad:
@@ -623,6 +624,8 @@ class EPCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict, m_override: int | None = None) -> "EPCertificate":
+        if not isinstance(data, dict):
+            raise ValueError(f"certificate JSON must be an object, got {data!r}")
         for key in ("problem", "b", "inclusion", "automorphisms"):
             if key not in data:
                 raise ValueError(f"certificate JSON lacks {key!r}")
@@ -630,7 +633,7 @@ class EPCertificate:
         b = Graph.from_json_dict(data["b"], m_override=m_override)
         inclusion = Embedding.build(problem.a, b, _map_from_pairs(data["inclusion"]))
         autos = tuple(Embedding.build(b, b, _map_from_pairs(pairs))
-                      for pairs in data["automorphisms"])
+                      for pairs in _optional(data, "automorphisms", [], "an array", list))
         orbit_raw = _optional(data, "orbit", {}, "an object", dict)
         orbit = OrbitOrder(
             tuple(dict(d) for d in _optional(

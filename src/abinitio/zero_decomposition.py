@@ -310,8 +310,11 @@ def base_attachment_pairs(
         base = _collect(g, orientation, gen)
         if base <= base_layer and not d & base:
             out.append(BaseWitness(base, gen, d, level_index))
-    return sorted(
-        out, key=lambda w: (sorted(w.base), sorted(w.zero_minimal_set), sorted(w.generator)))
+    return sorted(out, key=_witness_order)
+
+
+def _witness_order(w: BaseWitness) -> tuple:
+    return sorted(w.base), sorted(w.zero_minimal_set), sorted(w.generator)
 
 
 def _dedupe_witnesses(g: Graph, witnesses: list) -> list:
@@ -335,14 +338,61 @@ def _dedupe_witnesses(g: Graph, witnesses: list) -> list:
     return out
 
 
-def _report_witnesses(g: Graph, i: int, max_set: int | None) -> list:
+def _report_witnesses(g: Graph, i: int, max_set: int | None, carriers: list | None = None) -> list:
     """The witnesses of uniform_algebraicity_report's rows, one per (base,
-    attachment type), in row order."""
+    attachment type), in row order.  carriers gets per carrier of level at
+    least i - 1 [carrier, layer i - 2 (empty at i = 1), layer i - 1, its
+    witnesses before the dedupe], which _sweep_witnesses carries."""
     if i < 1:
         raise InvalidMap(f"level index must be >= 1, got {i}")
-    return [w for comp in decompose(g, max_set=max_set).components if comp.level >= i
-            for w in _dedupe_witnesses(g, base_attachment_pairs(
-                g, comp.carrier, comp.layers[i - 1], i, max_set=max_set))]
+    carriers = [] if carriers is None else carriers
+    for comp in decompose(g, max_set=max_set).components:
+        if comp.level >= i - 1:
+            carriers.append([comp.carrier, comp.layers[i - 2] if i > 1 else frozenset(),
+                             comp.layers[i - 1], base_attachment_pairs(
+                                 g, comp.carrier, comp.layers[i - 1], i, max_set=max_set)
+                             if comp.level >= i else []])
+    return [w for c in carriers for w in _dedupe_witnesses(g, c[3])]
+
+
+def _sweep_witnesses(g: Graph, i: int, max_set: int | None, memo: dict) -> list:
+    """_report_witnesses for a sweep's pass, carried from the last one:
+    memo["carriers"] holds its graph and carriers as _report_witnesses
+    records them, memo["copies"] each copy added since, as (source row,
+    generator image gen, base image, fresh points).  The old graph is strong
+    in the grown one, so old rows keep their sets, edges and closures.  A
+    copy counts 0 over gen, all its contacts: with gen in layer i - 1 of one
+    carrier but not in layer i - 2, it joins layer i, no lower layer moves,
+    and its row, based on gen's closure, joins that carrier's list under
+    base_attachment_pairs' filter.  Any other copy has the lists recomputed.
+    A copy row based on the image of its source's base is that row's image,
+    base onto base, so it takes the source's type (_report_rows)."""
+    prev, carriers = memo.pop("carriers", (None, []))
+    copies = memo.pop("copies", [])
+    kinds = memo.setdefault("kinds", {})
+    carried = copies and prev is not None and g.vertices == prev.vertices.union(
+        *(c[3] for c in copies))
+    out = _orientation(g) if copies else {}
+    for source, gen, image, att in copies:
+        w = BaseWitness(_collect(g, out, gen), gen, att, i)
+        if w.base == image:
+            kinds[w] = kinds.get(source)
+        home = [c for c in carriers if gen <= c[2] and not gen <= c[1]]
+        carried = carried and len(home) == 1
+        if carried:
+            home[0][0] |= att
+            if w.base <= home[0][2] and not w.base & att:
+                home[0][3].append(w)
+    if not carried:
+        carriers = []
+        witnesses = _report_witnesses(g, i, max_set, carriers)
+    else:
+        carriers.sort(key=lambda c: sorted(c[0]))
+        for c in carriers:
+            c[3].sort(key=_witness_order)
+        witnesses = [w for c in carriers for w in _dedupe_witnesses(g, c[3])]
+    memo["carriers"] = (g, carriers)
+    return witnesses
 
 
 def _row_invariant(g: Graph, w: BaseWitness) -> tuple:
@@ -357,67 +407,69 @@ def _row_invariant(g: Graph, w: BaseWitness) -> tuple:
 def _report_rows(g: Graph, i: int, max_set: int | None, memo: dict) -> list:
     """uniform_algebraicity_report's rows by class, without listing the
     placements: per row the witness and the set of counts its base's strong
-    placements see, read off the tables EmbeddingPlan.tally fills, {image
-    set: {tuple: count}}, one entry per class of those placements.
-
-    Two rows share a type when an isomorphism σ of their patterns, base |
-    attachment, maps one base onto the other.  A strong placement f of the
-    second base then matches the placement f∘σ of the first, onto the same
-    image with the same count, so both rows see the same counts.  Each type
-    is counted once, at its first row, and every later row of that type gets
-    the same set: rows are bucketed by _row_invariant and tested against
-    the counted rows of their bucket.  The test runs the counted row's
-    pattern, with its attachment pinned, into g with the pins kept inside
-    the new row's attachment and the free vertices inside its base; the
-    sizes being equal, an induced embedding is such an isomorphism.  The
-    attachment goes first because it is small and fixes the contacts: a
-    search placing the base first would try its symmetries one by one.
-
-    A counted row's counts are those of its classes, from one tally
-    (_placement_classes, which the level stage's evening-out runs too).
-    memo keeps the plans that enumeration compiles; callers may share it
-    between graphs inducing the same pattern on every base, as the passes of
-    a level stage do, whose copies add no edge between existing points."""
-    rows = []
-    found: dict = {}  # base -> (image set, placement onto it), one per strong image set
-    counted: dict = {}  # _row_invariant -> [(plan, counts)], one per type counted
-    for w in _report_witnesses(g, i, max_set):
-        bucket = counted.setdefault(_row_invariant(g, w), [])
-        counts = next((seen for plan, seen in bucket
-                       if plan.embeds_within(g, w.zero_minimal_set, w.base)), None)
-        if counts is None:
-            pattern = g.induced(w.base | w.zero_minimal_set)
-            plan = EmbeddingPlan(pattern, pinned=w.base)
-            counts = frozenset([n for _, _, n in _placement_classes(
-                g, w.base, plan, plan.touched, memo, found)])
-            bucket.append((EmbeddingPlan(pattern, pinned=w.zero_minimal_set), counts))
-        rows.append((w, counts))
+    placements see (_placement_classes).  Rows share a type when an
+    isomorphism σ of their patterns, base | attachment, maps base onto base;
+    a strong placement f of the second base then matches f∘σ of the first,
+    onto one image with one count, so each type present is counted once, at
+    its first row.  Copies add no edge between existing points, so a row
+    keeps its type through a sweep, in memo["kinds"].  A row of no known
+    type is bucketed by _row_invariant and tested against its bucket's
+    types: a type's pattern, attachment pinned, into g with the pins inside
+    the row's attachment and the rest inside its base (the small attachment
+    first fixes the contacts); the sizes being equal, a hit is such a σ."""
+    kinds = memo.setdefault("kinds", {})  # row -> the plan testing its type
+    known = memo.setdefault("types", {})  # _row_invariant -> those plans
+    rows, counted = [], {}  # type -> its counts on g
+    for w in _sweep_witnesses(g, i, max_set, memo):
+        kind = kinds.get(w)
+        if kind is None:
+            bucket = known.setdefault(_row_invariant(g, w), [])
+            kind = next((plan for plan in bucket
+                         if plan.embeds_within(g, w.zero_minimal_set, w.base)), None)
+            if kind is None:
+                kind = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set),
+                                     pinned=w.zero_minimal_set)
+                bucket.append(kind)
+            kinds[w] = kind
+        if kind not in counted:
+            plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+            counted[kind] = frozenset([n for _, _, n in _placement_classes(
+                g, w.base, plan, plan.touched, memo)])
+        rows.append((w, counted[kind]))
     return rows
 
 
 def _placement_classes(g: Graph, base: frozenset, plan: EmbeddingPlan, pins: tuple,
-                       memo: dict, found: dict) -> list:
+                       memo: dict) -> list:
     """The strong placements of base in g by class, unlisted: per image set
     and images of pins, name-ordered base points holding the touched pins of
     plan (a row's pattern pinned at base), those two and the count one tally
-    gives each of its placements.  found keeps one placement per strong
-    image set of each base; the others are it composed with the base
-    pattern's automorphisms, whose restrictions to pins memo keeps, with
-    each base's plan and, per (base, pins), the base pattern pinned there."""
+    gives each of its placements.  memo keeps each base's plan and, per
+    (base, pins), its pattern pinned there with its automorphisms'
+    restrictions to pins; per graph, one placement per strong image set of
+    each base and each row pattern's tables, which tally adds to: a table
+    that gains classes is zeroed and tallied again.  No extension K over a
+    strong image S is tested for strength: the attachment counts 0 over the
+    base, so δ(S ∪ K) = δ(S) and S ∪ K is strong as S is."""
     if base not in memo:
         memo[base] = EmbeddingPlan(g.induced(base))
-    if base not in found:
-        found[base] = [(frozenset(f.values()), f) for f in
-                       memo[base].representatives(g, is_strong=is_self_sufficient)]
+    if (g, base) not in memo:
+        memo[g, base] = [(frozenset(f.values()), f) for f in
+                         memo[base].representatives(g, is_strong=is_self_sufficient)]
     if (base, pins) not in memo:
         pinned = EmbeddingPlan(memo[base].pattern, pinned=pins)
         memo[base, pins] = (pinned, pinned.pin_images())
     keys = [(image, tuple([f[y] for y in ys]))
-            for image, f in found[base] for ys in memo[base, pins][1]]
+            for image, f in memo[g, base] for ys in memo[base, pins][1]]
     at = [pins.index(x) for x in plan.touched]
-    tables: dict = {}
+    tables = memo.setdefault((g, plan.pattern), {})
+    sizes = {image: len(table) for image, table in tables.items()}
     classes = plan._classes(((image, tuple([ims[j] for j in at])) for image, ims in keys), tables)
-    plan.tally(g, tables, is_self_sufficient)
+    stale = {image: table for image, table in tables.items() if len(table) != sizes.get(image)}
+    for table in stale.values():
+        table.update(dict.fromkeys(table, 0))
+    if stale:
+        plan.tally(g, stale)
     return [(image, ims, table[near]) for (image, ims), (table, near) in zip(keys, classes)]
 
 

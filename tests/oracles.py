@@ -688,6 +688,36 @@ def ref_uniformize_row(b, witness, added_log: list) -> tuple:
                              stage_log=added_log)
 
 
+# -- reference copy of the level stage's sweep, recomputing every pass -------
+# extension._even_out as it was before its passes carried their witnesses,
+# row types and counts to the next.  Copied unchanged but for the name, the
+# cache, which it has none of, and its two calls: each pass lists its
+# witnesses and counts every row afresh (ref_report_rows), and each row is
+# evened out on a memo of its own.
+
+
+def ref_even_out(b, level, max_set) -> tuple:
+    """The sweep of a level stage from b: pass over the rows, evening out
+    those that are not uniform, until a pass finds every row uniform.
+    Returns the grown graph, per row its witness and nu, and the copies
+    added, each frozen.  A failure carries the sweep's log, with the copies
+    added before it."""
+    log = extension._SweepLog(stage=level, added=[])
+    for _ in range(extension._MAX_SWEEP_PASSES):
+        rows = [(w, {n for table in tables.values() for n in table.values()})
+                for w, tables in ref_report_rows(b, level, max_set, {})]
+        bad = [w for w, seen in rows if len(seen) > 1]
+        if not bad:
+            return (b, tuple((w, min(seen, default=0)) for w, seen in rows),
+                    tuple(map(extension._frozen, log["added"])))
+        for w in bad:
+            b, _ = extension._uniformize_row(b, w, log, {})
+    raise ConstructionFailed(
+        f"stage {level}: uniformity not reached within the pass budget of "
+        f"{extension._MAX_SWEEP_PASSES} passes; the last pass found {len(bad)} uneven rows, "
+        f"first the {extension._row_name(bad[0])}", stage_log=[log])
+
+
 # -- reference copies of the matcher the extension stages ran before -----------
 # zero_decomposition.find_pattern_iso, the direct recursive search
 # _dedupe_witnesses and _extend_map_over_satellites ran before they ran on

@@ -312,6 +312,42 @@ def test_malformed_map_pairs_are_input_errors(tmp_path, capsys, pairs):
         assert named in doc["error"]["message"], argv
 
 
+@pytest.mark.parametrize("verb, document, message", [
+    ("amalgamate", "left right base base_in_left base_in_right",
+     "amalgam spec must be a JSON object, got 'left right base base_in_left base_in_right'"),
+    ("amalgamate", ["left", "right", "base", "base_in_left", "base_in_right"],
+     "amalgam spec must be a JSON object, got ['left', 'right', 'base', 'base_in_left', "
+     "'base_in_right']"),
+    ("mu", "graph base attach alpha", "mu spec must be a JSON object, got 'graph base attach alpha'"),
+    ("mu", ["graph", "base", "attach", "alpha"],
+     "mu spec must be a JSON object, got ['graph', 'base', 'attach', 'alpha']"),
+    ("ep-extend", {"graph": k5_dict(), "maps": 5}, "problem 'maps' must be a JSON array, got 5"),
+    ("ep-extend", {"graph": k5_dict(), "maps": {"map": [["a0", "a0"]]}},
+     "problem 'maps' must be a JSON array, got {'map': [['a0', 'a0']]}"),
+    ("ep-verify", "problem b inclusion automorphisms",
+     "certificate JSON must be an object, got 'problem b inclusion automorphisms'"),
+    ("ep-verify", ["problem", "b", "inclusion", "automorphisms"],
+     "certificate JSON must be an object, got ['problem', 'b', 'inclusion', 'automorphisms']"),
+    ("ep-verify", {"automorphisms": 5},
+     "certificate 'automorphisms' must be an array, got 5"),
+], ids=["amalgam-string", "amalgam-array", "mu-string", "mu-array", "maps-number", "maps-object",
+        "certificate-string", "certificate-array", "automorphisms-number"])
+def test_documents_of_the_wrong_kind_are_rejected_by_name(tmp_path, capsys, verb, document,
+                                                          message):
+    # a string naming the keys, or an array listing them, passes a check by
+    # `in`; each must exit 2 naming the document, not fail on its first read
+    problem = {"graph": k5_dict(), "maps": [{"map": [[f"a{i}", f"a{i}"] for i in range(5)]}]}
+    ppath = write(tmp_path, "problem.json", problem)
+    if verb == "ep-verify":
+        rc, doc, _ = run(capsys, ["ep-extend", ppath])
+        doc = dict(doc["certificate"], **document) if isinstance(document, dict) else document
+        argv = [verb, ppath, write(tmp_path, "cert.json", doc)]
+    else:
+        argv = [verb, write(tmp_path, "doc.json", document)]
+    rc, doc, _ = run(capsys, argv)
+    assert rc == 2 and doc["error"] == {"type": "ValueError", "message": message}
+
+
 def test_build(tmp_path, capsys):
     path = write(tmp_path, "empty.json", {"m": 2, "vertices": [], "edges": []})
     rc, doc, _ = run(capsys, ["build", path, "--rounds", "1", "--budget", "2"])

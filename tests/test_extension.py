@@ -948,11 +948,15 @@ def test_sweep_passes_tally_once_per_row_type(monkeypatch):
     per_pass = [(len(rows), _types(g, [w for w, _ in rows]), tallied)
                 for g, _, _, rows, tallied in _sweep_passes(monkeypatch, tallies)]
     assert len(per_pass) == 60
-    assert all(tallied == types for _, types, tallied in per_pass)
-    # the second pass of each stage confirms the rows after the copies
+    assert all(tallied == types for _, types, tallied in per_pass[0::2])
+    # the second pass of each stage confirms the rows after the copies.  It
+    # reads the tables the last evening-out filled on its graph, so it
+    # tallies only the types that evening-out did not count there.  This
+    # pins how the work is shared, not an output
     confirming = per_pass[1::2]
+    assert all(tallied <= types for _, types, tallied in confirming)
     assert sum(rows for rows, _, _ in confirming) == 480
-    assert sum(tallied for _, _, tallied in confirming) == 30
+    assert sum(tallied for _, _, tallied in confirming) == 2
 
 
 def test_corpus_certificates_keep_their_digest():
@@ -1059,6 +1063,103 @@ def test_rows_with_mixed_counts_even_out_as_the_listing_did():
             rows += 1
             mixed += _mixes(g, w)
     assert rows == 137 and mixed == 29
+
+
+def _stage_graph(rng) -> Graph:
+    """A zero-count stage graph at level 1 or 2, m = 2: one or two K5
+    blocks, each with up to two points on two of its points and a triangle
+    as in _mixed_stage, and at level 2 points on a level-1 point and a block
+    point.  A block with nothing on it is a carrier of level 0, whose level
+    rises when copies of a row over the other block go onto it."""
+    names, edges, level1 = [], [], []
+    for block in "ab"[:rng.randint(1, 2)]:
+        points = [f"{block}{i}" for i in range(5)]
+        names += points
+        edges += itertools.combinations(points, 2)
+        for k in range(rng.randint(0, 2)):
+            names.append(f"{block}w{k}")
+            level1.append((f"{block}w{k}", points))
+            edges += [(f"{block}w{k}", x) for x in rng.sample(points, 2)]
+        if rng.random() < 0.5:
+            triangle = [f"{block}t{j}" for j in range(3)]
+            x, y, z = rng.sample(points, 3)
+            names += triangle
+            edges += itertools.combinations(triangle, 2)
+            edges += zip(triangle, rng.choice([(x, y, z), (x, x, y), (x, x, x)]))
+    for k, (w, points) in enumerate(level1):
+        if rng.random() < 0.5:
+            names.append(f"z{k}")
+            edges += [(f"z{k}", w), (f"z{k}", rng.choice(points))]
+    return Graph(2, names, edges)
+
+
+def _swept(sweep, g, i) -> tuple:
+    try:
+        return sweep(g, i, None)
+    except ConstructionFailed as exc:
+        return "failed", str(exc), exc.stage_log
+
+
+def test_carried_sweeps_match_the_sweep_recomputing_every_pass(monkeypatch):
+    # seeded stage graphs at levels 1 and 2, with the pass budget as it is
+    # and at 2, where twisted rows run out of passes; and three K5 blocks
+    # with a point on two of them, whose row's copies go onto other pairs of
+    # blocks and join their carriers, so that the next pass recomputes its
+    # witnesses.  The grown graph, the rows, nu and the copies, or the
+    # failure and its log, are those of the sweep recomputing every pass
+    rng = random.Random(2727)
+    names = [f"{b}{i}" for b in "abc" for i in range(5)]
+    bridged = Graph(2, names + ["x"], [e for b in "abc" for e in itertools.combinations(
+        [f"{b}{i}" for i in range(5)], 2)] + [("x", "a0"), ("x", "b0")])
+    cases = [(_stage_graph(rng), None) for _ in range(40)] + [(bridged, None)]
+    cases += [(g, 2) for g, _ in cases[:15]]
+    seen = dict.fromkeys(["several uneven", "twisted", "level rises", "recomputed",
+                          "failed", "level 2"], 0)
+    uneven, rebuilds, passes = [], [0], [0]
+    rows, witnesses = abinitio.extension._report_rows, abinitio.zero_decomposition._report_witnesses
+    classes, evened = abinitio.extension._placement_classes, abinitio.extension._uniformize_row
+
+    def reported(*args):
+        out = rows(*args)
+        uneven.append(sum(len(counts) > 1 for _, counts in out))
+        return out
+
+    def uniformized(b, w, log, memo):
+        passes[0] = 0
+        out = evened(b, w, log, memo)
+        seen["twisted"] += passes[0] > 2  # copies went in on two passes
+        return out
+
+    monkeypatch.setattr(abinitio.extension, "_report_rows", reported)
+    monkeypatch.setattr(abinitio.zero_decomposition, "_report_witnesses", lambda *args: (
+        rebuilds.__setitem__(0, rebuilds[0] + 1) or witnesses(*args)))
+    monkeypatch.setattr(abinitio.extension, "_placement_classes", lambda *args: (
+        passes.__setitem__(0, passes[0] + 1) or classes(*args)))
+    monkeypatch.setattr(abinitio.extension, "_uniformize_row", uniformized)
+    for g, budget in cases:
+        assert abinitio.is_in_k0(g) and 2 * len(g.vertices) == len(g.edges)
+        levels = [c.level for c in decompose(g).components]
+        for i in range(1, max(levels) + 1):
+            with monkeypatch.context() as patched:
+                if budget:
+                    patched.setattr(abinitio.extension, "_MAX_SWEEP_PASSES", budget)
+                uneven.clear()
+                rebuilds[0] = 0
+                got = _swept(abinitio.extension._even_out, g, i)
+                counted = dict(seen)
+                want = _swept(oracles.ref_even_out, g, i)
+                seen.update(counted)
+            assert got == want
+            seen["level 2"] += i == 2
+            seen["several uneven"] += max(uneven) > 1
+            seen["recomputed"] += rebuilds[0] > 1
+            if got[0] == "failed":
+                seen["failed"] += 1
+            else:
+                seen["level rises"] += sum(c.level >= i for c in decompose(got[0]).components) \
+                    > sum(level >= i for level in levels)
+    assert seen == {"several uneven": 47, "twisted": 9, "level rises": 11, "recomputed": 1,
+                    "failed": 4, "level 2": 33}
 
 
 def test_row_touching_past_its_generator_fails_as_the_listing_did(monkeypatch):

@@ -1,0 +1,13 @@
+"""The package's line budget: growing src/abinitio past it fails here, so
+that growth is a deliberate edit of the budget.  ROADMAP tracks the line
+count next to speed."""
+
+from pathlib import Path
+
+BUDGET = 3800
+
+
+def test_the_package_source_stays_within_its_line_budget():
+    src = Path(__file__).resolve().parent.parent / "src" / "abinitio"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in src.glob("*.py"))
+    assert lines <= BUDGET, f"src/abinitio has {lines} lines, over its budget of {BUDGET}"
