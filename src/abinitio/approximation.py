@@ -78,6 +78,7 @@ def pattern_catalog(m: int, size_budget: int) -> tuple:
     isomorphism type, on canonical vertex names, smallest edge sets first.
     Memoized per argument pair in a plain dict, so that this stays a
     function that tracers can wrap."""
+    limits.nonnegative("size_budget", size_budget)
     key = (m, size_budget)
     if key in _CATALOGS:
         return _CATALOGS[key]

@@ -59,180 +59,123 @@ def _parse_pairs(text: str | None) -> dict:
     return _map_from_pairs([chunk.split("=", 1) for chunk in chunks])
 
 
-def _load_graph(args, attr: str = "file") -> Graph:
-    return Graph.from_json_dict(_read_json(getattr(args, attr)),
-                                m_override=getattr(args, "m", None))
+def _load_graph(args) -> Graph:
+    return Graph.from_json_dict(_read_json(args.file), m_override=args.m)
 
 
-def _emit(args, payload: dict, paths: list) -> None:
-    doc = {"schema": 1, "inputs": {p: _sha256(p) for p in paths}}
-    doc.update(payload)
-    sys.stdout.write(canonical_json(doc))
+def _emit(payload, paths: list) -> None:
+    """The canonical document of payload and the sha256 of each input path;
+    a str payload (DOT text) is written after one comment line per input."""
+    digests = {p: _sha256(p) for p in paths}
+    if isinstance(payload, str):
+        sys.stdout.write("".join(f"// input {p} sha256 {d}\n" for p, d in digests.items()))
+        sys.stdout.write(payload)
+    else:
+        sys.stdout.write(canonical_json({"schema": 1, "inputs": digests, **payload}))
+
+
+def _read_spec(path: str, kind: str, keys: tuple, names: tuple = ()) -> dict:
+    """The JSON object at path, holding every key; a key in names must hold an
+    array of strings.  Keys are checked in order, so the first fault is named."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} spec must be a JSON object, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind} spec is missing {key!r}")
+        if key in names and not (isinstance(data[key], list)
+                                 and all(isinstance(v, str) for v in data[key])):
+            raise ValueError(
+                f"{kind} spec {key!r} must be a JSON array of strings, got {data[key]!r}")
+    return data
 
 
 # -- verb handlers -----------------------------------------------------------
+#
+# A handler returns (payload, the input paths it read, exit code); main hashes
+# the inputs and writes the document.  A one-graph verb is a payload function
+# of (graph, args), registered through _build_parser's on_graph.
 
 
-def _cmd_delta(args) -> int:
-    g = _load_graph(args)
+def _delta(g: Graph, args) -> dict:
     s = _parse_set(args.set) if args.set is not None else g.sorted_vertices()
     if args.over is not None:
-        value = delta_rel(g, s, _parse_set(args.over))
-        _emit(args, {"delta_rel": value}, [args.file])
-    else:
-        _emit(args, {"delta": delta(g, s)}, [args.file])
-    return 0
+        return {"delta_rel": delta_rel(g, s, _parse_set(args.over))}
+    return {"delta": delta(g, s)}
 
 
-def _cmd_closed(args) -> int:
-    g = _load_graph(args)
-    _emit(args, {"closed": is_self_sufficient(g, _parse_set(args.set))}, [args.file])
-    return 0
-
-
-def _cmd_closure(args) -> int:
-    g = _load_graph(args)
-    res = closure(g, _parse_set(args.set))
-    _emit(args, res.to_json_dict(), [args.file])
-    return 0
-
-
-def _cmd_dim(args) -> int:
-    g = _load_graph(args)
-    _emit(args, {"dim": dimension(g, _parse_set(args.set))}, [args.file])
-    return 0
-
-
-def _cmd_gcl(args) -> int:
-    g = _load_graph(args)
-    out = geometric_closure_bounded(g, _parse_set(args.set))
-    _emit(args, {"gcl": sorted(out)}, [args.file])
-    return 0
-
-
-def _cmd_k0(args) -> int:
-    g = _load_graph(args)
+def _k0(g: Graph, args) -> dict:
     if is_in_k0(g):
-        _emit(args, {"in_k0": True, **orientation_witness(g).to_json_dict()},
-              [args.file])
-    else:
-        _emit(args, {"in_k0": False}, [args.file])
-    return 0
+        return {"in_k0": True, **orientation_witness(g).to_json_dict()}
+    return {"in_k0": False}
 
 
-def _cmd_amalgamate(args) -> int:
-    data = _read_json(args.file)
-    if not isinstance(data, dict):
-        raise ValueError(f"amalgam spec must be a JSON object, got {data!r}")
-    for key in ("left", "right", "base", "base_in_left", "base_in_right"):
-        if key not in data:
-            raise ValueError(f"amalgam spec is missing {key!r}")
-    left = Graph.from_json_dict(data["left"], m_override=args.m)
-    right = Graph.from_json_dict(data["right"], m_override=args.m)
-    base = Graph.from_json_dict(data["base"], m_override=args.m)
-    spec = AmalgamSpec(
-        left=left,
-        right=right,
-        base_in_left=Embedding.build(base, left, _map_from_pairs(data["base_in_left"])),
-        base_in_right=Embedding.build(base, right, _map_from_pairs(data["base_in_right"])),
-    )
-    res = free_amalgam(spec)
-    _emit(args, {
-        "graph": res.graph.to_json_dict(),
-        "left_embedding": [[d, r] for (d, r) in res.left_embedding.pairs],
-        "right_embedding": [[d, r] for (d, r) in res.right_embedding.pairs],
-    }, [args.file])
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    g = _load_graph(args)
-    _emit(args, decompose(g, max_set=args.max_set).to_json_dict(), [args.file])
-    return 0
-
-
-def _cmd_hull(args) -> int:
-    g = _load_graph(args)
-    out = hull(g, _parse_set(args.set), iterate=args.iterate, max_set=args.max_set)
-    _emit(args, {"hull": sorted(out)}, [args.file])
-    return 0
-
-
-def _cmd_mu(args) -> int:
-    data = _read_json(args.file)
-    if not isinstance(data, dict):
-        raise ValueError(f"mu spec must be a JSON object, got {data!r}")
-    for key in ("graph", "base", "attach", "alpha"):
-        if key not in data:
-            raise ValueError(f"mu spec is missing {key!r}")
-        if key in ("base", "attach") and not (
-                isinstance(data[key], list) and all(isinstance(v, str) for v in data[key])):
-            raise ValueError(f"mu spec {key!r} must be a JSON array of strings, got {data[key]!r}")
-    g = Graph.from_json_dict(data["graph"], m_override=args.m)
-    base = data["base"]
-    alpha = Embedding.build(g.induced(base), g, _map_from_pairs(data["alpha"]))
-    value = mu_count(g, base, data["attach"], alpha)
-    _emit(args, {"mu": value}, [args.file])
-    return 0
-
-
-def _cmd_ep_extend(args) -> int:
-    p = EPProblem.from_json_dict(_read_json(args.file), m_override=args.m)
-    cert = ep_extend(p, max_set=args.max_set)
-    _emit(args, {"certificate": cert.to_json_dict()}, [args.file])
-    return 0
-
-
-def _cmd_ep_verify(args) -> int:
-    p = EPProblem.from_json_dict(_read_json(args.problem), m_override=args.m)
-    data = _read_json(args.certificate)
-    if isinstance(data, dict) and "certificate" in data:
-        data = data["certificate"]
-    cert = EPCertificate.from_json_dict(data, m_override=args.m)
-    report = verify_certificate(p, cert)
-    _emit(args, report.to_json_dict(), [args.problem, args.certificate])
-    return 0 if report.ok else 1
-
-
-def _cmd_build(args) -> int:
-    seed = _load_graph(args)
-    chain = build_approximation(seed, args.rounds, args.budget,
-                                max_ambient=args.max_ambient)
-    _emit(args, chain.to_json_dict(), [args.file])
-    return 0
-
-
-def _cmd_extend_iso(args) -> int:
-    g = _load_graph(args)
+def _extend_iso(g: Graph, args) -> dict:
     iso = PartialIso.build(g, _parse_pairs(args.map))
     grown, gamma = extend_partial_iso(g, iso, steps=args.steps)
-    _emit(args, {
+    return {
         "ambient": grown.to_json_dict(),
         "gamma": [[d, r] for (d, r) in gamma.pairs],
         "grown": len(grown.vertices) > len(g.vertices),
-    }, [args.file])
-    return 0
+    }
 
 
-def _cmd_add_point(args) -> int:
-    g = _load_graph(args)
+def _add_point(g: Graph, args) -> dict:
     out = add_generic_point(g, _parse_set(args.over), args.rel)
-    fresh = sorted(out.vertices - g.vertices)[0]
-    _emit(args, {"graph": out.to_json_dict(), "fresh": fresh}, [args.file])
-    return 0
+    return {"graph": out.to_json_dict(), "fresh": sorted(out.vertices - g.vertices)[0]}
 
 
-def _cmd_export_dot(args) -> int:
-    g = _load_graph(args)
+def _export_dot(g: Graph, args) -> str:
     highlights = {}
     for spec in args.highlight or []:
         if "=" not in spec:
             raise ValueError(f"expected NAME=v1,v2 highlight, got {spec!r}")
         name, verts = spec.split("=", 1)
         highlights[name] = _parse_set(verts)
-    sys.stdout.write(f"// input {args.file} sha256 {_sha256(args.file)}\n")
-    sys.stdout.write(export_dot(g, highlights or None))
-    return 0
+    return export_dot(g, highlights or None)
+
+
+def _cmd_amalgamate(args) -> tuple:
+    data = _read_spec(args.file, "amalgam",
+                      ("left", "right", "base", "base_in_left", "base_in_right"))
+    left = Graph.from_json_dict(data["left"], m_override=args.m)
+    right = Graph.from_json_dict(data["right"], m_override=args.m)
+    base = Graph.from_json_dict(data["base"], m_override=args.m)
+    res = free_amalgam(AmalgamSpec(
+        left=left,
+        right=right,
+        base_in_left=Embedding.build(base, left, _map_from_pairs(data["base_in_left"])),
+        base_in_right=Embedding.build(base, right, _map_from_pairs(data["base_in_right"])),
+    ))
+    return {
+        "graph": res.graph.to_json_dict(),
+        "left_embedding": [[d, r] for (d, r) in res.left_embedding.pairs],
+        "right_embedding": [[d, r] for (d, r) in res.right_embedding.pairs],
+    }, [args.file], 0
+
+
+def _cmd_mu(args) -> tuple:
+    data = _read_spec(args.file, "mu", ("graph", "base", "attach", "alpha"),
+                      names=("base", "attach"))
+    g = Graph.from_json_dict(data["graph"], m_override=args.m)
+    alpha = Embedding.build(g.induced(data["base"]), g, _map_from_pairs(data["alpha"]))
+    return {"mu": mu_count(g, data["base"], data["attach"], alpha)}, [args.file], 0
+
+
+def _cmd_ep_extend(args) -> tuple:
+    p = EPProblem.from_json_dict(_read_json(args.file), m_override=args.m)
+    cert = ep_extend(p, max_set=args.max_set)
+    return {"certificate": cert.to_json_dict()}, [args.file], 0
+
+
+def _cmd_ep_verify(args) -> tuple:
+    p = EPProblem.from_json_dict(_read_json(args.problem), m_override=args.m)
+    data = _read_json(args.certificate)
+    if isinstance(data, dict) and "certificate" in data:
+        data = data["certificate"]
+    cert = EPCertificate.from_json_dict(data, m_override=args.m)
+    report = verify_certificate(p, cert)
+    return report.to_json_dict(), [args.problem, args.certificate], 0 if report.ok else 1
 
 
 # -- selftest ----------------------------------------------------------------
@@ -244,19 +187,15 @@ def _random_graph(rng: random.Random, n: int, m: int, p: float) -> Graph:
     return Graph(m, names, edges)
 
 
-def _suite_orientation(rng: random.Random) -> tuple:
-    passed = failed = 0
+def _suite_orientation(rng: random.Random):
     for _ in range(60):
         g = _random_graph(rng, rng.randint(0, 6), rng.choice([2, 3]), rng.random())
-        ok = is_in_k0(g) == brute_in_k0(g)
         sub = frozenset(v for v in g.vertices if rng.random() < 0.5)
-        ok = ok and is_self_sufficient(g, sub) == brute_closed(g, sub)
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+        yield (is_in_k0(g) == brute_in_k0(g)
+               and is_self_sufficient(g, sub) == brute_closed(g, sub))
 
 
-def _suite_closure(rng: random.Random) -> tuple:
-    passed = failed = 0
+def _suite_closure(rng: random.Random):
     done = 0
     while done < 30:
         g = _random_graph(rng, rng.randint(1, 6), 2, rng.random() * 0.7)
@@ -266,14 +205,11 @@ def _suite_closure(rng: random.Random) -> tuple:
         a = frozenset(v for v in g.vertices if rng.random() < 0.4)
         ok = closure(g, a).closure == brute_closure(g, a)
         d, gcl = brute_delta(g, brute_closure(g, a)), geometric_closure_bounded(g, a)
-        ok = ok and dimension(g, a) == d and all(
+        yield ok and dimension(g, a) == d and all(
             (v in gcl) == (brute_delta(g, brute_closure(g, a | {v})) == d) for v in g.vertices)
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
 
 
-def _suite_amalgam(rng: random.Random) -> tuple:
-    passed = failed = 0
+def _suite_amalgam(rng: random.Random):
     done = 0
     while done < 15:
         base = _random_graph(rng, rng.randint(0, 3), 2, 0.5)
@@ -304,14 +240,12 @@ def _suite_amalgam(rng: random.Random) -> tuple:
             left=left, right=right,
             base_in_left=Embedding.build(base, left, ident),
             base_in_right=Embedding.build(base, right, ident)))
-        ok = is_in_k0(res.graph)
-        ok = ok and verify_strong_pair(left, res.graph, res.left_embedding)
-        ok = ok and verify_strong_pair(right, res.graph, res.right_embedding)
-        ok = ok and (delta(res.graph, res.graph.vertices)
-                     == delta(left, left.vertices) + delta(right, right.vertices)
-                     - delta(base, base.vertices))
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+        yield (is_in_k0(res.graph)
+               and verify_strong_pair(left, res.graph, res.left_embedding)
+               and verify_strong_pair(right, res.graph, res.right_embedding)
+               and (delta(res.graph, res.graph.vertices)
+                    == delta(left, left.vertices) + delta(right, right.vertices)
+                    - delta(base, base.vertices)))
 
 
 def _block_with_tail() -> tuple:
@@ -322,22 +256,17 @@ def _block_with_tail() -> tuple:
     return g, e
 
 
-def _suite_ep(_: random.Random) -> tuple:
-    passed = failed = 0
+def _suite_ep(_: random.Random):
     try:
         g, e = _block_with_tail()
         p = EPProblem(g, (e,))
         cert = ep_extend(p)
-        report = verify_certificate(p, cert)
-        ok = report.ok and len(cert.b.vertices) == 15
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
+        yield verify_certificate(p, cert).ok and len(cert.b.vertices) == 15
     except AbinitioError:
-        failed += 1
-    return passed, failed
+        yield False
 
 
-def _suite_builder(_: random.Random) -> tuple:
-    passed = failed = 0
+def _suite_builder(_: random.Random):
     names = [f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)]
     edges = list(itertools.combinations(names[:5], 2)) + list(
         itertools.combinations(names[5:], 2))
@@ -345,17 +274,15 @@ def _suite_builder(_: random.Random) -> tuple:
     iso = PartialIso.build(g, {f"a{i}": f"b{i}" for i in range(5)})
     try:
         grown, gamma = extend_partial_iso(g, iso)
-        ok = grown == g and gamma.is_induced() and gamma.image == g.vertices
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
+        yield grown == g and gamma.is_induced() and gamma.image == g.vertices
     except AbinitioError:
-        failed += 1
+        yield False
     out = add_generic_point(g, [v for v in names[:5]], 1)
-    ok = len(out.vertices) == 11 and is_self_sufficient(out, g.vertices)
-    passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return passed, failed
+    yield len(out.vertices) == 11 and is_self_sufficient(out, g.vertices)
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple:
+    """Each suite yields one boolean per case; the document counts them."""
     rng = random.Random(20260814)
     suites = [
         ("orientation", _suite_orientation),
@@ -365,13 +292,11 @@ def _cmd_selftest(args) -> int:
         ("builder", _suite_builder),
     ]
     rows = []
-    all_ok = True
     for name, fn in suites:
-        passed, failed = fn(rng)
-        rows.append({"name": name, "passed": passed, "failed": failed})
-        all_ok = all_ok and failed == 0
-    _emit(args, {"suites": rows, "ok": all_ok}, [])
-    return 0 if all_ok else 1
+        oks = list(fn(rng))
+        rows.append({"name": name, "passed": sum(oks), "failed": len(oks) - sum(oks)})
+    all_ok = all(row["failed"] == 0 for row in rows)
+    return {"suites": rows, "ok": all_ok}, [], 0 if all_ok else 1
 
 
 # -- argument wiring ---------------------------------------------------------
@@ -388,7 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
         return p
 
-    def with_graph(p, set_flag=True):
+    def on_graph(name, payload, set_flag=True, **kw):
+        """A verb that loads one graph file, honouring --m, and writes
+        payload(graph, args)."""
+        p = verb(name, lambda args: (payload(_load_graph(args), args), [args.file], 0), **kw)
         p.add_argument("file", help="graph JSON file")
         p.add_argument("--m", type=int, default=None,
                        help="override the sparsity coefficient")
@@ -397,24 +325,29 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated vertex set (empty string for the empty set)")
         return p
 
-    p = with_graph(verb("delta", _cmd_delta, help="predimension of a set"))
+    p = on_graph("delta", _delta, help="predimension of a set")
     p.add_argument("--over", default=None, help="relative count over this set")
-    with_graph(verb("closed", _cmd_closed, help="self-sufficiency test"))
-    with_graph(verb("closure", _cmd_closure, help="self-sufficient closure"))
-    with_graph(verb("dim", _cmd_dim, help="dimension of a set"))
-    with_graph(verb("gcl", _cmd_gcl, help="geometric closure"))
-    with_graph(verb("k0", _cmd_k0, help="membership and orientation witness"),
-               set_flag=False)
+    on_graph("closed", lambda g, a: {"closed": is_self_sufficient(g, _parse_set(a.set))},
+             help="self-sufficiency test")
+    on_graph("closure", lambda g, a: closure(g, _parse_set(a.set)).to_json_dict(),
+             help="self-sufficient closure")
+    on_graph("dim", lambda g, a: {"dim": dimension(g, _parse_set(a.set))},
+             help="dimension of a set")
+    on_graph("gcl", lambda g, a: {"gcl": sorted(geometric_closure_bounded(g, _parse_set(a.set)))},
+             help="geometric closure")
+    on_graph("k0", _k0, set_flag=False, help="membership and orientation witness")
 
     p = verb("amalgamate", _cmd_amalgamate, help="free amalgam from a spec file")
     p.add_argument("file", help="spec JSON with left/right/base and base embeddings")
     p.add_argument("--m", type=int, default=None)
 
-    p = with_graph(verb("decompose", _cmd_decompose,
-                        help="blocks, carriers, and level chains"), set_flag=False)
+    p = on_graph("decompose", lambda g, a: decompose(g, max_set=a.max_set).to_json_dict(),
+                 set_flag=False, help="blocks, carriers, and level chains")
     p.add_argument("--max-set", type=int, default=None)
 
-    p = with_graph(verb("hull", _cmd_hull, help="tight-extension hull of a set"))
+    p = on_graph("hull", lambda g, a: {"hull": sorted(hull(
+        g, _parse_set(a.set), iterate=a.iterate, max_set=a.max_set))},
+        help="tight-extension hull of a set")
     p.add_argument("--iterate", action="store_true",
                    help="repeat absorption until a fixed point")
     p.add_argument("--max-set", type=int, default=None)
@@ -434,28 +367,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", help="certificate JSON (bare or wrapped)")
     p.add_argument("--m", type=int, default=None)
 
-    p = with_graph(verb("build", _cmd_build,
-                        help="approximation chain from a seed"), set_flag=False)
+    p = on_graph("build", lambda g, a: build_approximation(
+        g, a.rounds, a.budget, max_ambient=a.max_ambient).to_json_dict(),
+        set_flag=False, help="approximation chain from a seed")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--budget", type=int, required=True,
                    help="largest extension pattern size")
     p.add_argument("--max-ambient", type=int, default=DEFAULT_MAX_AMBIENT,
                    help="largest stage the chain may grow to")
 
-    p = with_graph(verb("extend-iso", _cmd_extend_iso,
-                        help="extend a partial isomorphism to an automorphism"),
-                   set_flag=False)
+    p = on_graph("extend-iso", _extend_iso, set_flag=False,
+                 help="extend a partial isomorphism to an automorphism")
     p.add_argument("--map", required=True, help="src=dst pairs, comma separated")
     p.add_argument("--steps", type=int, default=32)
 
-    p = with_graph(verb("add-point", _cmd_add_point,
-                        help="adjoin a fresh point of given relative count"),
-                   set_flag=False)
+    p = on_graph("add-point", _add_point, set_flag=False,
+                 help="adjoin a fresh point of given relative count")
     p.add_argument("--over", required=True, help="attachment set")
     p.add_argument("--rel", type=int, required=True)
 
-    p = with_graph(verb("export-dot", _cmd_export_dot, help="DOT rendering"),
-                   set_flag=False)
+    p = on_graph("export-dot", _export_dot, set_flag=False, help="DOT rendering")
     p.add_argument("--highlight", action="append",
                    help="NAME=v1,v2 cluster (repeatable)")
 
@@ -475,7 +406,9 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, paths, code = args.handler(args)
+        _emit(payload, paths)
+        return code
     except AbinitioError as exc:
         return _fail(exc, 1)
     except (ValueError, KeyError, TypeError, OSError) as exc:

@@ -168,6 +168,7 @@ def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
     orientation of g checks it in K0 and gives the blocks.  max_set only
     filters the tight sets each layer absorbs: those of at most
     max(max_set, 1) points."""
+    limits.max_set_size(max_set)
     return _decomposition(g, max_set)
 
 

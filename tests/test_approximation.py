@@ -249,6 +249,10 @@ def test_negative_sizes_are_rejected():
     g = PartialIso.build(seed, {v: v for v in seed.vertices})
     with pytest.raises(ValueError, match="steps must be a nonnegative integer, got -1"):
         extend_partial_iso(seed, g, steps=-1)
+    # a negative budget is rejected before the memo, which keeps no key for it
+    with pytest.raises(ValueError, match="size_budget must be a nonnegative integer, got -1"):
+        pattern_catalog(2, -1)
+    assert (2, -1) not in abinitio.approximation._CATALOGS
     # 0 stays valid
     assert build_approximation(seed, 0, 0, max_ambient=0).stages == (seed,)
     assert build_approximation(seed, 1, 0, max_ambient=0).truncated

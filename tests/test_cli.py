@@ -160,7 +160,12 @@ def test_decompose_and_hull(tmp_path, capsys):
 
 def test_negative_max_set_is_an_input_error(tmp_path, capsys):
     path = write(tmp_path, "g.json", chain_dict())
-    for argv in (["decompose", path], ["hull", path, "--set", "a0,a1"]):
+    # decompose checks max_set before its work: on an empty graph, which has
+    # nothing to decompose, and on a K0 graph of nonzero count (a lone point)
+    empty = write(tmp_path, "empty.json", {"m": 2, "vertices": [], "edges": []})
+    point = write(tmp_path, "point.json", {"m": 2, "vertices": ["a"], "edges": []})
+    for argv in (["decompose", path], ["hull", path, "--set", "a0,a1"],
+                 ["decompose", empty], ["decompose", point]):
         rc, doc, _ = run(capsys, argv + ["--max-set", "-3"])
         assert rc == 2 and doc["error"]["type"] == "ValueError", argv
         assert "max_set" in doc["error"]["message"] and "-3" in doc["error"]["message"]
@@ -207,6 +212,25 @@ def test_mu_reads_its_spec_strictly(tmp_path, capsys):
         bad = dict(spec, **{key: value})
         rc, doc, _ = run(capsys, ["mu", write(tmp_path, "bad.json", bad)])
         assert rc == 2 and "array of strings" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("verb, spec, message", [
+    ("mu", {"graph": w_dict(), "base": "ab", "attach": ["w"]},
+     "mu spec 'base' must be a JSON array of strings, got 'ab'"),
+    ("mu", {"graph": w_dict(), "base": ["a0"], "attach": 5},
+     "mu spec 'attach' must be a JSON array of strings, got 5"),
+    ("mu", {"base": "ab", "attach": "ab"}, "mu spec is missing 'graph'"),
+    ("mu", {"graph": w_dict(), "attach": "ab"}, "mu spec is missing 'base'"),
+    ("amalgamate", {"left": k5_dict(), "base": k5_dict("c"), "base_in_left": []},
+     "amalgam spec is missing 'right'"),
+    ("amalgamate", {"left": "not a graph", "right": k5_dict("b"), "base_in_right": []},
+     "amalgam spec is missing 'base'"),
+], ids=["mu-base-before-alpha", "mu-attach-before-alpha", "mu-graph-first",
+        "mu-base-before-attach", "amalgam-right-before-base", "amalgam-keys-before-graphs"])
+def test_a_spec_with_two_faults_reports_the_first_in_key_order(tmp_path, capsys, verb, spec,
+                                                               message):
+    rc, doc, _ = run(capsys, [verb, write(tmp_path, "spec.json", spec)])
+    assert rc == 2 and doc["error"] == {"type": "ValueError", "message": message}
 
 
 def test_amalgamate_rejects_repeated_map_sources(tmp_path, capsys):
@@ -434,6 +458,71 @@ def test_export_dot(tmp_path, capsys):
     assert "graph ambient {" in out
     assert 'subgraph "cluster_core"' in out
     assert '    "a0";' in out
+
+
+# verb, its arguments (fixture names stand for their paths), the fixtures it
+# reads, and its exit code
+_VERB_RUNS = [
+    ("delta", ["k5"], ["k5"], 0),
+    ("closed", ["k5", "--set", "a0"], ["k5"], 0),
+    ("closure", ["k5", "--set", "a0"], ["k5"], 0),
+    ("dim", ["w", "--set", "a0,a1"], ["w"], 0),
+    ("gcl", ["w", "--set", "a0,a1"], ["w"], 0),
+    ("k0", ["k5"], ["k5"], 0),
+    ("amalgamate", ["amalgam"], ["amalgam"], 0),
+    ("decompose", ["chain"], ["chain"], 0),
+    ("hull", ["chain", "--set", "a0,a1,a2,a3,a4"], ["chain"], 0),
+    ("mu", ["mu"], ["mu"], 0),
+    ("ep-extend", ["problem"], ["problem"], 0),
+    ("ep-verify", ["problem", "certificate"], ["problem", "certificate"], 0),
+    ("ep-verify", ["problem", "tampered"], ["problem", "tampered"], 1),
+    ("build", ["empty", "--rounds", "1", "--budget", "2"], ["empty"], 0),
+    ("extend-iso", ["k5", "--map", "a0=a1,a1=a0,a2=a2,a3=a3,a4=a4"], ["k5"], 0),
+    ("add-point", ["k5", "--over", "a0,a1,a2,a3,a4", "--rel", "0"], ["k5"], 0),
+    ("export-dot", ["k5", "--highlight", "core=a0,a1"], ["k5"], 0),
+    ("selftest", [], [], 0),
+]
+
+
+@pytest.mark.parametrize("verb, args, reads, code", _VERB_RUNS,
+                         ids=[f"{run[0]}-{run[3]}" for run in _VERB_RUNS])
+def test_every_verb_hashes_exactly_the_files_it_read(tmp_path, capsys, verb, args, reads, code):
+    base = [f"a{i}" for i in range(5)]
+    problem = {"graph": k5_dict(), "maps": [{"map": [[v, v] for v in base]}]}
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in [
+        ("k5", k5_dict()), ("w", w_dict()), ("chain", chain_dict()),
+        ("empty", {"m": 2, "vertices": [], "edges": []}),
+        ("amalgam", {"left": k5_dict("a"), "right": k5_dict("b"),
+                     "base": {"m": 2, "vertices": [], "edges": []},
+                     "base_in_left": [], "base_in_right": []}),
+        ("mu", {"graph": w_dict(), "base": base, "attach": ["w"],
+                "alpha": [[v, v] for v in base]}),
+        ("problem", problem)]}
+    _, doc, _ = run(capsys, ["ep-extend", paths["problem"]])
+    paths["certificate"] = write(tmp_path, "certificate.json", doc)
+    doc["certificate"]["b"]["edges"] = doc["certificate"]["b"]["edges"][1:]
+    paths["tampered"] = write(tmp_path, "tampered.json", doc)
+    digests = {paths[name]: hashlib.sha256(open(paths[name], "rb").read()).hexdigest()
+               for name in reads}
+
+    rc = cli.main([verb] + [paths.get(arg, arg) for arg in args])
+    out = capsys.readouterr().out
+    assert rc == code
+    if verb == "export-dot":
+        comments = [line for line in out.splitlines() if line.startswith("//")]
+        assert comments == [f"// input {p} sha256 {d}" for p, d in digests.items()]
+        assert out.startswith(comments[0] + "\ngraph ambient {")
+    else:
+        doc = json.loads(out)
+        assert list(doc)[:2] == ["schema", "inputs"] and "error" not in doc
+        assert doc["schema"] == 1 and doc["inputs"] == digests
+
+
+def test_export_dot_failure_writes_only_the_error_document(tmp_path, capsys):
+    path = write(tmp_path, "g.json", k5_dict())
+    rc, doc, _ = run(capsys, ["export-dot", path, "--highlight", "core=a0,zz"])
+    assert rc == 1 and doc == {"schema": 1, "error": {
+        "type": "UnknownVertex", "message": "unknown vertices: ['zz']"}}
 
 
 def test_error_exit_codes(tmp_path, capsys):
