@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -70,18 +71,17 @@ class ApproximationChain:
         }
 
 
-_CATALOGS: dict = {}
-
-
 def pattern_catalog(m: int, size_budget: int) -> tuple:
     """All member graphs of the class up to the size budget, one per
     isomorphism type, on canonical vertex names, smallest edge sets first.
-    Memoized per argument pair in a plain dict, so that this stays a
-    function that tracers can wrap."""
+    Memoized per argument pair in _catalog, so that this stays a function
+    that tracers can wrap."""
     limits.nonnegative("size_budget", size_budget)
-    key = (m, size_budget)
-    if key in _CATALOGS:
-        return _CATALOGS[key]
+    return _catalog(m, size_budget)
+
+
+@lru_cache(maxsize=None)
+def _catalog(m: int, size_budget: int) -> tuple:
     out = []
     for n in range(size_budget + 1):
         names = [f"p{i + 1}" for i in range(n)]
@@ -97,8 +97,7 @@ def pattern_catalog(m: int, size_budget: int) -> tuple:
                 continue
             found.append((g, EmbeddingPlan(g)))
         out.extend(g for g, _ in found)
-    _CATALOGS[key] = tuple(out)
-    return _CATALOGS[key]
+    return tuple(out)
 
 
 def _base_choices(ext: Graph) -> list:
@@ -128,9 +127,7 @@ def _restriction(positions: tuple) -> Callable:
     return itemgetter(*positions) if positions else lambda pairs: ()
 
 
-_TASKS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _tasks(m: int, size_budget: int) -> tuple:
     """The distinct patterns, extensions and bases compared by value, each
     with one unpinned plan; and every task in catalog order, one per base
@@ -138,20 +135,17 @@ def _tasks(m: int, size_budget: int) -> tuple:
     the base, the _restriction of the extension's embeddings to the base).
     Compiled once per argument pair, like pattern_catalog, so that the
     plans' lazily built layouts serve every later call."""
-    key = (m, size_budget)
-    if key not in _TASKS:
-        number: dict = {}
-        tasks = []
-        for ext in pattern_catalog(m, size_budget):
-            names = ext.sorted_vertices()
-            for base_set in _base_choices(ext):
-                tasks.append((
-                    number.setdefault(ext, len(number)),
-                    number.setdefault(ext.induced(base_set), len(number)),
-                    EmbeddingPlan(ext, pinned=base_set),
-                    _restriction(tuple(i for i, v in enumerate(names) if v in base_set))))
-        _TASKS[key] = (tuple((g, EmbeddingPlan(g)) for g in number), tuple(tasks))
-    return _TASKS[key]
+    number: dict = {}
+    tasks = []
+    for ext in pattern_catalog(m, size_budget):
+        names = ext.sorted_vertices()
+        for base_set in _base_choices(ext):
+            tasks.append((
+                number.setdefault(ext, len(number)),
+                number.setdefault(ext.induced(base_set), len(number)),
+                EmbeddingPlan(ext, pinned=base_set),
+                _restriction(tuple(i for i, v in enumerate(names) if v in base_set))))
+    return tuple((g, EmbeddingPlan(g)) for g in number), tuple(tasks)
 
 
 def _open_placements(patterns: tuple, tasks: tuple, listings: list) -> Iterator:
@@ -242,11 +236,7 @@ def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
 
 
 def _total_extension(ambient: Graph, phi: dict) -> Embedding | None:
-    """The first automorphism of the ambient extending phi, or None.  A total
-    phi pins every position, so it is its own only candidate."""
-    if len(phi) == len(ambient.vertices):
-        gamma = Embedding.build(ambient, ambient, phi)
-        return gamma if gamma.is_induced() else None
+    """The first automorphism of the ambient extending phi, or None."""
     total = EmbeddingPlan(ambient, pinned=phi).first(ambient, phi)
     return None if total is None else Embedding.build(ambient, ambient, total)
 

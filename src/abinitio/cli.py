@@ -311,6 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def verb(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(handler=fn)
+        p.add_argument("--m", type=int, default=None,
+                       help="override the sparsity coefficient")
         return p
 
     def on_graph(name, payload, set_flag=True, **kw):
@@ -318,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         payload(graph, args)."""
         p = verb(name, lambda args: (payload(_load_graph(args), args), [args.file], 0), **kw)
         p.add_argument("file", help="graph JSON file")
-        p.add_argument("--m", type=int, default=None,
-                       help="override the sparsity coefficient")
         if set_flag:
             p.add_argument("--set", default=None,
                            help="comma-separated vertex set (empty string for the empty set)")
@@ -339,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("amalgamate", _cmd_amalgamate, help="free amalgam from a spec file")
     p.add_argument("file", help="spec JSON with left/right/base and base embeddings")
-    p.add_argument("--m", type=int, default=None)
 
     p = on_graph("decompose", lambda g, a: decompose(g, max_set=a.max_set).to_json_dict(),
                  set_flag=False, help="blocks, carriers, and level chains")
@@ -354,18 +353,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("mu", _cmd_mu, help="strong extension count from a spec file")
     p.add_argument("file", help="spec JSON with graph/base/attach/alpha")
-    p.add_argument("--m", type=int, default=None)
 
     p = verb("ep-extend", _cmd_ep_extend,
              help="solve an extension problem, emitting a certificate")
     p.add_argument("file", help="problem JSON with graph and maps")
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--max-set", type=int, default=None)
 
     p = verb("ep-verify", _cmd_ep_verify, help="replay-check a certificate")
     p.add_argument("problem", help="problem JSON")
     p.add_argument("certificate", help="certificate JSON (bare or wrapped)")
-    p.add_argument("--m", type=int, default=None)
 
     p = on_graph("build", lambda g, a: build_approximation(
         g, a.rounds, a.budget, max_ambient=a.max_ambient).to_json_dict(),
@@ -390,8 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--highlight", action="append",
                    help="NAME=v1,v2 cluster (repeatable)")
 
-    verb("selftest", _cmd_selftest,
-         help="run the built-in oracle suites and report pass/fail counts")
+    # selftest reads no graph, so it takes no --m
+    sub.add_parser("selftest", help="run the built-in oracle suites and report pass/fail counts"
+                   ).set_defaults(handler=_cmd_selftest)
     return top
 
 

@@ -235,25 +235,16 @@ def build_base_stage(
             plans, key=lambda t: (t[0], sorted(map(sorted, t[2])))):
         e = p.maps[k].as_dict()
         order = orders.per_map[k]
-        entry = {
-            "map_index": k,
-            "kind": kind,
-            "blocks": [sorted(bl) for bl in chain],
-            "copies": [],
-            "order": order,
-        }
-        if kind == "fixed":
-            fmaps[k].update((v, v) for v in chain[0])
-            entry["cycle_length"] = 1
-        elif kind == "cycle":
-            fmaps[k].update((v, e[v]) for bl in chain for v in bl)
-            entry["cycle_length"] = len(chain)
-        else:
-            s = len(chain)
+        entry = {"map_index": k, "kind": kind, "blocks": [sorted(bl) for bl in chain],
+                 "copies": [], "order": order,
+                 "cycle_length": len(chain) * (order if kind == "chain" else 1)}
+        # the input map holds on a cycle's blocks and on a chain's all but last
+        fmaps[k].update((v, e[v]) for bl in (chain if kind == "cycle" else chain[:-1])
+                        for v in bl)
+        if kind == "chain":
             start = chain[0]
-            b0, betas = adjoin_copy(b0, a, start, [{}] * ((order - 1) * s))
+            b0, betas = adjoin_copy(b0, a, start, [{}] * ((order - 1) * len(chain)))
             entry["copies"] = [sorted(beta.values()) for beta in betas]
-            fmaps[k].update((v, e[v]) for bl in chain[:-1] for v in bl)
             # the end block goes to the first copy: each start point's walk
             # along the chain ends at the point sent to its copy; each copy
             # goes to the next and the last back onto the start
@@ -262,12 +253,11 @@ def build_base_stage(
             fmaps[k].update((w[-1], ring[0][w[0]]) for w in walks)
             for here, there in zip(ring, ring[1:]):
                 fmaps[k].update((here[u], there[u]) for u in start)
-            entry["cycle_length"] = order * s
         log_closures.append(entry)
 
     log = {"stage": 0, "kind": "base", "blocks": [sorted(bl) for bl in blocks],
            "mu": mu, "closures": log_closures, "graph": b0.to_json_dict()}
-    # copies belonging to one map are untouched blocks for every other map
+    # every point no plan moved is fixed: an untouched block, or another map's copy
     for k in range(len(p.maps)):
         for v in sorted(b0.vertices):
             fmaps[k].setdefault(v, v)

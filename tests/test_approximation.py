@@ -26,7 +26,7 @@ from abinitio import (
     realize_extension,
     strong_embeddings,
 )
-from abinitio.approximation import _base_choices, _tasks, _total_extension
+from abinitio.approximation import _base_choices, _catalog, _tasks, _total_extension
 from oracles import brute_automorphisms, ref_base_choices, ref_build_approximation
 
 
@@ -58,7 +58,7 @@ def test_pattern_catalog_is_built_once():
 
 
 def test_task_plans_are_compiled_once_per_catalog(monkeypatch):
-    monkeypatch.setattr(abinitio.approximation, "_TASKS", {})
+    _tasks.cache_clear()
     catalog = pattern_catalog(2, 3)
     compiled = []
     init = EmbeddingPlan.__init__
@@ -250,9 +250,10 @@ def test_negative_sizes_are_rejected():
     with pytest.raises(ValueError, match="steps must be a nonnegative integer, got -1"):
         extend_partial_iso(seed, g, steps=-1)
     # a negative budget is rejected before the memo, which keeps no key for it
+    memo = _catalog.cache_info()
     with pytest.raises(ValueError, match="size_budget must be a nonnegative integer, got -1"):
         pattern_catalog(2, -1)
-    assert (2, -1) not in abinitio.approximation._CATALOGS
+    assert _catalog.cache_info() == memo
     # 0 stays valid
     assert build_approximation(seed, 0, 0, max_ambient=0).stages == (seed,)
     assert build_approximation(seed, 1, 0, max_ambient=0).truncated
@@ -313,6 +314,18 @@ def test_extend_grows_one_satellite():
     assert f["w"] == fresh or f[fresh] == "w"
     assert gamma.is_induced()
     assert is_self_sufficient(ambient, g.vertices)
+
+
+def test_no_total_extension_within_the_steps_fails_by_name():
+    # w on a0, a1 has no image over b0, b1 inside the ambient, and 0 steps
+    # may not grow it
+    na, ea = k5("a")
+    nb, eb = k5("b")
+    g = Graph(2, na + nb + ["w"], ea + eb + [("w", "a0"), ("w", "a1")])
+    phi = PartialIso.build(g, {f"a{i}": f"b{i}" for i in range(5)})
+    with pytest.raises(ConstructionFailed, match="no total extension within 0 rounds"):
+        extend_partial_iso(g, phi, steps=0)
+    assert len(extend_partial_iso(g, phi)[0].vertices) == 12
 
 
 def test_total_map_check_matches_pinned_search():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -439,6 +440,21 @@ def test_extend_iso_past_the_recursion_limit(tmp_path, capsys):
     assert doc["gamma"] == [[v, v] for v in names]
 
 
+def test_extend_iso_rejects_what_it_cannot_read_or_reach(tmp_path, capsys):
+    path = write(tmp_path, "g.json", k5_dict())
+    rc, doc, _ = run(capsys, ["extend-iso", path, "--map", "a0"])
+    assert rc == 2 and doc["error"] == {
+        "type": "ValueError", "message": "expected src=dst pairs, got 'a0'"}
+    # w on a0, a1 has no image over b0, b1 until the ambient grows
+    g = {"m": 2, "vertices": w_dict()["vertices"] + k5_dict("b")["vertices"],
+         "edges": w_dict()["edges"] + k5_dict("b")["edges"]}
+    path = write(tmp_path, "g2.json", g)
+    pairs = ",".join(f"a{i}=b{i}" for i in range(5))
+    rc, doc, _ = run(capsys, ["extend-iso", path, "--map", pairs, "--steps", "0"])
+    assert rc == 1 and doc["error"]["type"] == "ConstructionFailed"
+    assert doc["error"]["message"] == "no total extension within 0 rounds"
+
+
 def test_add_point(tmp_path, capsys):
     path = write(tmp_path, "g.json", k5_dict())
     rc, doc, _ = run(capsys, ["add-point", path, "--over", "a0,a1,a2,a3,a4",
@@ -523,6 +539,18 @@ def test_export_dot_failure_writes_only_the_error_document(tmp_path, capsys):
     rc, doc, _ = run(capsys, ["export-dot", path, "--highlight", "core=a0,zz"])
     assert rc == 1 and doc == {"schema": 1, "error": {
         "type": "UnknownVertex", "message": "unknown vertices: ['zz']"}}
+    rc, doc, _ = run(capsys, ["export-dot", path, "--highlight", "x"])
+    assert rc == 2 and doc == {"schema": 1, "error": {
+        "type": "ValueError", "message": "expected NAME=v1,v2 highlight, got 'x'"}}
+
+
+def test_every_verb_that_reads_a_graph_documents_m():
+    [verbs] = [a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    helps = {name: [a.help for a in p._actions if "--m" in a.option_strings]
+             for name, p in verbs.choices.items()}
+    assert helps.pop("selftest") == []
+    assert helps == dict.fromkeys(helps, ["override the sparsity coefficient"])
 
 
 def test_error_exit_codes(tmp_path, capsys):
