@@ -77,18 +77,9 @@ def is_zero_minimally_algebraic(g: Graph, b: Iterable[str], a: Iterable[str]) ->
 def minimally_closed_sets(g: Graph) -> list:
     """The minimal nonempty self-sufficient subsets: the sets tight over the
     empty set.  g counts 0, so an orientation of g within outdegree m
-    saturates every point, and these are its sink strong components."""
-    return _blocks(g, _require_zero_ambient(g))
-
-
-def _blocks(g: Graph, found: list) -> list:
-    out = sorted(found, key=lambda s: sorted(s))
-    # blocks never touch: shared points or cross edges would merge them
-    for i, a in enumerate(out):
-        for b in out[i + 1:]:
-            if a & b or any(g.neighbors(v) & b for v in a):
-                raise ConstructionFailed(f"blocks {sorted(a)} and {sorted(b)} touch")
-    return out
+    saturates every point, and these are its sink strong components: each
+    lies in one carrier, and no two touch, as an edge would leave one."""
+    return sorted(_require_zero_ambient(g), key=sorted)
 
 
 def connected_zero_sets(g: Graph) -> list:
@@ -174,12 +165,8 @@ def decompose(g: Graph, max_set: int | None = None) -> ZeroDecomposition:
 
 @lru_cache(maxsize=1)  # an audit and the reports on its levels read one graph
 def _decomposition(g: Graph, max_set: int | None) -> ZeroDecomposition:
-    blocks = _blocks(g, _require_zero_ambient(g))
+    blocks = minimally_closed_sets(g)
     carriers = components(g, g.vertices)
-    for b in blocks:
-        inside = sum(1 for c in carriers if b <= c)
-        if inside != 1:
-            raise ConstructionFailed(f"block {sorted(b)} lies in {inside} carriers, not 1")
     return ZeroDecomposition(g, tuple(blocks), tuple(
         level_chain(g, c, blocks=blocks, carriers=carriers, max_set=max_set)
         for c in carriers))

@@ -183,6 +183,9 @@ def test_criterion_06_zero_set_decomposition_invariants():
                 failures.append(("overlap", i))
             if count_cross_edges(g, e1, e2):
                 failures.append(("cross-edge", i))
+        for e in dec.minimally_closed:
+            if sum(e <= comp.carrier for comp in dec.components) != 1:
+                failures.append(("carriers", i))
         for comp in dec.components:
             layers = comp.layers
             if layers[-1] != comp.carrier:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import abinitio.approximation
 from abinitio import (
+    AmalgamError,
     ConstructionFailed,
     Embedding,
     EmbeddingPlan,
@@ -27,7 +28,9 @@ from abinitio import (
     strong_embeddings,
 )
 from abinitio.approximation import _base_choices, _catalog, _tasks, _total_extension
-from oracles import brute_automorphisms, ref_base_choices, ref_build_approximation
+from oracles import (
+    brute_automorphisms, brute_closed, brute_delta, brute_in_k0, ref_base_choices,
+    ref_build_approximation)
 
 
 def k5(prefix):
@@ -329,41 +332,61 @@ def test_no_total_extension_within_the_steps_fails_by_name():
 
 
 def test_total_map_check_matches_pinned_search():
-    # a path with a pendant: some permutations are automorphisms, most not
+    # a path with a pendant: some permutations are automorphisms, most not.
+    # Each permutation, and its restriction to the first two names, is
+    # checked against the brute-force search for the least automorphism
+    # extending it
     g = Graph(2, ["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e")])
     vs = g.sorted_vertices()
-    hits = 0
+    hits = partial_hits = 0
     for perm in itertools.permutations(vs):
-        phi = dict(zip(vs, perm))
-        gamma = _total_extension(g, phi)
-        assert (gamma and gamma.as_dict()) == EmbeddingPlan(g, pinned=phi).first(g, phi)
-        hits += gamma is not None
-    assert hits == 2
+        for phi in (dict(zip(vs, perm)), dict(zip(vs[:2], perm[:2]))):
+            gamma = _total_extension(g, phi)
+            brute = brute_automorphisms(g, fixed=phi, stop_after=1)
+            assert (gamma and [gamma.as_dict()]) == (brute or None)
+            if len(phi) == len(vs):
+                hits += gamma is not None
+            else:
+                partial_hits += gamma is not None
+    assert (hits, partial_hits) == (2, 12)
 
 
 def test_construction_invariants_survive_without_asserts(monkeypatch):
-    # the checks are raises, so python -O keeps them: a patched predicate
-    # that denies one must fail the step by name
-    approx = abinitio.approximation
+    # the back-and-forth grows through free_amalgam, whose preconditions are
+    # raises that python -O keeps: a strength test that denies fails the
+    # growth step by name
     na, ea = k5("a")
     nb, eb = k5("b")
     g = Graph(2, na + nb + ["w"], ea + eb + [("w", "b0"), ("w", "b1")])
     phi = PartialIso.build(g, {f"a{i}": f"b{i}" for i in range(5)})
-    real = approx.is_self_sufficient
-    b = block("a")
-    for name, fake, call, message in [
-        ("is_in_k0", lambda h: False, lambda: extend_partial_iso(g, phi), "outside K0"),
-        ("is_self_sufficient", lambda h, s: h == g and real(h, s),
-         lambda: extend_partial_iso(g, phi), "not strong in the grown one"),
-        ("delta_rel", lambda *args: -1, lambda: add_generic_point(b, b.vertices, 1),
-         "does not count 1"),
-        ("is_self_sufficient", lambda h, s: h.vertices == s,
-         lambda: add_generic_point(b, b.vertices, 1), "not self-sufficient with it"),
-    ]:
-        with monkeypatch.context() as patched:
-            patched.setattr(approx, name, fake)
-            with pytest.raises(ConstructionFailed, match=message):
-                call()
+    monkeypatch.setattr(abinitio.amalgam, "is_self_sufficient", lambda h, s: False)
+    with pytest.raises(AmalgamError, match="base image is not self-sufficient"):
+        extend_partial_iso(g, phi)
+
+
+def test_back_and_forth_growth_stays_in_k0_and_strong():
+    # small K0 seeds with a symmetry that moves a point, drawn as the
+    # approx-chain benchmark draws them: the symmetry is extended inside the
+    # last stage of the seed's chain, which grows where no image fits there
+    rng = random.Random(31)
+    seeds = grew = 0
+    while seeds < 20:
+        n = rng.randint(3, 6)
+        names = [f"g{i}" for i in range(n)]
+        p = rng.uniform(0.2, 0.6)
+        seed = Graph(2, names, [e for e in itertools.combinations(names, 2) if rng.random() < p])
+        moved = [f for f in brute_automorphisms(seed) if any(f[v] != v for v in f)]
+        if not moved or not is_in_k0(seed):
+            continue
+        seeds += 1
+        final = build_approximation(seed, 1, 4).stages[-1]
+        grown, gamma = extend_partial_iso(final, PartialIso.build(final, moved[0]))
+        grew += grown != final
+        assert is_in_k0(grown)
+        assert is_self_sufficient(grown, final.vertices)
+        assert gamma.source == gamma.target == grown
+        assert gamma.image == grown.vertices and gamma.is_induced()
+    assert grew
 
 
 def test_extend_identity_is_identity():
@@ -412,6 +435,28 @@ def test_add_generic_point_validation():
     lone = Graph(2, ["u"], [])
     with pytest.raises(InvalidMap, match="attachment targets"):
         add_generic_point(lone, ["u"], 0)
+
+
+def test_generic_point_matches_the_oracles_at_every_relative_count():
+    # small K0 graphs and strong attachment sets: at every rel in 0..m the
+    # new point counts rel over the set, all its edges land there, and the
+    # ambient stays strong in the grown graph, which stays in K0
+    rng = random.Random(32)
+    checked = 0
+    while checked < 40:
+        m = rng.choice((2, 3))
+        names = [f"v{i}" for i in range(rng.randint(1, 7))]
+        g = Graph(m, names, [e for e in itertools.combinations(names, 2) if rng.random() < 0.4])
+        over = frozenset(v for v in names if rng.random() < 0.6)
+        if not (brute_in_k0(g) and brute_closed(g, over)):
+            continue
+        for rel in range(max(0, m - len(over)), m + 1):
+            out = add_generic_point(g, over, rel)
+            [x] = out.vertices - g.vertices
+            assert out.neighbors(x) <= over and out.induced(g.vertices) == g
+            assert brute_delta(out, over | {x}) - brute_delta(out, over) == rel
+            assert brute_closed(out, g.vertices) and brute_in_k0(out)
+            checked += 1
 
 
 def test_repeated_growth_stays_strong():

@@ -1281,7 +1281,6 @@ def fan_graph():
      "map 0 does not extend its input on the blocks"),
     ("delta", 1, "the stage graph does not count 0"),
     ("is_in_k0", False, "the stage graph is not hereditarily nonnegative"),
-    ("is_self_sufficient", False, "the blocks are not self-sufficient"),
 ])
 def test_base_stage_invariants_survive_without_asserts(monkeypatch, name, value, message):
     g = w_graph()
@@ -1297,7 +1296,9 @@ def test_base_stage_invariants_survive_without_asserts(monkeypatch, name, value,
     ("delta_rel", 1, "the added layer does not count 0 over the previous stage"),
     ("delta", 1, "the stage graph does not count 0"),
     ("is_in_k0", False, "the stage graph is not hereditarily nonnegative"),
-    ("is_self_sufficient", False, "the previous stage is not self-sufficient in this one"),
+    # only the previous stage's set is off: the stage graph still counts 0
+    pytest.param("delta", lambda g, s: int(s != g.vertices),
+                 "the previous stage is not self-sufficient in this one", id="delta-of-prev"),
     ("_check_automorphism", False, "map 0 is not an automorphism"),
 ])
 def test_level_stage_invariants_survive_without_asserts(monkeypatch, name, value, message):
@@ -1307,7 +1308,8 @@ def test_level_stage_invariants_survive_without_asserts(monkeypatch, name, value
     p = EPProblem(g, (PartialIso.build(g, {v: v for v in g.vertices}),))
     decomp = decompose(g)
     b0, maps, _ = build_base_stage(p, orbit_orders(p), decomp)
-    monkeypatch.setattr(abinitio.extension, name, lambda *args: value)
+    monkeypatch.setattr(abinitio.extension, name,
+                        value if callable(value) else lambda *args: value)
     with pytest.raises(ConstructionFailed, match=f"stage 1: {message}") as failed:
         build_level_stage(b0, p, 0, maps, decomp=decomp)
     assert [log["stage"] for log in failed.value.stage_log] == [1]
@@ -1333,10 +1335,6 @@ def _stage_replaced(b, fmap):
 
 A5 = [f"a{i}" for i in range(5)]
 K5_LESS_ONE = Graph(2, A5, [e for e in itertools.combinations(A5, 2) if e != ("a0", "a1")])
-# K5 and a path c0 - c1 - c2: swapping c0 and c1 keeps the rotation but
-# moves the edge c1 c2 onto the non-edge c0 c2
-K5_PATH = Graph(2, A5 + ["c0", "c1", "c2"],
-                list(itertools.combinations(A5, 2)) + [("c0", "c1"), ("c1", "c2")])
 
 
 @pytest.mark.parametrize("graph, tamper, message", [
@@ -1345,9 +1343,7 @@ K5_PATH = Graph(2, A5 + ["c0", "c1", "c2"],
     (single_block, _stage_replaced(K5_LESS_ONE, ROT),
      "the stage graph does not induce the ambient on its points"),
     (single_block, _stage_replaced(single_block(), IDA), "map 0 is not extended"),
-    (single_block, _stage_replaced(K5_PATH, ROT | {"c0": "c1", "c1": "c0", "c2": "c2"}),
-     "map 0 is not an automorphism of the stage graph"),
-], ids=["straddle", "non-block", "induced", "extended", "automorphism"])
+], ids=["straddle", "non-block", "induced", "extended"])
 def test_ep_extend_invariants_survive_without_asserts(monkeypatch, graph, tamper, message):
     # one block has no level above it, so stage 0 is the last; the w graph
     # fails in stage 0, before its level stage
@@ -1358,10 +1354,10 @@ def test_ep_extend_invariants_survive_without_asserts(monkeypatch, graph, tamper
     assert [log["stage"] for log in failed.value.stage_log] == [0]
 
 
-@pytest.mark.parametrize("t", [0, 2])
+@pytest.mark.parametrize("t", [2])
 def test_row_invariants_survive_without_asserts(monkeypatch, t):
-    # the true multiplicity is 1 and the deficit 1: 0 copies per row, or a
-    # contribution that does not divide the deficit, must fail by name
+    # the true multiplicity is 1 and the deficit 1: a contribution that does
+    # not divide the deficit must fail by name
     monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity", lambda *args: t)
     g = w_graph()
     with pytest.raises(ConstructionFailed, match=r"row with base \['a0'"):

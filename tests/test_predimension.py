@@ -836,7 +836,7 @@ def test_invariant_checks_pass_with_asserts_stripped():
          "tests/test_amalgam.py", "tests/test_approximation.py", "tests/test_extension.py",
          "-k", "survive_without_asserts or a_closure_round_that_does_not_lower_the_count"
          " or a_closure_chain_that_orients_short_of_the_closure_set"
-         " or a_failed_postcondition_raises_by_name or decomposition_invariants_raise"],
+         " or a_failed_postcondition_raises_by_name or back_and_forth_growth_stays_in_k0"],
         cwd=ROOT, env=_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "\n22 passed, " in proc.stdout, proc.stdout[-3000:]
+    assert "\n19 passed, " in proc.stdout, proc.stdout[-3000:]

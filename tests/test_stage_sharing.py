@@ -322,4 +322,4 @@ def test_one_corpus_pass_carries_its_sweeps_from_pass_to_pass(monkeypatch):
         ep_extend(p)
     counts["strength"] = _self_sufficient_cached.cache_info().misses
     assert counts == {"types": 3, "rebuilds": 8, "representatives": 31, "tallies": 71,
-                      "strength": 89}
+                      "strength": 82}

@@ -8,7 +8,6 @@ import oracles
 from abinitio import (
     count_cross_edges,
     BaseWitness,
-    ConstructionFailed,
     Embedding,
     EmbeddingPlan,
     Graph,
@@ -30,8 +29,8 @@ from abinitio import (
     uniform_algebraicity_report,
 )
 from abinitio.predimension import _Index, _tight_components
-from abinitio.zero_decomposition import (_blocks, _count_matched, _decomposition,
-                                         _dedupe_witnesses, _report_rows, _row_invariant)
+from abinitio.zero_decomposition import (_count_matched, _decomposition, _dedupe_witnesses,
+                                         _report_rows, _row_invariant)
 from builders import plant_clique, random_graph, random_k0_graph, random_zero_graph
 from oracles import (
     brute_automorphisms,
@@ -644,16 +643,6 @@ def test_ceiling_flag_tells_whether_a_component_reaches_the_cap():
     assert flags == [False, True, True, False, False]
     assert decompose(g, max_set=0).components[0].layers == (
         BLOCK, BLOCK | {"w"}, g.vertices)
-
-
-def test_decomposition_invariants_raise(monkeypatch):
-    # raises, not asserts: they hold under python -O too
-    g = Graph(2, ["x", "y"], [("x", "y")])
-    with pytest.raises(ConstructionFailed, match="touch"):
-        _blocks(g, [frozenset(["x"]), frozenset(["y"])])
-    monkeypatch.setattr(abinitio.zero_decomposition, "components", lambda g, pool: [])
-    with pytest.raises(ConstructionFailed, match="lies in 0 carriers"):
-        decompose(k5_graph())
 
 
 def _outcome(f, *args, **kwargs):
