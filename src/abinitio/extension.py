@@ -21,7 +21,7 @@ from math import prod
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
     Embedding, EmbeddingPlan, Graph, PartialIso, _chain, adjoin_copy, components)
-from .predimension import delta, delta_rel, is_in_k0, is_self_sufficient
+from .predimension import delta, delta_rel, is_in_k0
 from .zero_decomposition import (
     ZeroDecomposition,
     _placement_classes,
@@ -112,13 +112,14 @@ class OrbitOrder:
 
 
 def validate_problem(p: EPProblem):
-    """A range is strong when its domain is: both count 0 in the count-0 K0 ambient."""
+    """Premise checked first: the ambient counts 0 and is in K0, where a set is
+    strong exactly when it counts 0.  A range counts what its domain does."""
     if not is_in_k0(p.a):
         raise OutsideK0("problem ambient is not hereditarily nonnegative")
     if delta(p.a, p.a.vertices) != 0:
         raise OutsideK0(f"problem ambient has count {delta(p.a, p.a.vertices)}, expected 0")
     for k, pi in enumerate(p.maps):
-        if not is_self_sufficient(p.a, pi.domain):
+        if delta(p.a, pi.domain) != 0:
             raise InvalidMap(f"map {k}: domain is not self-sufficient")
 
 
@@ -215,6 +216,8 @@ def build_base_stage(
     a = p.a
     if decomp is None:
         decomp = decompose(a)
+    elif decomp.ambient != a:
+        raise InvalidMap("the decomposition is of another graph")
     blocks = list(decomp.minimally_closed)
     core = frozenset().union(*blocks) if blocks else frozenset()
     b0 = a.induced(core)
@@ -271,22 +274,24 @@ def build_base_stage(
 
 @lru_cache(maxsize=16)  # the criterion-7 corpus has 14 ambients: a repeat pass misses none
 def _block_counts(a: Graph, blocks: tuple) -> tuple:
-    """Per block, the strong placements of its pattern in a.  Isomorphic
-    blocks have one count: each pattern type is counted once, and a block of
-    the same size as a counted one has its type when the counted plan embeds
-    into it.  Shared by value: the maps never enter, and problems come in
-    runs over a few ambients."""
-    out = []
-    counted: list = []  # (plan, count), one per block type
+    """Per block, the strong placements of its pattern in a, searching
+    nothing in a.  Premise: a counts 0 and is in K0, so an induced copy of a
+    block counts 0 and is strong, and it is minimal, as a count-0 proper part
+    would pull back to one of the block: it is a block of that type.  So the
+    count is the pattern's automorphisms times the blocks of its type; a
+    block of the same size as a typed one has its type when that type's plan
+    embeds into it.  Shared by value: the maps never enter, and problems
+    come in runs over a few ambients."""
+    types: list = []  # (plan, automorphisms), one per block type
+    of = []  # per block, the index of its type
     for bl in blocks:
-        count = next((n for plan, n in counted if len(plan.order) == len(bl)
-                      and plan.embeds_within(a, frozenset(), bl)), None)
-        if count is None:
-            plan = EmbeddingPlan(a.induced(bl))
-            count = plan.count(a, is_strong=is_self_sufficient)
-            counted.append((plan, count))
-        out.append(count)
-    return tuple(out)
+        k = next((k for k, (plan, _) in enumerate(types) if len(plan.order) == len(bl)
+                  and plan.embeds_within(a, frozenset(), bl)), None)
+        if k is None:
+            k = len(types)
+            types.append((EmbeddingPlan(a.induced(bl)), _pattern_multiplicity(a, frozenset(), bl)))
+        of.append(k)
+    return tuple(types[k][1] * of.count(k) for k in of)
 
 
 def _require(holds: bool, what: str, log: dict) -> None:
@@ -539,6 +544,8 @@ def build_level_stage(
     a = p.a
     if decomp is None:
         decomp = decompose(a, max_set=max_set)
+    elif decomp.ambient != a:
+        raise InvalidMap("the decomposition is of another graph")
     new_verts = []
     for comp in decomp.components:
         hi = comp.layers[min(q + 1, comp.level)]

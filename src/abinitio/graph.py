@@ -304,8 +304,8 @@ class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
     against any number of targets: pairs() lists the embeddings as sorted
     (vertex, image) pairs, count_each() counts them for many pin maps at
-    once and count() for one, first() returns the least one and
-    representatives() one per image set.
+    once, first() returns the least one and representatives() one per image
+    set.
 
     The search order puts the pinned vertices first, then at each step the
     vertex with the most already-placed neighbours (ties: higher degree,
@@ -452,9 +452,9 @@ class EmbeddingPlan:
             _tally(c, layout, image, table, is_strong)
 
     def count_each(self, c: Graph, fixeds: list, is_strong: Callable | None = None) -> list:
-        """[count(c, f, is_strong) for f in fixeds], for pins f that each embed
-        the pinned vertices into c induced: one tally() over the classes of
-        the f, each f's count then a lookup."""
+        """[len(pairs(c, f, is_strong)) for f in fixeds], for pins f that each
+        embed the pinned vertices into c induced (unchecked): one tally() over
+        the classes of the f, each f's count then a lookup."""
         touched = self.touched
         tables: dict = {}
         classes = self._classes(
@@ -462,21 +462,16 @@ class EmbeddingPlan:
         self.tally(c, tables, is_strong)
         return [table[near] for table, near in classes]
 
-    def representatives(self, c: Graph, is_strong: Callable | None = None) -> list:
+    def representatives(self, c: Graph) -> list:
         """For an unpinned plan, one embedding per image set, as a map: the
-        one meeting _conditions(); with is_strong, only image sets passing
-        it.  Every embedding onto that set is this one composed with an
-        automorphism of the pattern."""
+        one meeting _conditions().  Every embedding onto that set is this one
+        composed with an automorphism of the pattern."""
         _check_coefficient(self.pattern, c)
         self._pins(c, None)
         order, found = self.order, []
-
-        def emit(img):
-            if is_strong is None or is_strong(c, frozenset(img)):
-                found.append(dict(zip(order, img)))
-
         below, _, rise = self._conditions()
-        _run(c, (order, self.adjacent, self.apart, self.degrees), below, emit, rise)
+        _run(c, (order, self.adjacent, self.apart, self.degrees), below,
+             lambda img: found.append(dict(zip(order, img))), rise)
         return found
 
     def embeds_within(self, c: Graph, pins_into: frozenset, free_into: frozenset) -> bool:
@@ -531,26 +526,6 @@ class EmbeddingPlan:
              [fixed.get(p) for p in self.order], emit)
         found.sort()
         return found
-
-    def count(self, c: Graph, fixed: dict | None = None,
-              is_strong: Callable | None = None) -> int:
-        """The number of pairs() without listing them.
-
-        Without pins the search reaches each image set once, under the
-        conditions of _conditions(), and the count is the order of the
-        pattern's automorphism group times the number of image sets passing
-        is_strong.  With pins it is count_each() of the one pin map, or 0
-        when that map is not injective or not induced."""
-        _check_coefficient(self.pattern, c)
-        fixed = self._pins(c, fixed)
-        if not self.pinned:
-            return self._conditions()[1] * len(self.representatives(c, is_strong))
-        image, adj, cadj = frozenset(fixed.values()), self.pattern._adj, c._adj
-        if len(image) < len(fixed) or any(
-                cadj[t] & image != {fixed[y] for y in adj[x] & self.pinned}
-                for x, t in fixed.items()):
-            return 0
-        return self.count_each(c, [fixed], is_strong)[0]
 
     def first(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None,

@@ -429,21 +429,21 @@ def _report_rows(g: Graph, i: int, max_set: int | None, memo: dict) -> list:
 
 def _placement_classes(g: Graph, base: frozenset, plan: EmbeddingPlan, pins: tuple,
                        memo: dict) -> list:
-    """The strong placements of base in g by class, unlisted: per image set
-    and images of pins, name-ordered base points holding the touched pins of
+    """The placements of base in g by class, unlisted: per image set and
+    images of pins, name-ordered base points holding the touched pins of
     plan (a row's pattern pinned at base), those two and the count one tally
     gives each of its placements.  memo keeps each base's plan and, per
     (base, pins), its pattern pinned there with its automorphisms'
-    restrictions to pins; per graph, one placement per strong image set of
-    each base and each row pattern's tables, which tally adds to: a table
-    that gains classes is zeroed and tallied again.  No extension K over a
-    strong image S is tested for strength: the attachment counts 0 over the
-    base, so δ(S ∪ K) = δ(S) and S ∪ K is strong as S is."""
+    restrictions to pins; per graph, one placement per image set of each
+    base and each row pattern's tables, which tally adds to: a table that
+    gains classes is zeroed and tallied again.  Premise: g counts 0 and is
+    in K0, so what counts 0 is strong and nothing is tested: base, a closure,
+    counts 0, so each image S does, and so does S ∪ K for each extension K,
+    as the attachment counts 0 over the base."""
     if base not in memo:
         memo[base] = EmbeddingPlan(g.induced(base))
     if (g, base) not in memo:
-        memo[g, base] = [(frozenset(f.values()), f) for f in
-                         memo[base].representatives(g, is_strong=is_self_sufficient)]
+        memo[g, base] = [(frozenset(f.values()), f) for f in memo[base].representatives(g)]
     if (base, pins) not in memo:
         pinned = EmbeddingPlan(memo[base].pattern, pinned=pins)
         memo[base, pins] = (pinned, pinned.pin_images())
@@ -468,18 +468,18 @@ def uniform_algebraicity_report(
 ) -> list:
     """Per (base, attachment type): the extension count over every strong
     placement of the base pattern, in canonical order, and whether all
-    counts agree.  The report lists every placement: each base's are
-    enumerated once, and each row's counts take one search per image set of
-    them (EmbeddingPlan.count_each).  The level stage lists none: it counts
-    by class, one placement per image set (_report_rows, and
-    _placement_classes when it evens a row out)."""
+    counts agree.  Premise, which decompose checks: g counts 0 and is in K0,
+    so no placement or extension needs a strength test (_placement_classes).
+    The report lists every placement, each base's once, and counts a row's
+    with one search per image set (EmbeddingPlan.count_each).  The level
+    stage lists none: it counts by class, one placement per image set
+    (_report_rows, and _placement_classes when it evens a row out)."""
     rows = []
     placements: dict = {}
     for w in _report_witnesses(g, i, max_set):
         if w.base not in placements:
-            placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(
-                g, is_strong=is_self_sufficient)]
+            placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(g)]
         plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
-        counts = plan.count_each(g, placements[w.base], is_self_sufficient)
+        counts = plan.count_each(g, placements[w.base])
         rows.append((w, counts, len(set(counts)) <= 1))
     return rows

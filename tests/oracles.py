@@ -585,7 +585,8 @@ def ref_run(c, layout, pins, emit) -> None:
 # -- reference copy of the level stage's row counts ----------------------------
 # zero_decomposition._report_rows as it was before rows of one type shared
 # their tables: every row counted on its own.  Copied unchanged but for the
-# name and the parameters' annotations.
+# name, the parameters' annotations and the strength test of each image set,
+# made here: representatives() takes none.
 
 
 def ref_report_rows(g, i, max_set, memo) -> list:
@@ -607,8 +608,8 @@ def ref_report_rows(g, i, max_set, memo) -> list:
         if w.base not in memo:
             memo[w.base] = EmbeddingPlan(g.induced(w.base))
         if w.base not in found:
-            found[w.base] = [(frozenset(f.values()), f) for f in memo[w.base].representatives(
-                g, is_strong=is_self_sufficient)]
+            found[w.base] = [(frozenset(f.values()), f) for f in memo[w.base].representatives(g)
+                             if is_self_sufficient(g, frozenset(f.values()))]
         plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
         key = (w.base, plan.touched)
         if key not in memo:
@@ -636,8 +637,8 @@ def ref_uniformize_row(b, witness, added_log: list) -> tuple:
     be topped up in one batch between recounts."""
     base, gen, att = witness.base, witness.generator, witness.zero_minimal_set
     row = f"row with base {sorted(base)} and attachment {sorted(att)}"
-    t = EmbeddingPlan(b.induced(gen | att), pinned=gen).count(
-        b.induced(gen | att), fixed={x: x for x in gen})
+    t = EmbeddingPlan(b.induced(gen | att), pinned=gen).count_each(
+        b.induced(gen | att), [{x: x for x in gen}])[0]
     if t < 1:
         raise ConstructionFailed(f"{row}: no self-matching over the generator", stage_log=added_log)
     added = 0

@@ -300,34 +300,75 @@ def test_validate_problem():
 
 
 def test_base_stage_counts_each_block_type_once(monkeypatch):
-    # mu of every corpus base stage against a plan compiled and counted
-    # per block; isomorphic blocks share one count, so count() runs once
-    # per isomorphism type of block pattern
+    # mu of every corpus base stage against the strong placements of each
+    # block's pattern, listed; isomorphic blocks share one type, so the
+    # pattern's automorphisms are counted once per isomorphism type
     counted = []
-    direct = EmbeddingPlan.count
-
-    def recorded(plan, c, fixed=None, is_strong=None):
-        counted.append(plan.pattern)
-        return direct(plan, c, fixed, is_strong)
-
+    multiplicity = abinitio.extension._pattern_multiplicity
+    monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity",
+                        lambda *args: counted.append(args) or multiplicity(*args))
     shared = 0
     for _, p in _ep_corpus():
         blocks = list(decompose(p.a).minimally_closed)
-        want = [{"block": sorted(bl), "count": EmbeddingPlan(p.a.induced(bl)).count(
-            p.a, is_strong=abinitio.is_self_sufficient)} for bl in blocks]
+        want = [{"block": sorted(bl), "count": len(EmbeddingPlan(p.a.induced(bl)).pairs(
+            p.a, None, abinitio.is_self_sufficient))} for bl in blocks]
         types: list = []
         for bl in blocks:
             if not any(len(t) == len(bl) and ref_find_pattern_iso(p.a, t, [], p.a, bl)
                        for t in types):
                 types.append(bl)
         counted.clear()
-        monkeypatch.setattr(EmbeddingPlan, "count", recorded)
         log = build_base_stage(p, orbit_orders(p))[2]
-        monkeypatch.setattr(EmbeddingPlan, "count", direct)
         assert log["mu"] == want
         assert len(counted) == len(types)
         shared += len(blocks) - len(types)
     assert shared == 19
+
+
+def _octahedron(prefix):
+    """K_{2,2,2}: six points, each missing only its partner.  At m = 2 it
+    counts 0 and no proper part does, so it is a block of its own."""
+    names = [f"{prefix}{i}" for i in range(6)]
+    return names, [(u, v) for u, v in itertools.combinations(names, 2)
+                   if int(u[-1]) // 2 != int(v[-1]) // 2]
+
+
+def test_block_counts_match_the_listed_strong_placements():
+    # mu read off the blocks, automorphisms times the blocks of a type,
+    # against every strong placement listed, on 0-3 K5s with 0-3
+    # octahedra, each with tight single points attached at random
+    rng = random.Random(1996)
+    for fives, sixes in itertools.product(range(4), repeat=2):
+        names, edges = [], []
+        for j in range(fives + sixes):
+            part, inside = k5(f"k{j}v") if j < fives else _octahedron(f"o{j}v")
+            names += part
+            edges += inside
+        for j in range(rng.randint(0, 4) if names else 0):
+            edges += [(f"s{j}", t) for t in rng.sample(names, 2)]
+            names.append(f"s{j}")
+        a = Graph(2, names, edges)
+        blocks = decompose(a).minimally_closed
+        assert sorted(map(len, blocks)) == [5] * fives + [6] * sixes
+        assert abinitio.extension._block_counts(a, blocks) == tuple(
+            len(EmbeddingPlan(a.induced(bl)).pairs(a, None, abinitio.is_self_sufficient))
+            for bl in blocks)
+
+
+def test_stage_builders_reject_a_decomposition_of_another_graph():
+    # given the first K5's decomposition, the base stage of two disjoint
+    # K5s once dropped the second block; one of an equal graph is the
+    # ambient's own
+    p = EPProblem(double_block(), ())
+    with pytest.raises(InvalidMap, match="another graph"):
+        build_base_stage(p, orbit_orders(p), decompose(single_block()))
+    assert len(build_base_stage(p, orbit_orders(p), decompose(double_block()))[0].vertices) == 10
+    p = EPProblem(w_graph(), ())
+    b0, maps, _ = build_base_stage(p, orbit_orders(p))
+    with pytest.raises(InvalidMap, match="another graph"):
+        build_level_stage(b0, p, 0, maps, decomp=decompose(single_block()))
+    b1 = build_level_stage(b0, p, 0, maps, decomp=decompose(w_graph()))[0]
+    assert p.a.vertices <= b1.vertices
 
 
 def test_automorphism_check_over_edges_matches_every_pair():
@@ -860,8 +901,9 @@ def test_two_maps_at_level_two_count_each_class_once(monkeypatch):
 def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
     """t, the generator's pointwise stabilizer read off a stabilizer chain,
     equals the pinned self-count it replaced and the automorphisms listed by
-    brute force: on every row of the corpus, and on random patterns and
-    generators, where it is often above 1."""
+    brute force: on every row of the corpus and every block type of its base
+    stages (with no generator), and on random patterns and generators, where
+    it is often above 1."""
     rows = []
     multiplicity = abinitio.extension._pattern_multiplicity
     monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity",
@@ -869,6 +911,7 @@ def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
     for _, p in _ep_corpus():
         ep_extend(p)
     corpus = len(rows)
+    blocks = sum(not gen for _, gen, _ in rows)
     rng = random.Random(1901)
     for _ in range(150):
         names = [f"v{i}" for i in range(rng.randint(1, 7))]
@@ -880,10 +923,10 @@ def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
     for b, gen, att in rows:
         pattern, fixed = b.induced(gen | att), {x: x for x in gen}
         t = multiplicity(b, gen, att)
-        assert t == EmbeddingPlan(pattern, pinned=gen).count(pattern, fixed=fixed)
+        assert t == EmbeddingPlan(pattern, pinned=gen).count_each(pattern, [fixed])[0]
         assert t == len(brute_automorphisms(pattern, fixed))
         above += t > 1
-    assert corpus == 36 and above >= 50
+    assert (corpus, blocks) == (86, 50) and above >= 50
 
 
 def _sweep_passes(monkeypatch, tallies=()) -> list:

@@ -245,8 +245,10 @@ def test_matcher_against_vf2():
 
 
 def _check_matcher_against_vf2(rng, trial, a, c, closed):
-    """The plan's pairs, count and first against VF2, plain and strong,
-    with pins chosen by the trial number."""
+    """The plan's pairs, counts and first against VF2, plain and strong,
+    with pins chosen by the trial number: the counts are count_each's when
+    the pins embed induced, and without pins the automorphisms times the
+    representatives passing the strength test."""
     reference = _vf2_embeddings(a, c)
     fixed = {}
     if trial % 3:
@@ -268,7 +270,12 @@ def _check_matcher_against_vf2(rng, trial, a, c, closed):
         assert set(got) == expect
         assert got == sorted(got)
         assert all(Embedding(a, c, p).is_induced() for p in got)
-        assert plan.count(c, fixed, is_strong=is_strong) == len(got)
+        if not fixed:
+            reps = [f for f in plan.representatives(c)
+                    if not strong_only or closed(c, frozenset(f.values()))]
+            assert plan._conditions()[1] * len(reps) == len(got)
+        elif _embeds_induced(a, c, fixed):
+            assert plan.count_each(c, [fixed], is_strong)[0] == len(got)
         assert plan.first(c, fixed, is_strong) == (dict(got[0]) if got else None)
 
 
@@ -293,7 +300,7 @@ def test_symmetry_breaking_matches_brute_force_automorphisms():
         assert len(sets) == len(set(sets))
         assert set(sets) == {frozenset(t for _, t in p) for p in plan.pairs(c)}
         assert all(Embedding.build(g, c, f).is_induced() for f in reps)
-        assert plan.count(c) == len(autos) * len(reps)
+        assert len(plan.pairs(c)) == len(autos) * len(reps)
     assert symmetric >= 60
 
 
@@ -326,7 +333,8 @@ def test_count_each_matches_pinned_counts():
 
 def test_pinned_count_matches_reference_on_any_pins():
     # pins drawn from the whole target, so some repeat an image and some map
-    # an edge to a non-edge or back: those extend to no embedding
+    # an edge to a non-edge or back: those extend to no embedding, and
+    # count_each, which takes pins that embed induced, counts the rest
     rng = random.Random(2009)
     repeated = broken = 0
     for trial in range(1000):
@@ -335,14 +343,21 @@ def test_pinned_count_matches_reference_on_any_pins():
         pins = rng.sample(a.sorted_vertices(), rng.randint(1, len(a.vertices)))
         fixed = {p: rng.choice(c.sorted_vertices()) for p in pins}
         plan = EmbeddingPlan(a, pinned=pins)
+        valid = _embeds_induced(a, c, fixed)
         for is_strong in (None, is_self_sufficient):
-            assert plan.count(c, fixed, is_strong=is_strong) == \
-                ref_count(plan, c, fixed, is_strong=is_strong)
+            want = ref_count(plan, c, fixed, is_strong=is_strong)
+            assert (plan.count_each(c, [fixed], is_strong)[0] if valid else 0) == want
         if len(set(fixed.values())) < len(fixed):
             repeated += 1
-        elif not Embedding.build(a.induced(pins), c, fixed).is_induced():
+        elif not valid:
             broken += 1
     assert repeated >= 100 and broken >= 100
+
+
+def _embeds_induced(a, c, fixed) -> bool:
+    """Whether the pin map fixed embeds its part of a into c induced."""
+    return len(set(fixed.values())) == len(fixed) and \
+        Embedding.build(a.induced(fixed), c, fixed).is_induced()
 
 
 def test_first_self_map_is_lex_first_automorphism():
@@ -407,9 +422,9 @@ def test_plan_order_and_pins():
     assert plan.apart == ((), (), (0,), (0, 1, 2))
     c = k_complete(4)
     with pytest.raises(InvalidMap):
-        plan.count(c, {"p0": "v0"})
+        plan.pairs(c, {"p0": "v0"})
     with pytest.raises(UnknownVertex):
-        plan.count(c, {"p2": "nowhere"})
+        plan.pairs(c, {"p2": "nowhere"})
     with pytest.raises(UnknownVertex):
         EmbeddingPlan(a, pinned=["nowhere"])
 
@@ -514,9 +529,8 @@ def test_pinned_modes_past_the_recursion_limit():
     identity = {v: v for v in names}
     assert plan.first(path, pin) == identity
     assert plan.pairs(path, pin) == [tuple(sorted(identity.items()))]
-    assert plan.count(path, pin) == 1
-    assert plan.count(path, {names[0]: names[-1]}) == 1
-    assert plan.count(path, {names[0]: names[1]}) == 0
+    ends = [pin, {names[0]: names[-1]}, {names[0]: names[1]}]
+    assert plan.count_each(path, ends) == [1, 1, 0]
 
 
 def test_fresh_name_and_disjoint_union():

@@ -150,6 +150,29 @@ def test_rejects_nonzero_or_outside_k0():
         uniform_algebraicity_report(k4, 1)
 
 
+def test_strong_is_counting_0_in_a_zero_count_ambient():
+    # the lemma the report and the stage builders rest on, against brute
+    # force: in a member of K0 of count 0, a set is self-sufficient exactly
+    # when it counts 0.  Half the sets are random, half closures, so both
+    # answers come up often
+    rng = random.Random(1994)
+    graphs, seen = 0, {True: 0, False: 0}
+    while graphs < 60:
+        g = random_zero_graph(rng, 12)
+        if len(g.vertices) > 12:  # three blocks: past what brute force scans quickly
+            continue
+        graphs += 1
+        vs = g.sorted_vertices()
+        for k in range(8):
+            s = frozenset(rng.sample(vs, rng.randint(0, len(vs))))
+            if k % 2:
+                s = closure(g, s).closure
+            strong = is_self_sufficient(g, s)
+            assert strong == (abinitio.delta(g, s) == 0) == oracles.brute_closed(g, s)
+            seen[strong] += 1
+    assert min(seen.values()) >= 150, seen
+
+
 def test_level_chain_validates_carrier():
     g = chain_graph()
     with pytest.raises(InvalidMap, match="maximal connected zero set"):
@@ -465,15 +488,18 @@ def test_keyed_counts_match_direct_counts():
 
 
 def _check_counts_by_image_set(g, base, att) -> list:
-    """count_each and the unpinned counts of the base pattern against
-    the reference copies, position by position; returns the placements."""
+    """count_each and the unpinned counts of the base pattern, one
+    representative per image set times the automorphisms, against the
+    reference copies, position by position; returns the placements."""
     plan = EmbeddingPlan(g.induced(base | att), pinned=base)
     base_plan = EmbeddingPlan(g.induced(base))
     placements = [dict(p) for p in base_plan.pairs(g, is_strong=is_self_sufficient)]
     assert plan.count_each(g, placements, is_self_sufficient) == \
         ref_placement_counts(g, base, att, placements, plan)
+    images = [frozenset(f.values()) for f in base_plan.representatives(g)]
     for is_strong in (None, is_self_sufficient):
-        assert base_plan.count(g, is_strong=is_strong) == \
+        kept = [s for s in images if is_strong is None or is_strong(g, s)]
+        assert base_plan._conditions()[1] * len(kept) == \
             ref_count(base_plan, g, is_strong=is_strong)
     return placements
 
