@@ -5,14 +5,14 @@ placement found so far, extend partial isomorphisms to automorphisms by a
 back-and-forth that only enlarges the ambient when no internal image exists,
 and adjoin fresh points of prescribed relative count.
 
-A round of the chain lists the strong embeddings of each distinct pattern
-into the stage it starts from once, and answers from those listings every
-check that a placement's extension already exists there.  That is exact:
-each realization is a free amalgam, which adds no edge between old points,
-and it keeps the stage self-sufficient, so by transitivity of <= (Wagner,
-"Relational structures and dimensions", 1994) a strong embedding into the
-round's first stage stays induced and strong in every later one.  Only the
-placements it leaves open are searched in the current stage.
+A round of the chain lists each distinct pattern's strong embeddings into
+the stage it starts from on first use, and answers from those listings
+every check that a placement's extension already exists there.  That is
+exact: each realization is a free amalgam, which adds no edge between old
+points, and it keeps the stage self-sufficient, so by transitivity of <=
+(Wagner, "Relational structures and dimensions", 1994) a strong embedding
+into the round's first stage stays induced and strong in every later one.
+One existence search in the current stage decides each placement left open.
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ def _catalog(m: int, size_budget: int) -> tuple:
             g = Graph(m, names, edges)
             if not is_in_k0(g):
                 continue
-            if any(len(h.edges) == len(g.edges) and plan.first(g) is not None
-                   for h, plan in found):
+            if any(len(h.edges) == len(g.edges) and plan.exists(g) for h, plan in found):
                 continue
             found.append((g, EmbeddingPlan(g)))
         out.extend(g for g, _ in found)
@@ -147,16 +146,16 @@ def _tasks(m: int, size_budget: int) -> tuple:
     return tuple((g, EmbeddingPlan(g)) for g in number), tuple(tasks)
 
 
-def _open_placements(patterns: tuple, tasks: tuple, listings: list) -> Iterator:
-    """Per task in order, the placements of its base in the listings that
-    no listed embedding of its extension restricts to, as (extension, base,
-    pinned plan, placement pairs).  Lazy, so that a truncated round stops
-    early.  The empty extension has no listing to answer from: its empty map
-    counts as no placement, so it is realized (as a no-op) every round."""
+def _open_placements(patterns: tuple, tasks: tuple, listing: Callable) -> Iterator:
+    """Per task in order, the placements of its base in listing(base's
+    number) that no embedding in listing(extension's number) restricts to,
+    as (extension, base, pinned plan, placement pairs).  Lazy, so a
+    truncated round lists only the patterns its reached tasks read.  The
+    empty extension's task is realized (as a no-op) every round."""
     for ext_id, base_id, plan, restrict in tasks:
         ext, base = patterns[ext_id][0], patterns[base_id][0]
-        met = set(map(restrict, listings[ext_id])) if ext.vertices else ()
-        for p in listings[base_id]:
+        met = set(map(restrict, listing(ext_id))) if ext.vertices else ()
+        for p in listing(base_id):
             if p not in met:
                 yield ext, base, plan, p
 
@@ -173,12 +172,10 @@ def build_approximation(
     max_ambient vertices.  A negative rounds, size_budget or max_ambient is
     a ValueError.
 
-    Each round lists every distinct pattern's strong embeddings into the
-    stage it starts from once.  A base's listing gives its placements; a
-    placement that some listed embedding of the extension restricts to
-    needs nothing, since that embedding stays strong in every later stage.
-    Every other placement is searched in the current stage, as it may have
-    been met by a realization earlier in the round."""
+    A round lists a pattern's strong embeddings into the stage it starts
+    from on first use, never twice.  A placement of a base that a listed
+    embedding of the extension restricts to needs nothing; every other one
+    is decided by one existence search in the current stage."""
     limits.nonnegative("rounds", rounds)
     limits.nonnegative("size_budget", size_budget)
     limits.nonnegative("max_ambient", max_ambient)
@@ -190,22 +187,19 @@ def build_approximation(
     current = seed
     truncated = False
     for rnd in range(rounds):
-        listings = [plan.pairs(current, None, is_self_sufficient) for _, plan in patterns]
-        for ext, base_pattern, plan, at_pairs in _open_placements(patterns, tasks, listings):
+        listing = lru_cache(maxsize=None)(
+            lambda i, start=current: patterns[i][1].pairs(start, None, is_self_sufficient))
+        for ext, base_pattern, plan, at_pairs in _open_placements(patterns, tasks, listing):
             at_map = dict(at_pairs)
-            if plan.first(current, at_map, is_self_sufficient):
+            if ext.vertices and plan.exists(current, at_map, is_self_sufficient):
                 continue
             if len(current.vertices) + len(ext.vertices) - len(at_map) > max_ambient:
                 truncated = True
                 break
             at = Embedding.build(base_pattern, current, at_map)
             current = realize_extension(current, base_pattern, ext, at)
-            task_log.append({
-                "round": rnd,
-                "extension": ext.to_json_dict(),
-                "base": sorted(base_pattern.vertices),
-                "at": sorted(at_pairs),
-            })
+            task_log.append({"round": rnd, "extension": ext.to_json_dict(),
+                             "base": sorted(base_pattern.vertices), "at": sorted(at_pairs)})
         stages.append(current)
         if truncated:
             break

@@ -289,7 +289,7 @@ def _block_counts(a: Graph, blocks: tuple) -> tuple:
                   and plan.embeds_within(a, frozenset(), bl)), None)
         if k is None:
             k = len(types)
-            types.append((EmbeddingPlan(a.induced(bl)), _pattern_multiplicity(a, frozenset(), bl)))
+            types.append((plan := EmbeddingPlan(a.induced(bl)), plan._conditions()[1]))
         of.append(k)
     return tuple(types[k][1] * of.count(k) for k in of)
 

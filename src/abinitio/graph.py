@@ -292,7 +292,7 @@ def _positions(adj: dict, order: list) -> tuple:
 
 
 class _Found(Exception):
-    """Carries the first hit out of a search run by EmbeddingPlan.first."""
+    """Carries the first hit out of a search run by _first_hit."""
 
 
 # marks the free positions of a name-order search where a pin would sit, so
@@ -304,8 +304,8 @@ class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
     against any number of targets: pairs() lists the embeddings as sorted
     (vertex, image) pairs, count_each() counts them for many pin maps at
-    once, first() returns the least one and representatives() one per image
-    set.
+    once, first() returns the least one, exists() whether there is one and
+    representatives() one per image set.
 
     The search order puts the pinned vertices first, then at each step the
     vertex with the most already-placed neighbours (ties: higher degree,
@@ -352,10 +352,10 @@ class EmbeddingPlan:
         return getattr(self, name)
 
     def _pins(self, c: Graph, fixed: dict | None) -> dict:
+        _check_coefficient(self.pattern, c)
         fixed = fixed or {}
         if fixed.keys() != self.pinned:
-            raise InvalidMap(
-                f"pins {sorted(fixed)} differ from the plan's {sorted(self.pinned)}")
+            raise InvalidMap(f"pins {sorted(fixed)} differ from the plan's {sorted(self.pinned)}")
         if not c.vertices.issuperset(fixed.values()):
             for v in fixed.values():
                 c.check_subset([v])
@@ -466,7 +466,6 @@ class EmbeddingPlan:
         """For an unpinned plan, one embedding per image set, as a map: the
         one meeting _conditions().  Every embedding onto that set is this one
         composed with an automorphism of the pattern."""
-        _check_coefficient(self.pattern, c)
         self._pins(c, None)
         order, found = self.order, []
         below, _, rise = self._conditions()
@@ -476,16 +475,19 @@ class EmbeddingPlan:
 
     def embeds_within(self, c: Graph, pins_into: frozenset, free_into: frozenset) -> bool:
         """Whether some induced embedding into c maps the pinned vertices
-        into pins_into and the free ones into free_into; the search stops at
-        its first hit."""
+        into pins_into and the free ones into free_into."""
         _check_coefficient(self.pattern, c)
         k = len(self.pinned)
-        try:
-            _run(c, (self.order, self.adjacent, self.apart, self.degrees),
-                 [pins_into] * k + [free_into] * (len(self.order) - k), _stop)
-        except _Found:
-            return True
-        return False
+        return _first_hit(c, (self.order, self.adjacent, self.apart, self.degrees),
+                          [pins_into] * k + [free_into] * (len(self.order) - k)) is not None
+
+    def exists(self, c: Graph, fixed: dict | None = None,
+               is_strong: Callable | None = None) -> bool:
+        """Whether pairs(c, fixed, is_strong) is nonempty, by one search in
+        the connectivity-first order: no least map is sought."""
+        fixed = self._pins(c, fixed)
+        return _first_hit(c, (self.order, self.adjacent, self.apart, self.degrees),
+                          [fixed.get(p) for p in self.order], is_strong) is not None
 
     def pin_images(self) -> list:
         """The images of the pins, in name order, under the pattern's
@@ -506,22 +508,15 @@ class EmbeddingPlan:
               is_strong: Callable | None = None) -> list:
         """Every embedding as its sorted (vertex, image) pairs, in canonical
         (sorted) order; with is_strong, only those whose image passes it."""
-        _check_coefficient(self.pattern, c)
+        fixed = self._pins(c, fixed)
         names, by_name = sorted(self.order), self._by_name
         found: list = []
-        strong: dict = {}
+        strong = _strength(c, is_strong)
 
         def emit(img):
-            if is_strong is not None:
-                key = frozenset(img)
-                ok = strong.get(key)
-                if ok is None:
-                    ok = strong[key] = is_strong(c, key)
-                if not ok:
-                    return
-            found.append(tuple(zip(names, [img[k] for k in by_name])))
+            if strong(img):
+                found.append(tuple(zip(names, [img[k] for k in by_name])))
 
-        fixed = self._pins(c, fixed)
         _run(c, (self.order, self.adjacent, self.apart, self.degrees),
              [fixed.get(p) for p in self.order], emit)
         found.sort()
@@ -530,29 +525,19 @@ class EmbeddingPlan:
     def first(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None,
               within: frozenset | None = None) -> dict | None:
-        """The map of pairs(c, fixed, is_strong)[0], or None when there
-        is none; the search stops at its first hit, testing strength there.
-        within, when given, holds the free vertices' images.  When it has as
-        many points and misses the pins' images, the map is the least
-        bijection onto it, free vertices in name order, that matches their
-        edges among themselves and to the pins' images."""
-        _check_coefficient(self.pattern, c)
+        """The map of pairs(c, fixed, is_strong)[0], or None: the name-ordered
+        search stops at its first strong hit.  within, when given, holds the
+        free vertices' images; with as many points, missing the pins' images,
+        the map is the least bijection onto it, free vertices in name order,
+        matching their edges among themselves and to the pins' images."""
         fixed = self._pins(c, fixed)
         if self._name_layout is None:
             self._name_layout = _positions(self.pattern._adj, sorted(self.pinned)
                                            + sorted(self.pattern.vertices - self.pinned))
         names = self._name_layout[0]
         free = _IN_NAME_ORDER if within is None else sorted(within)
-
-        def emit(img):
-            if is_strong is None or is_strong(c, frozenset(img)):
-                raise _Found(dict(sorted(zip(names, img))))
-
-        try:
-            _run(c, self._name_layout, [fixed.get(p, free) for p in names], emit)
-        except _Found as hit:
-            return hit.args[0]
-        return None
+        hit = _first_hit(c, self._name_layout, [fixed.get(p, free) for p in names], is_strong)
+        return None if hit is None else dict(sorted(zip(names, hit)))
 
 
 def _chain(a: Graph, order: list, positions: range) -> list:
@@ -573,16 +558,42 @@ def _chain(a: Graph, order: list, positions: range) -> list:
         for u in sorted(a.vertices - held - {v}):
             if len(adj[u]) != len(adj[v]) or adj[u] & held != adj[v] & held:
                 continue
-            try:
-                _run(a, layout, list(order[:i]) + [u] + [None] * (n - i - 1), _stop)
-            except _Found as hit:
-                level[u] = dict(zip(layout[0], hit.args[0]))
+            hit = _first_hit(a, layout, list(order[:i]) + [u] + [None] * (n - i - 1))
+            if hit is not None:
+                level[u] = dict(zip(layout[0], hit))
         levels.append(level)
     return levels
 
 
-def _stop(img: list) -> None:
-    raise _Found(list(img))
+def _first_hit(c: Graph, layout: tuple, pins: list, is_strong: Callable | None = None):
+    """The images of the first embedding that _run meets whose image passes
+    is_strong, or None: the one existence search, stopped at its hit."""
+    strong = _strength(c, is_strong)
+
+    def stop(img):
+        if strong(img):
+            raise _Found(list(img))
+
+    try:
+        _run(c, layout, pins, stop)
+    except _Found as hit:
+        return hit.args[0]
+    return None
+
+
+def _strength(c: Graph, is_strong: Callable | None, under: frozenset = frozenset()) -> Callable:
+    """The test of a search's image list: whether its points with under
+    pass is_strong, asked once per image set; without is_strong, always."""
+    if is_strong is None:
+        return lambda img: True
+    memo: dict = {}
+
+    def strong(img) -> bool:
+        key = frozenset(img)
+        if key not in memo:
+            memo[key] = is_strong(c, under | key)
+        return memo[key]
+    return strong
 
 
 def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None = None) -> None:
@@ -695,18 +706,13 @@ def _tally(c: Graph, layout: tuple, image: frozenset, table: dict,
             domains.append(remote.union(inside))
         else:
             domains.append(frozenset(inside))
-    strong: dict = {}
+    strong = _strength(c, is_strong, image)
     none = frozenset()
 
     def emit(img):
         w = tuple([touching.get(t, none) for t in img])
-        if w in table:
-            key = frozenset(img)
-            ok = strong.get(key)
-            if ok is None:
-                ok = strong[key] = is_strong is None or is_strong(c, image | key)
-            if ok:
-                table[w] += 1
+        if w in table and strong(img):
+            table[w] += 1
 
     _run(c, layout, domains, emit)
 

@@ -92,35 +92,56 @@ def test_task_plans_are_compiled_once_per_catalog(monkeypatch):
 
 
 def test_each_round_lists_each_distinct_pattern_once(monkeypatch):
-    patterns, _ = _tasks(2, 3)
+    patterns, tasks = _tasks(2, 3)
     distinct = {g for ext in pattern_catalog(2, 3)
                 for g in [ext] + [ext.induced(s) for s in ref_base_choices(ext)]}
     assert len(patterns) == len(distinct)
-    listed = []
-    pairs = EmbeddingPlan.pairs
+    listed, opened = [], []  # (pattern, target) per listing; per round, the plans yielded
+    pairs, open_placements = EmbeddingPlan.pairs, abinitio.approximation._open_placements
 
-    def counting_pairs(self, *args, **kwargs):
-        listed.append(self.pattern)
-        return pairs(self, *args, **kwargs)
+    def recording_pairs(self, c, *args, **kwargs):
+        listed.append((self.pattern, c))
+        return pairs(self, c, *args, **kwargs)
 
-    monkeypatch.setattr(EmbeddingPlan, "pairs", counting_pairs)
+    def recording_open(*args):
+        opened.append([])
+        for item in open_placements(*args):
+            opened[-1].append(item[2])
+            yield item
+
+    monkeypatch.setattr(EmbeddingPlan, "pairs", recording_pairs)
+    monkeypatch.setattr(abinitio.approximation, "_open_placements", recording_open)
     chain = build_approximation(block("a"), 2, 3)
-    assert len(chain.stages) == 3  # both rounds started, so both listed
-    assert len(listed) == 2 * len(distinct)
-    assert set(listed) == distinct
+    monkeypatch.undo()
+    # round 0 runs every task; round 1 stops partway at the ambient ceiling
+    assert len(chain.stages) == 3 and chain.truncated and len(opened) == 2
+    for rnd, plans in enumerate(opened):
+        # each listing is taken against the stage the round started from
+        got = [g for g, c in listed if c is chain.stages[rnd]]
+        assert len(got) == len(set(got))
+        if rnd == len(opened) - 1:
+            stop = [plan for _, _, plan, _ in tasks].index(plans[-1])
+            reached = tasks[:stop + 1]
+            assert len(reached) < len(tasks)
+        else:
+            reached = tasks
+        assert set(got) == {patterns[i][0] for e, b, _, _ in reached for i in (e, b)}
+        assert rnd or set(got) == distinct
+    assert len(listed) == sum(c is chain.stages[0] or c is chain.stages[1] for _, c in listed)
+    assert len(distinct) < len(listed) < 2 * len(distinct)
 
 
 def test_placements_met_in_the_first_stage_are_not_searched(monkeypatch):
     searched = []
-    first = EmbeddingPlan.first
+    exists = EmbeddingPlan.exists
 
-    def recording_first(self, c, fixed=None, *args, **kwargs):
+    def recording_exists(self, c, fixed=None, *args, **kwargs):
         searched.append((self.pattern, dict(fixed or {})))
-        return first(self, c, fixed, *args, **kwargs)
+        return exists(self, c, fixed, *args, **kwargs)
 
     seed = Graph(2, ["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
-    _tasks(2, 3)  # the catalog's own isomorphism tests run first() too
-    monkeypatch.setattr(EmbeddingPlan, "first", recording_first)
+    _tasks(2, 3)  # the catalog's own isomorphism tests run exists() too
+    monkeypatch.setattr(EmbeddingPlan, "exists", recording_exists)
     chain = build_approximation(seed, 1, 3)
     monkeypatch.undo()
     assert chain.task_log and searched

@@ -302,11 +302,17 @@ def test_validate_problem():
 def test_base_stage_counts_each_block_type_once(monkeypatch):
     # mu of every corpus base stage against the strong placements of each
     # block's pattern, listed; isomorphic blocks share one type, so the
-    # pattern's automorphisms are counted once per isomorphism type
-    counted = []
-    multiplicity = abinitio.extension._pattern_multiplicity
-    monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity",
-                        lambda *args: counted.append(args) or multiplicity(*args))
+    # pattern's automorphisms are counted once per isomorphism type, by the
+    # stabilizer chain of the type's plan
+    counted = []  # the patterns whose group order is computed
+    conditions = EmbeddingPlan._conditions
+
+    def counting_conditions(plan):
+        if plan._symmetry is None:
+            counted.append(plan.pattern)
+        return conditions(plan)
+
+    monkeypatch.setattr(EmbeddingPlan, "_conditions", counting_conditions)
     shared = 0
     for _, p in _ep_corpus():
         blocks = list(decompose(p.a).minimally_closed)
@@ -901,17 +907,21 @@ def test_two_maps_at_level_two_count_each_class_once(monkeypatch):
 def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
     """t, the generator's pointwise stabilizer read off a stabilizer chain,
     equals the pinned self-count it replaced and the automorphisms listed by
-    brute force: on every row of the corpus and every block type of its base
-    stages (with no generator), and on random patterns and generators, where
-    it is often above 1."""
-    rows = []
+    brute force: on every row of the corpus and every block of its base
+    stages (with no generator, where the block's unpinned plan gives the
+    group order the base stage reads), and on random patterns and
+    generators, where it is often above 1."""
+    rows, blocks = [], set()
     multiplicity = abinitio.extension._pattern_multiplicity
+    block_counts = abinitio.extension._block_counts
     monkeypatch.setattr(abinitio.extension, "_pattern_multiplicity",
                         lambda *args: rows.append(args) or multiplicity(*args))
+    monkeypatch.setattr(abinitio.extension, "_block_counts",
+                        lambda a, bls: blocks.update((a, bl) for bl in bls) or block_counts(a, bls))
     for _, p in _ep_corpus():
         ep_extend(p)
     corpus = len(rows)
-    blocks = sum(not gen for _, gen, _ in rows)
+    rows += [(a, frozenset(), bl) for a, bl in blocks]
     rng = random.Random(1901)
     for _ in range(150):
         names = [f"v{i}" for i in range(rng.randint(1, 7))]
@@ -925,8 +935,10 @@ def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
         t = multiplicity(b, gen, att)
         assert t == EmbeddingPlan(pattern, pinned=gen).count_each(pattern, [fixed])[0]
         assert t == len(brute_automorphisms(pattern, fixed))
+        if not gen:
+            assert t == EmbeddingPlan(pattern)._conditions()[1]
         above += t > 1
-    assert (corpus, blocks) == (86, 50) and above >= 50
+    assert (corpus, len(blocks)) == (36, 19) and above >= 50
 
 
 def _sweep_passes(monkeypatch, tallies=()) -> list:

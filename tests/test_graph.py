@@ -19,6 +19,7 @@ from abinitio import (
     count_cross_edges,
     export_dot,
     fresh_name,
+    is_in_k0,
     is_self_sufficient,
     limits,
 )
@@ -277,6 +278,7 @@ def _check_matcher_against_vf2(rng, trial, a, c, closed):
         elif _embeds_induced(a, c, fixed):
             assert plan.count_each(c, [fixed], is_strong)[0] == len(got)
         assert plan.first(c, fixed, is_strong) == (dict(got[0]) if got else None)
+        assert plan.exists(c, fixed, is_strong) == bool(got)
 
 
 def test_symmetry_breaking_matches_brute_force_automorphisms():
@@ -409,6 +411,37 @@ def test_first_within_is_the_least_matching_bijection():
         key = bool(forced), want is not None
         seen[key] = seen.get(key, 0) + 1
     assert seen["unequal"] >= 100 and min(seen.values()) >= 20, seen
+
+
+def test_exists_answers_as_first_asking_once_per_image_set():
+    # seeded random K0 targets; patterns from the target or random, plans
+    # unpinned or pinned, pins sent as some embedding sends them or anywhere
+    # in the target; the strength test records what it is asked
+    rng = random.Random(2033)
+    seen: dict = {}  # (pinned, found) -> trials
+    several = 0  # trials whose search asked about more than one image set
+    for trial in range(500):
+        m = rng.choice([2, 3])
+        c = _random_graph(rng, "t", rng.randint(3, 9), m)
+        if not is_in_k0(c):
+            continue
+        a = _connected_pattern(rng, c, rng.randint(1, 4)) if trial % 2 else \
+            _random_graph(rng, "p", rng.randint(1, 4), m)
+        fixed = {}
+        if trial % 3:
+            pins = rng.sample(a.sorted_vertices(), rng.randint(1, len(a.vertices)))
+            hits = EmbeddingPlan(a).pairs(c)
+            f = dict(rng.choice(hits)) if hits and trial % 4 else {}
+            fixed = {p: f.get(p) or rng.choice(c.sorted_vertices()) for p in pins}
+        plan = EmbeddingPlan(a, pinned=fixed)
+        asked = []
+        got = plan.exists(c, fixed, lambda g, s: asked.append(s) or is_self_sufficient(g, s))
+        assert got == (plan.first(c, fixed, is_self_sufficient) is not None)
+        assert len(asked) == len(set(asked))
+        assert plan.exists(c, fixed) == (plan.first(c, fixed) is not None)
+        seen[bool(fixed), got] = seen.get((bool(fixed), got), 0) + 1
+        several += len(asked) > 1
+    assert len(seen) == 4 and min(seen.values()) >= 20 and several >= 20, (seen, several)
 
 
 def test_plan_order_and_pins():
