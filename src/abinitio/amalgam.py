@@ -3,7 +3,9 @@
 The amalgam adds no edges beyond the two factors, keeps the base's names
 from the left factor, and relabels the right factor's private vertices away
 from collisions.  Validation is eager: a bad specification fails before any
-construction happens.
+construction happens.  This is the checked front for outside input: the
+package's own growth steps, whose inputs meet these checks by construction,
+call graph.adjoin_copy directly.
 """
 
 from __future__ import annotations

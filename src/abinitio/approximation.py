@@ -13,6 +13,10 @@ points, and it keeps the stage self-sufficient, so by transitivity of <=
 (Wagner, "Relational structures and dimensions", 1994) a strong embedding
 into the round's first stage stays induced and strong in every later one.
 One existence search in the current stage decides each placement left open.
+
+The chain and the back-and-forth grow their own graphs by adjoin_copy, the
+copy free_amalgam ends in, as their inputs meet its checks by construction;
+free_amalgam and realize_extension stay the checked fronts for outside input.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Iterator
 from . import limits
 from .amalgam import AmalgamSpec, free_amalgam
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, EmbeddingPlan, Graph, PartialIso, fresh_name
+from .graph import Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, fresh_name
 from .predimension import _closure_set, is_in_k0, is_self_sufficient
 
 
@@ -38,7 +42,7 @@ def realize_extension(
 ) -> Graph:
     """Free amalgam of the current stage with the extension pattern over the
     placed base.  The current stage keeps its names and stays self-sufficient
-    in the result."""
+    in the result.  Every argument is checked, as for outside input."""
     if pattern_base.m != pattern_ext.m:
         raise InvalidMap("base and extension pattern coefficients differ")
     if not pattern_base.vertices <= pattern_ext.vertices:
@@ -46,14 +50,8 @@ def realize_extension(
     base_adj, ext_adj, base = pattern_base._adj, pattern_ext._adj, pattern_base.vertices
     if any(ext_adj[v] & base != base_adj[v] for v in base):
         raise InvalidMap("the base pattern must be induced in the extension pattern")
-    spec = AmalgamSpec(
-        left=current,
-        right=pattern_ext,
-        base_in_left=at,
-        base_in_right=Embedding.build(
-            pattern_base, pattern_ext, {v: v for v in pattern_base.vertices}),
-    )
-    return free_amalgam(spec).graph
+    base_in_ext = Embedding.build(pattern_base, pattern_ext, {v: v for v in base})
+    return free_amalgam(AmalgamSpec(current, pattern_ext, at, base_in_ext)).graph
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,12 @@ def build_approximation(
     A round lists a pattern's strong embeddings into the stage it starts
     from on first use, never twice.  A placement of a base that a listed
     embedding of the extension restricts to needs nothing; every other one
-    is decided by one existence search in the current stage."""
+    is decided by one existence search in the current stage.
+
+    A realization is free_amalgam's copy step alone, as its checks hold:
+    the seed is checked in K0 and patterns are in K0, each base is strong in
+    its extension (_base_choices), and each placement by its listing and
+    transitivity of <=."""
     limits.nonnegative("rounds", rounds)
     limits.nonnegative("size_budget", size_budget)
     limits.nonnegative("max_ambient", max_ambient)
@@ -196,8 +199,7 @@ def build_approximation(
             if len(current.vertices) + len(ext.vertices) - len(at_map) > max_ambient:
                 truncated = True
                 break
-            at = Embedding.build(base_pattern, current, at_map)
-            current = realize_extension(current, base_pattern, ext, at)
+            current = adjoin_copy(current, ext, ext.vertices - base_pattern.vertices, [at_map])[0]
             task_log.append({"round": rnd, "extension": ext.to_json_dict(),
                              "base": sorted(base_pattern.vertices), "at": sorted(at_pairs)})
         stages.append(current)
@@ -211,17 +213,18 @@ def build_approximation(
 
 def _extend_one_side(ambient: Graph, phi: dict, v: str) -> tuple:
     """One forth step: bring v into the domain of phi.  With no internal image
-    the ambient is amalgamated freely with the closure of phi's domain and v,
-    over the domain placed by phi, which checks phi's domain and range strong."""
+    the ambient grows by a copy of n, the closure of phi's domain and v,
+    glued along phi: free_amalgam's result, as its checks hold.  _closure_set
+    raises OutsideK0 before any growth, and phi's domain and range are
+    strong, checked at entry and kept: n is strong, a hit's image is tested
+    strong, and the amalgam holds both the copy of n and the old ambient
+    strong."""
     n = _closure_set(ambient, frozenset(phi) | {v})
-    plan = EmbeddingPlan(ambient.induced(n), pinned=phi)
-    hit = plan.first(ambient, phi, is_self_sufficient)
+    hit = EmbeddingPlan(ambient.induced(n), pinned=phi).first(ambient, phi, is_self_sufficient)
     if hit is not None:
         return ambient, hit
-    base, part = ambient.induced(phi), ambient.induced(n)
-    res = free_amalgam(AmalgamSpec(ambient, part, Embedding.build(base, ambient, phi),
-                                   Embedding.build(base, part, {x: x for x in phi})))
-    return res.graph, res.right_embedding.as_dict()
+    grown, (fresh,) = adjoin_copy(ambient, ambient, n - phi.keys(), [phi])
+    return grown, {**phi, **fresh}
 
 
 def _total_extension(ambient: Graph, phi: dict) -> Embedding | None:
@@ -243,23 +246,17 @@ def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
         raise InvalidMap("range is not self-sufficient")
     phi = g.as_dict()
     current = ambient
-    for _ in range(steps):
+    for step in range(steps + 1):
         gamma = _total_extension(current, phi)
         if gamma is not None:
             return current, gamma
-        missing_dom = sorted(set(current.vertices) - set(phi))
-        if missing_dom:
-            current, phi = _extend_one_side(current, phi, missing_dom[0])
-        missing_rng = sorted(set(current.vertices) - set(phi.values()))
-        if missing_rng:
-            inverse = {r: d for d, r in phi.items()}
-            current, inverse = _extend_one_side(current, inverse, missing_rng[0])
-            phi = {r: d for d, r in inverse.items()}
-        if not missing_dom and not missing_rng:
+        if step == steps:
             break
-    gamma = _total_extension(current, phi)
-    if gamma is not None:
-        return current, gamma
+        if missing := min(current.vertices - phi.keys(), default=None):
+            current, phi = _extend_one_side(current, phi, missing)
+        if missing := min(current.vertices - set(phi.values()), default=None):
+            current, inverse = _extend_one_side(current, {r: d for d, r in phi.items()}, missing)
+            phi = {r: d for d, r in inverse.items()}
     raise ConstructionFailed(f"no total extension within {steps} rounds")
 
 

@@ -245,7 +245,8 @@ def build_base_stage(
                         for v in bl)
         if kind == "chain":
             start = chain[0]
-            b0, betas = adjoin_copy(b0, a, start, [{}] * ((order - 1) * len(chain)))
+            # named away from the ambient's points, which later layers bring in
+            b0, betas = adjoin_copy(b0, a, start, [{}] * ((order - 1) * len(chain)), a.vertices)
             entry["copies"] = [sorted(beta.values()) for beta in betas]
             # the end block goes to the first copy: each start point's walk
             # along the chain ends at the point sent to its copy; each copy
@@ -329,7 +330,8 @@ def _uniformize_row(b: Graph, witness, log: dict, memo: dict) -> tuple:
     generator image sets K never share supply, and one graph build between
     recounts tops up every K.  K's copies are glued along alpha, its least
     placement of least count: the least of those classes' least placements,
-    each found by a name-ordered search pinned at its class's images."""
+    each found by a name-ordered search pinned at its class's images.  Copies
+    are named away from b's names and memo["avoid"]'s, if any."""
     base, gen, att = witness.base, witness.generator, witness.zero_minimal_set
     where = f"stage {log['stage']}: {_row_name(witness)}"
     t = _pattern_multiplicity(b, gen, att)
@@ -375,7 +377,8 @@ def _uniformize_row(b: Graph, witness, log: dict, memo: dict) -> tuple:
         added += len(alphas)
         # fresh copies of the attachment, each wired to the alpha-image of
         # the generator with the original cross pattern
-        b, fresh = adjoin_copy(b, b, att, [{x: al[x] for x in gen} for al in alphas])
+        b, fresh = adjoin_copy(b, b, att, [{x: al[x] for x in gen} for al in alphas],
+                               memo.get("avoid", ()))
         memo.setdefault("copies", []).extend(
             (witness, frozenset([al[x] for x in gen]), frozenset([al[x] for x in base]),
              frozenset(relabel.values())) for al, relabel in zip(alphas, fresh))
@@ -480,20 +483,21 @@ def _thawed(entry: tuple) -> dict:
 
 
 @lru_cache(maxsize=16)  # the corpus's 30 level stages start from 8 graphs; at 4 one is evicted
-def _even_out(b: Graph, level: int, max_set: int | None) -> tuple:
+def _even_out(b: Graph, level: int, max_set: int | None, avoid: frozenset = frozenset()) -> tuple:
     """The sweep of a level stage from b: pass over the rows, evening out
     those that are not uniform, until a pass finds every row uniform.  Only
-    b, the level and max_set are read, never the maps, so the result is
-    shared by value across the stages that start from one graph.  Returns
-    the grown graph, per row its witness and nu, and the copies added, each
-    _frozen: nothing a caller can change.  A failure carries the sweep's
-    _SweepLog, with the copies added before it.  Each grown graph has the
-    one before as a strong subset (copies add no edge between old points and
-    count 0 over their generator images), so what a pass establishes holds
-    in the next: the passes share one memo, dropped on return, of row types,
-    witnesses (_sweep_witnesses) and per-graph counts (_placement_classes)."""
+    b, the level, max_set and the names its copies avoid are read, never
+    the maps, so the result is shared by value across the stages that start
+    from one graph.  Returns the grown graph, per row its witness and nu,
+    and the copies added, each _frozen: nothing a caller can change.  A
+    failure carries the sweep's _SweepLog, with the copies added before it.
+    Each grown graph has the one before as a strong subset (copies add no
+    edge between old points and count 0 over their generator images), so
+    what a pass establishes holds in the next: the passes share one memo,
+    dropped on return, of row types, witnesses (_sweep_witnesses) and
+    per-graph counts (_placement_classes)."""
     log = _SweepLog(stage=level, added=[])
-    memo: dict = {}
+    memo: dict = {"avoid": avoid}
     for _ in range(_MAX_SWEEP_PASSES):
         # a row is uniform when every strong placement of its base sees one
         # count; nu is that count, 0 with no placement.  Each row is logged
@@ -546,23 +550,18 @@ def build_level_stage(
         decomp = decompose(a, max_set=max_set)
     elif decomp.ambient != a:
         raise InvalidMap("the decomposition is of another graph")
-    new_verts = []
-    for comp in decomp.components:
-        hi = comp.layers[min(q + 1, comp.level)]
-        lo = comp.layers[min(q, comp.level)]
-        new_verts.extend(sorted(hi - lo))
-    verts = set(prev.vertices) | set(new_verts)
-    edges = list(prev.sorted_edges())
-    for (u, w) in a.sorted_edges():
-        if (u in new_verts or w in new_verts) and u in verts and w in verts:
-            edges.append((u, w))
-    b = Graph(a.m, verts, edges)
-    log = {"stage": q + 1, "kind": "level", "layer_added": sorted(new_verts),
+    new = frozenset().union(*(c.layers[min(q + 1, c.level)] - c.layers[min(q, c.level)]
+                              for c in decomp.components))
+    # no copy took an ambient point's name, so the layer keeps its names
+    b, _ = adjoin_copy(prev, a, new, [{v: v for v in prev.vertices & a.vertices}])
+    log = {"stage": q + 1, "kind": "level", "layer_added": sorted(new),
            "rows": [], "added": [], "map_cycles": []}
-    _require(not new_verts or delta_rel(b, frozenset(new_verts), prev.vertices) == 0,
+    _require(not new or delta_rel(b, new, prev.vertices) == 0,
              "the added layer does not count 0 over the previous stage", log)
+    # a copy of a stage point v is named v~k: only such ambient names can be taken
+    later = frozenset(v for v in a.vertices - b.vertices if "~" in v)
     try:
-        b, rows, added = _even_out(b, q + 1, max_set)
+        b, rows, added = _even_out(b, q + 1, max_set, later)
     except ConstructionFailed as exc:
         # the sweep logs its copies into an entry of its own: report them in
         # this stage's log

@@ -731,20 +731,20 @@ def fresh_name(base: str, taken: set) -> str:
 
 
 def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
-                glues: list) -> tuple[Graph, list]:
+                glues: list, avoid: Iterable[str] = ()) -> tuple[Graph, list]:
     """Adjoin to ambient one copy of part, a vertex set of source, per glue
     in glues, in one graph build.  Each copy is named by fresh_name over
-    sorted(part) away from ambient's names and the earlier copies'.  It gets
-    source's edges inside part and, for each source edge from part to a key
-    of its glue, an edge to that key's image in ambient; nothing else is
-    added.
+    sorted(part) away from ambient's names, the names in avoid and the
+    earlier copies'.  It gets source's edges inside part and, for each
+    source edge from part to a key of its glue, an edge to that key's image
+    in ambient; nothing else is added.
 
     Returns the grown graph and the naming of part, one per glue.
     """
     if ambient.m != source.m:
         raise CoefficientMismatch(f"coefficients differ: {ambient.m} vs {source.m}")
     part = sorted(source.check_subset(part))
-    taken = set(ambient.vertices)
+    taken = {*ambient.vertices, *avoid}
     edges = list(ambient.edges)
     relabels = []
     for glue in glues:
@@ -760,7 +760,7 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
                 elif w in glue:
                     edges.append((nv, glue[w]))
         relabels.append(relabel)
-    return Graph(ambient.m, taken, edges), relabels
+    return Graph(ambient.m, ambient.vertices.union(*map(dict.values, relabels)), edges), relabels
 
 
 # -- connected subset enumeration ----------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import abinitio.approximation
 from abinitio import (
-    AmalgamError,
+    AmalgamSpec,
     ConstructionFailed,
     Embedding,
     EmbeddingPlan,
@@ -20,6 +21,7 @@ from abinitio import (
     closure,
     dimension,
     extend_partial_iso,
+    free_amalgam,
     geometric_closure_bounded,
     is_in_k0,
     is_self_sufficient,
@@ -28,6 +30,8 @@ from abinitio import (
     strong_embeddings,
 )
 from abinitio.approximation import _base_choices, _catalog, _tasks, _total_extension
+from abinitio.predimension import _closure_set
+from builders import random_k0_graph
 from oracles import (
     brute_automorphisms, brute_closed, brute_delta, brute_in_k0, ref_base_choices,
     ref_build_approximation)
@@ -372,17 +376,52 @@ def test_total_map_check_matches_pinned_search():
     assert (hits, partial_hits) == (2, 12)
 
 
-def test_construction_invariants_survive_without_asserts(monkeypatch):
-    # the back-and-forth grows through free_amalgam, whose preconditions are
-    # raises that python -O keeps: a strength test that denies fails the
-    # growth step by name
-    na, ea = k5("a")
-    nb, eb = k5("b")
-    g = Graph(2, na + nb + ["w"], ea + eb + [("w", "b0"), ("w", "b1")])
-    phi = PartialIso.build(g, {f"a{i}": f"b{i}" for i in range(5)})
-    monkeypatch.setattr(abinitio.amalgam, "is_self_sufficient", lambda h, s: False)
-    with pytest.raises(AmalgamError, match="base image is not self-sufficient"):
-        extend_partial_iso(g, phi)
+def _checked_growth(ambient, phi, v) -> tuple:
+    """The forth step's growth through the checked front: free_amalgam of
+    the ambient with the closure of phi's domain and v, over the domain
+    placed by phi; the grown graph and the copy's map."""
+    n = _closure_set(ambient, frozenset(phi) | {v})
+    base, part = ambient.induced(phi), ambient.induced(n)
+    res = free_amalgam(AmalgamSpec(ambient, part, Embedding.build(base, ambient, phi),
+                                   Embedding.build(base, part, {x: x for x in phi})))
+    return res.graph, res.right_embedding.as_dict()
+
+
+def test_growth_step_is_the_checked_free_amalgam(monkeypatch):
+    # seeded K0 ambients and strong partial maps of one or two points: every
+    # forth step of their back-and-forth that grows the ambient gives the
+    # graph and the map that free_amalgam, checking every precondition, gives
+    rng = random.Random(35)
+    calls = []
+    step = abinitio.approximation._extend_one_side
+    monkeypatch.setattr(abinitio.approximation, "_extend_one_side",
+                        lambda a, phi, v: calls.append((a, dict(phi), v)) or step(a, phi, v))
+    maps = 0
+    while maps < 30:
+        g = random_k0_graph(rng, max_verts=7, m=2)
+        vs = g.sorted_vertices()
+        pairs = [(x, y) for x in vs for y in vs if x != y]
+        if not pairs:
+            continue
+        phi = dict([rng.choice(pairs)])
+        [(x, y)] = phi.items()
+        seconds = [(u, w) for u, w in pairs
+                   if x not in (u, w) and y not in (u, w) and g.has_edge(u, x) == g.has_edge(w, y)]
+        if seconds and rng.random() < 0.5:
+            phi.update([rng.choice(seconds)])
+        if not (is_self_sufficient(g, phi.keys()) and is_self_sufficient(g, phi.values())):
+            continue
+        maps += 1
+        with contextlib.suppress(ConstructionFailed):
+            extend_partial_iso(g, PartialIso.build(g, phi), steps=3)
+    monkeypatch.undo()
+    grew = 0
+    for ambient, phi, v in calls:
+        got = step(ambient, phi, v)
+        if got[0] is not ambient:
+            grew += 1
+            assert got == _checked_growth(ambient, phi, v)
+    assert (len(calls), grew) == (94, 49)
 
 
 def test_back_and_forth_growth_stays_in_k0_and_strong():

@@ -276,6 +276,25 @@ def test_ep_extend_then_verify(tmp_path, capsys):
     assert rc == 1 and doc["ok"] is False and doc["diagnostics"]
 
 
+def test_ep_extend_names_copies_away_from_later_ambient_points(tmp_path, capsys):
+    # K5 blocks a, b, c, d and a point "a0~1" on c0, c1, the name the base
+    # stage would give a copy of a0 closing the chain a -> b
+    blocks = [k5_dict(x) for x in "abcd"]
+    problem = {
+        "graph": {"m": 2, "vertices": [v for d in blocks for v in d["vertices"]] + ["a0~1"],
+                  "edges": [e for d in blocks for e in d["edges"]]
+                  + [["a0~1", "c0"], ["a0~1", "c1"]]},
+        "maps": [{"map": [[f"{x}{i}", f"{y}{i}"] for x, y in ("ab", "cd", "dc")
+                          for i in range(5)]}],
+    }
+    ppath = write(tmp_path, "problem.json", problem)
+    rc, doc, _ = run(capsys, ["ep-extend", ppath])
+    assert rc == 0 and len(doc["certificate"]["b"]["vertices"]) == 90
+    cpath = write(tmp_path, "cert.json", doc["certificate"])
+    rc, doc, _ = run(capsys, ["ep-verify", ppath, cpath])
+    assert rc == 0 and doc["ok"] is True
+
+
 @pytest.mark.parametrize("tamper, message", [
     (lambda c: c["inclusion"].insert(0, ["a0", "b0"]), "duplicate map source 'a0'"),
     (lambda c: c["automorphisms"][0].insert(0, ["a0", "a1"]), "duplicate map source 'a0'"),

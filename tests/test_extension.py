@@ -1321,6 +1321,46 @@ def test_level_stage_lists_no_placement_and_builds_once_per_pass(monkeypatch):
     assert copies == 453 and sweeps[0] == 60
 
 
+def _swap(*pairs) -> dict:
+    """The map sending block x's points onto block y's, for each (x, y)."""
+    return {f"{x}{i}": f"{y}{i}" for x, y in pairs for i in range(5)}
+
+
+def _blocks(letters: str) -> tuple:
+    """The names and edges of one K5 block per letter."""
+    return [v for x in letters for v in k5(x)[0]], [e for x in letters for e in k5(x)[1]]
+
+
+def _named_like_a_copy(point: str) -> EPProblem:
+    """K5 blocks a, b, c, d and a point on c0, c1 named as the base stage
+    names a block copy, "a0~1" for the copies closing the chain a -> b."""
+    names, edges = _blocks("abcd")
+    g = Graph(2, names + [point], edges + [(point, "c0"), (point, "c1")])
+    return EPProblem(g, (PartialIso.build(g, _swap("ab", "cd", "dc")),))
+
+
+def _two_layers(top: str) -> EPProblem:
+    """K5 blocks c and d swapped, w on c0, c1 at level 1 and a point on w
+    and c2 at level 2, named as the level-1 sweep names w's copies when
+    top is "w~1"."""
+    names, edges = _blocks("cd")
+    g = Graph(2, names + ["w", top],
+              edges + [("w", "c0"), ("w", "c1"), (top, "w"), (top, "c2")])
+    return EPProblem(g, (PartialIso.build(g, _swap("cd", "dc")),))
+
+
+@pytest.mark.parametrize("problem, other, taken", [
+    (_named_like_a_copy, "w", "a0~1"), (_two_layers, "v", "w~1")], ids=["base", "level"])
+def test_copies_are_named_away_from_ambient_points_of_later_layers(problem, other, taken):
+    # a copy named after a point of a later layer would merge with it when
+    # that layer comes in: with the point named as a copy would be, or not,
+    # the construction goes through and verifies
+    for p in (problem(taken), problem(other)):
+        cert = ep_extend(p)
+        assert verify_certificate(p, cert).ok and len(cert.b.vertices) == 90
+        assert cert.b.induced(p.a.vertices) == p.a
+
+
 def fan_graph():
     # K5 and one point on each pair of it: every placement sees one copy
     block = [f"a{i}" for i in range(5)]

@@ -839,4 +839,4 @@ def test_invariant_checks_pass_with_asserts_stripped():
          " or a_failed_postcondition_raises_by_name or back_and_forth_growth_stays_in_k0"],
         cwd=ROOT, env=_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "\n19 passed, " in proc.stdout, proc.stdout[-3000:]
+    assert "\n18 passed, " in proc.stdout, proc.stdout[-3000:]
