@@ -7,6 +7,8 @@ verifiable certificates, and grows finite approximations of the generic
 structure for the hereditarily nonnegative class.
 """
 
+from types import ModuleType as _ModuleType
+
 from .amalgam import AmalgamResult, AmalgamSpec, free_amalgam, verify_strong_pair
 from .approximation import (
     ApproximationChain,
@@ -77,68 +79,8 @@ from .zero_decomposition import (
     uniform_algebraicity_report,
 )
 
-__all__ = [
-    "AbinitioError",
-    "AmalgamError",
-    "AmalgamResult",
-    "AmalgamSpec",
-    "ApproximationChain",
-    "BaseWitness",
-    "ClosureResult",
-    "CoefficientMismatch",
-    "ComponentLevels",
-    "ConstructionFailed",
-    "EPCertificate",
-    "EPProblem",
-    "Embedding",
-    "EmbeddingPlan",
-    "Graph",
-    "InvalidMap",
-    "OrbitOrder",
-    "OrientationWitness",
-    "OutsideK0",
-    "PartialIso",
-    "UnknownVertex",
-    "VerificationReport",
-    "ZeroDecomposition",
-    "add_generic_point",
-    "base_attachment_pairs",
-    "build_approximation",
-    "build_base_stage",
-    "build_level_stage",
-    "canonical_json",
-    "closure",
-    "components",
-    "connected_subsets",
-    "connected_zero_sets",
-    "count_cross_edges",
-    "decompose",
-    "delta",
-    "delta_rel",
-    "dimension",
-    "ep_extend",
-    "export_dot",
-    "extend_partial_iso",
-    "free_amalgam",
-    "fresh_name",
-    "geometric_closure_bounded",
-    "hull",
-    "is_in_k0",
-    "is_self_sufficient",
-    "is_zero_algebraic",
-    "is_zero_minimally_algebraic",
-    "level_chain",
-    "minimally_closed_sets",
-    "mu_count",
-    "orbit_orders",
-    "orientation_witness",
-    "pattern_catalog",
-    "realize_extension",
-    "strong_embeddings",
-    "uniform_algebraicity_report",
-    "validate_problem",
-    "verify_certificate",
-    "verify_strong_pair",
-]
+# the names imported above, sorted, leaving out the submodules they bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 
 __version__ = "0.1.0"

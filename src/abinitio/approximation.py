@@ -236,7 +236,9 @@ def _total_extension(ambient: Graph, phi: dict) -> Embedding | None:
 def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
     """Total automorphism extending g, growing the ambient only when forced.
     Alternates pulling the least unmatched vertex into the domain and into
-    the range."""
+    the range.  Failing within the steps raises ConstructionFailed with one
+    stage log entry per step: its side, the vertex brought in, whether the
+    ambient grew and its size after."""
     limits.nonnegative("steps", steps)
     if g.ambient != ambient:
         raise InvalidMap("map does not live in the given ambient")
@@ -246,18 +248,22 @@ def extend_partial_iso(ambient: Graph, g: PartialIso, steps: int = 32) -> tuple:
         raise InvalidMap("range is not self-sufficient")
     phi = g.as_dict()
     current = ambient
+    log = []
     for step in range(steps + 1):
         gamma = _total_extension(current, phi)
         if gamma is not None:
             return current, gamma
         if step == steps:
             break
-        if missing := min(current.vertices - phi.keys(), default=None):
-            current, phi = _extend_one_side(current, phi, missing)
-        if missing := min(current.vertices - set(phi.values()), default=None):
-            current, inverse = _extend_one_side(current, {r: d for d, r in phi.items()}, missing)
-            phi = {r: d for d, r in inverse.items()}
-    raise ConstructionFailed(f"no total extension within {steps} rounds")
+        # forth on phi, then back on its inverse; phi is inverted after each
+        for side in ("forth", "back"):
+            if missing := min(current.vertices - phi.keys(), default=None):
+                grown, phi = _extend_one_side(current, phi, missing)
+                log.append({"side": side, "vertex": missing, "grown": grown is not current,
+                            "size": len(grown.vertices)})
+                current = grown
+            phi = {r: d for d, r in phi.items()}
+    raise ConstructionFailed(f"no total extension within {steps} rounds", stage_log=log)
 
 
 def add_generic_point(ambient: Graph, over, relative_delta: int) -> Graph:

@@ -104,11 +104,8 @@ class Graph:
     def induced(self, s: Iterable[str]) -> "Graph":
         sub = self.check_subset(s)
         adj = {v: self._adj[v] & sub for v in sub}
-        g = object.__new__(Graph)  # built from a valid graph: nothing to check
-        for name, value in (("m", self.m), ("vertices", sub), ("_adj", adj), (
-                "edges", frozenset([(u, v) for u in sub for v in adj[u] if u < v]))):
-            object.__setattr__(g, name, value)
-        return g
+        return _unchecked(self.m, sub, adj, frozenset([(u, v) for u in sub for v in adj[u]
+                                                       if u < v]))
 
     # -- serialization ---------------------------------------------------
 
@@ -144,6 +141,14 @@ class Graph:
     @classmethod
     def from_json(cls, text: str, m_override: int | None = None) -> "Graph":
         return cls.from_json_dict(json.loads(text), m_override=m_override)
+
+
+def _unchecked(m: int, vertices: frozenset, adj: dict, edges: frozenset) -> Graph:
+    """A graph from the parts of a valid one, built with nothing to check."""
+    g = object.__new__(Graph)
+    for name, value in (("m", m), ("vertices", vertices), ("_adj", adj), ("edges", edges)):
+        object.__setattr__(g, name, value)
+    return g
 
 
 def canonical_json(obj) -> str:
@@ -295,8 +300,8 @@ class _Found(Exception):
     """Carries the first hit out of a search run by _first_hit."""
 
 
-# marks the free positions of a name-order search where a pin would sit, so
-# the search tests its mode only where it already tests for a pin
+# sorts a free position's candidates: the name-order search over every
+# position, which the tests keep as first()'s reference, passes it
 _IN_NAME_ORDER = object()
 
 
@@ -314,8 +319,8 @@ class EmbeddingPlan:
     the intersection of the target neighbourhoods of the adjacent positions'
     images and checks only degree and non-adjacency.
 
-    first() searches in another order: the pins, then the free vertices in
-    name order, each trying its candidates sorted.  The canonical order of
+    first() checks the pins, then searches the free vertices alone in name
+    order, each trying its candidates sorted.  The canonical order of
     embeddings compares the images of the pattern vertices in name order, so
     that depth-first search meets the least embedding first and can stop
     there; in the connectivity-first order the least one may come last.
@@ -529,15 +534,40 @@ class EmbeddingPlan:
         search stops at its first strong hit.  within, when given, holds the
         free vertices' images; with as many points, missing the pins' images,
         the map is the least bijection onto it, free vertices in name order,
-        matching their edges among themselves and to the pins' images."""
+        matching their edges among themselves and to the pins' images.
+
+        The pin map is checked once: injective, no image of lower degree
+        than its vertex, and induced.  Then only the free vertices are
+        searched, each among the sorted points outside the pins' image whose
+        neighbours there are the images of its pinned neighbours."""
         fixed = self._pins(c, fixed)
+        adj, pins = self.pattern._adj, self.pinned
+        cadj, image = c._adj, frozenset(fixed.values())
+        if len(image) != len(fixed) or any(
+                len(cadj[t]) < len(adj[p]) or cadj[t] & image != {fixed[q] for q in adj[p] & pins}
+                for p, t in fixed.items()):
+            return None
         if self._name_layout is None:
-            self._name_layout = _positions(self.pattern._adj, sorted(self.pinned)
-                                           + sorted(self.pattern.vertices - self.pinned))
-        names = self._name_layout[0]
-        free = _IN_NAME_ORDER if within is None else sorted(within)
-        hit = _first_hit(c, self._name_layout, [fixed.get(p, free) for p in names], is_strong)
-        return None if hit is None else dict(sorted(zip(names, hit)))
+            # the free vertices, each one's pinned neighbours, and their
+            # layout, compiled by the first call that gets to search
+            names = sorted(self.pattern.vertices - pins)
+            self._name_layout = [names, [tuple(adj[v] & pins) for v in names], None]
+        names, contacts, layout = self._name_layout
+        pool = c.vertices if within is None else c.vertices & within
+        # a free vertex with no pinned neighbour keeps off the image's neighbourhood
+        remote = sorted([t for t in pool - image if cadj[t].isdisjoint(image)]) \
+            if not all(contacts) else None
+        domains = []
+        for near in contacts:
+            want = {fixed[q] for q in near}
+            domains.append(sorted([t for t in cadj[fixed[near[0]]] if t in pool and t not in image
+                                   and cadj[t] & image == want]) if near else remote)
+        if not all(domains):
+            return None
+        if layout is None:
+            layout = self._name_layout[2] = _positions(adj, names)
+        hit = _first_hit(c, layout, domains, is_strong, image)
+        return None if hit is None else dict(sorted([*fixed.items(), *zip(names, hit)]))
 
 
 def _chain(a: Graph, order: list, positions: range) -> list:
@@ -565,10 +595,11 @@ def _chain(a: Graph, order: list, positions: range) -> list:
     return levels
 
 
-def _first_hit(c: Graph, layout: tuple, pins: list, is_strong: Callable | None = None):
-    """The images of the first embedding that _run meets whose image passes
-    is_strong, or None: the one existence search, stopped at its hit."""
-    strong = _strength(c, is_strong)
+def _first_hit(c: Graph, layout: tuple, pins: list, is_strong: Callable | None = None,
+               under: frozenset = frozenset()):
+    """The images of the first embedding that _run meets whose image with
+    under passes is_strong, or None: one existence search, stopped at its hit."""
+    strong = _strength(c, is_strong, under)
 
     def stop(img):
         if strong(img):
@@ -737,15 +768,21 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
     sorted(part) away from ambient's names, the names in avoid and the
     earlier copies'.  It gets source's edges inside part and, for each
     source edge from part to a key of its glue, an edge to that key's image
-    in ambient; nothing else is added.
+    in ambient; nothing else is added.  The grown graph is ambient's
+    adjacency plus the new edges, each at a fresh point, so only the glue
+    images are checked: outside ambient, they raise UnknownVertex.
 
     Returns the grown graph and the naming of part, one per glue.
     """
     if ambient.m != source.m:
         raise CoefficientMismatch(f"coefficients differ: {ambient.m} vs {source.m}")
+    outside = set().union(*(glue.values() for glue in glues)) - ambient.vertices
+    if outside:
+        raise UnknownVertex(f"glue images outside the ambient: {sorted(outside)}")
     part = sorted(source.check_subset(part))
     taken = {*ambient.vertices, *avoid}
-    edges = list(ambient.edges)
+    adj = dict(ambient._adj)
+    touched: dict = {}  # ambient point -> its new neighbours
     relabels = []
     for glue in glues:
         relabel: dict[str, str] = {}
@@ -753,14 +790,20 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
             relabel[v] = fresh_name(v, taken)
             taken.add(relabel[v])
         for v, nv in relabel.items():
+            near = set()
             for w in source._adj[v]:
                 if w in relabel:
-                    if v < w:
-                        edges.append((nv, relabel[w]))
+                    near.add(relabel[w])
                 elif w in glue:
-                    edges.append((nv, glue[w]))
+                    near.add(glue[w])
+                    touched.setdefault(glue[w], set()).add(nv)
+            adj[nv] = frozenset(near)
         relabels.append(relabel)
-    return Graph(ambient.m, ambient.vertices.union(*map(dict.values, relabels)), edges), relabels
+    for t, near in touched.items():
+        adj[t] = adj[t].union(near)
+    fresh = [nv for relabel in relabels for nv in relabel.values()]
+    return _unchecked(ambient.m, ambient.vertices.union(fresh), adj, ambient.edges.union(
+        [(u, v) if u < v else (v, u) for u in fresh for v in adj[u]])), relabels
 
 
 # -- connected subset enumeration ----------------------------------------

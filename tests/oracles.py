@@ -19,9 +19,10 @@ from abinitio import (
     is_self_sufficient, minimally_closed_sets, pattern_catalog, strong_embeddings)
 from abinitio import extension, limits
 from abinitio.approximation import ApproximationChain, realize_extension
-from abinitio.graph import _IN_NAME_ORDER, _check_coefficient, adjoin_copy
+from abinitio.graph import _IN_NAME_ORDER, _check_coefficient, _first_hit, _positions, adjoin_copy
 from abinitio.predimension import (
     ClosureResult, _absorb, _feasible, _Index, _minimize_violator, _orient, _rooted)
+from abinitio.verifier import VerificationReport, _admits_bounded_orientation
 from abinitio.zero_decomposition import _report_witnesses
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
     brute_closed,
@@ -932,3 +933,84 @@ def ref_map_cycles(sats, comp_image, map_index) -> list:
             "length": len(cyc),
         })
     return log_cycles
+
+
+# -- reference copy of the name-ordered first hit -----------------------------
+# EmbeddingPlan.first as it was before it checked the pin map once and
+# searched the free vertices alone: one name-ordered search over every
+# position, the pins placed and checked again at each call.  Copied unchanged
+# but for the name, and for the plan, passed in, whose name layout it builds
+# at each call instead of keeping it.
+
+
+def ref_first(plan, c, fixed=None, is_strong=None, within=None):
+    """The map of plan.pairs(c, fixed, is_strong)[0], or None: the
+    name-ordered search stops at its first strong hit."""
+    fixed = plan._pins(c, fixed)
+    name_layout = _positions(plan.pattern._adj, sorted(plan.pinned)
+                             + sorted(plan.pattern.vertices - plan.pinned))
+    names = name_layout[0]
+    free = _IN_NAME_ORDER if within is None else sorted(within)
+    hit = _first_hit(c, name_layout, [fixed.get(p, free) for p in names], is_strong)
+    return None if hit is None else dict(sorted(zip(names, hit)))
+
+
+# -- reference copy of the pairwise certificate check -------------------------
+# verifier.verify_certificate as it was before it compared edge sets: the
+# inclusion and each automorphism tested on every pair of vertices, which is
+# quadratic in the result graph.  Copied unchanged but for the name.
+
+
+def ref_verify_certificate(p, c) -> VerificationReport:
+    """Replay every certificate clause from scratch; diagnostics name each
+    failed one."""
+    diags = []
+    a, b = p.a, c.b
+    if a.m != b.m:
+        diags.append(f"coefficient mismatch: problem {a.m}, result {b.m}")
+
+    incl = dict(c.inclusion.pairs)
+    if c.inclusion.source != a:
+        diags.append("inclusion source is not the problem graph")
+    if c.inclusion.target != b:
+        diags.append("inclusion target is not the result graph")
+    if set(incl) != set(a.vertices):
+        diags.append("inclusion is not total on the problem graph")
+    else:
+        for u, v in itertools.combinations(sorted(a.vertices), 2):
+            if a.has_edge(u, v) != b.has_edge(incl[u], incl[v]):
+                diags.append(f"inclusion is not induced at ({u}, {v})")
+                break
+
+    count = b.m * len(b.vertices) - len(b.edges)
+    if count != 0:
+        diags.append(f"result count is {count}, expected 0")
+    if not _admits_bounded_orientation(b):
+        diags.append("result admits no bounded orientation: outside the class")
+
+    if len(c.automorphisms) != len(p.maps):
+        diags.append(
+            f"{len(p.maps)} maps but {len(c.automorphisms)} automorphisms")
+    for i, emb in enumerate(c.automorphisms):
+        f = dict(emb.pairs)
+        if emb.source != b or emb.target != b:
+            diags.append(f"automorphism {i} is not a self-map of the result")
+            continue
+        if set(f) != set(b.vertices) or set(f.values()) != set(b.vertices):
+            diags.append(f"automorphism {i} is not a vertex bijection")
+            continue
+        bad_pair = None
+        for u, v in itertools.combinations(sorted(b.vertices), 2):
+            if b.has_edge(u, v) != b.has_edge(f[u], f[v]):
+                bad_pair = (u, v)
+                break
+        if bad_pair:
+            diags.append(
+                f"automorphism {i} is not an automorphism: edge status flips "
+                f"at {bad_pair}")
+        if i < len(p.maps) and set(incl) == set(a.vertices):
+            for d, r in sorted(p.maps[i].as_dict().items()):
+                if f.get(incl[d]) != incl[r]:
+                    diags.append(f"automorphism {i} does not extend its map at {d}")
+                    break
+    return VerificationReport(not diags, tuple(diags))

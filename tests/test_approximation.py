@@ -356,6 +356,26 @@ def test_no_total_extension_within_the_steps_fails_by_name():
     assert len(extend_partial_iso(g, phi)[0].vertices) == 12
 
 
+def test_a_failed_back_and_forth_logs_its_steps():
+    # w on a0, a1 and x on a2, a3 have no preimage over the b block, and
+    # each needs a growing back step: one step grows for w alone and fails,
+    # naming the step it took on each side
+    na, ea = k5("a")
+    nb, eb = k5("b")
+    g = Graph(2, na + nb + ["w", "x"],
+              ea + eb + [("w", "a0"), ("w", "a1"), ("x", "a2"), ("x", "a3")])
+    phi = PartialIso.build(g, {f"a{i}": f"b{i}" for i in range(5)})
+    with pytest.raises(ConstructionFailed, match="no total extension within 1 rounds") as exc:
+        extend_partial_iso(g, phi, steps=1)
+    assert exc.value.stage_log == [
+        {"side": "forth", "vertex": "b0", "grown": False, "size": 12},
+        {"side": "back", "vertex": "w", "grown": True, "size": 13}]
+    with pytest.raises(ConstructionFailed) as exc:
+        extend_partial_iso(g, phi, steps=0)
+    assert exc.value.stage_log == []
+    assert len(extend_partial_iso(g, phi, steps=2)[0].vertices) == 14
+
+
 def test_total_map_check_matches_pinned_search():
     # a path with a pendant: some permutations are automorphisms, most not.
     # Each permutation, and its restriction to the first two names, is

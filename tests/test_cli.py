@@ -472,6 +472,16 @@ def test_extend_iso_rejects_what_it_cannot_read_or_reach(tmp_path, capsys):
     rc, doc, _ = run(capsys, ["extend-iso", path, "--map", pairs, "--steps", "0"])
     assert rc == 1 and doc["error"]["type"] == "ConstructionFailed"
     assert doc["error"]["message"] == "no total extension within 0 rounds"
+    assert doc["error"]["stage_log"] == []
+    # with a second point over the a block, one step grows once and fails
+    g["vertices"] = g["vertices"] + ["x"]
+    g["edges"] = g["edges"] + [["a2", "x"], ["a3", "x"]]
+    path = write(tmp_path, "g3.json", g)
+    rc, doc, _ = run(capsys, ["extend-iso", path, "--map", pairs, "--steps", "1"])
+    assert rc == 1 and doc["error"] == {
+        "type": "ConstructionFailed", "message": "no total extension within 1 rounds",
+        "stage_log": [{"side": "forth", "vertex": "b0", "grown": False, "size": 12},
+                      {"side": "back", "vertex": "w", "grown": True, "size": 13}]}
 
 
 def test_add_point(tmp_path, capsys):

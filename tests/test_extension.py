@@ -40,7 +40,7 @@ from abinitio.zero_decomposition import BaseWitness, _report_rows
 from builders import random_zero_graph
 from oracles import (
     brute_automorphisms, brute_in_k0, ref_dedupe_witnesses, ref_extend_map_over_satellites,
-    ref_find_pattern_iso, ref_report_rows, ref_uniformize_row)
+    ref_find_pattern_iso, ref_report_rows, ref_uniformize_row, ref_verify_certificate)
 from test_acceptance import _ep_corpus
 
 
@@ -792,6 +792,62 @@ def test_verifier_names_each_forged_clause(forge):
         False, diagnostics)
 
 
+def _blocks_certificate(blocks: int, a_blocks: int) -> tuple:
+    """A hand-built certificate on complete-5 blocks b0000, b0001, ...: the
+    problem graph is the first a_blocks of them, b every block, the
+    inclusion the identity, and the one map and its automorphism swap the
+    first block's two least points."""
+    def union(k):
+        names = [[f"b{i:04d}v{j}" for j in range(5)] for i in range(k)]
+        return Graph(2, [v for n in names for v in n],
+                     [e for n in names for e in itertools.combinations(n, 2)])
+
+    a, b = union(a_blocks), union(blocks)
+    swap = {"b0000v0": "b0000v1", "b0000v1": "b0000v0"}
+    f = {v: swap.get(v, v) for v in b.vertices}
+    p = EPProblem(a, (PartialIso.build(a, swap),))
+    return p, EPCertificate(p, b, Embedding.build(a, b, {v: v for v in a.vertices}),
+                            (Embedding.build(b, b, f),), None, {}, ())
+
+
+def test_verifier_names_a_forged_clause_at_scale_as_the_pair_scan_does():
+    # 5,000 points: the verifier compares edge sets, and only on a mismatch
+    # scans pairs for the least flipping one, so it names what the scan of
+    # every pair named; the forgeries flip at the first pairs scanned, so
+    # the reference scan stops there too
+    p, cert = _blocks_certificate(1000, 1)
+    assert verify_certificate(p, cert).ok
+    # an automorphism moving b0000v0 onto b0001v0, a point of another block
+    f = dict(cert.automorphisms[0].pairs)
+    f.update({"b0000v0": "b0001v0", "b0001v0": "b0000v1", "b0000v1": "b0000v0"})
+    forged = dataclasses.replace(cert, automorphisms=(Embedding.build(cert.b, cert.b, f),))
+    report = verify_certificate(p, forged)
+    assert report == ref_verify_certificate(p, forged)
+    assert report.diagnostics == (
+        "automorphism 0 is not an automorphism: edge status flips at ('b0000v0', 'b0000v1')",
+        "automorphism 0 does not extend its map at b0000v0")
+    # an inclusion of 5,000 points sending b0000v0 into another block, with
+    # no map, so that the reference scans no automorphism's pairs
+    p, cert = _blocks_certificate(1000, 1000)
+    p = EPProblem(p.a, ())
+    incl = cert.inclusion.as_dict()
+    incl.update({"b0000v0": "b0001v0", "b0001v0": "b0000v0"})
+    forged = dataclasses.replace(cert, problem=p, automorphisms=(),
+                                 inclusion=Embedding.build(p.a, cert.b, incl))
+    report = verify_certificate(p, forged)
+    assert report == ref_verify_certificate(p, forged)
+    assert report.diagnostics == ("inclusion is not induced at (b0000v0, b0000v1)",)
+    # the identity from b less one edge: every edge goes to an edge, and the
+    # image holds one edge more than the problem graph
+    a = Graph(2, p.a.vertices, p.a.edges - {("b0000v0", "b0000v1")})
+    p = EPProblem(a, ())
+    forged = dataclasses.replace(forged, problem=p, inclusion=Embedding.build(
+        a, cert.b, {v: v for v in a.vertices}))
+    report = verify_certificate(p, forged)
+    assert report == ref_verify_certificate(p, forged)
+    assert report.diagnostics == ("inclusion is not induced at (b0000v0, b0000v1)",)
+
+
 def _relieved_second(g) -> tuple:
     """_admits_bounded_orientation(g), and how many edges it gave their
     second endpoint after relieving it, the first being stuck: the lines
@@ -1288,7 +1344,7 @@ def test_level_stage_lists_no_placement_and_builds_once_per_pass(monkeypatch):
     row = abinitio.extension._uniformize_row
     rows = abinitio.extension._report_rows
     pairs = EmbeddingPlan.pairs
-    init = Graph.__init__
+    adjoin = abinitio.extension.adjoin_copy
 
     def level_stage(*args, **kwargs):
         inside[0] = True
@@ -1315,8 +1371,8 @@ def test_level_stage_lists_no_placement_and_builds_once_per_pass(monkeypatch):
                         lambda *args: passes.__setitem__(0, passes[0] + 1) or classes(*args))
     monkeypatch.setattr(abinitio.extension, "_report_rows",
                         lambda *args: sweeps.__setitem__(0, sweeps[0] + 1) or rows(*args))
-    monkeypatch.setattr(Graph, "__init__",
-                        lambda *args: builds.__setitem__(0, builds[0] + 1) or init(*args))
+    monkeypatch.setattr(abinitio.extension, "adjoin_copy",
+                        lambda *args: builds.__setitem__(0, builds[0] + 1) or adjoin(*args))
     copies = sum(len(lg["added"]) for _, p in _ep_corpus() for lg in ep_extend(p).stage_log[1:])
     assert copies == 453 and sweeps[0] == 60
 

@@ -26,7 +26,7 @@ from abinitio import (
 from abinitio.graph import _IN_NAME_ORDER, _positions, _run, adjoin_copy
 from oracles import (
     adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
-    ref_find_pattern_iso, ref_is_induced, ref_run)
+    ref_find_pattern_iso, ref_first, ref_is_induced, ref_run)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -413,6 +413,65 @@ def test_first_within_is_the_least_matching_bijection():
     assert seen["unequal"] >= 100 and min(seen.values()) >= 20, seen
 
 
+def _pin_faults(a, c, fixed) -> set:
+    """The ways the pin map fixed fails to be an induced embedding of its
+    pins into c, by the pairwise definition."""
+    faults = set()
+    if len(set(fixed.values())) < len(fixed):
+        faults.add("non-injective")
+    if any(c.degree(t) < a.degree(p) for p, t in fixed.items()):
+        faults.add("degree-short")
+    if any(a.has_edge(p, q) != adjacent(c.edges, fixed[p], fixed[q])
+           for p, q in itertools.combinations(sorted(fixed), 2) if fixed[p] != fixed[q]):
+        faults.add("non-induced")
+    return faults
+
+
+def test_first_matches_the_reference_search_on_any_pins():
+    # first() checks the pin map once and searches the free points alone:
+    # against the copy of the search over every position, on random pins
+    # (restrictions of embeddings, maps bent to fail one way, and any map),
+    # with and without within and the strength test, and with every
+    # vertex pinned; the strength test is asked the same sets in the same order
+    rng = random.Random(3601)
+    seen: dict = {}
+    for trial in range(600):
+        m = rng.choice([2, 3])
+        c = _random_graph(rng, "t", rng.randint(1, 9), m)
+        a = _random_graph(rng, "p", rng.randint(0, 5), m)
+        names, targets = a.sorted_vertices(), c.sorted_vertices()
+        k = len(names) if trial % 5 == 0 else rng.randint(0, len(names))
+        pinned = rng.sample(names, k)
+        fixed = {p: rng.choice(targets) for p in pinned}
+        hits = EmbeddingPlan(a).pairs(c)
+        if trial % 4 == 0 and hits:
+            fixed = {p: t for p, t in rng.choice(hits) if p in fixed}
+        elif trial % 4 == 1 and len(fixed) > 1:
+            p, q = rng.sample(pinned, 2)
+            fixed[p] = fixed[q]
+        elif trial % 4 == 2 and fixed:
+            p = max(pinned, key=a.degree)
+            fixed[p] = min(targets, key=c.degree)
+        within = frozenset(rng.sample(targets, rng.randint(0, len(targets)))) \
+            if trial % 3 == 1 else None
+        plan = EmbeddingPlan(a, pinned=pinned)
+        for strong in (None, is_self_sufficient):
+            asked, asked_ref = [], []
+
+            def recorded(log):
+                return None if strong is None else (
+                    lambda g, s: log.append(s) or is_self_sufficient(g, s))
+
+            got = plan.first(c, fixed, recorded(asked), within)
+            assert got == ref_first(plan, c, fixed, recorded(asked_ref), within)
+            assert asked == asked_ref
+            for key in _pin_faults(a, c, fixed) or {"valid, hit" if got else "valid, none"}:
+                seen[key] = seen.get(key, 0) + 1
+            seen["total"] = seen.get("total", 0) + (k == len(names))
+            seen["within"] = seen.get("within", 0) + (within is not None)
+    assert min(seen.values()) >= 100 and len(seen) == 7, seen
+
+
 def test_exists_answers_as_first_asking_once_per_image_set():
     # seeded random K0 targets; patterns from the target or random, plans
     # unpinned or pinned, pins sent as some embedding sends them or anywhere
@@ -602,6 +661,42 @@ def test_adjoin_copy_names_and_wiring():
     assert adjoin_copy(ambient, source, ["x"], []) == (ambient, [])
     with pytest.raises(CoefficientMismatch):
         adjoin_copy(ambient, Graph(3, ["x"], []), ["x"], [{}])
+
+
+def test_adjoin_copy_matches_a_checked_build():
+    # the graph grown from the ambient's adjacency by its new edges against
+    # the same copies built and checked from scratch by Graph(); a glue image
+    # outside the ambient and a coefficient mismatch raise by name
+    rng = random.Random(3602)
+    for trial in range(300):
+        m = rng.choice([2, 3])
+        ambient = _random_graph(rng, rng.choice(["t", "s"]), rng.randint(1, 8), m)
+        source = _random_graph(rng, "s", rng.randint(1, 7), m)
+        names = source.sorted_vertices()
+        part = rng.sample(names, rng.randint(0, len(names)))
+        keys = sorted(set(names) - set(part))
+        glues = [{w: rng.choice(ambient.sorted_vertices())
+                  for w in rng.sample(keys, rng.randint(0, len(keys)))}
+                 for _ in range(rng.randint(0, 3))]
+        avoid = rng.sample(["s0~1", "t1", "s2~2"], rng.randint(0, 3))
+        grown, relabels = adjoin_copy(ambient, source, part, glues, avoid)
+        edges = list(ambient.edges)
+        for glue, relabel in zip(glues, relabels):
+            for u, v in source.edges:
+                ends = [relabel.get(x, glue.get(x)) if x in part or x in glue else None
+                        for x in (u, v)]
+                if None not in ends and (u in part or v in part):
+                    edges.append(tuple(ends))
+        built = Graph(m, ambient.vertices.union(*map(dict.values, relabels)), edges)
+        assert (grown.vertices, grown.edges, grown._adj) == (built.vertices, built.edges,
+                                                             built._adj)
+        assert not set(avoid) & set().union(*map(dict.values, relabels))
+        if glues and keys:
+            bad = [*glues[:-1], {**glues[-1], keys[0]: "nowhere"}]
+            with pytest.raises(UnknownVertex, match="nowhere"):
+                adjoin_copy(ambient, source, part, bad)
+        with pytest.raises(CoefficientMismatch):
+            adjoin_copy(ambient, Graph(5 - m, names, source.edges), part, glues)
 
 
 def test_connected_subsets_matches_brute_force():

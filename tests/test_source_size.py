@@ -1,10 +1,14 @@
 """The package's line budget: growing src/abinitio past it fails here, so
 that growth is a deliberate edit of the budget.  ROADMAP tracks the line
-count next to speed."""
+count next to speed.  Also the public name list, which the package derives
+from its imports."""
 
+import ast
 from pathlib import Path
 
-BUDGET = 3654
+import abinitio
+
+BUDGET = 3651
 
 
 def test_the_package_source_stays_within_its_line_budget():
@@ -16,3 +20,13 @@ def test_the_package_source_stays_within_its_line_budget():
                         sorted(counts.items(), key=lambda item: (-item[1], item[0])))
     assert lines <= BUDGET, (
         f"src/abinitio has {lines} lines, over its budget of {BUDGET}: {by_size}")
+
+
+def test_the_public_names_are_the_names_the_package_imports():
+    # __all__ is derived from __init__'s imports: every name they bind but
+    # the submodules, sorted, read here from the source
+    init = Path(abinitio.__file__).read_text(encoding="utf-8")
+    imported = {alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert abinitio.__all__ == sorted(imported) and len(imported) == 61
