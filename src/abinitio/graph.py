@@ -136,7 +136,12 @@ class Graph:
         for v in itertools.chain(d["vertices"], *d["edges"]):
             if not isinstance(v, str):
                 raise ValueError(f"vertex names must be strings, got {v!r}")
-        return cls(m, d["vertices"], [tuple(e) for e in d["edges"]])
+        edges = [tuple(sorted(e)) for e in d["edges"]]
+        for kind, items in (("vertex", sorted(d["vertices"])), ("edge", sorted(edges))):
+            twice = [x for x, y in zip(items, items[1:]) if x == y]
+            if twice:
+                raise ValueError(f"graph document lists the {kind} {twice[0]!r} twice")
+        return cls(m, d["vertices"], edges)
 
     @classmethod
     def from_json(cls, text: str, m_override: int | None = None) -> "Graph":
@@ -296,15 +301,6 @@ def _positions(adj: dict, order: list) -> tuple:
     return tuple(order), tuple(adjacent), tuple(apart), tuple([len(adj[v]) for v in order])
 
 
-class _Found(Exception):
-    """Carries the first hit out of a search run by _first_hit."""
-
-
-# sorts a free position's candidates: the name-order search over every
-# position, which the tests keep as first()'s reference, passes it
-_IN_NAME_ORDER = object()
-
-
 class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
     against any number of targets: pairs() lists the embeddings as sorted
@@ -317,7 +313,8 @@ class EmbeddingPlan:
     then smaller name).  Each position records its earlier adjacent and
     non-adjacent positions and its degree, so a run draws candidates from
     the intersection of the target neighbourhoods of the adjacent positions'
-    images and checks only degree and non-adjacency.
+    images and checks only degree and non-adjacency.  Every mode reads one
+    search, the generator _run; a mode that wants one hit stops reading there.
 
     first() checks the pins, then searches the free vertices alone in name
     order, each trying its candidates sorted.  The canonical order of
@@ -407,12 +404,8 @@ class EmbeddingPlan:
             k = len(self.pinned)
             contacts = tuple(tuple([self.order[j] for j in near if j < k])
                              for near in self.adjacent[k:])
-            self._free_layout = (
-                (self.order[k:],
-                 tuple(tuple([j - k for j in near if j >= k]) for near in self.adjacent[k:]),
-                 tuple(tuple([j - k for j in far if j >= k]) for far in self.apart[k:]),
-                 self.degrees[k:]),
-                contacts, tuple(sorted(frozenset().union(*contacts))))
+            self._free_layout = (_positions(self.pattern._adj, list(self.order[k:])),
+                                 contacts, tuple(sorted(frozenset().union(*contacts))))
         return self._free_layout
 
     @property
@@ -472,11 +465,10 @@ class EmbeddingPlan:
         one meeting _conditions().  Every embedding onto that set is this one
         composed with an automorphism of the pattern."""
         self._pins(c, None)
-        order, found = self.order, []
+        order = self.order
         below, _, rise = self._conditions()
-        _run(c, (order, self.adjacent, self.apart, self.degrees), below,
-             lambda img: found.append(dict(zip(order, img))), rise)
-        return found
+        return [dict(zip(order, img))
+                for img in _run(c, (order, self.adjacent, self.apart, self.degrees), below, rise)]
 
     def embeds_within(self, c: Graph, pins_into: frozenset, free_into: frozenset) -> bool:
         """Whether some induced embedding into c maps the pinned vertices
@@ -515,17 +507,11 @@ class EmbeddingPlan:
         (sorted) order; with is_strong, only those whose image passes it."""
         fixed = self._pins(c, fixed)
         names, by_name = sorted(self.order), self._by_name
-        found: list = []
         strong = _strength(c, is_strong)
-
-        def emit(img):
-            if strong(img):
-                found.append(tuple(zip(names, [img[k] for k in by_name])))
-
-        _run(c, (self.order, self.adjacent, self.apart, self.degrees),
-             [fixed.get(p) for p in self.order], emit)
-        found.sort()
-        return found
+        return sorted([tuple(zip(names, [img[k] for k in by_name]))
+                       for img in _run(c, (self.order, self.adjacent, self.apart, self.degrees),
+                                       [fixed.get(p) for p in self.order])
+                       if strong(img)])
 
     def first(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None,
@@ -600,16 +586,7 @@ def _first_hit(c: Graph, layout: tuple, pins: list, is_strong: Callable | None =
     """The images of the first embedding that _run meets whose image with
     under passes is_strong, or None: one existence search, stopped at its hit."""
     strong = _strength(c, is_strong, under)
-
-    def stop(img):
-        if strong(img):
-            raise _Found(list(img))
-
-    try:
-        _run(c, layout, pins, stop)
-    except _Found as hit:
-        return hit.args[0]
-    return None
+    return next((list(img) for img in _run(c, layout, pins) if strong(img)), None)
 
 
 def _strength(c: Graph, is_strong: Callable | None, under: frozenset = frozenset()) -> Callable:
@@ -627,14 +604,16 @@ def _strength(c: Graph, is_strong: Callable | None, under: frozenset = frozenset
     return strong
 
 
-def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None = None) -> None:
-    """The backtracking search of EmbeddingPlan: emit gets each induced
-    embedding of layout's positions into c as the list of images.  pins[i]
-    narrows position i's candidates: a target vertex pins it, _IN_NAME_ORDER
-    sorts them, a sorted list keeps those in it in its order, a tuple of
-    earlier positions keeps those above all their images, a frozenset keeps
-    those inside it.  rise[i], when given, keeps only candidates of position
-    i with at least that many neighbours above them.
+def _run(c: Graph, layout: tuple, pins: list, rise: list | None = None) -> Iterator[list]:
+    """The backtracking search of EmbeddingPlan: yields each induced
+    embedding of layout's positions into c as the list of images, one list
+    rewritten between hits, so a reader copies what it keeps; a reader that
+    stops reading stops the search.  pins[i] narrows position i's
+    candidates: a target vertex pins it, a sorted list keeps those in it in
+    its order, a tuple of earlier positions keeps those above all their
+    images, a frozenset keeps those inside it.  rise[i], when given, keeps
+    only candidates of position i with at least that many neighbours above
+    them.
 
     The search runs on an explicit stack, one candidate iterator per placed
     position, so no pattern size meets the recursion limit."""
@@ -643,7 +622,7 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None 
     everything = c.vertices
     n = len(order)
     if not n:
-        emit([])
+        yield []
         return
     img: list = [None] * n
     used: set = set()
@@ -662,9 +641,7 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None 
                 cands = everything
             pin = pins[i]
             if pin is not None:
-                if pin is _IN_NAME_ORDER:
-                    cands = sorted(cands)
-                elif type(pin) is list:
+                if type(pin) is list:
                     cands = [t for t in pin if t in cands]
                 elif type(pin) is tuple:
                     least = max([img[j] for j in pin])
@@ -707,7 +684,7 @@ def _run(c: Graph, layout: tuple, pins: list, emit: Callable, rise: list | None 
             continue
         img[i] = t
         if i + 1 == n:
-            emit(img)
+            yield img
             fresh = False
         else:
             used.add(t)
@@ -739,13 +716,10 @@ def _tally(c: Graph, layout: tuple, image: frozenset, table: dict,
             domains.append(frozenset(inside))
     strong = _strength(c, is_strong, image)
     none = frozenset()
-
-    def emit(img):
+    for img in _run(c, layout, domains):
         w = tuple([touching.get(t, none) for t in img])
         if w in table and strong(img):
             table[w] += 1
-
-    _run(c, layout, domains, emit)
 
 
 # -- fresh names and adjoined copies -------------------------------------

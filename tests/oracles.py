@@ -19,7 +19,7 @@ from abinitio import (
     is_self_sufficient, minimally_closed_sets, pattern_catalog, strong_embeddings)
 from abinitio import extension, limits
 from abinitio.approximation import ApproximationChain, realize_extension
-from abinitio.graph import _IN_NAME_ORDER, _check_coefficient, _first_hit, _positions, adjoin_copy
+from abinitio.graph import _check_coefficient, _first_hit, _positions, adjoin_copy
 from abinitio.predimension import (
     ClosureResult, _absorb, _feasible, _Index, _minimize_violator, _orient, _rooted)
 from abinitio.verifier import VerificationReport, _admits_bounded_orientation
@@ -520,8 +520,12 @@ def ref_build_approximation(seed, rounds, size_budget, max_ambient=limits.DEFAUL
 # -- reference copy of the recursive matcher -----------------------------------
 # graph._run as it was before it ran on an explicit stack: one recursive call
 # per search position, so it overflows the interpreter's stack on patterns of
-# about 1,000 vertices.  Copied unchanged but for the name and the
-# parameters' annotations.
+# about 1,000 vertices.  Copied unchanged but for the name, the parameters'
+# annotations and the sentinel, which graph._run no longer reads: it takes a
+# list pin of the sorted target vertices instead.
+
+# sorts a position's candidates
+_IN_NAME_ORDER = object()
 
 
 def ref_run(c, layout, pins, emit) -> None:
@@ -939,8 +943,9 @@ def ref_map_cycles(sats, comp_image, map_index) -> list:
 # EmbeddingPlan.first as it was before it checked the pin map once and
 # searched the free vertices alone: one name-ordered search over every
 # position, the pins placed and checked again at each call.  Copied unchanged
-# but for the name, and for the plan, passed in, whose name layout it builds
-# at each call instead of keeping it.
+# but for the name, for the plan, passed in, whose name layout it builds at
+# each call instead of keeping it, and for the free positions' pin, the
+# sorted target points, which the matcher's name-order sentinel stood for.
 
 
 def ref_first(plan, c, fixed=None, is_strong=None, within=None):
@@ -950,7 +955,7 @@ def ref_first(plan, c, fixed=None, is_strong=None, within=None):
     name_layout = _positions(plan.pattern._adj, sorted(plan.pinned)
                              + sorted(plan.pattern.vertices - plan.pinned))
     names = name_layout[0]
-    free = _IN_NAME_ORDER if within is None else sorted(within)
+    free = sorted(c.vertices if within is None else within)
     hit = _first_hit(c, name_layout, [fixed.get(p, free) for p in names], is_strong)
     return None if hit is None else dict(sorted(zip(names, hit)))
 

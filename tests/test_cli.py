@@ -632,6 +632,30 @@ def test_malformed_graph_documents_are_input_errors(tmp_path, capsys):
             Graph.from_json_dict(bad)
 
 
+def test_a_vertex_or_edge_listed_twice_is_an_input_error(tmp_path, capsys):
+    # read as sets, the repeats would be dropped without a word
+    for bad, twice in (
+            ({"m": 2, "vertices": ["a", "a", "b"], "edges": []}, "vertex 'a'"),
+            ({"m": 2, "vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]},
+             "edge ('a', 'b')"),
+            ({"m": 2, "vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]},
+             "edge ('a', 'b')")):
+        rc, doc, _ = run(capsys, ["delta", write(tmp_path, "twice.json", bad)])
+        assert rc == 2 and doc["error"] == {
+            "type": "ValueError", "message": f"graph document lists the {twice} twice"}
+    # a certificate whose result graph lists one of its edges again, reversed
+    problem = {"graph": k5_dict(), "maps": []}
+    ppath = write(tmp_path, "problem.json", problem)
+    rc, doc, _ = run(capsys, ["ep-extend", ppath])
+    cert = doc["certificate"]
+    assert rc == 0 and run(capsys, ["ep-verify", ppath, write(tmp_path, "c.json", cert)])[0] == 0
+    u, v = cert["b"]["edges"][0]
+    cert["b"]["edges"].append([v, u])
+    rc, doc, _ = run(capsys, ["ep-verify", ppath, write(tmp_path, "c.json", cert)])
+    assert rc == 2 and doc["error"] == {
+        "type": "ValueError", "message": f"graph document lists the edge {(u, v)!r} twice"}
+
+
 def test_construction_failure_reports_its_stage_log(tmp_path, capsys, monkeypatch):
     log = [{"stage": 1, "kind": "level", "rows": []}]
 

@@ -23,9 +23,9 @@ from abinitio import (
     is_self_sufficient,
     limits,
 )
-from abinitio.graph import _IN_NAME_ORDER, _positions, _run, adjoin_copy
+from abinitio.graph import _first_hit, _positions, _run, adjoin_copy
 from oracles import (
-    adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
+    _IN_NAME_ORDER, adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
     ref_find_pattern_iso, ref_first, ref_is_induced, ref_run)
 
 
@@ -521,15 +521,20 @@ def test_plan_order_and_pins():
         EmbeddingPlan(a, pinned=["nowhere"])
 
 
-def _visits(search, c, layout, pins) -> list:
+def _visits(c, layout, pins, rise=None) -> list:
+    return [tuple(img) for img in _run(c, layout, pins, rise)]
+
+
+def _ref_visits(c, layout, pins) -> list:
     hits: list = []
-    search(c, layout, pins, lambda img: hits.append(tuple(img)))
+    ref_run(c, layout, pins, lambda img: hits.append(tuple(img)))
     return hits
 
 
 def test_explicit_stack_visits_in_the_recursive_order():
     # every kind of pin narrowing a position, against the recursive copy:
-    # the same embeddings in the same order, which first() relies on
+    # the same embeddings in the same order, which first() relies on; the
+    # sorted target points stand for the copy's name-order sentinel
     rng = random.Random(2010)
     kinds, hits = set(), 0
     for trial in range(200):
@@ -547,17 +552,17 @@ def test_explicit_stack_visits_in_the_recursive_order():
             (layout, [fixed.get(p) for p in plan.order]),
             (layout, domains),
             (_positions(a._adj, sorted(pinned) + sorted(set(names) - set(pinned))),
-             [fixed.get(p, _IN_NAME_ORDER) for p in sorted(pinned)]
-             + [_IN_NAME_ORDER] * (len(names) - len(pinned))),
+             [fixed[p] for p in sorted(pinned)] + [targets] * (len(names) - len(pinned))),
         ]
         if not pinned:
             searches.append((layout, EmbeddingPlan(a)._conditions()[0]))
         for lay, pins in searches:
-            got = _visits(_run, c, lay, pins)
-            assert got == _visits(ref_run, c, lay, pins)
+            got = _visits(c, lay, pins)
+            assert got == _ref_visits(c, lay, [_IN_NAME_ORDER if p is targets else p
+                                               for p in pins])
             kinds.update(type(p).__name__ for p in pins)
             hits += len(got)
-    assert kinds == {"NoneType", "str", "frozenset", "tuple", "object"} and hits >= 1000
+    assert kinds == {"NoneType", "str", "frozenset", "tuple", "list"} and hits >= 1000
 
 
 class _CountingAdjacency(dict):
@@ -571,7 +576,7 @@ class _CountingAdjacency(dict):
 
 
 def _counting(c):
-    return types.SimpleNamespace(_adj=_CountingAdjacency(c._adj), vertices=c.vertices)
+    return types.SimpleNamespace(m=c.m, _adj=_CountingAdjacency(c._adj), vertices=c.vertices)
 
 
 def test_rise_skips_candidates_but_no_hit():
@@ -588,8 +593,8 @@ def test_rise_skips_candidates_but_no_hit():
         plan = EmbeddingPlan(a)
         below, _, rise = plan._conditions()
         layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
-        got = _visits(lambda c, lay, pins, emit: _run(c, lay, pins, emit, rise), c, layout, below)
-        assert got == _visits(_run, c, layout, below)
+        got = _visits(c, layout, below, rise)
+        assert got == _visits(c, layout, below)
         assert [dict(zip(plan.order, img)) for img in got] == plan.representatives(c)
         hits += len(got)
     assert hits >= 300
@@ -598,10 +603,30 @@ def test_rise_skips_candidates_but_no_hit():
     below, _, rise = plan._conditions()
     layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
     plain, ahead = _counting(_disjoint_cliques(2, 7)), _counting(_disjoint_cliques(2, 7))
-    _run(plain, layout, below, lambda img: None)
-    _run(ahead, layout, below, lambda img: None, rise)
+    assert len(list(_run(plain, layout, below))) == len(list(_run(ahead, layout, below, rise))) == 2
     assert rise == [6, 5, 4, 3, 2, 1, 0]
     assert ahead._adj.looked * 4 < plain._adj.looked
+
+
+def test_a_first_hit_stops_the_search():
+    # K3 into two disjoint K7s has 420 embeddings: every mode that wants
+    # one hit stops reading the search there, so it looks up a small share
+    # of the candidates that listing them all does, and finds its own first
+    c, plan = _disjoint_cliques(2, 7), EmbeddingPlan(k_complete(3))
+    layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
+    everything = _counting(c)
+    listed = [list(img) for img in _run(everything, layout, [None] * 3)]
+    assert len(listed) == 420
+    modes = {
+        "_first_hit": lambda g: _first_hit(g, layout, [None] * 3) == listed[0],
+        "first": lambda g: plan.first(g) == dict(plan.pairs(c)[0]),
+        "exists": plan.exists,
+        "embeds_within": lambda g: plan.embeds_within(g, frozenset(), c.vertices),
+    }
+    for mode, stop in modes.items():
+        g = _counting(c)
+        assert stop(g), mode
+        assert g._adj.looked * 10 < everything._adj.looked, (mode, g._adj.looked)
 
 
 def _disjoint_cliques(k, n):
