@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientMismatch, InvalidMap, UnknownVertex
@@ -301,12 +302,31 @@ def _positions(adj: dict, order: list) -> tuple:
     return tuple(order), tuple(adjacent), tuple(apart), tuple([len(adj[v]) for v in order])
 
 
+def _greedy(adj: dict, placed: frozenset, pool: Iterable[str]) -> list:
+    """pool in search order: next the vertex with the most neighbours in
+    placed or taken before it (ties: higher degree, then smaller name)."""
+    rank = {u: (-len(adj[u] & placed), -len(adj[u]), u) for u in pool}
+    order = []
+    while rank:
+        v = min(rank, key=rank.__getitem__)
+        del rank[v]
+        order.append(v)
+        for u in adj[v] & rank.keys():
+            rank[u] = (rank[u][0] - 1, -len(adj[u]), u)
+    return order
+
+
+def _picker(at: list) -> Callable:
+    """The function taking a sequence or a map to the tuple of its items at at."""
+    return itemgetter(*at) if len(at) > 1 else lambda seq: tuple([seq[i] for i in at])
+
+
 class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
-    against any number of targets: pairs() lists the embeddings as sorted
-    (vertex, image) pairs, count_each() counts them for many pin maps at
-    once, first() returns the least one, exists() whether there is one and
-    representatives() one per image set.
+    against any number of targets: images() lists the embeddings as sorted
+    image tuples, pairs() as (vertex, image) pairs, count_keyed() counts them
+    by class for many pin maps at once, first() returns the least one,
+    exists() whether there is one and representatives() one per image set.
 
     The search order puts the pinned vertices first, then at each step the
     vertex with the most already-placed neighbours (ties: higher degree,
@@ -333,24 +353,13 @@ class EmbeddingPlan:
 
     def __getattr__(self, name: str):
         """The connectivity-first layout, compiled on its first use: first()
-        runs without it."""
+        and a count plan run without it."""
         if name not in ("order", "adjacent", "apart", "degrees", "_by_name"):
             raise AttributeError(name)
-        a, pins = self.pattern, self.pinned
-        adj = a._adj
-        order: list[str] = []
-        # (-placed neighbours, -degree, name), kept current as vertices are placed
-        rank = {u: (0, -len(adj[u]), u) for u in a.vertices}
-        for pool in (set(pins), set(a.vertices - pins)):
-            while pool:
-                v = min(pool, key=rank.__getitem__)
-                pool.discard(v)
-                order.append(v)
-                for u in adj[v]:
-                    k = rank[u]
-                    rank[u] = (k[0] - 1, k[1], u)
+        adj, pins = self.pattern._adj, self.pinned
+        order = _greedy(adj, frozenset(), pins) + _greedy(adj, pins, self.pattern.vertices - pins)
         self.order, self.adjacent, self.apart, self.degrees = _positions(adj, order)
-        self._by_name = tuple(sorted(range(len(order)), key=order.__getitem__))
+        self._by_name = _picker(sorted(range(len(order)), key=order.__getitem__))
         return getattr(self, name)
 
     def _pins(self, c: Graph, fixed: dict | None) -> dict:
@@ -397,15 +406,14 @@ class EmbeddingPlan:
         return self._symmetry
 
     def _free_positions(self) -> tuple:
-        """The layout of the free positions alone, renumbered from 0; per
-        free position the pinned vertices adjacent to it; and all of those,
-        the touched pins, in name order."""
+        """The layout of the free vertices alone, in the order that follows
+        the pins (_greedy), which are never ordered; per free position its
+        pinned neighbours; and all of those, the touched pins, in name order."""
         if self._free_layout is None:
-            k = len(self.pinned)
-            contacts = tuple(tuple([self.order[j] for j in near if j < k])
-                             for near in self.adjacent[k:])
-            self._free_layout = (_positions(self.pattern._adj, list(self.order[k:])),
-                                 contacts, tuple(sorted(frozenset().union(*contacts))))
+            adj, pins = self.pattern._adj, self.pinned
+            free = _greedy(adj, pins, self.pattern.vertices - pins)
+            contacts = tuple([tuple(adj[v] & pins) for v in free])
+            self._free_layout = (_positions(adj, free), contacts, tuple(sorted(set().union(*contacts))))
         return self._free_layout
 
     @property
@@ -413,28 +421,33 @@ class EmbeddingPlan:
         """The pinned vertices adjacent to a free one, in name order."""
         return self._free_positions()[2]
 
-    def _classes(self, keys: Iterable, tables: dict) -> list:
-        """The class of each key (image set of some pins, images of the
-        touched pins): its table in tables, {image set: {tuple: count}}, and
-        its tuple, the images of the pins adjacent to each free position.
-        Classes not yet in tables are filed with count 0."""
+    def count_keyed(self, c: Graph, keys: list, tables: dict,
+                    is_strong: Callable | None = None) -> list:
+        """The count of each key (image set S, touched pins' images) of pins
+        that embed the pinned vertices into c induced, unchecked, by class:
+        S's table in tables, {image set: {tuple: count}}, and the tuple of the
+        images of the pins adjacent to each free position.  A table that gains
+        classes is zeroed and tallied again; the rest keep their counts."""
+        _check_coefficient(self.pattern, c)
         _, contacts, touched = self._free_positions()
         at = {x: i for i, x in enumerate(touched)}
         near_at = [[at[x] for x in near] for near in contacts]
-        memo: dict = {}
-        out = []
+        sizes = {image: len(table) for image, table in tables.items()}
+        memo: dict = {}  # key -> (its table, its tuple)
         for key in keys:
-            hit = memo.get(key)
-            if hit is None:
-                table = tables.setdefault(key[0], {})
+            if key not in memo:
                 near = tuple([frozenset([key[1][i] for i in ids]) for ids in near_at])
-                table.setdefault(near, 0)
-                hit = memo[key] = (table, near)
-            out.append(hit)
-        return out
+                tables.setdefault(key[0], {}).setdefault(near, 0)
+                memo[key] = (tables[key[0]], near)
+        stale = {image: table for image, table in tables.items() if len(table) != sizes.get(image)}
+        for table in stale.values():
+            table.update(dict.fromkeys(table, 0))
+        if stale:
+            self.tally(c, stale, is_strong)
+        return [table[near] for table, near in map(memo.__getitem__, keys)]
 
     def tally(self, c: Graph, tables: dict, is_strong: Callable | None = None) -> None:
-        """Fill in tables as filed by _classes: for each image set S and
+        """Fill in tables as count_keyed files them: for each image set S and
         tuple, the embeddings of the free vertices into c - S whose images
         have those neighbours in S, with the image passing is_strong.
 
@@ -442,23 +455,17 @@ class EmbeddingPlan:
         injectivity and strength, so that is the count of every pin map onto
         S of that class.  One search per S keeps at each position the points
         whose neighbours in S some tuple of its table asks for; strength is
-        tested once per image set, and only for hits that some tuple asks
-        for."""
+        tested once per image set, for hits some tuple asks for."""
         _check_coefficient(self.pattern, c)
         layout = self._free_positions()[0]
         for image, table in tables.items():
             _tally(c, layout, image, table, is_strong)
 
     def count_each(self, c: Graph, fixeds: list, is_strong: Callable | None = None) -> list:
-        """[len(pairs(c, f, is_strong)) for f in fixeds], for pins f that each
-        embed the pinned vertices into c induced (unchecked): one tally() over
-        the classes of the f, each f's count then a lookup."""
-        touched = self.touched
-        tables: dict = {}
-        classes = self._classes(
-            ((frozenset(f.values()), tuple([f[x] for x in touched])) for f in fixeds), tables)
-        self.tally(c, tables, is_strong)
-        return [table[near] for table, near in classes]
+        """[len(pairs(c, f, is_strong)) for f in fixeds], through count_keyed."""
+        pick = _picker(self.touched)
+        keys = [(frozenset(f.values()), pick(f)) for f in fixeds]
+        return self.count_keyed(c, keys, {}, is_strong)
 
     def representatives(self, c: Graph) -> list:
         """For an unpinned plan, one embedding per image set, as a map: the
@@ -501,17 +508,21 @@ class EmbeddingPlan:
                        for images, prefix in partial for u, move in level.items()]
         return [images for images, _ in partial]
 
+    def images(self, c: Graph, fixed: dict | None = None,
+               is_strong: Callable | None = None) -> list:
+        """Every embedding as its images of the pattern's vertices in name
+        order, sorted; with is_strong, only those whose image passes it."""
+        fixed = self._pins(c, fixed)
+        strong, by_name = _strength(c, is_strong), self._by_name
+        return sorted([by_name(img) for img in _run(
+            c, (self.order, self.adjacent, self.apart, self.degrees),
+            [fixed.get(p) for p in self.order]) if strong(img)])
+
     def pairs(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None) -> list:
-        """Every embedding as its sorted (vertex, image) pairs, in canonical
-        (sorted) order; with is_strong, only those whose image passes it."""
-        fixed = self._pins(c, fixed)
-        names, by_name = sorted(self.order), self._by_name
-        strong = _strength(c, is_strong)
-        return sorted([tuple(zip(names, [img[k] for k in by_name]))
-                       for img in _run(c, (self.order, self.adjacent, self.apart, self.degrees),
-                                       [fixed.get(p) for p in self.order])
-                       if strong(img)])
+        """images() as sorted (vertex, image) pairs: one listing, two shapes."""
+        names = sorted(self.pattern.vertices)
+        return [tuple(zip(names, t)) for t in self.images(c, fixed, is_strong)]
 
     def first(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None,

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, EmbeddingPlan, Graph, components, connected_subsets
+from .graph import Embedding, EmbeddingPlan, Graph, _picker, components, connected_subsets
 from .predimension import (_Index, _collect, _last_index, _orientation, _stored_orientation,
                            _tight_components, delta, delta_rel, is_self_sufficient)
 
@@ -435,11 +435,10 @@ def _placement_classes(g: Graph, base: frozenset, plan: EmbeddingPlan, pins: tup
     gives each of its placements.  memo keeps each base's plan and, per
     (base, pins), its pattern pinned there with its automorphisms'
     restrictions to pins; per graph, one placement per image set of each
-    base and each row pattern's tables, which tally adds to: a table that
-    gains classes is zeroed and tallied again.  Premise: g counts 0 and is
-    in K0, so what counts 0 is strong and nothing is tested: base, a closure,
-    counts 0, so each image S does, and so does S ∪ K for each extension K,
-    as the attachment counts 0 over the base."""
+    base and each row pattern's tables, which count_keyed keeps.  Premise:
+    g counts 0 and is in K0, so what counts 0 is strong and nothing is
+    tested: base, a closure, counts 0, so each image S does, and so does
+    S ∪ K for each extension K, as the attachment counts 0 over the base."""
     if base not in memo:
         memo[base] = EmbeddingPlan(g.induced(base))
     if (g, base) not in memo:
@@ -449,37 +448,27 @@ def _placement_classes(g: Graph, base: frozenset, plan: EmbeddingPlan, pins: tup
         memo[base, pins] = (pinned, pinned.pin_images())
     keys = [(image, tuple([f[y] for y in ys]))
             for image, f in memo[g, base] for ys in memo[base, pins][1]]
-    at = [pins.index(x) for x in plan.touched]
-    tables = memo.setdefault((g, plan.pattern), {})
-    sizes = {image: len(table) for image, table in tables.items()}
-    classes = plan._classes(((image, tuple([ims[j] for j in at])) for image, ims in keys), tables)
-    stale = {image: table for image, table in tables.items() if len(table) != sizes.get(image)}
-    for table in stale.values():
-        table.update(dict.fromkeys(table, 0))
-    if stale:
-        plan.tally(g, stale)
-    return [(image, ims, table[near]) for (image, ims), (table, near) in zip(keys, classes)]
+    pick = _picker([pins.index(x) for x in plan.touched])
+    counts = plan.count_keyed(g, [(image, pick(ims)) for image, ims in keys],
+                              memo.setdefault((g, plan.pattern), {}))
+    return [(image, ims, n) for (image, ims), n in zip(keys, counts)]
 
 
-def uniform_algebraicity_report(
-    g: Graph,
-    i: int,
-    max_set: int | None = None,
-) -> list:
+def uniform_algebraicity_report(g: Graph, i: int, max_set: int | None = None) -> list:
     """Per (base, attachment type): the extension count over every strong
     placement of the base pattern, in canonical order, and whether all
     counts agree.  Premise, which decompose checks: g counts 0 and is in K0,
     so no placement or extension needs a strength test (_placement_classes).
-    The report lists every placement, each base's once, and counts a row's
-    with one search per image set (EmbeddingPlan.count_each).  The level
-    stage lists none: it counts by class, one placement per image set
-    (_report_rows, and _placement_classes when it evens a row out)."""
-    rows = []
-    placements: dict = {}
+    Each base's placements are listed once, by images() with each image set
+    one object, and a row's counted by class (EmbeddingPlan.count_keyed).
+    The level stage lists none (_report_rows, _placement_classes)."""
+    rows, placements, sets = [], {}, {}  # sets interns the placements' image sets
     for w in _report_witnesses(g, i, max_set):
-        if w.base not in placements:
-            placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(g)]
+        if w.base not in placements:  # per placement (image set, images in name order)
+            placements[w.base] = [(sets.setdefault(s, s), t) for t in EmbeddingPlan(
+                g.induced(w.base)).images(g) for s in (frozenset(t),)]
         plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
-        counts = plan.count_each(g, placements[w.base])
+        pick = _picker([sorted(w.base).index(x) for x in plan.touched])
+        counts = plan.count_keyed(g, [(s, pick(t)) for s, t in placements[w.base]], {})
         rows.append((w, counts, len(set(counts)) <= 1))
     return rows

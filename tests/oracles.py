@@ -591,7 +591,8 @@ def ref_run(c, layout, pins, emit) -> None:
 # zero_decomposition._report_rows as it was before rows of one type shared
 # their tables: every row counted on its own.  Copied unchanged but for the
 # name, the parameters' annotations and the strength test of each image set,
-# made here: representatives() takes none.
+# made here: representatives() takes none; and the plan's _classes and tally,
+# which are one EmbeddingPlan.count_keyed call now.
 
 
 def ref_report_rows(g, i, max_set, memo) -> list:
@@ -620,11 +621,58 @@ def ref_report_rows(g, i, max_set, memo) -> list:
         if key not in memo:
             memo[key] = EmbeddingPlan(memo[w.base].pattern, pinned=key[1]).pin_images()
         tables: dict = {}
-        plan._classes(((image, tuple([f[y] for y in ys]))
-                       for image, f in found[w.base] for ys in memo[key]), tables)
-        plan.tally(g, tables, is_self_sufficient)
+        plan.count_keyed(g, [(image, tuple([f[y] for y in ys]))
+                             for image, f in found[w.base] for ys in memo[key]],
+                         tables, is_self_sufficient)
         rows.append((w, tables))
     return rows
+
+
+# -- reference copy of the uniformity report by listed maps -------------------
+# zero_decomposition.uniform_algebraicity_report as it was before it listed
+# placements as image tuples: every placement a dict built from pairs(),
+# counted by EmbeddingPlan.count_each.  Copied unchanged but for the name and
+# the signature on one line.
+
+
+def ref_uniform_algebraicity_report(g, i, max_set=None) -> list:
+    rows = []
+    placements: dict = {}
+    for w in _report_witnesses(g, i, max_set):
+        if w.base not in placements:
+            placements[w.base] = [dict(p) for p in EmbeddingPlan(g.induced(w.base)).pairs(g)]
+        plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
+        counts = plan.count_each(g, placements[w.base])
+        rows.append((w, counts, len(set(counts)) <= 1))
+    return rows
+
+
+# -- reference copy of the count plan's free layout ----------------------------
+# EmbeddingPlan's connectivity-first order as __getattr__ built it over both
+# pools with one rank map, and _free_positions as the slice of that full
+# layout after the pins, before a count plan compiled its free layout alone.
+
+
+def ref_free_positions(plan) -> tuple:
+    """The full search order, and the free layout, contacts and touched pins
+    read off it."""
+    a, pins = plan.pattern, plan.pinned
+    adj = a._adj
+    order: list = []
+    rank = {u: (0, -len(adj[u]), u) for u in a.vertices}
+    for pool in (set(pins), set(a.vertices - pins)):
+        while pool:
+            v = min(pool, key=rank.__getitem__)
+            pool.discard(v)
+            order.append(v)
+            for u in adj[v]:
+                k = rank[u]
+                rank[u] = (k[0] - 1, k[1], u)
+    k = len(pins)
+    contacts = tuple(tuple([order[j] for j in near if j < k])
+                     for near in _positions(adj, order)[1][k:])
+    return order, (_positions(adj, order[k:]), contacts,
+                   tuple(sorted(frozenset().union(*contacts))))
 
 
 # -- reference copy of the level stage's evening-out by listing ----------------

@@ -1,6 +1,11 @@
 import contextlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -547,3 +552,39 @@ def test_repeated_growth_stays_strong():
         if rel >= 1:
             assert is_self_sufficient(g, before)
     assert len(g.vertices) == 5
+
+
+def test_the_chain_the_back_and_forth_and_a_report_do_not_depend_on_the_hash_seed():
+    """The searches visit sets of names in hash order, which decides how
+    many candidates they try before a hit, but no answer: a small chain,
+    back-and-forth maps between its single strong points (some extended,
+    some failing within their steps) and one uniformity report give one
+    canonical JSON under three hash seeds."""
+    script = (
+        "import json\n"
+        "from abinitio import (ConstructionFailed, Graph, PartialIso, build_approximation,\n"
+        "                      extend_partial_iso, is_self_sufficient, uniform_algebraicity_report)\n"
+        "k5 = [(f'{p}{i}', f'{p}{j}') for p in 'ab' for i in range(5) for j in range(i + 1, 5)]\n"
+        "seed = Graph(2, [u for e in k5[:10] for u in e] + ['p'], k5[:10] + [('p', 'a0')])\n"
+        "chain = build_approximation(seed, 1, 3)\n"
+        "final = chain.stages[-1]\n"
+        "x, *ys = sorted(v for v in final.vertices if is_self_sufficient(final, {v}))\n"
+        "maps = []\n"
+        "for y in ys[:5]:\n"
+        "    try:\n"
+        "        grown, gamma = extend_partial_iso(final, PartialIso.build(final, {x: y}), 4)\n"
+        "        maps.append([grown.to_json_dict(), gamma.pairs])\n"
+        "    except ConstructionFailed as e:\n"
+        "        maps.append([str(e), e.stage_log])\n"
+        "g = Graph(2, [u for e in k5 for u in e] + ['s'], k5 + [('s', 'a0'), ('s', 'b0')])\n"
+        "rows = [[w.to_json_dict(), n, u] for w, n, u in uniform_algebraicity_report(g, 1)]\n"
+        "print(json.dumps([chain.to_json_dict(), maps, rows], sort_keys=True))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                           check=True).stdout for seed in ("1", "5", "11")]
+    assert outs[0] == outs[1] == outs[2]
+    chain, maps, rows = json.loads(outs[0])
+    assert len(chain["stages"]) == 2 and rows
+    assert any(isinstance(m[0], dict) for m in maps) and any(isinstance(m[0], str) for m in maps)

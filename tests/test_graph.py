@@ -26,7 +26,7 @@ from abinitio import (
 from abinitio.graph import _first_hit, _positions, _run, adjoin_copy
 from oracles import (
     _IN_NAME_ORDER, adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
-    ref_find_pattern_iso, ref_first, ref_is_induced, ref_run)
+    ref_find_pattern_iso, ref_first, ref_free_positions, ref_is_induced, ref_run)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -829,3 +829,21 @@ def test_a_bare_string_is_not_read_as_a_vertex_set():
         with pytest.raises(TypeError, match="got the string 'ab'"):
             call("ab")
             pytest.fail(f"{name} read the string 'ab'")
+
+
+def test_the_free_layout_compiled_alone_is_the_slice_of_the_full_layout():
+    # a count plan ranks its free vertices by their pinned neighbours and
+    # never orders its pins; the layout, contacts (as sets) and touched pins
+    # are those the full connectivity-first layout gives after the pins
+    rng = random.Random(38)
+    for trial in range(120):
+        a = _random_graph(rng, "p", rng.randint(1, 9), 2)
+        names = a.sorted_vertices()
+        pins = ([] if trial % 5 == 0 else names if trial % 5 == 1
+                else rng.sample(names, rng.randint(0, len(names))))
+        order, (layout, contacts, touched) = ref_free_positions(EmbeddingPlan(a, pinned=pins))
+        got = EmbeddingPlan(a, pinned=pins)._free_positions()
+        assert got[0] == layout and got[2] == touched
+        assert [set(near) for near in got[1]] == [set(near) for near in contacts]
+        assert list(EmbeddingPlan(a, pinned=pins).order) == order
+

@@ -45,6 +45,7 @@ from oracles import (
     ref_placement_counts,
     ref_report_rows,
     ref_tight_sets_over,
+    ref_uniform_algebraicity_report,
 )
 
 
@@ -933,3 +934,21 @@ def test_zero_algebraic_on_a_forty_cycle():
     assert not is_zero_algebraic(path, cycle, anchors)
     chord = Graph(2, g.vertices, edges + [("c00", "c20")])
     assert not is_zero_algebraic(chord, cycle, anchors)
+
+
+def test_the_report_by_image_tuples_matches_the_listing_by_maps():
+    # the report lists each base once as image tuples and counts by class;
+    # the reference copy lists (vertex, image) maps and calls count_each.
+    # Rows, counts and their order agree at every level
+    rng = random.Random(38)
+    graphs = rows = 0
+    while graphs < 40:
+        g = random_zero_graph(rng, rng.randint(10, 16))
+        if not 10 <= len(g.vertices) <= 16:
+            continue
+        graphs += 1
+        for i in range(1, max(c.level for c in decompose(g).components) + 1):
+            got = uniform_algebraicity_report(g, i)
+            assert got == ref_uniform_algebraicity_report(g, i)
+            rows += len(got)
+    assert rows >= 40
