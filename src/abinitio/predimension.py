@@ -9,11 +9,11 @@ memo, and read for membership, dimension, gcl, closure sets (by collecting
 spare capacity) and the blocks of a zero-count graph.  Rooted questions
 search once each: self-sufficiency after its own peel, and the sets tight
 over a self-sufficient base, with every accretion step above them, as the
-saturated strong components of one orientation rooted at it.  Where the
-orientation is output (witnesses, closure chains) it is found by
-augmenting-path reassignment on vertex ids in name order; closure chains
-absorb minimal strictly-decreasing extensions from failure regions, only in
-the rounds that absorb: the closure set, read first, says where they end.
+saturated strong components of one orientation rooted at it.  An output
+orientation (witnesses, closure chains) is found by augmenting paths on ids
+in name order, but a graph with over m edges per point fails its witness at
+once, naming the peel's core.  Closure chains absorb minimal strictly
+decreasing extensions of failure regions up to the closure set, read first.
 """
 
 from __future__ import annotations
@@ -245,19 +245,18 @@ def _stored_orientation(g: Graph) -> MappingProxyType | None:
     queue, slack = _peel(g, frozenset())
     out: dict = {}
     for x in queue:
-        out[x] = tuple(y for y in g._adj[x] if y not in out)
+        out[x] = tuple([y for y in g._adj[x] if y not in out])
     if slack >= 0 and len(out) < len(g.vertices):
         ix = _last_index(g)
-        inside = [v not in out for v in ix.names]
+        names, inside = ix.names, [v not in out for v in ix.names]
         core = _orient(ix, inside, [0] * len(inside))[0] or []
-        out.update((ix.names[x], tuple(ix.names[y] for y in ys))
+        out.update((names[x], tuple([names[y] for y in ys]))
                    for x, ys in enumerate(core) if inside[x])
     return MappingProxyType(out) if len(out) == len(g.vertices) else None
 
 
 def _orientation(g: Graph, error: str = "closure requires a hereditarily nonnegative ambient"):
-    """The stored orientation of g as a fresh dict, its tuples shared, once
-    it has found g in K0."""
+    """The stored orientation of g, g in K0, as a fresh dict, its tuples shared."""
     stored = _stored_orientation(g)
     if stored is None:
         raise OutsideK0(error)
@@ -291,9 +290,8 @@ def _collect(g: Graph, out: dict, a: frozenset) -> frozenset:
 
 
 def is_in_k0(g: Graph) -> bool:
-    """Whether every subset has a nonnegative count: whether g orients with
-    outdegree at most m, read off the store (_stored_orientation), which
-    closure, dimension, gcl and decompose read too."""
+    """Whether every subset counts >= 0, that is g orients with outdegree <= m:
+    read off the store (_stored_orientation), as closure, dimension, gcl and decompose are."""
     return _stored_orientation(g) is not None
 
 
@@ -310,30 +308,31 @@ class OrientationWitness:
 
 
 def orientation_witness(g: Graph) -> OrientationWitness:
-    """An explicit orientation with outdegree <= m, or an error naming a
-    violating subgraph."""
-    ix = _Index(g)
-    out, violating = _orient(ix, *_rooted(ix, ()))
+    """An orientation with outdegree <= m by the name-ordered search, or an
+    error naming a violating set: with over m edges per point, unsearched, the
+    peel's core, counting at most delta(V) < 0; else where the search failed."""
+    if g.m * len(g.vertices) < len(g.edges):
+        out, violating = None, g.vertices.difference(_peel(g, frozenset())[0])
+    else:
+        ix = _Index(g)
+        out, violating = _orient(ix, *_rooted(ix, ()))
     if out is None:
         raise OutsideK0(
             f"no orientation with outdegree <= {g.m}; violating set {sorted(violating)}")
-    return OrientationWitness(
-        tuple((ix.names[x], ix.names[y]) for x, ys in enumerate(out) for y in ys),
-        max(map(len, out), default=0))
+    names = ix.names
+    return OrientationWitness(tuple((v, names[y]) for v, ys in zip(names, out) for y in ys),
+                              max(map(len, out), default=0))
 
 
 _self_sufficient_cached = lru_cache(maxsize=262144)(_feasible)
 
 
 def is_self_sufficient(g: Graph, a: Iterable[str]) -> bool:
-    """True iff delta(a') >= delta(a) for every superset a' inside g.
-
-    Equivalent to orienting the edges outside a, with edges into a forced
-    onto their outside endpoint, within outdegree m; decided order-free, by
-    peeling before any search.  Graphs are immutable, so results are
-    memoized; extension sweeps ask about the same set under the same
-    ambient thousands of times.
-    """
+    """True iff delta(a') >= delta(a) for every superset a' inside g: whether
+    the edges outside a orient within outdegree m, edges into a forced onto
+    their outside end, decided by peeling before any search.  Graphs are
+    immutable, so results are memoized: extension sweeps ask about one set
+    under one ambient thousands of times."""
     return _self_sufficient_cached(g, g.check_subset(a))
 
 

@@ -6,8 +6,9 @@ The subset oracles (counts, membership, closedness, closure) live in
 ``abinitio.oracles``, where ``abinitio selftest`` uses them too; they are
 re-exported here next to the test-only ones.  The reference copies of
 replaced fast paths, at the end, call the package only for the primitives
-they were written over.  Intended for graphs small enough that exponential
-scans stay instant.
+they were written over; one of them is orientation_witness as it was before
+it failed at once on a graph that counts below 0.  Intended for graphs small
+enough that exponential scans stay instant.
 """
 
 import itertools
@@ -21,7 +22,8 @@ from abinitio import extension, limits
 from abinitio.approximation import ApproximationChain, realize_extension
 from abinitio.graph import _check_coefficient, _first_hit, _positions, adjoin_copy
 from abinitio.predimension import (
-    ClosureResult, _absorb, _feasible, _Index, _minimize_violator, _orient, _rooted)
+    ClosureResult, OrientationWitness, _absorb, _feasible, _Index, _minimize_violator, _orient,
+    _rooted)
 from abinitio.verifier import VerificationReport, _admits_bounded_orientation
 from abinitio.zero_decomposition import _report_witnesses
 from abinitio.oracles import (  # noqa: F401  (re-exported for the tests)
@@ -189,6 +191,27 @@ def ref_orientation(g) -> tuple:
     assignment, _ = ref_bounded_orientation(g, frozenset(g.vertices), {}, g.m)
     return tuple(sorted((origin, e[0] if e[1] == origin else e[1])
                         for e, origin in assignment.items()))
+
+
+# -- reference copy of the witness that searched every graph -----------------
+# predimension.orientation_witness as it was before a graph with more than m
+# edges per point failed at once, naming the peel's core: the name-ordered
+# search ran on every graph, and a failure named the region it reached.
+# Copied unchanged but for the name.  On a graph with at most m edges per
+# point the package's message must match this one byte for byte.
+
+
+def ref_orientation_witness(g) -> OrientationWitness:
+    """An explicit orientation with outdegree <= m, or an error naming a
+    violating subgraph."""
+    ix = _Index(g)
+    out, violating = _orient(ix, *_rooted(ix, ()))
+    if out is None:
+        raise OutsideK0(
+            f"no orientation with outdegree <= {g.m}; violating set {sorted(violating)}")
+    return OrientationWitness(
+        tuple((ix.names[x], ix.names[y]) for x, ys in enumerate(out) for y in ys),
+        max(map(len, out), default=0))
 
 
 # -- reference copies of the closure and the set answers by closure rounds ----

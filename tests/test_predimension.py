@@ -28,7 +28,7 @@ from abinitio import (
 from abinitio.graph import normalize_edge
 from abinitio.predimension import (
     ClosureResult, _closure_set, _collect, _feasible, _Index, _last_index, _orient, _orientation,
-    _rooted, _stored_orientation)
+    _peel, _rooted, _stored_orientation)
 from abinitio.zero_decomposition import _decomposition
 from builders import plant_clique, random_zero_graph, tight_graph
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     ref_dimension,
     ref_geometric_closure_bounded,
     ref_orientation,
+    ref_orientation_witness,
     ref_rooted_load,
 )
 
@@ -121,6 +122,90 @@ def test_orientation_witness_is_valid():
         assert w.max_outdegree == max(outdeg.values(), default=0)
     with pytest.raises(OutsideK0):
         orientation_witness(k_complete(6))
+
+
+def named_set(err: OutsideK0) -> frozenset:
+    """The violating set an orientation witness's error names."""
+    return frozenset(ast.literal_eval(str(err).split("violating set ", 1)[1]))
+
+
+def two_k6_and_a_path() -> Graph:
+    """Two disjoint K6s, a0..a5 and b0..b5, and the path a0-p0-p1."""
+    k6s = disjoint_cliques(2, 6, 6)
+    return Graph(2, [*k6s.vertices, "p0", "p1"], [*k6s.edges, ("a0", "p0"), ("p0", "p1")])
+
+
+def padded(g: Graph) -> Graph:
+    """g plus just enough isolated points for m per point to cover its edges."""
+    pad = [f"pad{i}" for i in range(-(-(len(g.edges) - g.m * len(g.vertices)) // g.m))]
+    return Graph(g.m, list(g.vertices) + pad, g.edges)
+
+
+def test_a_witness_over_m_edges_per_point_names_the_peels_core_unsearched(monkeypatch):
+    """With more than m edges per point the whole graph counts below 0: the
+    witness fails with no search, naming the points the peel leaves, which
+    count at most what the whole graph does."""
+    def searched(*args):
+        raise AssertionError("the name-ordered search ran")
+
+    monkeypatch.setattr(abinitio.predimension, "_orient", searched)
+    monkeypatch.setattr(abinitio.predimension, "_Index", searched)
+    rng = random.Random(39)
+    graphs = [g for m in (2, 3) for g in (random_graph(rng, rng.randint(4, 14), m=m,
+                                                        p=rng.uniform(0.3, 1)) for _ in range(100))
+              if g.m * len(g.vertices) < len(g.edges)]
+    assert sum(g.m == 2 for g in graphs) >= 30 and sum(g.m == 3 for g in graphs) >= 20
+    for n in (100, 300, 600, 1000):
+        g = tight_graph(rng, n, m=2, window=rng.randint(6, 24), prefix=f"t{n}_")
+        graphs.append(plant_clique(rng, g, prefix=f"t{n}_x"))
+    graphs.append(two_k6_and_a_path())
+    for g in graphs:
+        with pytest.raises(OutsideK0) as err:
+            orientation_witness(g)
+        core = named_set(err.value)
+        assert core == g.vertices.difference(_peel(g, frozenset())[0])
+        assert delta(g, core) <= delta(g, g.vertices) < 0
+
+
+def test_the_peels_core_can_differ_from_where_the_search_fails():
+    """The one change the early failure makes: the search fails on the first
+    K6 it meets, while the peel keeps both, all twelve points counting -6."""
+    g = two_k6_and_a_path()
+    with pytest.raises(OutsideK0) as before:
+        ref_orientation_witness(g)
+    with pytest.raises(OutsideK0) as after:
+        orientation_witness(g)
+    assert named_set(before.value) == {f"a{i}" for i in range(6)}
+    assert named_set(after.value) == g.vertices - {"p0", "p1"}
+    assert delta(g, named_set(after.value)) == -6 and delta(g, g.vertices) == -4
+
+
+def test_a_witness_within_m_edges_per_point_matches_the_reference_copy():
+    """A graph with at most m edges per point is searched as before: members
+    get the same witness, and non-members the same message, byte for byte."""
+    rng = random.Random(40)
+    clique = [f"c{i}" for i in range(6)]
+    graphs = [Graph(2, clique + ["x", "y", "z"], itertools.combinations(clique, 2))]
+    for m in (2, 3):
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 12), m=m, p=rng.random())
+            graphs.append(padded(g) if g.m * len(g.vertices) < len(g.edges) else g)
+    for n in (100, 400):
+        g = tight_graph(rng, n, m=2, window=rng.randint(6, 24), prefix=f"t{n}_")
+        graphs += [g, padded(plant_clique(rng, g, prefix=f"t{n}_x"))]
+    failed = 0
+    for g in graphs:
+        assert g.m * len(g.vertices) >= len(g.edges)
+        try:
+            want = ref_orientation_witness(g)
+        except OutsideK0 as err:
+            with pytest.raises(OutsideK0) as got:
+                orientation_witness(g)
+            assert str(got.value) == str(err)
+            failed += 1
+        else:
+            assert orientation_witness(g) == want
+    assert 20 <= failed <= len(graphs) - 20
 
 
 def test_self_sufficiency_against_subset_scan():
