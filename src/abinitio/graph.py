@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -323,28 +325,23 @@ def _picker(at: list) -> Callable:
 
 class EmbeddingPlan:
     """A search for induced embeddings of one pattern, compiled once and run
-    against any number of targets: images() lists the embeddings as sorted
-    image tuples, pairs() as (vertex, image) pairs, count_keyed() counts them
-    by class for many pin maps at once, first() returns the least one,
-    exists() whether there is one and representatives() one per image set.
+    against any number of targets: images() lists them as sorted image
+    tuples, pairs() as (vertex, image) pairs, count_keyed() counts them by
+    class for many pin maps at once, first() returns the least one, exists()
+    whether there is one and representatives() one per image set.
 
-    The search order puts the pinned vertices first, then at each step the
-    vertex with the most already-placed neighbours (ties: higher degree,
-    then smaller name).  Each position records its earlier adjacent and
-    non-adjacent positions and its degree, so a run draws candidates from
-    the intersection of the target neighbourhoods of the adjacent positions'
-    images and checks only degree and non-adjacency.  Every mode reads one
-    search, the generator _run; a mode that wants one hit stops reading there.
-
-    first() checks the pins, then searches the free vertices alone in name
-    order, each trying its candidates sorted.  The canonical order of
-    embeddings compares the images of the pattern vertices in name order, so
-    that depth-first search meets the least embedding first and can stop
-    there; in the connectivity-first order the least one may come last.
+    The search order puts the pins first, then the vertex with the most
+    placed neighbours (ties: higher degree, then smaller name); a position
+    keeps its earlier adjacent and non-adjacent positions and its degree.
+    Every mode reads one search, the generator _run.  Unpinned, images()
+    lists one representative per image set (_shape's conditions), tests it
+    once and reads it through each automorphism (_turns).  first() searches
+    the free vertices alone in name order, candidates sorted, so it meets
+    the least embedding first.
     """
 
     __slots__ = ("pattern", "pinned", "order", "adjacent", "apart", "degrees", "_by_name",
-                 "_name_layout", "_symmetry", "_free_layout")
+                 "_name_layout", "_symmetry", "_free_layout", "_turns")
 
     def __init__(self, a: Graph, pinned: Iterable[str] = ()):
         self.pattern = a
@@ -353,7 +350,16 @@ class EmbeddingPlan:
 
     def __getattr__(self, name: str):
         """The connectivity-first layout, compiled on its first use: first()
-        and a count plan run without it."""
+        and a count plan run without it; and _turns, _shape's below and rise
+        and per automorphism, in name order, a picker of a representative."""
+        if name == "_turns":
+            below, rise, levels = _shape(self.adjacent)
+            turns = [sorted(range(len(self.order)), key=self.order.__getitem__)]
+            for level in reversed(levels):
+                if len(level) > 1:
+                    turns = [pick(t) for pick in map(_picker, turns) for t in level]
+            self._turns = (below, rise, [_picker(q) for q in turns])
+            return self._turns
         if name not in ("order", "adjacent", "apart", "degrees", "_by_name"):
             raise AttributeError(name)
         adj, pins = self.pattern._adj, self.pinned
@@ -373,36 +379,14 @@ class EmbeddingPlan:
         return fixed
 
     def _conditions(self) -> tuple:
-        """For an unpinned plan: per search position, the earlier positions
-        whose images its own must exceed; the order of the pattern's
-        automorphism group, from its stabilizer chain along the search order;
-        and per position, how many later positions adjacent to it must map
-        above its image.
-
-        Position i gets the orbit of its vertex v under the automorphisms
-        fixing the earlier ones, and every later member of that orbit must map
-        above v.  Of the embeddings sharing one image set, which differ by an
-        automorphism, exactly one meets every condition (Grochow and Kellis,
-        RECOMB 2007), and the group's order is the product of the orbit
-        lengths.  The later positions adjacent to position i that must map
-        above its image need as many distinct neighbours of that image above
-        it, so representatives() skips candidates with fewer: a hit never
-        starts there, and the hits and their order stay the same.  Computed
-        once per plan."""
+        """For an unpinned plan, once, _breaking() of a stabilizer chain
+        along the search order (_chain), which lists no group: of the
+        embeddings onto one image set exactly one meets its conditions
+        (Grochow and Kellis, RECOMB 2007)."""
         if self._symmetry is None:
             at = {v: i for i, v in enumerate(self.order)}
-            below: list = [[] for _ in self.order]
-            size = 1
-            for i, level in enumerate(_chain(self.pattern, self.order, range(len(at)))):
-                size *= len(level)
-                for u in level:
-                    if at[u] != i:
-                        below[at[u]].append(i)
-            rise = [0] * len(self.order)
-            for j, b in enumerate(below):
-                for i in b:
-                    rise[i] += i in self.adjacent[j]
-            self._symmetry = ([tuple(b) or None for b in below], size, rise)
+            self._symmetry = _breaking([{at[u] for u in level} for level in _chain(
+                self.pattern, self.order, range(len(at)))], self.adjacent)
         return self._symmetry
 
     def _free_positions(self) -> tuple:
@@ -449,13 +433,9 @@ class EmbeddingPlan:
     def tally(self, c: Graph, tables: dict, is_strong: Callable | None = None) -> None:
         """Fill in tables as count_keyed files them: for each image set S and
         tuple, the embeddings of the free vertices into c - S whose images
-        have those neighbours in S, with the image passing is_strong.
-
-        A pinned vertex constrains the free ones only by adjacency, besides
-        injectivity and strength, so that is the count of every pin map onto
-        S of that class.  One search per S keeps at each position the points
-        whose neighbours in S some tuple of its table asks for; strength is
-        tested once per image set, for hits some tuple asks for."""
+        have those neighbours in S and pass is_strong; a pin constrains them
+        only by adjacency, so that counts every pin map onto S of the class.
+        Strength is tested once per image set, for hits some tuple asks for."""
         _check_coefficient(self.pattern, c)
         layout = self._free_positions()[0]
         for image, table in tables.items():
@@ -495,11 +475,9 @@ class EmbeddingPlan:
 
     def pin_images(self) -> list:
         """The images of the pins, in name order, under the pattern's
-        automorphisms, one tuple per restriction.  With the stabilizer chain
-        along the pins in name order, an automorphism is a product t0 t1 ...
-        of one transversal element per level, and its image of the j-th pin
-        is t0 ... tj applied to it, so the tuples are the products' images
-        over the pins' levels alone."""
+        automorphisms, one tuple per restriction: the j-th pin's image under
+        an automorphism t0 t1 ... of the stabilizer chain along the pins
+        (_chain) is t0 ... tj's, so only the pins' levels are multiplied."""
         pins = sorted(self.pinned)
         # (images of the pins so far, the product of the levels so far)
         partial = [((), {u: u for u in self.pattern.vertices})]
@@ -512,11 +490,14 @@ class EmbeddingPlan:
                is_strong: Callable | None = None) -> list:
         """Every embedding as its images of the pattern's vertices in name
         order, sorted; with is_strong, only those whose image passes it."""
-        fixed = self._pins(c, fixed)
-        strong, by_name = _strength(c, is_strong), self._by_name
-        return sorted([by_name(img) for img in _run(
-            c, (self.order, self.adjacent, self.apart, self.degrees),
-            [fixed.get(p) for p in self.order]) if strong(img)])
+        fixed, strong = self._pins(c, fixed), _strength(c, is_strong)
+        layout = (self.order, self.adjacent, self.apart, self.degrees)
+        if fixed:
+            return sorted([self._by_name(img) for img in _run(
+                c, layout, [fixed.get(p) for p in self.order]) if strong(img)])
+        below, rise, turns = self._turns
+        return sorted([get(img) for img in _run(c, layout, below, rise) if strong(img)
+                       for get in turns])
 
     def pairs(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None) -> list:
@@ -529,13 +510,9 @@ class EmbeddingPlan:
               within: frozenset | None = None) -> dict | None:
         """The map of pairs(c, fixed, is_strong)[0], or None: the name-ordered
         search stops at its first strong hit.  within, when given, holds the
-        free vertices' images; with as many points, missing the pins' images,
-        the map is the least bijection onto it, free vertices in name order,
-        matching their edges among themselves and to the pins' images.
-
-        The pin map is checked once: injective, no image of lower degree
-        than its vertex, and induced.  Then only the free vertices are
-        searched, each among the sorted points outside the pins' image whose
+        free vertices' images.  The pin map is checked once (injective, no
+        image of lower degree than its vertex, induced); then each free vertex
+        is searched among the sorted points outside the pins' image whose
         neighbours there are the images of its pinned neighbours."""
         fixed = self._pins(c, fixed)
         adj, pins = self.pattern._adj, self.pinned
@@ -565,6 +542,36 @@ class EmbeddingPlan:
             layout = self._name_layout[2] = _positions(adj, names)
         hit = _first_hit(c, layout, domains, is_strong, image)
         return None if hit is None else dict(sorted([*fixed.items(), *zip(names, hit)]))
+
+
+def _breaking(orbits: list, adjacent: tuple) -> tuple:
+    """From each position's orbit under the automorphisms fixing the earlier
+    ones: per position the earlier ones whose orbit holds it, whose images
+    its own must exceed; the group's order; and per position, how many later
+    adjacent ones map above it, so _run skips a candidate with fewer."""
+    n = len(adjacent)
+    below = [[i for i in range(u) if u in orbits[i]] for u in range(n)]
+    rise = [sum([i in below[j] for j in range(n) if i in adjacent[j]]) for i in range(n)]
+    return [tuple(b) or None for b in below], prod(map(len, orbits)), rise
+
+
+@lru_cache(maxsize=256)  # a zero-audit round meets 58 shapes, an approx-chain run 19
+def _shape(adjacent: tuple) -> tuple:
+    """For a layout's earlier adjacent positions, its pattern up to renaming:
+    _breaking()'s below and rise, and per position a transversal of its orbit
+    under the stabilizer of the earlier ones (McKay and Piperno, J. Symb.
+    Comput. 2014) as position tuples, read off one listing of the group."""
+    identity = tuple(range(len(adjacent)))
+    adj = {i: frozenset([j for j in identity if j in adjacent[i] or i in adjacent[j]])
+           for i in identity}
+    levels = [{i: identity} for i in identity]
+    for img in _run(_unchecked(2, frozenset(adj), adj, frozenset()), _positions(adj, identity),
+                    [None] * len(adj)):
+        i = next((i for i, u in enumerate(img) if u != i), None)
+        if i is not None and img[i] not in levels[i]:
+            levels[i][img[i]] = tuple(img)
+    below, _, rise = _breaking(levels, adjacent)
+    return below, rise, tuple([tuple(level.values()) for level in levels])
 
 
 def _chain(a: Graph, order: list, positions: range) -> list:
@@ -624,10 +631,8 @@ def _run(c: Graph, layout: tuple, pins: list, rise: list | None = None) -> Itera
     its order, a tuple of earlier positions keeps those above all their
     images, a frozenset keeps those inside it.  rise[i], when given, keeps
     only candidates of position i with at least that many neighbours above
-    them.
-
-    The search runs on an explicit stack, one candidate iterator per placed
-    position, so no pattern size meets the recursion limit."""
+    them.  The search runs on an explicit stack, one candidate iterator per
+    placed position, so no pattern size meets the recursion limit."""
     order, adjacent, apart, degrees = layout
     cadj = c._adj
     everything = c.vertices
@@ -755,10 +760,8 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
     source edge from part to a key of its glue, an edge to that key's image
     in ambient; nothing else is added.  The grown graph is ambient's
     adjacency plus the new edges, each at a fresh point, so only the glue
-    images are checked: outside ambient, they raise UnknownVertex.
-
-    Returns the grown graph and the naming of part, one per glue.
-    """
+    images are checked: outside ambient, they raise UnknownVertex.  Returns
+    the grown graph and the naming of part, one per glue."""
     if ambient.m != source.m:
         raise CoefficientMismatch(f"coefficients differ: {ambient.m} vs {source.m}")
     outside = set().union(*(glue.values() for glue in glues)) - ambient.vertices
@@ -796,12 +799,9 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
 
 def connected_subsets(g: Graph, pool: frozenset, max_size: int) -> Iterator[frozenset]:
     """All subsets of pool that induce a connected subgraph, up to max_size.
-
-    Connectivity is within the subset itself.  Classic expansion with an
-    exclusion frontier, so each subset is produced exactly once.  It runs on
-    an explicit stack of frames (frontier, next position in it, banned set),
-    so no size limit meets the recursion limit.
-    """
+    Classic expansion with an exclusion frontier, so each subset is produced
+    exactly once, on an explicit stack of frames (frontier, next position in
+    it, banned set), so no size limit meets the recursion limit."""
     pool = g.check_subset(pool)
     adj = g._adj
     banned: set = set()

@@ -20,7 +20,8 @@ from abinitio import (
     is_self_sufficient, minimally_closed_sets, pattern_catalog, strong_embeddings)
 from abinitio import extension, limits
 from abinitio.approximation import ApproximationChain, realize_extension
-from abinitio.graph import _check_coefficient, _first_hit, _positions, adjoin_copy
+from abinitio.graph import (
+    _check_coefficient, _first_hit, _positions, _run, _strength, adjoin_copy)
 from abinitio.predimension import (
     ClosureResult, OrientationWitness, _absorb, _feasible, _Index, _minimize_violator, _orient,
     _rooted)
@@ -1029,6 +1030,23 @@ def ref_first(plan, c, fixed=None, is_strong=None, within=None):
     free = sorted(c.vertices if within is None else within)
     hit = _first_hit(c, name_layout, [fixed.get(p, free) for p in names], is_strong)
     return None if hit is None else dict(sorted(zip(names, hit)))
+
+
+# -- reference copy of the unpinned listing -----------------------------------
+# EmbeddingPlan.images without pins as it was before it listed one
+# representative per image set times the pattern's automorphisms: every
+# embedding from one search over the connectivity layout, read in name order.
+# Copied unchanged but for the name and for the plan, passed in.
+
+
+def ref_unpinned_images(plan, c, is_strong=None) -> list:
+    """Every embedding of plan's pattern as its images in name order, sorted;
+    with is_strong, only those whose image passes it."""
+    plan._pins(c, None)
+    strong, by_name = _strength(c, is_strong), plan._by_name
+    return sorted([by_name(img) for img in _run(
+        c, (plan.order, plan.adjacent, plan.apart, plan.degrees),
+        [None] * len(plan.order)) if strong(img)])
 
 
 # -- reference copy of the pairwise certificate check -------------------------

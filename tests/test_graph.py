@@ -23,10 +23,11 @@ from abinitio import (
     is_self_sufficient,
     limits,
 )
-from abinitio.graph import _first_hit, _positions, _run, adjoin_copy
+from abinitio.graph import _first_hit, _positions, _run, _shape, adjoin_copy
 from oracles import (
     _IN_NAME_ORDER, adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
-    ref_find_pattern_iso, ref_first, ref_free_positions, ref_is_induced, ref_run)
+    ref_find_pattern_iso, ref_first, ref_free_positions, ref_is_induced, ref_run,
+    ref_unpinned_images)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -304,6 +305,73 @@ def test_symmetry_breaking_matches_brute_force_automorphisms():
         assert all(Embedding.build(g, c, f).is_induced() for f in reps)
         assert len(plan.pairs(c)) == len(autos) * len(reps)
     assert symmetric >= 60
+
+
+def _k5_with_spokes(rng, prefix, spokes, blocks=1):
+    """Complete 5-point blocks with spokes, each a point joined to two
+    earlier points: a zero-count graph at m = 2, whose blocks give it a
+    group of order 120 or more."""
+    names = [f"{prefix}{b}{i}" for b in range(blocks) for i in range(5)]
+    edges = [(u, v) for u, v in itertools.combinations(names, 2) if u[:-1] == v[:-1]]
+    for k in range(spokes):
+        edges += [(f"{prefix}s{k}", t) for t in rng.sample(names, 2)]
+        names.append(f"{prefix}s{k}")
+    return Graph(2, names, edges)
+
+
+def test_unpinned_listings_match_the_reference_listing():
+    # one representative per image set read through every automorphism,
+    # against the listing of every embedding, with and without a strength
+    # test; the shape cache's conditions and group order are _conditions()'s
+    rng = random.Random(4040)
+    listed = symmetric = 0
+    for trial in range(180):
+        kind = trial % 6
+        if kind == 0:
+            a = Graph(2, [f"p{i}" for i in range(rng.randint(0, 3))], [])
+        elif kind == 1:
+            a = _disjoint_cliques(rng.randint(2, 3), rng.randint(1, 3))
+        elif kind == 2:
+            a = k_complete(rng.randint(1, 6), "p")
+        elif kind == 3:
+            a = _k5_with_spokes(rng, "p", rng.randint(0, 3))
+        else:
+            a = _random_graph(rng, "p", rng.randint(1, 8), 2)
+        if kind == 3:
+            c = _k5_with_spokes(rng, "t", rng.randint(0, 2), 2) if trial % 4 == 3 else \
+                _k5_with_spokes(rng, "t", rng.randint(0, 7))
+        else:
+            c = _random_graph(rng, "t", rng.randint(0, 12), 2)
+        plan = EmbeddingPlan(a)
+        below, size, rise = plan._conditions()
+        cached = _shape(plan.adjacent)
+        assert cached[:2] == (below, rise)
+        assert functools.reduce(lambda n, level: n * len(level), cached[2], 1) == size
+        for is_strong in (None, is_self_sufficient):
+            got = plan.images(c, None, is_strong)
+            assert got == ref_unpinned_images(plan, c, is_strong), (trial, is_strong)
+            listed += len(got)
+        symmetric += size >= 120 and bool(got)
+    assert listed >= 10000 and symmetric >= 10
+
+
+def test_isomorphic_patterns_with_one_layout_share_one_shape():
+    # the cache is keyed by the layout alone: a renamed pattern whose
+    # search order, broken by names among the K4's points, differs but whose
+    # layout is equal makes one miss; its listing is the renamed one's
+    _shape.cache_clear()
+    k4 = Graph(2, ["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+                                              ("b", "d"), ("c", "d"), ("d", "e")])
+    rename = dict(zip("abcde", ["z4", "z3", "z2", "z1", "z0"]))
+    twin = Graph(2, rename.values(), [(rename[u], rename[v]) for u, v in k4.edges])
+    c = _k5_with_spokes(random.Random(7), "t", 3)
+    plans = [EmbeddingPlan(k4), EmbeddingPlan(twin)]
+    assert plans[0].adjacent == plans[1].adjacent
+    listings = [plan.images(c) for plan in plans]
+    assert _shape.cache_info().misses == _shape.cache_info().currsize == 1
+    # the twin's names sort in the reverse order of the names they replace
+    assert listings[0] == sorted(t[::-1] for t in listings[1]) == ref_unpinned_images(plans[0], c)
+    assert listings[0]
 
 
 def test_count_each_matches_pinned_counts():

@@ -17,6 +17,7 @@ import abinitio.zero_decomposition
 from abinitio import ConstructionFailed, EmbeddingPlan, Graph, ep_extend
 from abinitio.extension import (
     _block_counts, _even_out, _extend_map_over_satellites, _satellites)
+from abinitio.graph import _shape
 from abinitio.predimension import _last_index, _self_sufficient_cached, _stored_orientation
 from abinitio.zero_decomposition import _decomposition
 from abinitio.graph import canonical_json
@@ -25,7 +26,7 @@ from test_acceptance import _ep_corpus
 from test_extension import SHARED_STAGES
 
 STAGE_CACHES = (_block_counts, _even_out, _satellites)
-GRAPH_CACHES = (_stored_orientation, _last_index, _self_sufficient_cached, _decomposition)
+GRAPH_CACHES = (_stored_orientation, _last_index, _self_sufficient_cached, _decomposition, _shape)
 
 
 def _empty():
@@ -134,7 +135,7 @@ def test_every_module_cache_is_emptied_where_tests_need_it():
     lru = type(_even_out)
     caches = {module.__name__: {name for name, obj in vars(module).items()
                                 if type(obj) is lru and obj.__module__ == module.__name__}
-              for module in (abinitio.extension, abinitio.predimension,
+              for module in (abinitio.extension, abinitio.graph, abinitio.predimension,
                              abinitio.zero_decomposition)}
     assert caches["abinitio.extension"] == set(SHARED_STAGES)
     listed = {cache.__wrapped__ for cache in STAGE_CACHES + GRAPH_CACHES}

@@ -952,3 +952,23 @@ def test_the_report_by_image_tuples_matches_the_listing_by_maps():
             assert got == ref_uniform_algebraicity_report(g, i)
             rows += len(got)
     assert rows >= 40
+
+
+def test_a_report_is_the_same_from_an_empty_shape_cache_and_a_warm_one():
+    # the placements read each base's automorphisms from the shape cache;
+    # emptied before every call or kept, it leaves every row as it was.  One
+    # K5 block per graph keeps the groups at 120 and the test fast
+    from abinitio.graph import _shape
+    rng = random.Random(40)
+    calls = []
+    while len(calls) < 40:
+        g = random_zero_graph(rng, rng.randint(8, 14))
+        if "b1v0" not in g.vertices:
+            calls += [(g, i) for i in range(1, max(c.level for c in decompose(g).components) + 1)]
+    cold = []
+    for g, i in calls:
+        _shape.cache_clear()
+        cold.append(uniform_algebraicity_report(g, i))
+    assert _shape.cache_info().currsize
+    assert [uniform_algebraicity_report(g, i) for g, i in calls] == cold
+    assert _shape.cache_info().hits and sum(map(len, cold)) >= 20
