@@ -335,9 +335,10 @@ class EmbeddingPlan:
     keeps its earlier adjacent and non-adjacent positions and its degree.
     Every mode reads one search, the generator _run.  Unpinned, images()
     lists one representative per image set (_shape's conditions), tests it
-    once and reads it through each automorphism (_turns).  first() searches
-    the free vertices alone in name order, candidates sorted, so it meets
-    the least embedding first.
+    once and reads it through each automorphism (_turns, compiled at the
+    first strong one, so a listing without one lists no group).  first()
+    searches the free vertices alone in name order, candidates sorted, so it
+    meets the least embedding first.
     """
 
     __slots__ = ("pattern", "pinned", "order", "adjacent", "apart", "degrees", "_by_name",
@@ -350,15 +351,14 @@ class EmbeddingPlan:
 
     def __getattr__(self, name: str):
         """The connectivity-first layout, compiled on its first use: first()
-        and a count plan run without it; and _turns, _shape's below and rise
-        and per automorphism, in name order, a picker of a representative."""
+        and a count plan run without it; and _turns, per automorphism of the
+        pattern, in name order, a picker of a representative's images."""
         if name == "_turns":
-            below, rise, levels = _shape(self.adjacent)
             turns = [sorted(range(len(self.order)), key=self.order.__getitem__)]
-            for level in reversed(levels):
+            for level in reversed(_shape(self.adjacent)[3]):
                 if len(level) > 1:
                     turns = [pick(t) for pick in map(_picker, turns) for t in level]
-            self._turns = (below, rise, [_picker(q) for q in turns])
+            self._turns = [_picker(q) for q in turns]
             return self._turns
         if name not in ("order", "adjacent", "apart", "degrees", "_by_name"):
             raise AttributeError(name)
@@ -379,14 +379,10 @@ class EmbeddingPlan:
         return fixed
 
     def _conditions(self) -> tuple:
-        """For an unpinned plan, once, _breaking() of a stabilizer chain
-        along the search order (_chain), which lists no group: of the
-        embeddings onto one image set exactly one meets its conditions
-        (Grochow and Kellis, RECOMB 2007)."""
+        """For an unpinned plan, _shape()'s conditions, group order and rise
+        for its layout, read once."""
         if self._symmetry is None:
-            at = {v: i for i, v in enumerate(self.order)}
-            self._symmetry = _breaking([{at[u] for u in level} for level in _chain(
-                self.pattern, self.order, range(len(at)))], self.adjacent)
+            self._symmetry = _shape(self.adjacent)[:3]
         return self._symmetry
 
     def _free_positions(self) -> tuple:
@@ -495,9 +491,9 @@ class EmbeddingPlan:
         if fixed:
             return sorted([self._by_name(img) for img in _run(
                 c, layout, [fixed.get(p) for p in self.order]) if strong(img)])
-        below, rise, turns = self._turns
-        return sorted([get(img) for img in _run(c, layout, below, rise) if strong(img)
-                       for get in turns])
+        below, _, rise = self._conditions()
+        reps = [tuple(img) for img in _run(c, layout, below, rise) if strong(img)]
+        return sorted([get(img) for img in reps for get in self._turns])
 
     def pairs(self, c: Graph, fixed: dict | None = None,
               is_strong: Callable | None = None) -> list:
@@ -544,34 +540,24 @@ class EmbeddingPlan:
         return None if hit is None else dict(sorted([*fixed.items(), *zip(names, hit)]))
 
 
-def _breaking(orbits: list, adjacent: tuple) -> tuple:
-    """From each position's orbit under the automorphisms fixing the earlier
-    ones: per position the earlier ones whose orbit holds it, whose images
-    its own must exceed; the group's order; and per position, how many later
-    adjacent ones map above it, so _run skips a candidate with fewer."""
-    n = len(adjacent)
-    below = [[i for i in range(u) if u in orbits[i]] for u in range(n)]
-    rise = [sum([i in below[j] for j in range(n) if i in adjacent[j]]) for i in range(n)]
-    return [tuple(b) or None for b in below], prod(map(len, orbits)), rise
-
-
 @lru_cache(maxsize=256)  # a zero-audit round meets 58 shapes, an approx-chain run 19
 def _shape(adjacent: tuple) -> tuple:
     """For a layout's earlier adjacent positions, its pattern up to renaming:
-    _breaking()'s below and rise, and per position a transversal of its orbit
-    under the stabilizer of the earlier ones (McKay and Piperno, J. Symb.
-    Comput. 2014) as position tuples, read off one listing of the group."""
-    identity = tuple(range(len(adjacent)))
-    adj = {i: frozenset([j for j in identity if j in adjacent[i] or i in adjacent[j]])
-           for i in identity}
-    levels = [{i: identity} for i in identity]
-    for img in _run(_unchecked(2, frozenset(adj), adj, frozenset()), _positions(adj, identity),
-                    [None] * len(adj)):
-        i = next((i for i, u in enumerate(img) if u != i), None)
-        if i is not None and img[i] not in levels[i]:
-            levels[i][img[i]] = tuple(img)
-    below, _, rise = _breaking(levels, adjacent)
-    return below, rise, tuple([tuple(level.values()) for level in levels])
+    per position the earlier ones whose orbit under the automorphisms fixing
+    the ones before holds it, whose images its own must exceed, so exactly
+    one embedding per image set meets them (Grochow and Kellis, RECOMB 2007);
+    the group's order; per position how many later adjacent ones map above
+    it, so _run skips a candidate with fewer; and per position its _chain
+    transversal as position tuples.  The group itself is never listed."""
+    n = len(adjacent)
+    adj = {i: frozenset([j for j in range(n) if j in adjacent[i] or i in adjacent[j]])
+           for i in range(n)}
+    levels = _chain(_unchecked(2, frozenset(adj), adj, frozenset()), range(n), range(n))
+    below = [[i for i in range(u) if u in levels[i]] for u in range(n)]
+    rise = [sum([i in below[j] for j in range(n) if i in adjacent[j]]) for i in range(n)]
+    return ([tuple(b) or None for b in below], prod(map(len, levels)), rise,
+            tuple([tuple([tuple(map(t.get, range(n))) for t in level.values()])
+                   for level in levels]))
 
 
 def _chain(a: Graph, order: list, positions: range) -> list:

@@ -583,16 +583,16 @@ def test_the_chain_the_back_and_forth_and_a_report_do_not_depend_on_the_hash_see
         "rows = [[w.to_json_dict(), n, u] for w, n, u in uniform_algebraicity_report(g, 1)]\n"
         "h = Graph(2, seed.vertices - {'p'} | {'w0', 'w1'}, k5[:10] + [\n"
         "    ('w0', 'a0'), ('w0', 'a1'), ('w1', 'a2'), ('w1', 'a3')])\n"
-        "rows += [[w.to_json_dict(), n, u] for w, n, u in uniform_algebraicity_report(h, 1)]\n"
+        "spokes = [[w.to_json_dict(), n, u] for w, n, u in uniform_algebraicity_report(h, 1)]\n"
         "autos = EmbeddingPlan(h).pairs(h)\n"
-        "print(json.dumps([chain.to_json_dict(), maps, rows, autos], sort_keys=True))\n")
+        "print(json.dumps([chain.to_json_dict(), maps, rows, spokes, autos], sort_keys=True))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
                            check=True).stdout for seed in ("1", "5", "11")]
     assert outs[0] == outs[1] == outs[2]
-    chain, maps, rows, autos = json.loads(outs[0])
-    assert len(chain["stages"]) == 2 and len(autos) == 8
-    assert any(len(counts) == 120 for _, counts, _ in rows)
+    chain, maps, rows, spokes, autos = json.loads(outs[0])
+    assert len(chain["stages"]) == 2 and rows and len(autos) == 8
+    assert any(len(counts) == 120 for _, counts, _ in spokes)
     assert any(isinstance(m[0], dict) for m in maps) and any(isinstance(m[0], str) for m in maps)

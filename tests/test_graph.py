@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import types
 
@@ -344,15 +345,48 @@ def test_unpinned_listings_match_the_reference_listing():
             c = _random_graph(rng, "t", rng.randint(0, 12), 2)
         plan = EmbeddingPlan(a)
         below, size, rise = plan._conditions()
-        cached = _shape(plan.adjacent)
-        assert cached[:2] == (below, rise)
-        assert functools.reduce(lambda n, level: n * len(level), cached[2], 1) == size
         for is_strong in (None, is_self_sufficient):
             got = plan.images(c, None, is_strong)
             assert got == ref_unpinned_images(plan, c, is_strong), (trial, is_strong)
             listed += len(got)
+        # the conditions against the orbits of the brute-force group, and
+        # the transversal products, read off the identity, against the group
+        order, autos = plan.order, brute_automorphisms(a)
+        assert below == [tuple([i for i in range(u) if any(
+            f[order[i]] == order[u] and all(f[v] == v for v in order[:i]) for f in autos)])
+            or None for u in range(len(order))]
+        assert rise == [sum([i in (below[j] or ()) for j in range(len(order))
+                             if i in plan.adjacent[j]]) for i in range(len(order))]
+        assert size == len(plan._turns) == len(autos)
+        names = a.sorted_vertices()
+        assert {get(order) for get in plan._turns} == {tuple([f[v] for v in names]) for f in autos}
         symmetric += size >= 120 and bool(got)
     assert listed >= 10000 and symmetric >= 10
+
+
+def test_an_unpinned_listing_without_a_strong_representative_lists_no_group(monkeypatch):
+    # 12 isolated points have 12! automorphisms; into 3 points, or with no
+    # strong representative, the listing is empty at once: the shape's chain
+    # stops each search into the shape at its first hit, and no picker of an
+    # automorphism is compiled
+    run, target = ab.graph._run, Graph(2, ["x", "y", "z"], [("x", "y")])
+
+    def first_hits_only(c, layout, pins, rise=None):
+        for img in run(c, layout, pins, rise):
+            yield img
+            assert c is target, "a search into the pattern's shape went past its first hit"
+
+    monkeypatch.setattr(ab.graph, "_run", first_hits_only)
+    _shape.cache_clear()
+    plan = EmbeddingPlan(Graph(2, [f"p{i:02}" for i in range(12)], []))
+    assert plan.images(target) == [] and plan._conditions()[1] == math.factorial(12)
+    pair = EmbeddingPlan(Graph(2, ["p", "q"], []))
+    assert pair.images(target, None, lambda c, s: False) == []
+    with pytest.raises(AttributeError):
+        EmbeddingPlan._turns.__get__(plan)
+    with pytest.raises(AttributeError):
+        EmbeddingPlan._turns.__get__(pair)
+    assert pair.images(target) == [("x", "z"), ("y", "z"), ("z", "x"), ("z", "y")]
 
 
 def test_isomorphic_patterns_with_one_layout_share_one_shape():
