@@ -20,7 +20,7 @@ from math import prod
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
-    Embedding, EmbeddingPlan, Graph, PartialIso, _chain, adjoin_copy, components)
+    Embedding, EmbeddingPlan, Graph, PartialIso, _shape, adjoin_copy, components)
 from .predimension import delta, delta_rel, is_in_k0
 from .zero_decomposition import (
     ZeroDecomposition,
@@ -311,9 +311,9 @@ def _require_zero_member(b: Graph, log: dict) -> None:
 
 def _pattern_multiplicity(b: Graph, gen: frozenset, attachment: frozenset) -> int:
     """Self-matchings of the attachment fixing the generator pointwise, which
-    one fresh copy adds to a placement's count: a stabilizer chain's orbits."""
-    order = sorted(gen) + sorted(attachment)
-    return prod(map(len, _chain(b.induced(gen | attachment), order, range(len(gen), len(order)))))
+    one fresh copy adds to a placement's count: its shape's chain past the pins."""
+    plan = EmbeddingPlan(b.induced(gen | attachment), pinned=gen)
+    return prod(map(len, _shape(plan.adjacent)[3][len(gen):]))
 
 
 def _row_name(w) -> str:

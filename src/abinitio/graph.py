@@ -354,11 +354,8 @@ class EmbeddingPlan:
         and a count plan run without it; and _turns, per automorphism of the
         pattern, in name order, a picker of a representative's images."""
         if name == "_turns":
-            turns = [sorted(range(len(self.order)), key=self.order.__getitem__)]
-            for level in reversed(_shape(self.adjacent)[3]):
-                if len(level) > 1:
-                    turns = [pick(t) for pick in map(_picker, turns) for t in level]
-            self._turns = [_picker(q) for q in turns]
+            by_name = sorted(range(len(self.order)), key=self.order.__getitem__)
+            self._turns = [_picker(q) for q in _products(_shape(self.adjacent)[3], by_name)]
             return self._turns
         if name not in ("order", "adjacent", "apart", "degrees", "_by_name"):
             raise AttributeError(name)
@@ -471,16 +468,12 @@ class EmbeddingPlan:
 
     def pin_images(self) -> list:
         """The images of the pins, in name order, under the pattern's
-        automorphisms, one tuple per restriction: the j-th pin's image under
-        an automorphism t0 t1 ... of the stabilizer chain along the pins
-        (_chain) is t0 ... tj's, so only the pins' levels are multiplied."""
-        pins = sorted(self.pinned)
-        # (images of the pins so far, the product of the levels so far)
-        partial = [((), {u: u for u in self.pattern.vertices})]
-        for level in _chain(self.pattern, pins, range(len(pins))):
-            partial = [(images + (prefix[u],), {x: prefix[y] for x, y in move.items()})
-                       for images, prefix in partial for u, move in level.items()]
-        return [images for images, _ in partial]
+        automorphisms, one tuple per restriction: the layout puts the k pins
+        first, so the products of the first k levels of its shape's chain
+        (_shape) give each restriction once."""
+        at = [self.order.index(p) for p in sorted(self.pinned)]
+        levels = _shape(self.adjacent)[3][:len(at)]
+        return [tuple([self.order[i] for i in q]) for q in _products(levels, at)]
 
     def images(self, c: Graph, fixed: dict | None = None,
                is_strong: Callable | None = None) -> list:
@@ -540,49 +533,46 @@ class EmbeddingPlan:
         return None if hit is None else dict(sorted([*fixed.items(), *zip(names, hit)]))
 
 
-@lru_cache(maxsize=256)  # a zero-audit round meets 58 shapes, an approx-chain run 19
+@lru_cache(maxsize=256)  # shapes a round: zero-audit 58, approx-chain 19, ep-corpus 7 (4 pinned)
 def _shape(adjacent: tuple) -> tuple:
     """For a layout's earlier adjacent positions, its pattern up to renaming:
     per position the earlier ones whose orbit under the automorphisms fixing
     the ones before holds it, whose images its own must exceed, so exactly
     one embedding per image set meets them (Grochow and Kellis, RECOMB 2007);
     the group's order; per position how many later adjacent ones map above
-    it, so _run skips a candidate with fewer; and per position its _chain
-    transversal as position tuples.  The group itself is never listed."""
+    it, so _run skips a candidate with fewer; and the stabilizer chain (McKay
+    and Piperno, J. Symb. Comput. 2014): per position, one such automorphism
+    taking it to each point of its orbit, identity first, as image tuples,
+    each the first hit of a search of the shape into itself; never the group."""
     n = len(adjacent)
     adj = {i: frozenset([j for j in range(n) if j in adjacent[i] or i in adjacent[j]])
            for i in range(n)}
-    levels = _chain(_unchecked(2, frozenset(adj), adj, frozenset()), range(n), range(n))
-    below = [[i for i in range(u) if u in levels[i]] for u in range(n)]
-    rise = [sum([i in below[j] for j in range(n) if i in adjacent[j]]) for i in range(n)]
-    return ([tuple(b) or None for b in below], prod(map(len, levels)), rise,
-            tuple([tuple([tuple(map(t.get, range(n))) for t in level.values()])
-                   for level in levels]))
-
-
-def _chain(a: Graph, order: list, positions: range) -> list:
-    """For each position i of order in positions, a map from each u in the
-    orbit of order[i] under the automorphisms of a fixing order[:i]
-    pointwise to one such automorphism taking order[i] to u: a stabilizer
-    chain with its transversals (McKay and Piperno, J. Symb. Comput. 2014),
-    each member found by a search of a into itself with order[:i + 1]
-    pinned, stopped at its first hit.  The group itself is never listed."""
-    adj = a._adj
-    layout = _positions(adj, list(order) + sorted(a.vertices - set(order)))
-    n = len(layout[0])
+    shape = _unchecked(2, frozenset(adj), adj, frozenset())
+    layout = _positions(adj, list(range(n)))
     levels = []
-    for i in positions:
-        v = order[i]
-        held = frozenset(order[:i])
-        level = {v: {u: u for u in a.vertices}}
-        for u in sorted(a.vertices - held - {v}):
-            if len(adj[u]) != len(adj[v]) or adj[u] & held != adj[v] & held:
+    for i in range(n):
+        held = frozenset(range(i))
+        level = [tuple(range(n))]
+        for u in range(i + 1, n):
+            if len(adj[u]) != len(adj[i]) or adj[u] & held != adj[i] & held:
                 continue
-            hit = _first_hit(a, layout, list(order[:i]) + [u] + [None] * (n - i - 1))
+            hit = _first_hit(shape, layout, [*range(i), u] + [None] * (n - i - 1))
             if hit is not None:
-                level[u] = dict(zip(layout[0], hit))
-        levels.append(level)
-    return levels
+                level.append(tuple(hit))
+        levels.append(tuple(level))
+    below = [[i for i in range(u) if any(t[i] == u for t in levels[i])] for u in range(n)]
+    rise = [sum([i in below[j] for j in range(n) if i in adjacent[j]]) for i in range(n)]
+    return [tuple(b) or None for b in below], prod(map(len, levels)), rise, tuple(levels)
+
+
+def _products(levels: tuple, at: list) -> list:
+    """Per product t0 t1 ... of one member of each level of a stabilizer
+    chain (_shape), once each, the tuple of its images of the positions at."""
+    products = [tuple(at)]
+    for level in reversed(levels):
+        if len(level) > 1:
+            products = [pick(t) for pick in map(_picker, products) for t in level]
+    return products
 
 
 def _first_hit(c: Graph, layout: tuple, pins: list, is_strong: Callable | None = None,

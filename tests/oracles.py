@@ -13,6 +13,7 @@ enough that exponential scans stay instant.
 
 import itertools
 import math
+from math import prod
 
 from abinitio import (
     BaseWitness, ComponentLevels, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap,
@@ -615,8 +616,10 @@ def ref_run(c, layout, pins, emit) -> None:
 # zero_decomposition._report_rows as it was before rows of one type shared
 # their tables: every row counted on its own.  Copied unchanged but for the
 # name, the parameters' annotations and the strength test of each image set,
-# made here: representatives() takes none; and the plan's _classes and tally,
-# which are one EmbeddingPlan.count_keyed call now.
+# made here: representatives() takes none; the plan's _classes and tally,
+# which are one EmbeddingPlan.count_keyed call now; and the pins' images
+# under the base's automorphisms, from ref_pin_images below, so that no
+# stabilizer chain is shared with the package.
 
 
 def ref_report_rows(g, i, max_set, memo) -> list:
@@ -643,7 +646,7 @@ def ref_report_rows(g, i, max_set, memo) -> list:
         plan = EmbeddingPlan(g.induced(w.base | w.zero_minimal_set), pinned=w.base)
         key = (w.base, plan.touched)
         if key not in memo:
-            memo[key] = EmbeddingPlan(memo[w.base].pattern, pinned=key[1]).pin_images()
+            memo[key] = ref_pin_images(EmbeddingPlan(memo[w.base].pattern, pinned=key[1]))
         tables: dict = {}
         plan.count_keyed(g, [(image, tuple([f[y] for y in ys]))
                              for image, f in found[w.base] for ys in memo[key]],
@@ -1108,3 +1111,60 @@ def ref_verify_certificate(p, c) -> VerificationReport:
                     diags.append(f"automorphism {i} does not extend its map at {d}")
                     break
     return VerificationReport(not diags, tuple(diags))
+
+
+# -- reference copies of the stabilizer-chain walks by name -------------------
+# EmbeddingPlan.pin_images, extension._pattern_multiplicity and graph._chain
+# as they were before both read the one chain that graph._shape keeps per
+# layout shape: a chain along the pins in name order for the pins' images,
+# one along the generator, then the attachment, for each row's multiplicity,
+# each walked over names with its transversals as name-keyed maps.  Copied
+# unchanged but for the names, and for the plan, passed in to
+# ref_pin_images.
+
+
+def ref_pin_images(plan) -> list:
+    """The images of the pins, in name order, under the pattern's
+    automorphisms, one tuple per restriction: the j-th pin's image under
+    an automorphism t0 t1 ... of the stabilizer chain along the pins
+    (ref_chain) is t0 ... tj's, so only the pins' levels are multiplied."""
+    pins = sorted(plan.pinned)
+    # (images of the pins so far, the product of the levels so far)
+    partial = [((), {u: u for u in plan.pattern.vertices})]
+    for level in ref_chain(plan.pattern, pins, range(len(pins))):
+        partial = [(images + (prefix[u],), {x: prefix[y] for x, y in move.items()})
+                   for images, prefix in partial for u, move in level.items()]
+    return [images for images, _ in partial]
+
+
+def ref_pattern_multiplicity(b, gen, attachment) -> int:
+    """Self-matchings of the attachment fixing the generator pointwise, which
+    one fresh copy adds to a placement's count: a stabilizer chain's orbits."""
+    order = sorted(gen) + sorted(attachment)
+    return prod(map(len, ref_chain(b.induced(gen | attachment), order,
+                                   range(len(gen), len(order)))))
+
+
+def ref_chain(a, order, positions) -> list:
+    """For each position i of order in positions, a map from each u in the
+    orbit of order[i] under the automorphisms of a fixing order[:i]
+    pointwise to one such automorphism taking order[i] to u: a stabilizer
+    chain with its transversals (McKay and Piperno, J. Symb. Comput. 2014),
+    each member found by a search of a into itself with order[:i + 1]
+    pinned, stopped at its first hit.  The group itself is never listed."""
+    adj = a._adj
+    layout = _positions(adj, list(order) + sorted(a.vertices - set(order)))
+    n = len(layout[0])
+    levels = []
+    for i in positions:
+        v = order[i]
+        held = frozenset(order[:i])
+        level = {v: {u: u for u in a.vertices}}
+        for u in sorted(a.vertices - held - {v}):
+            if len(adj[u]) != len(adj[v]) or adj[u] & held != adj[v] & held:
+                continue
+            hit = _first_hit(a, layout, list(order[:i]) + [u] + [None] * (n - i - 1))
+            if hit is not None:
+                level[u] = dict(zip(layout[0], hit))
+        levels.append(level)
+    return levels

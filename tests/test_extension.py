@@ -1070,15 +1070,34 @@ def test_sweep_passes_tally_once_per_row_type(monkeypatch):
     assert sum(tallied for _, _, tallied in confirming) == 2
 
 
-def test_corpus_certificates_keep_their_digest():
-    # the benchmark's digest of the 51 corpus certificates: sha256 over each
-    # label and its certificate's canonical JSON, in corpus order
+def _corpus_digests() -> tuple:
+    """The benchmark's digest of the 51 corpus certificates, sha256 over each
+    label and its certificate's canonical JSON in corpus order, and the
+    stored one."""
     digest = hashlib.sha256()
     for label, p in _ep_corpus():
         doc = json.dumps(ep_extend(p).to_json_dict(), sort_keys=True, separators=(",", ":"))
         digest.update(label.encode() + b"\n" + doc.encode() + b"\n")
     stored = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_certificates.sha256"
-    assert digest.hexdigest() == stored.read_text().split()[0]
+    return digest.hexdigest(), stored.read_text().split()[0]
+
+
+def test_corpus_certificates_keep_their_digest():
+    digest, stored = _corpus_digests()
+    assert digest == stored
+
+
+def test_corpus_certificates_do_not_depend_on_the_order_of_the_pin_images(monkeypatch):
+    # a level stage groups its placements by image and takes minima, and a
+    # report row keeps the set of its counts, so no certificate depends on
+    # the order pin_images lists the restrictions in: reversed, the digest
+    # holds.  The stage caches are emptied before each call (unshared_stages)
+    listed, calls = EmbeddingPlan.pin_images, []
+    monkeypatch.setattr(EmbeddingPlan, "pin_images",
+                        lambda plan: calls.append(plan) or listed(plan)[::-1])
+    digest, stored = _corpus_digests()
+    assert digest == stored
+    assert sum(len(listed(plan)) > 1 for plan in calls) >= 30
 
 
 def _evened(b, w, stage=1) -> tuple:

@@ -27,8 +27,8 @@ from abinitio import (
 from abinitio.graph import _first_hit, _positions, _run, _shape, adjoin_copy
 from oracles import (
     _IN_NAME_ORDER, adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
-    ref_find_pattern_iso, ref_first, ref_free_positions, ref_is_induced, ref_run,
-    ref_unpinned_images)
+    ref_find_pattern_iso, ref_first, ref_free_positions, ref_is_induced, ref_pattern_multiplicity,
+    ref_pin_images, ref_run, ref_unpinned_images)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -306,6 +306,37 @@ def test_symmetry_breaking_matches_brute_force_automorphisms():
         assert all(Embedding.build(g, c, f).is_induced() for f in reps)
         assert len(plan.pairs(c)) == len(autos) * len(reps)
     assert symmetric >= 60
+
+
+def test_pin_images_and_multiplicities_match_the_chains_by_name():
+    # the pins' images and a generator's pointwise stabilizer, both read off
+    # the one chain of a pinned layout's shape, against the reference walks
+    # over names, on random patterns and on disjoint copies of one block,
+    # whose groups are large
+    rng = random.Random(2014)
+    multiplicity = ab.extension._pattern_multiplicity
+    moved = large = 0
+    for trial in range(240):
+        m = rng.choice([2, 3])
+        if trial % 3:
+            a = _random_graph(rng, "v", rng.randint(1, 8), m)
+        else:
+            block = _random_graph(rng, "q", rng.randint(1, 4), m)
+            copies = rng.randint(2, 8 // len(block.vertices))
+            a = Graph(m, [f"b{k}{v}" for k in range(copies) for v in block.vertices],
+                      [(f"b{k}{u}", f"b{k}{v}") for k in range(copies) for u, v in block.edges])
+        names = a.sorted_vertices()
+        plan = EmbeddingPlan(a, pinned=rng.sample(names, rng.randint(0, len(names))))
+        got, want = plan.pin_images(), ref_pin_images(plan)
+        assert len(got) == len(set(got)) == len(want) and set(got) == set(want), trial
+        moved += len(got) > 1
+        gen = frozenset(rng.sample(names, rng.randint(0, len(names) - 1)))
+        att = frozenset(rng.sample(sorted(a.vertices - gen), rng.randint(1, len(names) - len(gen))))
+        assert multiplicity(a, gen, att) == ref_pattern_multiplicity(a, gen, att), trial
+        large += EmbeddingPlan(a)._conditions()[1] >= 48
+        # the shape's entry keeps transversals, at most n - i per level, never the group
+        assert sum(map(len, _shape(plan.adjacent)[3])) <= len(names) * (len(names) + 1) // 2
+    assert moved >= 120 and large >= 40
 
 
 def _k5_with_spokes(rng, prefix, spokes, blocks=1):
