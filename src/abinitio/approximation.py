@@ -24,13 +24,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from . import limits
 from .amalgam import AmalgamSpec, free_amalgam
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, EmbeddingPlan, Graph, PartialIso, adjoin_copy, fresh_name
+from .graph import (
+    Embedding, EmbeddingPlan, Graph, PartialIso, _picker, adjoin_copy, fresh_name)
 from .predimension import _closure_set, is_in_k0, is_self_sufficient
 
 
@@ -115,22 +115,15 @@ def _base_choices(ext: Graph) -> list:
     return chosen
 
 
-def _restriction(positions: tuple) -> Callable:
-    """The map from an embedding, as sorted (vertex, image) pairs, to the
-    tuple of its pairs at the given positions."""
-    if len(positions) == 1:
-        return lambda pairs, i=positions[0]: (pairs[i],)
-    return itemgetter(*positions) if positions else lambda pairs: ()
-
-
 @lru_cache(maxsize=None)
 def _tasks(m: int, size_budget: int) -> tuple:
     """The distinct patterns, extensions and bases compared by value, each
     with one unpinned plan; and every task in catalog order, one per base
     choice, as (extension's number, base's number, extension plan pinned at
-    the base, the _restriction of the extension's embeddings to the base).
-    Compiled once per argument pair, like pattern_catalog, so that the
-    plans' lazily built layouts serve every later call."""
+    the base, the _picker taking an embedding of the extension, as sorted
+    (vertex, image) pairs, to the tuple of its pairs on the base).  Compiled
+    once per argument pair, like pattern_catalog, so that the plans' lazily
+    built layouts serve every later call."""
     number: dict = {}
     tasks = []
     for ext in pattern_catalog(m, size_budget):
@@ -140,7 +133,7 @@ def _tasks(m: int, size_budget: int) -> tuple:
                 number.setdefault(ext, len(number)),
                 number.setdefault(ext.induced(base_set), len(number)),
                 EmbeddingPlan(ext, pinned=base_set),
-                _restriction(tuple(i for i, v in enumerate(names) if v in base_set))))
+                _picker([i for i, v in enumerate(names) if v in base_set])))
     return tuple((g, EmbeddingPlan(g)) for g in number), tuple(tasks)
 
 

@@ -290,7 +290,7 @@ def _block_counts(a: Graph, blocks: tuple) -> tuple:
                   and plan.embeds_within(a, frozenset(), bl)), None)
         if k is None:
             k = len(types)
-            types.append((plan := EmbeddingPlan(a.induced(bl)), plan._conditions()[1]))
+            types.append((plan := EmbeddingPlan(a.induced(bl)), _shape(plan.adjacent)[1]))
         of.append(k)
     return tuple(types[k][1] * of.count(k) for k in of)
 
@@ -313,7 +313,7 @@ def _pattern_multiplicity(b: Graph, gen: frozenset, attachment: frozenset) -> in
     """Self-matchings of the attachment fixing the generator pointwise, which
     one fresh copy adds to a placement's count: its shape's chain past the pins."""
     plan = EmbeddingPlan(b.induced(gen | attachment), pinned=gen)
-    return prod(map(len, _shape(plan.adjacent)[3][len(gen):]))
+    return prod(map(len, _shape(plan.adjacent)[2][len(gen):]))
 
 
 def _row_name(w) -> str:

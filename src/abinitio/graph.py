@@ -334,20 +334,21 @@ class EmbeddingPlan:
     placed neighbours (ties: higher degree, then smaller name); a position
     keeps its earlier adjacent and non-adjacent positions and its degree.
     Every mode reads one search, the generator _run.  Unpinned, images()
-    lists one representative per image set (_shape's conditions), tests it
-    once and reads it through each automorphism (_turns, compiled at the
-    first strong one, so a listing without one lists no group).  first()
+    lists one representative per image set, _shape's conditions alone
+    pruning the search, tests it once and reads it through each automorphism
+    (_turns, compiled at the first strong one, so a listing without one
+    lists no group).  first()
     searches the free vertices alone in name order, candidates sorted, so it
     meets the least embedding first.
     """
 
     __slots__ = ("pattern", "pinned", "order", "adjacent", "apart", "degrees", "_by_name",
-                 "_name_layout", "_symmetry", "_free_layout", "_turns")
+                 "_name_layout", "_free_layout", "_turns")
 
     def __init__(self, a: Graph, pinned: Iterable[str] = ()):
         self.pattern = a
         self.pinned = a.check_subset(pinned)
-        self._name_layout = self._symmetry = self._free_layout = None
+        self._name_layout = self._free_layout = None
 
     def __getattr__(self, name: str):
         """The connectivity-first layout, compiled on its first use: first()
@@ -355,7 +356,7 @@ class EmbeddingPlan:
         pattern, in name order, a picker of a representative's images."""
         if name == "_turns":
             by_name = sorted(range(len(self.order)), key=self.order.__getitem__)
-            self._turns = [_picker(q) for q in _products(_shape(self.adjacent)[3], by_name)]
+            self._turns = [_picker(q) for q in _products(_shape(self.adjacent)[2], by_name)]
             return self._turns
         if name not in ("order", "adjacent", "apart", "degrees", "_by_name"):
             raise AttributeError(name)
@@ -374,13 +375,6 @@ class EmbeddingPlan:
             for v in fixed.values():
                 c.check_subset([v])
         return fixed
-
-    def _conditions(self) -> tuple:
-        """For an unpinned plan, _shape()'s conditions, group order and rise
-        for its layout, read once."""
-        if self._symmetry is None:
-            self._symmetry = _shape(self.adjacent)[:3]
-        return self._symmetry
 
     def _free_positions(self) -> tuple:
         """The layout of the free vertices alone, in the order that follows
@@ -442,13 +436,12 @@ class EmbeddingPlan:
 
     def representatives(self, c: Graph) -> list:
         """For an unpinned plan, one embedding per image set, as a map: the
-        one meeting _conditions().  Every embedding onto that set is this one
-        composed with an automorphism of the pattern."""
+        one meeting its shape's conditions (_shape).  Every embedding onto
+        that set is this one composed with an automorphism of the pattern."""
         self._pins(c, None)
         order = self.order
-        below, _, rise = self._conditions()
-        return [dict(zip(order, img))
-                for img in _run(c, (order, self.adjacent, self.apart, self.degrees), below, rise)]
+        return [dict(zip(order, img)) for img in _run(
+            c, (order, self.adjacent, self.apart, self.degrees), _shape(self.adjacent)[0])]
 
     def embeds_within(self, c: Graph, pins_into: frozenset, free_into: frozenset) -> bool:
         """Whether some induced embedding into c maps the pinned vertices
@@ -472,7 +465,7 @@ class EmbeddingPlan:
         first, so the products of the first k levels of its shape's chain
         (_shape) give each restriction once."""
         at = [self.order.index(p) for p in sorted(self.pinned)]
-        levels = _shape(self.adjacent)[3][:len(at)]
+        levels = _shape(self.adjacent)[2][:len(at)]
         return [tuple([self.order[i] for i in q]) for q in _products(levels, at)]
 
     def images(self, c: Graph, fixed: dict | None = None,
@@ -484,8 +477,7 @@ class EmbeddingPlan:
         if fixed:
             return sorted([self._by_name(img) for img in _run(
                 c, layout, [fixed.get(p) for p in self.order]) if strong(img)])
-        below, _, rise = self._conditions()
-        reps = [tuple(img) for img in _run(c, layout, below, rise) if strong(img)]
+        reps = [tuple(img) for img in _run(c, layout, _shape(self.adjacent)[0]) if strong(img)]
         return sorted([get(img) for img in reps for get in self._turns])
 
     def pairs(self, c: Graph, fixed: dict | None = None,
@@ -539,11 +531,10 @@ def _shape(adjacent: tuple) -> tuple:
     per position the earlier ones whose orbit under the automorphisms fixing
     the ones before holds it, whose images its own must exceed, so exactly
     one embedding per image set meets them (Grochow and Kellis, RECOMB 2007);
-    the group's order; per position how many later adjacent ones map above
-    it, so _run skips a candidate with fewer; and the stabilizer chain (McKay
-    and Piperno, J. Symb. Comput. 2014): per position, one such automorphism
-    taking it to each point of its orbit, identity first, as image tuples,
-    each the first hit of a search of the shape into itself; never the group."""
+    the group's order; and the stabilizer chain (McKay and Piperno,
+    J. Symb. Comput. 2014): per position, one such automorphism taking it to
+    each point of its orbit, identity first, as image tuples, each the first
+    hit of a search of the shape into itself; never the group."""
     n = len(adjacent)
     adj = {i: frozenset([j for j in range(n) if j in adjacent[i] or i in adjacent[j]])
            for i in range(n)}
@@ -561,8 +552,7 @@ def _shape(adjacent: tuple) -> tuple:
                 level.append(tuple(hit))
         levels.append(tuple(level))
     below = [[i for i in range(u) if any(t[i] == u for t in levels[i])] for u in range(n)]
-    rise = [sum([i in below[j] for j in range(n) if i in adjacent[j]]) for i in range(n)]
-    return [tuple(b) or None for b in below], prod(map(len, levels)), rise, tuple(levels)
+    return [tuple(b) or None for b in below], prod(map(len, levels)), tuple(levels)
 
 
 def _products(levels: tuple, at: list) -> list:
@@ -598,17 +588,16 @@ def _strength(c: Graph, is_strong: Callable | None, under: frozenset = frozenset
     return strong
 
 
-def _run(c: Graph, layout: tuple, pins: list, rise: list | None = None) -> Iterator[list]:
+def _run(c: Graph, layout: tuple, pins: list) -> Iterator[list]:
     """The backtracking search of EmbeddingPlan: yields each induced
     embedding of layout's positions into c as the list of images, one list
     rewritten between hits, so a reader copies what it keeps; a reader that
     stops reading stops the search.  pins[i] narrows position i's
     candidates: a target vertex pins it, a sorted list keeps those in it in
     its order, a tuple of earlier positions keeps those above all their
-    images, a frozenset keeps those inside it.  rise[i], when given, keeps
-    only candidates of position i with at least that many neighbours above
-    them.  The search runs on an explicit stack, one candidate iterator per
-    placed position, so no pattern size meets the recursion limit."""
+    images, a frozenset keeps those inside it.  The search runs on an
+    explicit stack, one candidate iterator per placed position, so no
+    pattern size meets the recursion limit."""
     order, adjacent, apart, degrees = layout
     cadj = c._adj
     everything = c.vertices
@@ -618,8 +607,6 @@ def _run(c: Graph, layout: tuple, pins: list, rise: list | None = None) -> Itera
         return
     img: list = [None] * n
     used: set = set()
-    rise = rise or (0,) * n
-    above: dict = {}  # candidate -> its neighbours above it, counted once per run
     tries: list = [None] * n  # position -> the iterator over its candidates
     i, fresh = 0, True
     while True:
@@ -644,15 +631,6 @@ def _run(c: Graph, layout: tuple, pins: list, rise: list | None = None) -> Itera
                     cands = (pin,)
                 else:
                     cands = ()
-            if rise[i]:
-                kept = []
-                for t in cands:
-                    up = above.get(t)
-                    if up is None:
-                        up = above[t] = sum([1 for u in cadj[t] if u > t])
-                    if up >= rise[i]:
-                        kept.append(t)
-                cands = kept
             tries[i] = iter(cands)
         d, far = degrees[i], apart[i]
         for t in tries[i]:
@@ -774,7 +752,8 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
 
 
 def connected_subsets(g: Graph, pool: frozenset, max_size: int) -> Iterator[frozenset]:
-    """All subsets of pool that induce a connected subgraph, up to max_size.
+    """All subsets of pool that induce a connected subgraph, up to max_size;
+    each single point comes before max_size is read, so 0 yields what 1 does.
     Classic expansion with an exclusion frontier, so each subset is produced
     exactly once, on an explicit stack of frames (frontier, next position in
     it, banned set), so no size limit meets the recursion limit."""

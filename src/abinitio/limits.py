@@ -3,6 +3,8 @@
 Connected-subset scans enumerate subsets of a pool, which is exponential in
 the pool, so they consider candidates of at most ``max_set`` vertices: those
 of ``hull`` and of the witnesses over a layer that is not self-sufficient.
+A scan yields every single point before it reads the ceiling, so a
+``max_set`` of 0 scans what 1 does.
 The sets tight over a self-sufficient layer come from one orientation, with
 no scan, so in ``decompose`` ``max_set`` only filters their sizes.  The
 ceiling is overridden per call, never through the environment.  Closure,

@@ -35,6 +35,7 @@ from abinitio import (
     validate_problem,
     verify_certificate,
 )
+from abinitio.graph import _shape
 from abinitio.verifier import _admits_bounded_orientation
 from abinitio.zero_decomposition import BaseWitness, _report_rows
 from builders import random_zero_graph
@@ -304,15 +305,10 @@ def test_base_stage_counts_each_block_type_once(monkeypatch):
     # block's pattern, listed; isomorphic blocks share one type, so the
     # pattern's automorphisms are counted once per isomorphism type, by the
     # stabilizer chain of the type's plan
-    counted = []  # the patterns whose group order is computed
-    conditions = EmbeddingPlan._conditions
-
-    def counting_conditions(plan):
-        if plan._symmetry is None:
-            counted.append(plan.pattern)
-        return conditions(plan)
-
-    monkeypatch.setattr(EmbeddingPlan, "_conditions", counting_conditions)
+    counted = []  # the shapes whose group order is read
+    shape = abinitio.extension._shape
+    monkeypatch.setattr(abinitio.extension, "_shape",
+                        lambda adjacent: counted.append(adjacent) or shape(adjacent))
     shared = 0
     for _, p in _ep_corpus():
         blocks = list(decompose(p.a).minimally_closed)
@@ -992,7 +988,7 @@ def test_pattern_multiplicity_matches_the_pinned_count(monkeypatch):
         assert t == EmbeddingPlan(pattern, pinned=gen).count_each(pattern, [fixed])[0]
         assert t == len(brute_automorphisms(pattern, fixed))
         if not gen:
-            assert t == EmbeddingPlan(pattern)._conditions()[1]
+            assert t == _shape(EmbeddingPlan(pattern).adjacent)[1]
         above += t > 1
     assert (corpus, len(blocks)) == (36, 19) and above >= 50
 

@@ -276,7 +276,7 @@ def _check_matcher_against_vf2(rng, trial, a, c, closed):
         if not fixed:
             reps = [f for f in plan.representatives(c)
                     if not strong_only or closed(c, frozenset(f.values()))]
-            assert plan._conditions()[1] * len(reps) == len(got)
+            assert _shape(plan.adjacent)[1] * len(reps) == len(got)
         elif _embeds_induced(a, c, fixed):
             assert plan.count_each(c, [fixed], is_strong)[0] == len(got)
         assert plan.first(c, fixed, is_strong) == (dict(got[0]) if got else None)
@@ -292,7 +292,7 @@ def test_symmetry_breaking_matches_brute_force_automorphisms():
         g = _random_graph(rng, "v", rng.randint(1, 7), rng.choice([2, 3]))
         autos = brute_automorphisms(g)
         plan = EmbeddingPlan(g)
-        assert plan._conditions()[1] == len(autos)
+        assert _shape(plan.adjacent)[1] == len(autos)
         symmetric += len(autos) > 1
         pins = sorted(rng.sample(g.sorted_vertices(), rng.randint(0, min(3, len(g.vertices)))))
         images = EmbeddingPlan(g, pinned=pins).pin_images()
@@ -333,9 +333,9 @@ def test_pin_images_and_multiplicities_match_the_chains_by_name():
         gen = frozenset(rng.sample(names, rng.randint(0, len(names) - 1)))
         att = frozenset(rng.sample(sorted(a.vertices - gen), rng.randint(1, len(names) - len(gen))))
         assert multiplicity(a, gen, att) == ref_pattern_multiplicity(a, gen, att), trial
-        large += EmbeddingPlan(a)._conditions()[1] >= 48
+        large += _shape(EmbeddingPlan(a).adjacent)[1] >= 48
         # the shape's entry keeps transversals, at most n - i per level, never the group
-        assert sum(map(len, _shape(plan.adjacent)[3])) <= len(names) * (len(names) + 1) // 2
+        assert sum(map(len, _shape(plan.adjacent)[2])) <= len(names) * (len(names) + 1) // 2
     assert moved >= 120 and large >= 40
 
 
@@ -354,9 +354,11 @@ def _k5_with_spokes(rng, prefix, spokes, blocks=1):
 def test_unpinned_listings_match_the_reference_listing():
     # one representative per image set read through every automorphism,
     # against the listing of every embedding, with and without a strength
-    # test; the shape cache's conditions and group order are _conditions()'s
+    # test, on random inputs and on complete patterns into disjoint copies
+    # of themselves, one image set per copy; the shape cache's conditions
+    # and group order against the brute-force group
     rng = random.Random(4040)
-    listed = symmetric = 0
+    cases = []  # (pattern, target, representatives expected or None)
     for trial in range(180):
         kind = trial % 6
         if kind == 0:
@@ -374,20 +376,25 @@ def test_unpinned_listings_match_the_reference_listing():
                 _k5_with_spokes(rng, "t", rng.randint(0, 7))
         else:
             c = _random_graph(rng, "t", rng.randint(0, 12), 2)
+        cases.append((a, c, None))
+    cases += [(k_complete(7, "p"), _disjoint_cliques(2, 7), 2),
+              (k_complete(6, "p"), _disjoint_cliques(6, 6), 6)]
+    listed = symmetric = 0
+    for trial, (a, c, copies) in enumerate(cases):
         plan = EmbeddingPlan(a)
-        below, size, rise = plan._conditions()
+        below, size, _ = _shape(plan.adjacent)
         for is_strong in (None, is_self_sufficient):
             got = plan.images(c, None, is_strong)
             assert got == ref_unpinned_images(plan, c, is_strong), (trial, is_strong)
             listed += len(got)
+        if copies is not None:
+            assert len(plan.representatives(c)) == copies
         # the conditions against the orbits of the brute-force group, and
         # the transversal products, read off the identity, against the group
         order, autos = plan.order, brute_automorphisms(a)
         assert below == [tuple([i for i in range(u) if any(
             f[order[i]] == order[u] and all(f[v] == v for v in order[:i]) for f in autos)])
             or None for u in range(len(order))]
-        assert rise == [sum([i in (below[j] or ()) for j in range(len(order))
-                             if i in plan.adjacent[j]]) for i in range(len(order))]
         assert size == len(plan._turns) == len(autos)
         names = a.sorted_vertices()
         assert {get(order) for get in plan._turns} == {tuple([f[v] for v in names]) for f in autos}
@@ -402,15 +409,15 @@ def test_an_unpinned_listing_without_a_strong_representative_lists_no_group(monk
     # automorphism is compiled
     run, target = ab.graph._run, Graph(2, ["x", "y", "z"], [("x", "y")])
 
-    def first_hits_only(c, layout, pins, rise=None):
-        for img in run(c, layout, pins, rise):
+    def first_hits_only(c, layout, pins):
+        for img in run(c, layout, pins):
             yield img
             assert c is target, "a search into the pattern's shape went past its first hit"
 
     monkeypatch.setattr(ab.graph, "_run", first_hits_only)
     _shape.cache_clear()
     plan = EmbeddingPlan(Graph(2, [f"p{i:02}" for i in range(12)], []))
-    assert plan.images(target) == [] and plan._conditions()[1] == math.factorial(12)
+    assert plan.images(target) == [] and _shape(plan.adjacent)[1] == math.factorial(12)
     pair = EmbeddingPlan(Graph(2, ["p", "q"], []))
     assert pair.images(target, None, lambda c, s: False) == []
     with pytest.raises(AttributeError):
@@ -654,8 +661,8 @@ def test_plan_order_and_pins():
         EmbeddingPlan(a, pinned=["nowhere"])
 
 
-def _visits(c, layout, pins, rise=None) -> list:
-    return [tuple(img) for img in _run(c, layout, pins, rise)]
+def _visits(c, layout, pins) -> list:
+    return [tuple(img) for img in _run(c, layout, pins)]
 
 
 def _ref_visits(c, layout, pins) -> list:
@@ -688,7 +695,7 @@ def test_explicit_stack_visits_in_the_recursive_order():
              [fixed[p] for p in sorted(pinned)] + [targets] * (len(names) - len(pinned))),
         ]
         if not pinned:
-            searches.append((layout, EmbeddingPlan(a)._conditions()[0]))
+            searches.append((layout, _shape(EmbeddingPlan(a).adjacent)[0]))
         for lay, pins in searches:
             got = _visits(c, lay, pins)
             assert got == _ref_visits(c, lay, [_IN_NAME_ORDER if p is targets else p
@@ -710,35 +717,6 @@ class _CountingAdjacency(dict):
 
 def _counting(c):
     return types.SimpleNamespace(m=c.m, _adj=_CountingAdjacency(c._adj), vertices=c.vertices)
-
-
-def test_rise_skips_candidates_but_no_hit():
-    # representatives' look-ahead against the plain search under the same
-    # conditions: the same hits in the same order, on random patterns and
-    # on cliques, where the plain search walks every rising chain
-    rng = random.Random(2011)
-    hits = 0
-    cases = [(k_complete(7), _disjoint_cliques(2, 7)), (k_complete(5), k_complete(5))]
-    for trial in range(200):
-        c = _random_graph(rng, "t", rng.randint(1, 9), rng.choice([2, 3]))
-        cases.append((_random_graph(rng, "p", rng.randint(1, 5), c.m), c))
-    for a, c in cases:
-        plan = EmbeddingPlan(a)
-        below, _, rise = plan._conditions()
-        layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
-        got = _visits(c, layout, below, rise)
-        assert got == _visits(c, layout, below)
-        assert [dict(zip(plan.order, img)) for img in got] == plan.representatives(c)
-        hits += len(got)
-    assert hits >= 300
-    # K7 into two disjoint K7s: two image sets, and far fewer candidates
-    plan = EmbeddingPlan(k_complete(7))
-    below, _, rise = plan._conditions()
-    layout = (plan.order, plan.adjacent, plan.apart, plan.degrees)
-    plain, ahead = _counting(_disjoint_cliques(2, 7)), _counting(_disjoint_cliques(2, 7))
-    assert len(list(_run(plain, layout, below))) == len(list(_run(ahead, layout, below, rise))) == 2
-    assert rise == [6, 5, 4, 3, 2, 1, 0]
-    assert ahead._adj.looked * 4 < plain._adj.looked
 
 
 def test_a_first_hit_stops_the_search():

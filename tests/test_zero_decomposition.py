@@ -28,6 +28,7 @@ from abinitio import (
     mu_count,
     uniform_algebraicity_report,
 )
+from abinitio.graph import _shape
 from abinitio.predimension import _Index, _tight_components
 from abinitio.zero_decomposition import (_count_matched, _decomposition, _dedupe_witnesses,
                                          _report_rows, _row_invariant)
@@ -252,6 +253,8 @@ def test_zero_algebraic_validation():
 def test_hull_absorbs_tight_sets():
     g = chain_graph()
     assert hull(g, BLOCK) == BLOCK | {"w"}
+    # a scan yields each single point before it reads the ceiling
+    assert hull(g, BLOCK, max_set=0) == hull(g, BLOCK, max_set=1)
     assert hull(g, BLOCK, iterate=True) == g.vertices
     assert hull(g, g.vertices) == g.vertices
     # the rest of the block is itself tight over one anchor, so a pair of
@@ -500,7 +503,7 @@ def _check_counts_by_image_set(g, base, att) -> list:
     images = [frozenset(f.values()) for f in base_plan.representatives(g)]
     for is_strong in (None, is_self_sufficient):
         kept = [s for s in images if is_strong is None or is_strong(g, s)]
-        assert base_plan._conditions()[1] * len(kept) == \
+        assert _shape(base_plan.adjacent)[1] * len(kept) == \
             ref_count(base_plan, g, is_strong=is_strong)
     return placements
 
