@@ -16,7 +16,6 @@ from .approximation import (
     build_approximation,
     extend_partial_iso,
     pattern_catalog,
-    realize_extension,
 )
 from .errors import (
     AbinitioError,

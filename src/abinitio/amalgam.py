@@ -10,23 +10,19 @@ call graph.adjoin_copy directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AmalgamError, CoefficientMismatch, ConstructionFailed
-from .graph import Embedding, Graph, adjoin_copy
+from .graph import Embedding, Graph, _Record, adjoin_copy
 from .predimension import is_in_k0, is_self_sufficient
 
 
-@dataclass(frozen=True)
-class AmalgamSpec:
+class AmalgamSpec(_Record):
     left: Graph
     right: Graph
     base_in_left: Embedding
     base_in_right: Embedding
 
 
-@dataclass(frozen=True)
-class AmalgamResult:
+class AmalgamResult(_Record):
     graph: Graph
     left_embedding: Embedding
     right_embedding: Embedding

@@ -16,46 +16,26 @@ One existence search in the current stage decides each placement left open.
 
 The chain and the back-and-forth grow their own graphs by adjoin_copy, the
 copy free_amalgam ends in, as their inputs meet its checks by construction;
-free_amalgam and realize_extension stay the checked fronts for outside input.
+free_amalgam is the checked front for outside input.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import limits
-from .amalgam import AmalgamSpec, free_amalgam
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
-    Embedding, EmbeddingPlan, Graph, PartialIso, _picker, adjoin_copy, fresh_name)
+    Embedding, EmbeddingPlan, Graph, PartialIso, _picker, _Record, adjoin_copy, fresh_name)
 from .predimension import _closure_set, is_in_k0, is_self_sufficient
 
 
-# -- realizing pattern extensions --------------------------------------------
+# -- approximation chains ---------------------------------------------------
 
 
-def realize_extension(
-    current: Graph, pattern_base: Graph, pattern_ext: Graph, at: Embedding
-) -> Graph:
-    """Free amalgam of the current stage with the extension pattern over the
-    placed base.  The current stage keeps its names and stays self-sufficient
-    in the result.  Every argument is checked, as for outside input."""
-    if pattern_base.m != pattern_ext.m:
-        raise InvalidMap("base and extension pattern coefficients differ")
-    if not pattern_base.vertices <= pattern_ext.vertices:
-        raise InvalidMap("the base pattern must be a subgraph of the extension pattern")
-    base_adj, ext_adj, base = pattern_base._adj, pattern_ext._adj, pattern_base.vertices
-    if any(ext_adj[v] & base != base_adj[v] for v in base):
-        raise InvalidMap("the base pattern must be induced in the extension pattern")
-    base_in_ext = Embedding.build(pattern_base, pattern_ext, {v: v for v in base})
-    return free_amalgam(AmalgamSpec(current, pattern_ext, at, base_in_ext)).graph
-
-
-@dataclass(frozen=True)
-class ApproximationChain:
+class ApproximationChain(_Record):
     stages: tuple
     task_log: tuple
     truncated: bool

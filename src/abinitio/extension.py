@@ -13,14 +13,13 @@ replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import takewhile
 from math import prod
 
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
 from .graph import (
-    Embedding, EmbeddingPlan, Graph, PartialIso, _shape, adjoin_copy, components)
+    Embedding, EmbeddingPlan, Graph, PartialIso, _Record, _shape, adjoin_copy, components)
 from .predimension import delta, delta_rel, is_in_k0
 from .zero_decomposition import (
     ZeroDecomposition,
@@ -33,8 +32,7 @@ _MAX_SWEEP_PASSES = 32
 _MAX_COPIES_PER_ROW = 4096
 
 
-@dataclass(frozen=True)
-class EPProblem:
+class EPProblem(_Record):
     a: Graph
     maps: tuple
 
@@ -97,8 +95,7 @@ def _optional(data: dict, key: str, default, what: str, kind: type, item: type |
     return value
 
 
-@dataclass(frozen=True)
-class OrbitOrder:
+class OrbitOrder(_Record):
     per_point: tuple  # one {vertex: order} dict per map
     per_map: tuple
     global_order: int
@@ -594,8 +591,7 @@ def build_level_stage(
 # -- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EPCertificate:
+class EPCertificate(_Record):
     problem: EPProblem
     b: Graph
     inclusion: Embedding

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientMismatch, InvalidMap, UnknownVertex
@@ -67,6 +66,10 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(m={self.m}, |V|={len(self.vertices)}, |E|={len(self.edges)})"
+
+    def __reduce__(self):
+        # for copy and pickle, whose default restores the slots by __setattr__
+        return _unchecked, (self.m, self.vertices, self._adj, self.edges)
 
     # -- queries ---------------------------------------------------------
 
@@ -168,25 +171,59 @@ def canonical_json(obj) -> str:
 
 
 def count_cross_edges(g: Graph, s: frozenset, t: frozenset) -> int:
-    total = 0
-    for v in s:
-        total += len(g.neighbors(v) & t)
-    return total
+    return sum(len(g.neighbors(v) & t) for v in s)
 
 
 # -- maps ----------------------------------------------------------------
 
 
+class _Record:
+    """An immutable record of the fields its class annotates, in order: built by
+    position or by name, then checked by __post_init__; equal field by field
+    within one class, hashed as the field tuple, shown as Qualname(field=value, ...)."""
+
+    def __init_subclass__(cls):
+        fields = cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._key = attrgetter(*fields)  # a tuple, as every record has two fields or more
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            named = dict(zip(fields, args))
+            if len(args) > len(fields) or named.keys() & kwargs or set(fields) != {*named, *kwargs}:
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
+            args = map({**named, **kwargs}.__getitem__, fields)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _mapping_tuple(mapping) -> tuple:
-    if isinstance(mapping, dict):
-        items = mapping.items()
-    else:
-        items = list(mapping)
+    items = mapping.items() if isinstance(mapping, dict) else mapping
     return tuple(sorted((str(a), str(b)) for a, b in items))
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_Record):
     """An injective map between graphs, stored as sorted pairs.
 
     Injectivity and endpoint validity are enforced at construction;
@@ -240,8 +277,7 @@ class Embedding:
         return all(tadj[f[a]] & image == {f[b] for b in sadj[a]} for a in f)
 
 
-@dataclass(frozen=True)
-class PartialIso:
+class PartialIso(_Record):
     """A partial isomorphism inside one ambient graph.
 
     The mapping must be a bijection between its domain and range whose

@@ -19,14 +19,13 @@ decreasing extensions of failure regions up to the closure set, read first.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, groupby
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ConstructionFailed, OutsideK0
-from .graph import Embedding, EmbeddingPlan, Graph, count_cross_edges
+from .graph import Embedding, EmbeddingPlan, Graph, _Record, count_cross_edges
 
 
 def delta(g: Graph, s: Iterable[str]) -> int:
@@ -295,8 +294,7 @@ def is_in_k0(g: Graph) -> bool:
     return _stored_orientation(g) is not None
 
 
-@dataclass(frozen=True)
-class OrientationWitness:
+class OrientationWitness(_Record):
     orientation: tuple  # ((origin, other), ...) sorted
     max_outdegree: int
 
@@ -339,8 +337,7 @@ def is_self_sufficient(g: Graph, a: Iterable[str]) -> bool:
 # -- closure --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(_Record):
     closure: frozenset
     witness_chain: tuple  # (frozenset, ...) from the input set to the closure
 

@@ -8,10 +8,9 @@ builder's helpers, so a bug shared with the builder cannot hide here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .extension import EPCertificate, EPProblem
-from .graph import Graph
+from .graph import Graph, _Record
 
 
 def _admits_bounded_orientation(g: Graph) -> bool:
@@ -74,8 +73,7 @@ def _flipped_pair(a: Graph, b: Graph, f: dict) -> tuple | None:
     return None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     ok: bool
     diagnostics: tuple
 

@@ -12,13 +12,12 @@ components.  Hulls and uniformity reports build on these.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from . import limits
 from .errors import ConstructionFailed, InvalidMap, OutsideK0
-from .graph import Embedding, EmbeddingPlan, Graph, _picker, components, connected_subsets
+from .graph import Embedding, EmbeddingPlan, Graph, _picker, _Record, components, connected_subsets
 from .predimension import (_Index, _collect, _last_index, _orientation, _stored_orientation,
                            _tight_components, delta, delta_rel, is_self_sufficient)
 
@@ -90,8 +89,7 @@ def connected_zero_sets(g: Graph) -> list:
     return components(g, g.vertices)
 
 
-@dataclass(frozen=True)
-class ComponentLevels:
+class ComponentLevels(_Record):
     carrier: frozenset
     level: int
     layers: tuple  # strictly increasing, layers[0] = union of blocks, layers[-1] = carrier
@@ -106,8 +104,7 @@ class ComponentLevels:
         }
 
 
-@dataclass(frozen=True)
-class ZeroDecomposition:
+class ZeroDecomposition(_Record):
     ambient: Graph
     minimally_closed: tuple
     components: tuple
@@ -245,8 +242,7 @@ def mu_count(
 # -- uniformity report ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseWitness:
+class BaseWitness(_Record):
     base: frozenset
     generator: frozenset
     zero_minimal_set: frozenset

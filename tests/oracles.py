@@ -16,11 +16,12 @@ import math
 from math import prod
 
 from abinitio import (
-    BaseWitness, ComponentLevels, ConstructionFailed, Embedding, EmbeddingPlan, InvalidMap,
-    OutsideK0, components, connected_zero_sets, delta, delta_rel, is_in_k0,
-    is_self_sufficient, minimally_closed_sets, pattern_catalog, strong_embeddings)
+    AmalgamSpec, BaseWitness, ComponentLevels, ConstructionFailed, Embedding, EmbeddingPlan,
+    Graph, InvalidMap, OutsideK0, components, connected_zero_sets, delta, delta_rel,
+    free_amalgam, is_in_k0, is_self_sufficient, minimally_closed_sets, pattern_catalog,
+    strong_embeddings)
 from abinitio import extension, limits
-from abinitio.approximation import ApproximationChain, realize_extension
+from abinitio.approximation import ApproximationChain
 from abinitio.graph import (
     _check_coefficient, _first_hit, _positions, _run, _strength, adjoin_copy)
 from abinitio.predimension import (
@@ -481,7 +482,27 @@ def ref_is_induced(emb) -> bool:
 # choices, compiles a pinned plan per task, and lists each round's placements
 # as Embeddings.  Copied unchanged but for the names, and for the listings,
 # which call EmbeddingPlan.pairs and strong_embeddings in place of a removed
-# wrapper that returned the same lists.
+# wrapper that returned the same lists.  Each task is realized by
+# realize_extension, the checked front over free_amalgam that the package
+# exported until nothing in it called the front any more; copied unchanged
+# but for its imports.
+
+
+def realize_extension(
+    current: Graph, pattern_base: Graph, pattern_ext: Graph, at: Embedding
+) -> Graph:
+    """Free amalgam of the current stage with the extension pattern over the
+    placed base.  The current stage keeps its names and stays self-sufficient
+    in the result.  Every argument is checked, as for outside input."""
+    if pattern_base.m != pattern_ext.m:
+        raise InvalidMap("base and extension pattern coefficients differ")
+    if not pattern_base.vertices <= pattern_ext.vertices:
+        raise InvalidMap("the base pattern must be a subgraph of the extension pattern")
+    base_adj, ext_adj, base = pattern_base._adj, pattern_ext._adj, pattern_base.vertices
+    if any(ext_adj[v] & base != base_adj[v] for v in base):
+        raise InvalidMap("the base pattern must be induced in the extension pattern")
+    base_in_ext = Embedding.build(pattern_base, pattern_ext, {v: v for v in base})
+    return free_amalgam(AmalgamSpec(current, pattern_ext, at, base_in_ext)).graph
 
 
 def ref_base_choices(ext) -> list:

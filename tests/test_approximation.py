@@ -31,15 +31,14 @@ from abinitio import (
     is_in_k0,
     is_self_sufficient,
     pattern_catalog,
-    realize_extension,
     strong_embeddings,
 )
 from abinitio.approximation import _base_choices, _catalog, _tasks, _total_extension
 from abinitio.predimension import _closure_set
 from builders import random_k0_graph
 from oracles import (
-    brute_automorphisms, brute_closed, brute_delta, brute_in_k0, ref_base_choices,
-    ref_build_approximation)
+    brute_automorphisms, brute_closed, brute_delta, brute_in_k0, realize_extension,
+    ref_base_choices, ref_build_approximation)
 
 
 def k5(prefix):

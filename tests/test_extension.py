@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -714,11 +713,16 @@ def _unchecked_embedding(source, target, pairs):
     return emb
 
 
+def _replaced(record, **changes):
+    """record rebuilt with the given fields changed."""
+    return type(record)(**{**vars(record), **changes})
+
+
 def _on_result(cert, b):
     """cert with result graph b, its inclusion and automorphisms moved onto
     b, each automorphism fixing the points b adds."""
     fixed = {v: v for v in b.vertices - cert.b.vertices}
-    return dataclasses.replace(
+    return _replaced(
         cert, b=b, inclusion=Embedding.build(cert.problem.a, b, cert.inclusion.as_dict()),
         automorphisms=tuple(Embedding.build(b, b, {**f.as_dict(), **fixed})
                             for f in cert.automorphisms))
@@ -733,20 +737,20 @@ def _forge_coefficient(p, cert):
 
 def _forge_inclusion_source(p, cert):
     a = Graph(2, p.a.vertices, sorted(p.a.edges)[1:])
-    return dataclasses.replace(cert, inclusion=Embedding.build(
+    return _replaced(cert, inclusion=Embedding.build(
         a, cert.b, cert.inclusion.as_dict())), ("inclusion source is not the problem graph",)
 
 
 def _forge_inclusion_target(p, cert):
     b = Graph(2, cert.b.vertices, sorted(cert.b.edges)[1:])
-    return dataclasses.replace(cert, inclusion=Embedding.build(
+    return _replaced(cert, inclusion=Embedding.build(
         p.a, b, cert.inclusion.as_dict())), ("inclusion target is not the result graph",)
 
 
 def _forge_partial_inclusion(p, cert):
     a = p.a.induced(p.a.vertices - {max(p.a.vertices)})
     incl = {d: r for d, r in cert.inclusion.pairs if d in a.vertices}
-    return dataclasses.replace(cert, inclusion=Embedding.build(a, cert.b, incl)), (
+    return _replaced(cert, inclusion=Embedding.build(a, cert.b, incl)), (
         "inclusion source is not the problem graph", "inclusion is not total on the problem graph")
 
 
@@ -764,7 +768,7 @@ def _forge_not_a_self_map(p, cert):
     part = cert.b.induced(cert.b.vertices - {max(cert.b.vertices)})
     f = {d: r for d, r in cert.automorphisms[0].pairs if d in part.vertices}
     autos = (Embedding.build(part, cert.b, f),) + cert.automorphisms[1:]
-    return dataclasses.replace(cert, automorphisms=autos), (
+    return _replaced(cert, automorphisms=autos), (
         "automorphism 0 is not a self-map of the result",)
 
 
@@ -772,7 +776,7 @@ def _forge_not_a_bijection(p, cert):
     pairs = list(cert.automorphisms[0].pairs)
     pairs[0] = (pairs[0][0], pairs[1][1])
     autos = (_unchecked_embedding(cert.b, cert.b, pairs),) + cert.automorphisms[1:]
-    return dataclasses.replace(cert, automorphisms=autos), (
+    return _replaced(cert, automorphisms=autos), (
         "automorphism 0 is not a vertex bijection",)
 
 
@@ -816,7 +820,7 @@ def test_verifier_names_a_forged_clause_at_scale_as_the_pair_scan_does():
     # an automorphism moving b0000v0 onto b0001v0, a point of another block
     f = dict(cert.automorphisms[0].pairs)
     f.update({"b0000v0": "b0001v0", "b0001v0": "b0000v1", "b0000v1": "b0000v0"})
-    forged = dataclasses.replace(cert, automorphisms=(Embedding.build(cert.b, cert.b, f),))
+    forged = _replaced(cert, automorphisms=(Embedding.build(cert.b, cert.b, f),))
     report = verify_certificate(p, forged)
     assert report == ref_verify_certificate(p, forged)
     assert report.diagnostics == (
@@ -828,8 +832,8 @@ def test_verifier_names_a_forged_clause_at_scale_as_the_pair_scan_does():
     p = EPProblem(p.a, ())
     incl = cert.inclusion.as_dict()
     incl.update({"b0000v0": "b0001v0", "b0001v0": "b0000v0"})
-    forged = dataclasses.replace(cert, problem=p, automorphisms=(),
-                                 inclusion=Embedding.build(p.a, cert.b, incl))
+    forged = _replaced(cert, problem=p, automorphisms=(),
+                       inclusion=Embedding.build(p.a, cert.b, incl))
     report = verify_certificate(p, forged)
     assert report == ref_verify_certificate(p, forged)
     assert report.diagnostics == ("inclusion is not induced at (b0000v0, b0000v1)",)
@@ -837,7 +841,7 @@ def test_verifier_names_a_forged_clause_at_scale_as_the_pair_scan_does():
     # image holds one edge more than the problem graph
     a = Graph(2, p.a.vertices, p.a.edges - {("b0000v0", "b0000v1")})
     p = EPProblem(a, ())
-    forged = dataclasses.replace(forged, problem=p, inclusion=Embedding.build(
+    forged = _replaced(forged, problem=p, inclusion=Embedding.build(
         a, cert.b, {v: v for v in a.vertices}))
     report = verify_certificate(p, forged)
     assert report == ref_verify_certificate(p, forged)
@@ -1485,7 +1489,7 @@ def _blocks_replaced(*blocks):
     """A decomposition whose minimally closed sets are the given blocks."""
     def tamper(monkeypatch):
         real = abinitio.extension.decompose
-        monkeypatch.setattr(abinitio.extension, "decompose", lambda g, **kw: dataclasses.replace(
+        monkeypatch.setattr(abinitio.extension, "decompose", lambda g, **kw: _replaced(
             real(g, **kw), minimally_closed=tuple(map(frozenset, blocks))))
     return tamper
 

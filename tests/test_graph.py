@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
 import types
 
@@ -24,7 +27,7 @@ from abinitio import (
     is_self_sufficient,
     limits,
 )
-from abinitio.graph import _first_hit, _positions, _run, _shape, adjoin_copy
+from abinitio.graph import _first_hit, _positions, _Record, _run, _shape, adjoin_copy
 from oracles import (
     _IN_NAME_ORDER, adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
     ref_find_pattern_iso, ref_first, ref_free_positions, ref_is_induced, ref_pattern_multiplicity,
@@ -54,6 +57,8 @@ def test_graph_is_immutable_and_hashable():
     h = Graph(2, ["b", "a"], [("b", "a")])
     assert g == h and hash(g) == hash(h)
     assert g != Graph(3, ["a", "b"], [("a", "b")])
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin._adj == g._adj
 
 
 def test_queries():
@@ -107,8 +112,69 @@ def test_embedding_validation():
         Embedding.build(a, c, {"x": "v0"})  # not total
     with pytest.raises(InvalidMap):
         Embedding.build(a, c, {"x": "v0", "y": "v0"})  # not injective
+    with pytest.raises(InvalidMap, match="not injective"):  # checked when built by name too
+        Embedding(source=a, target=c, pairs=(("x", "v0"), ("y", "v0")))
     with pytest.raises(UnknownVertex):
         Embedding.build(a, c, {"x": "v0", "y": "zz"})
+
+
+RECORDS = sorted(name for name in ab.__all__
+                 if isinstance(getattr(ab, name), type) and issubclass(getattr(ab, name), _Record))
+
+
+@functools.lru_cache(maxsize=None)
+def _record_samples() -> dict:
+    """One record of each exported type, by type name: built by the package
+    where __post_init__ checks, on two 5-cliques and the map between them."""
+    a, b = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+    g = Graph(2, a + b, [*itertools.combinations(a, 2), *itertools.combinations(b, 2)])
+    p = ab.EPProblem(g, (PartialIso.build(g, dict(zip(a, b))),))
+    cert = ab.ep_extend(p)
+    decomposition = ab.decompose(g)
+    empty = Embedding.build(g.induced(()), g, {})
+    spec = ab.AmalgamSpec(g, g, empty, empty)
+    samples = [p, cert, cert.orbit, cert.inclusion, p.maps[0], ab.verify_certificate(p, cert),
+               decomposition, decomposition.components[0], ab.closure(g, {"a0"}),
+               ab.orientation_witness(g), ab.build_approximation(g, 0, 1), spec,
+               ab.free_amalgam(spec), ab.BaseWitness(frozenset(a), frozenset(b), frozenset(b), 1)]
+    return {type(r).__name__: r for r in samples}
+
+
+def test_every_exported_record_type_has_a_sample():
+    # a new record type joins the contract test below through __all__
+    assert len(RECORDS) == 14 and sorted(_record_samples()) == RECORDS
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_behave_as_frozen_dataclasses_of_their_fields(name):
+    cls, sample = getattr(ab, name), _record_samples()[name]
+    fields = tuple(cls.__annotations__)
+    twin_cls = dataclasses.make_dataclass(name, fields, frozen=True)
+    values = [getattr(sample, f) for f in fields]
+    named = dict(zip(fields, values))
+    twin = twin_cls(*values)
+    assert cls.__match_args__ == fields and vars(sample) == named
+    assert cls(*values) == cls(**named) == sample
+    for make in (twin_cls, cls):
+        for args, kwargs in ((values[:-1], {}), ((*values, None), {}), (values, {"extra": None}),
+                             (values[:1], named)):
+            with pytest.raises(TypeError):
+                make(*args, **kwargs)
+    assert repr(sample) == repr(twin)
+    if name in ("EPCertificate", "OrbitOrder"):  # they hold dicts
+        for record in (twin, sample):
+            with pytest.raises(TypeError):
+                hash(record)
+    else:
+        assert hash(sample) == hash(twin)
+    assert sample != twin and twin != sample
+    with pytest.raises(AttributeError):
+        setattr(sample, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(sample, fields[0])
+    assert vars(sample) == named
+    for again in (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample))):
+        assert type(again) is cls and again == sample
 
 
 def test_embedding_is_induced_detects_missing_edge():
