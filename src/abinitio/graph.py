@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
-from operator import attrgetter, itemgetter
+from operator import and_, attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientMismatch, InvalidMap, UnknownVertex
@@ -530,7 +530,7 @@ class EmbeddingPlan:
         free vertices' images.  The pin map is checked once (injective, no
         image of lower degree than its vertex, induced); then each free vertex
         is searched among the sorted points outside the pins' image whose
-        neighbours there are the images of its pinned neighbours."""
+        neighbours there are the images of its pinned neighbours (_outside)."""
         fixed = self._pins(c, fixed)
         adj, pins = self.pattern._adj, self.pinned
         cadj, image = c._adj, frozenset(fixed.values())
@@ -545,14 +545,9 @@ class EmbeddingPlan:
             self._name_layout = [names, [tuple(adj[v] & pins) for v in names], None]
         names, contacts, layout = self._name_layout
         pool = c.vertices if within is None else c.vertices & within
-        # a free vertex with no pinned neighbour keeps off the image's neighbourhood
-        remote = sorted([t for t in pool - image if cadj[t].isdisjoint(image)]) \
-            if not all(contacts) else None
-        domains = []
-        for near in contacts:
-            want = {fixed[q] for q in near}
-            domains.append(sorted([t for t in cadj[fixed[near[0]]] if t in pool and t not in image
-                                   and cadj[t] & image == want]) if near else remote)
+        wants = [frozenset([fixed[q] for q in near]) for near in contacts]
+        found = _outside(cadj, image, set(wants), pool)
+        domains = [sorted(found[want]) for want in wants]
         if not all(domains):
             return None
         if layout is None:
@@ -698,32 +693,32 @@ def _run(c: Graph, layout: tuple, pins: list) -> Iterator[list]:
             fresh = True
 
 
+def _outside(cadj: dict, image: frozenset, wants: set, pool: frozenset) -> dict:
+    """Per wanted contact set, the points of pool outside image whose
+    neighbours in image are exactly it: for a nonempty set, met among the
+    common neighbours of its points, from the one of least degree."""
+    found = {}
+    for want in wants:
+        near = sorted([cadj[s] for s in want], key=len) or [pool]
+        found[want] = [t for t in reduce(and_, near) if t in pool and t not in image
+                       and cadj[t] & image == want]
+    return found
+
+
 def _tally(c: Graph, layout: tuple, image: frozenset, table: dict,
            is_strong: Callable | None) -> None:
     """tally()'s search over one image set: add to table[w] each
     embedding of the free positions into c - image whose images' neighbour
     sets in image form the tuple w and whose image with image passes
-    is_strong."""
+    is_strong.  Position i searches the points with a contact w[i] of some
+    key w (_outside)."""
     cadj = c._adj
-    touching = {}  # point outside image -> its neighbours in image, when any
-    for s in image:
-        for t in cadj[s]:
-            if t not in image and t not in touching:
-                touching[t] = cadj[t] & image
-    domains, remote = [], None
-    for i in range(len(layout[0])):
-        wanted = {w[i] for w in table}
-        inside = [t for t, near in touching.items() if near in wanted]
-        if frozenset() in wanted:
-            if remote is None:
-                remote = c.vertices - image - frozenset(touching)
-            domains.append(remote.union(inside))
-        else:
-            domains.append(frozenset(inside))
+    wanted = [{w[i] for w in table} for i in range(len(layout[0]))]
+    found = _outside(cadj, image, set().union(*wanted), c.vertices)
+    domains = [frozenset().union(*map(found.__getitem__, near)) for near in wanted]
     strong = _strength(c, is_strong, image)
-    none = frozenset()
     for img in _run(c, layout, domains):
-        w = tuple([touching.get(t, none) for t in img])
+        w = tuple([cadj[t] & image for t in img])
         if w in table and strong(img):
             table[w] += 1
 

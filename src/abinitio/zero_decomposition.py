@@ -431,7 +431,7 @@ def _placement_classes(g: Graph, base: frozenset, plan: EmbeddingPlan, pins: tup
     gives each of its placements.  memo keeps each base's plan and, per
     (base, pins), its pattern pinned there with its automorphisms'
     restrictions to pins; per graph, one placement per image set of each
-    base and each row pattern's tables, which count_keyed keeps.  Premise:
+    base and each pinned pattern's tables, which count_keyed keeps.  Premise:
     g counts 0 and is in K0, so what counts 0 is strong and nothing is
     tested: base, a closure, counts 0, so each image S does, and so does
     S ∪ K for each extension K, as the attachment counts 0 over the base."""
@@ -446,7 +446,7 @@ def _placement_classes(g: Graph, base: frozenset, plan: EmbeddingPlan, pins: tup
             for image, f in memo[g, base] for ys in memo[base, pins][1]]
     pick = _picker([pins.index(x) for x in plan.touched])
     counts = plan.count_keyed(g, [(image, pick(ims)) for image, ims in keys],
-                              memo.setdefault((g, plan.pattern), {}))
+                              memo.setdefault((g, plan.pattern, plan.pinned), {}))
     return [(image, ims, n) for (image, ims), n in zip(keys, counts)]
 
 

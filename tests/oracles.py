@@ -13,6 +13,7 @@ enough that exponential scans stay instant.
 
 import itertools
 import math
+from collections.abc import Callable
 from math import prod
 
 from abinitio import (
@@ -1189,3 +1190,40 @@ def ref_chain(a, order, positions) -> list:
                 level[u] = dict(zip(layout[0], hit))
         levels.append(level)
     return levels
+
+
+# -- reference copy of the class tally's search -------------------------------
+# graph._tally as it was before its domains and first()'s came from one
+# builder, graph._outside: the whole neighbourhood of the image set gathered
+# first, each position's domain read off it.  Copied unchanged but for the
+# name.
+
+
+def ref_tally(c: Graph, layout: tuple, image: frozenset, table: dict,
+              is_strong: Callable | None) -> None:
+    """tally()'s search over one image set: add to table[w] each
+    embedding of the free positions into c - image whose images' neighbour
+    sets in image form the tuple w and whose image with image passes
+    is_strong."""
+    cadj = c._adj
+    touching = {}  # point outside image -> its neighbours in image, when any
+    for s in image:
+        for t in cadj[s]:
+            if t not in image and t not in touching:
+                touching[t] = cadj[t] & image
+    domains, remote = [], None
+    for i in range(len(layout[0])):
+        wanted = {w[i] for w in table}
+        inside = [t for t, near in touching.items() if near in wanted]
+        if frozenset() in wanted:
+            if remote is None:
+                remote = c.vertices - image - frozenset(touching)
+            domains.append(remote.union(inside))
+        else:
+            domains.append(frozenset(inside))
+    strong = _strength(c, is_strong, image)
+    none = frozenset()
+    for img in _run(c, layout, domains):
+        w = tuple([touching.get(t, none) for t in img])
+        if w in table and strong(img):
+            table[w] += 1

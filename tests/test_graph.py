@@ -27,11 +27,11 @@ from abinitio import (
     is_self_sufficient,
     limits,
 )
-from abinitio.graph import _first_hit, _positions, _Record, _run, _shape, adjoin_copy
+from abinitio.graph import _first_hit, _positions, _Record, _run, _shape, _tally, adjoin_copy
 from oracles import (
     _IN_NAME_ORDER, adjacent, brute_automorphisms, brute_closed, ref_connected_subsets, ref_count,
     ref_find_pattern_iso, ref_first, ref_free_positions, ref_is_induced, ref_pattern_multiplicity,
-    ref_pin_images, ref_run, ref_unpinned_images)
+    ref_pin_images, ref_run, ref_tally, ref_unpinned_images)
 
 
 def k_complete(n, prefix="v", m=2):
@@ -678,6 +678,51 @@ def test_first_matches_the_reference_search_on_any_pins():
     assert min(seen.values()) >= 100 and len(seen) == 7, seen
 
 
+def test_the_class_tally_matches_the_reference_tally():
+    # _tally builds its domains with _outside, per wanted contact set; the
+    # reference copy reads them off the image set's whole neighbourhood.
+    # Seeded tables whose keys come from pin maps onto the image set and at
+    # random, so a position may want several contact sets, the empty one
+    # among them; whole tables compared, keys no embedding hits included,
+    # with and without the strength test, which is asked the same sets
+    rng = random.Random(4711)
+    seen: dict = {}
+    for trial in range(400):
+        m = rng.choice([2, 3])
+        c = _random_graph(rng, "t", rng.randint(2, 10), m)
+        a = _random_graph(rng, "p", rng.randint(2, 5), m)
+        names, targets = a.sorted_vertices(), c.sorted_vertices()
+        pinned = rng.sample(names, rng.randint(1, min(len(names) - 1, len(targets))))
+        layout, contacts, _ = EmbeddingPlan(a, pinned=pinned)._free_positions()
+        image = sorted(rng.sample(targets, len(pinned)))
+        keys = set()
+        for _ in range(rng.randint(1, 4)):
+            send = dict(zip(pinned, rng.sample(image, len(image))))
+            keys.add(tuple([frozenset([send[q] for q in near]) for near in contacts]))
+        for _ in range(rng.randint(0, 3)):
+            keys.add(tuple([frozenset(rng.sample(image, rng.randint(0, len(image))))
+                            for _ in contacts]))
+        for strong in (None, is_self_sufficient):
+            tables, asked = [], []
+            for tally in (_tally, ref_tally):
+                table, log = dict.fromkeys(keys, 0), []
+                tally(c, layout, frozenset(image), table,
+                      strong and (lambda g, s: log.append(s) or strong(g, s)))
+                tables.append(table)
+                asked.append(set(log))
+            assert tables[0] == tables[1] and asked[0] == asked[1], (trial, strong)
+        wanted = [{w[i] for w in keys} for i in range(len(contacts))]
+        for key, met in [("several keys", len(keys) > 1),
+                         ("several contacts", any(len(w) > 1 for w in wanted)),
+                         ("empty contact", any(frozenset() in w for w in wanted)),
+                         ("no pinned neighbour", not all(contacts)),
+                         ("hit", any(tables[0].values())),
+                         ("key not hit", not all(tables[0].values())),
+                         ("asked", bool(asked[0]))]:
+            seen[key] = seen.get(key, 0) + met
+    assert min(seen.values()) >= 100, seen
+
+
 def test_exists_answers_as_first_asking_once_per_image_set():
     # seeded random K0 targets; patterns from the target or random, plans
     # unpinned or pinned, pins sent as some embedding sends them or anywhere
@@ -810,6 +855,32 @@ def _disjoint_cliques(k, n):
     names = [f"t{j}{i}" for j in range(k) for i in range(n)]
     return Graph(2, names, [(u, v) for u, v in itertools.combinations(names, 2)
                             if u[:2] == v[:2]])
+
+
+def _two_hubs():
+    """Two hubs with 300 private leaves each and 3 common neighbours, and
+    the path p1 - q - p2 pinned at its ends."""
+    leaves = [(f"h{j}", f"h{j}x{i}") for j in range(2) for i in range(300)]
+    common = [(f"h{j}", f"c{i}") for j in range(2) for i in range(3)]
+    c = Graph(2, {v for e in leaves + common for v in e}, leaves + common)
+    path = Graph(2, ["p1", "q", "p2"], [("p1", "q"), ("q", "p2")])
+    return c, EmbeddingPlan(path, pinned=["p1", "p2"]), {"p1": "h0", "p2": "h1"}
+
+
+def test_a_pinned_count_looks_up_the_common_neighbours_alone():
+    # the contact {h0, h1} is met among the hubs' 3 common neighbours, not
+    # over the 603 points that touch either hub
+    c, plan, fixed = _two_hubs()
+    g = _counting(c)
+    assert plan.count_each(g, [fixed]) == [3]
+    assert g._adj.looked <= 30, g._adj.looked
+
+
+def test_first_looks_up_the_common_neighbours_alone():
+    c, plan, fixed = _two_hubs()
+    g = _counting(c)
+    assert plan.first(g, fixed) == {"p1": "h0", "p2": "h1", "q": "c0"}
+    assert g._adj.looked <= 30, g._adj.looked
 
 
 def test_pinned_modes_past_the_recursion_limit():

@@ -638,6 +638,23 @@ def test_rows_isomorphic_only_by_swapping_base_and_attachment_are_counted_apart(
     assert _row_types(monkeypatch, g, rows) == ([False, True], 2)
 
 
+def test_one_pattern_pinned_at_two_bases_keeps_two_count_tables(monkeypatch):
+    # the square v0 v1 v3 v2 and v4 apart: both rows have the pattern on
+    # v0, v1, v2, v4, pinned at v1, v2 by the first and at v0, v4 by the
+    # second, whose tally must not overwrite the first's counts in the memo
+    g = Graph(2, [f"v{i}" for i in range(5)],
+              [("v0", "v1"), ("v0", "v2"), ("v1", "v3"), ("v2", "v3")])
+    x = BaseWitness(frozenset({"v1", "v2"}), frozenset({"v1", "v2"}), frozenset({"v0", "v4"}), 1)
+    y = BaseWitness(x.zero_minimal_set, x.zero_minimal_set, x.base, 1)
+    witnesses = [x, y]
+    monkeypatch.setattr(abinitio.zero_decomposition, "_report_witnesses", lambda *args: witnesses)
+    memo: dict = {}
+    assert [sorted(seen) for _, seen in _report_rows(g, 1, None, memo)] == [[0, 2], [0, 2]]
+    witnesses[:] = [x]
+    assert [sorted(seen) for _, seen in _report_rows(g, 1, None, memo)] == [[0, 2]]
+    assert [sorted(seen) for _, seen in _report_rows(g, 1, None, {})] == [[0, 2]]
+
+
 def tied_paths(*sizes):
     """A K5 block and, per size k, a path of k points above it: its first
     point tied to a0 and a1, each next one to the one before it and to a2.
