@@ -7,9 +7,9 @@ verifiable certificates, and grows finite approximations of the generic
 structure for the hereditarily nonnegative class.
 """
 
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-from .amalgam import AmalgamResult, AmalgamSpec, free_amalgam, verify_strong_pair
 from .approximation import (
     ApproximationChain,
     add_generic_point,
@@ -25,16 +25,6 @@ from .errors import (
     InvalidMap,
     OutsideK0,
     UnknownVertex,
-)
-from .extension import (
-    EPCertificate,
-    EPProblem,
-    OrbitOrder,
-    build_base_stage,
-    build_level_stage,
-    ep_extend,
-    orbit_orders,
-    validate_problem,
 )
 from .graph import (
     Embedding,
@@ -61,7 +51,6 @@ from .predimension import (
     orientation_witness,
     strong_embeddings,
 )
-from .verifier import VerificationReport, verify_certificate
 from .zero_decomposition import (
     BaseWitness,
     ComponentLevels,
@@ -78,8 +67,25 @@ from .zero_decomposition import (
     uniform_algebraicity_report,
 )
 
-# the names imported above, sorted, leaving out the submodules they bind
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+# The EP layer loads on first use: __getattr__ imports the submodule defining
+# one of these names when the name is first asked for, and keeps the name.
+_LAZY = {name: module for module, names in (
+    ("amalgam", "AmalgamResult AmalgamSpec free_amalgam verify_strong_pair"),
+    ("extension", "EPCertificate EPProblem OrbitOrder build_base_stage build_level_stage"
+                  " ep_extend orbit_orders validate_problem"),
+    ("verifier", "VerificationReport verify_certificate"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):  # PEP 562: asked only for names not in globals()
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+# the names imported above and the lazy ones, sorted, leaving out submodules
+__all__ = sorted([*_LAZY, *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))])
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from .extension import EPCertificate, EPProblem, _map_from_pairs, ep_extend
 from .graph import (
     Embedding, Graph, PartialIso, canonical_json, export_dot)
 from .limits import DEFAULT_MAX_AMBIENT
-from .oracles import brute_closed, brute_closure, brute_delta, brute_in_k0
 from .predimension import (
     closure, delta, delta_rel, dimension, geometric_closure_bounded,
     is_in_k0, is_self_sufficient, orientation_witness)
@@ -188,6 +187,7 @@ def _random_graph(rng: random.Random, n: int, m: int, p: float) -> Graph:
 
 
 def _suite_orientation(rng: random.Random):
+    from .oracles import brute_closed, brute_in_k0  # selftest alone loads the oracles
     for _ in range(60):
         g = _random_graph(rng, rng.randint(0, 6), rng.choice([2, 3]), rng.random())
         sub = frozenset(v for v in g.vertices if rng.random() < 0.5)
@@ -196,6 +196,7 @@ def _suite_orientation(rng: random.Random):
 
 
 def _suite_closure(rng: random.Random):
+    from .oracles import brute_closure, brute_delta
     done = 0
     while done < 30:
         g = _random_graph(rng, rng.randint(1, 6), 2, rng.random() * 0.7)

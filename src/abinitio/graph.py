@@ -726,13 +726,16 @@ def _tally(c: Graph, layout: tuple, image: frozenset, table: dict,
 # -- fresh names and adjoined copies -------------------------------------
 
 
-def fresh_name(base: str, taken: set) -> str:
-    """Deterministic collision-free variant of base: base, base~1, base~2, ..."""
+def fresh_name(base: str, taken: set, tried: dict | None = None) -> str:
+    """Deterministic collision-free variant of base: base, base~1, base~2, ...
+    tried (base -> last suffix given), kept while taken only grows, resumes the search."""
     if base not in taken:
         return base
-    k = 1
+    k = 1 if tried is None else tried.get(base, 1)
     while f"{base}~{k}" in taken:
         k += 1
+    if tried is not None:
+        tried[base] = k
     return f"{base}~{k}"
 
 
@@ -757,10 +760,11 @@ def adjoin_copy(ambient: Graph, source: Graph, part: Iterable[str],
     adj = dict(ambient._adj)
     touched: dict = {}  # ambient point -> its new neighbours
     relabels = []
+    tried: dict = {}
     for glue in glues:
         relabel: dict[str, str] = {}
         for v in part:
-            relabel[v] = fresh_name(v, taken)
+            relabel[v] = fresh_name(v, taken, tried)
             taken.add(relabel[v])
         for v, nv in relabel.items():
             near = set()

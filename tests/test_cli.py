@@ -729,6 +729,26 @@ def test_selftest_closure_suite_checks_the_set_answers(capsys, monkeypatch, name
     assert rows["closure"]["passed"] + rows["closure"]["failed"] == 30
 
 
+
+def test_only_selftest_loads_the_oracles():
+    # other verbs never compile the brute-force oracles; selftest loads them
+    # and passes, in a fresh interpreter
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    script = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from abinitio import cli
+before = 'abinitio.oracles' in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main(['selftest'])
+print(before, rc, json.loads(out.getvalue())['ok'], 'abinitio.oracles' in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False 0 True True\n"
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "g.json", k5_dict())
     # the child imports the package this process imported

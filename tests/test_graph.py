@@ -908,6 +908,57 @@ def test_fresh_name_and_disjoint_union():
     assert relabel["a"] != "a" and u.has_edge(relabel["a"], relabel["b"])
 
 
+
+class _CountingSet(set):
+    """A set that counts its membership probes."""
+    probes = 0
+
+    def __contains__(self, item):
+        self.probes += 1
+        return super().__contains__(item)
+
+
+def test_fresh_name_with_tried_names_as_without():
+    # a caller keeping tried across calls while taken only grows gets the
+    # names of calls without it, on collision-heavy names: suffixes taken
+    # with gaps, bases that hold "~" already, taken growing by other names
+    # too, and many copies of one base
+    rng = random.Random(4802)
+    bases = ["a", "a~1", "a~3", "b", "b~1~1", "~", "a~"]
+    pool = ["a", "a~1", "a~3", "a~1~1", "a~1~2", "b", "b~1", "b~2", "b~4", "~~1", "a~~1"]
+    for trial in range(300):
+        taken = set(rng.sample(pool, rng.randint(0, len(pool))))
+        with_tried, without, tried = set(taken), set(taken), {}
+        for _ in range(rng.randint(0, 60)):
+            base = rng.choice(bases)
+            name = fresh_name(base, with_tried, tried)
+            assert name == fresh_name(base, without), (trial, base)
+            extra = [name] + ([f"{rng.choice(bases)}~{rng.randint(1, 12)}"]
+                              if rng.random() < 0.2 else [])
+            with_tried.update(extra)
+            without.update(extra)
+    # a, a~1 and a~3 taken: the copies of a fill the gap first
+    taken, tried = {"a", "a~1", "a~3"}, {}
+    for want in ["a~2", "a~4", "a~5"]:
+        assert fresh_name("a", taken, tried) == want
+        taken.add(want)
+    # the k-th copy of one base costs three probes with tried, k + 1 without
+    probes = {}
+    for hint in (None, {}):
+        taken = _CountingSet({"a"})
+        for _ in range(200):
+            taken.add(fresh_name("a", taken, hint))
+        probes[hint is None] = taken.probes
+    assert probes == {True: sum(k + 1 for k in range(1, 201)), False: 2 + 3 * 199}
+    # many copies of one part in one adjoin_copy name as one call per copy
+    source, ambient = Graph(2, ["a", "a~1"], [("a", "a~1")]), Graph(2, ["a", "a~3"], [])
+    one_by_one, names = ambient, []
+    for _ in range(30):
+        one_by_one, (relabel,) = adjoin_copy(one_by_one, source, ["a", "a~1"], [{}])
+        names.append(relabel)
+    assert adjoin_copy(ambient, source, ["a", "a~1"], [{}] * 30) == (one_by_one, names)
+
+
 def test_adjoin_copy_names_and_wiring():
     # source: path x - y - z with y also joined to the glue keys a and b
     source = Graph(2, ["a", "b", "x", "y", "z"],
